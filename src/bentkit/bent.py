@@ -13,7 +13,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
-from .core import BooleanFunction, ResourceCapError, _check_arity
+import numpy as np
+
+from .core import BooleanFunction, ResourceCapError, _check_arity, pack_bits
 from .geometry import gaussian_binomial
 from .transforms import walsh_fast
 
@@ -33,14 +35,10 @@ def dual_bent(b: BooleanFunction) -> BooleanFunction:
     """The bent function g with W_b(y) = 2^(n/2) * (-1)^g(y)."""
     if b.n % 2:
         raise ValueError("not bent")
-    target = 1 << (b.n // 2)
-    table = 0
-    for y, v in enumerate(walsh_fast(b).values):
-        if v == -target:
-            table |= 1 << y
-        elif v != target:
-            raise ValueError("not bent")
-    return BooleanFunction(b.n, table)
+    values = np.array(walsh_fast(b).values)
+    if np.any(np.abs(values) != 1 << (b.n // 2)):
+        raise ValueError("not bent")
+    return BooleanFunction(b.n, pack_bits(values < 0))
 
 
 def matrix_rank(cols: Sequence[int]) -> int:

@@ -19,6 +19,8 @@ from .bent import affine_group_size_log2
 from .geometry import FaceMask, covering_coset_count
 
 _LOG2_6 = math.log2(6)
+# past this arity 2^(n-6) and T_n no longer convert to a float
+_FLOAT_ARITY_LIMIT = 1024
 _ASYMPTOTIC_NOTE = (
     "theorem_upper_log2 and headline_log2 evaluate exact surrogates of "
     "asymptotic formulas; they are not certified bounds at any fixed n"
@@ -32,20 +34,21 @@ def _check_even(n: int, minimum: int) -> None:
         raise ValueError(f"need even n >= {minimum}, got {n}")
 
 
+def _half_central_binomial(n: int) -> int:
+    # C(n, n/2) / 2 = C(n-1, n/2-1) exactly, by Pascal's rule and symmetry
+    return comb(n - 1, n // 2 - 1)
+
+
 def trivial_upper_log2(n: int) -> int:
     """2^(n-1) + C(n, n/2)/2: the degree-restricted space size, exactly."""
     _check_even(n, 2)
-    half, rem = divmod(comb(n, n // 2), 2)
-    assert rem == 0
-    return (1 << (n - 1)) + half
+    return (1 << (n - 1)) + _half_central_binomial(n)
 
 
 def tokareva_lower_log2(n: int) -> int:
     """2^(n-2) + C(n, n/2)/2: conjectured lower bound exponent."""
     _check_even(n, 2)
-    half, rem = divmod(comb(n, n // 2), 2)
-    assert rem == 0
-    return (1 << (n - 2)) + half
+    return (1 << (n - 2)) + _half_central_binomial(n)
 
 
 def t_n_log2(n: int) -> int:
@@ -57,8 +60,7 @@ def t_n_log2(n: int) -> int:
 def q_n(n: int) -> int:
     """Cosets of the face on the two highest coordinates that meet B_{n/2}."""
     _check_even(n, 4)
-    mask = 0b11 << (n - 2)
-    return covering_coset_count(n, n // 2, FaceMask(n, mask))
+    return covering_coset_count(n, n // 2, FaceMask(n, 0b11 << (n - 2)))
 
 
 def a_n_log2(n: int) -> float:
@@ -159,6 +161,8 @@ def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> BoundReport:
     """Evaluate every bound at n and compare against a known count if one is
     available (supplied externally, or the census itself for n <= 4)."""
     _check_even(n, 2)
+    if n > _FLOAT_ARITY_LIMIT:
+        raise ValueError(f"log2 values overflow a float past n={_FLOAT_ARITY_LIMIT}, got {n}")
     trivial = trivial_upper_log2(n)
     tokareva = tokareva_lower_log2(n)
     a_log = a_n_log2(n)

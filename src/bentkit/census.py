@@ -2,7 +2,10 @@
 
 Two independent methods: brute force over every truth table, and search over
 normal forms supported on the ball B_{n/2}.  Both stream results in ascending
-truth-table order for any shard count.  Hard caps keep infeasible arities
+truth-table order for any shard count.  Candidates are (rows, 2^n) bit
+arrays: the degree method turns normal forms into truth tables with the
+packed Moebius kernel, and both run the bent test through the shared
+``walsh_rows`` butterfly at int32.  Hard caps keep infeasible arities
 from hanging: the brute-force space is 2^(2^n) and the degree-restricted
 space is 2^42 already at n=6.
 """
@@ -17,9 +20,9 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BooleanFunction, ResourceCapError
+from .core import BooleanFunction, ResourceCapError, pack_rows, unpack_rows
 from .geometry import ball_points
-from .transforms import degree_space_log2
+from .transforms import degree_space_log2, truth_rows_from_anf, walsh_rows
 
 NAIVE_ARITY_CAP = 4
 DEGREE_EXPONENT_CAP = 24
@@ -35,85 +38,41 @@ class CensusResult:
     functions: Optional[tuple[BooleanFunction, ...]]
 
 
-def _batch_walsh_abs_ok(bit_rows: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask of rows whose spectrum is +-2^(n/2) everywhere."""
-    a = 1 - 2 * bit_rows.astype(np.int32)
-    size = 1 << n
-    h = 1
-    while h < size:
-        view = a.reshape(a.shape[0], -1, 2, h)
-        top = view[:, :, 0, :].copy()
-        view[:, :, 0, :] += view[:, :, 1, :]
-        view[:, :, 1, :] = top - view[:, :, 1, :]
-        h *= 2
-    return np.all(np.abs(a) == (1 << (n // 2)), axis=1)
-
-
-def _table_bits(tables: np.ndarray, n: int) -> np.ndarray:
-    size = 1 << n
-    return ((tables[:, None] >> np.arange(size, dtype=np.uint32)[None, :]) & 1).astype(
-        np.uint8
-    )
-
-
-def _bits_to_tables(bit_rows: np.ndarray) -> np.ndarray:
-    weights = (np.int64(1) << np.arange(bit_rows.shape[1], dtype=np.int64))
-    return bit_rows.astype(np.int64) @ weights
+def _bent_rows(truth: np.ndarray, n: int) -> np.ndarray:
+    """Boolean mask of the truth-table rows whose spectrum is +-2^(n/2) everywhere."""
+    # |W| <= 2^n <= 2^4 here, so int32 holds every butterfly stage
+    spectra = walsh_rows(1 - 2 * truth.astype(np.int32))
+    return np.all(np.abs(spectra) == (1 << (n // 2)), axis=1)
 
 
 def _bent_tables_in_range(n: int, lo: int, hi: int) -> list[int]:
     """Truth-table ints of the bent functions with lo <= table < hi, ascending."""
     out: list[int] = []
     for start in range(lo, hi, _CHUNK):
-        tables = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint32)
-        bits = _table_bits(tables, n)
-        keep = _batch_walsh_abs_ok(bits, n)
-        out.extend(int(t) for t in tables[keep])
+        tables = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64)
+        keep = _bent_rows(unpack_rows(tables, 1 << n), n)
+        out.extend(tables[keep].tolist())
     return out
 
 
-def _anf_bit_rows(n: int, lo: int, hi: int) -> np.ndarray:
-    """Normal-form tables of the candidate range as bit rows.
+def _bent_tables_from_anf_range(n: int, lo: int, hi: int) -> list[int]:
+    """Truth-table ints of bent functions among candidates lo..hi (unsorted).
 
-    For n >= 4 candidate k sets ball point j wherever bit j of k is set (the
-    degree bound for bent functions).  n=2 is special: bent functions there
-    all have degree 2, so the top monomial is pinned to 1 and the 2^3
+    For n >= 4 candidate k sets the normal-form coefficient at ball point j
+    wherever bit j of k is set (the degree bound for bent functions).  n=2 is
+    special: bent functions there all have degree 2, so the top monomial is
+    pinned to 1 (candidates shift by 8 over all four points) and the 2^3
     candidates range over the affine part.
     """
-    size = 1 << n
-    count = hi - lo
-    rows = np.zeros((count, size), dtype=np.uint8)
-    candidates = np.arange(lo, hi, dtype=np.uint32)
-    if n == 2:
-        for j in range(3):
-            rows[:, j] = (candidates >> j) & 1
-        rows[:, 3] = 1
-        return rows
     points = ball_points(n, n // 2).points
-    for j, p in enumerate(points):
-        rows[:, p] = ((candidates >> j) & 1).astype(np.uint8)
-    return rows
-
-
-def _moebius_rows(bit_rows: np.ndarray) -> np.ndarray:
-    a = bit_rows.copy()
-    size = a.shape[1]
-    h = 1
-    while h < size:
-        view = a.reshape(a.shape[0], -1, 2, h)
-        view[:, :, 1, :] ^= view[:, :, 0, :]
-        h *= 2
-    return a
-
-
-def _bent_tables_from_anf_range(n: int, lo: int, hi: int) -> list[int]:
-    """Truth-table ints of bent functions among candidates lo..hi (unsorted)."""
+    offset = 0
+    if n == 2:
+        points, offset = (0, 1, 2, 3), 8
     out: list[int] = []
     for start in range(lo, hi, _CHUNK):
-        anf = _anf_bit_rows(n, start, min(start + _CHUNK, hi))
-        truth = _moebius_rows(anf)
-        keep = _batch_walsh_abs_ok(truth, n)
-        out.extend(int(t) for t in _bits_to_tables(truth[keep]))
+        candidates = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64) + offset
+        truth = truth_rows_from_anf(n, points, unpack_rows(candidates, len(points)))
+        out.extend(pack_rows(truth[_bent_rows(truth, n)]))
     return out
 
 

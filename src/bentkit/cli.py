@@ -73,7 +73,7 @@ def _cmd_wht(args: argparse.Namespace):
 
 def _cmd_anf(args: argparse.Namespace):
     f = _load_function(args.f)
-    return {"n": f.n, "values": moebius(list(f.bits()))}, EXIT_OK
+    return {"n": f.n, "values": moebius(f).bits()}, EXIT_OK
 
 
 def _cmd_degree(args: argparse.Namespace):
@@ -141,9 +141,10 @@ def _cmd_reconstruct(args: argparse.Namespace):
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
     data = json.loads(text)
-    assignment = BallAssignment(
-        int(data["n"]), int(data["r"]), tuple(int(b) for b in data["values"])
-    )
+    if not (isinstance(data, dict) and isinstance(data.get("values"), list)
+            and all(type(data.get(key)) is int for key in ("n", "r"))):
+        raise ValueError('ball must be a JSON object {"n": int, "r": int, "values": [bits]}')
+    assignment = BallAssignment(data["n"], data["r"], tuple(data["values"]))
     f = reconstruct_from_ball(assignment)
     return {
         "n": assignment.n,
@@ -179,7 +180,8 @@ def _cmd_census(args: argparse.Namespace):
             code = EXIT_FAILED
     if args.emit:
         source = runs.get("degree") or runs["naive"]
-        assert source.functions is not None
+        if source.functions is None:
+            raise ValueError("census kept no function list to emit")
         Path(args.emit).write_text(
             "".join(format_bf(f) + "\n" for f in source.functions)
         )
@@ -204,6 +206,8 @@ def _cmd_verify(args: argparse.Namespace):
             continue
         if name not in accepted:
             raise _UsageError(f"suite {args.suite} does not accept --{name}")
+        if name in ("samples", "maps") and value < 1:
+            raise _UsageError(f"--{name} must be >= 1, got {value}")
         kwargs[name] = value
     report = suite(**kwargs)
     print(

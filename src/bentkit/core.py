@@ -4,17 +4,23 @@ A function f: F_2^n -> F_2 is stored as its truth table packed into a single
 Python int: bit k of ``table`` is f at the point with index k.  A point
 (x_1, ..., x_n) has index sum(x_i * 2**(i-1)), i.e. x_1 is the least
 significant bit.  All arithmetic on tables is exact integer arithmetic.
+``unpack_bits``/``pack_bits`` (and the row forms for arrays of tables of at
+most 64 bits) are the one codec between tables and numpy bit arrays.
 """
 
 from __future__ import annotations
 
 import os
 import random
+import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence, Union
 
+import numpy as np
+
 DEFAULT_MAX_ARITY = 26
 _ARITY_ENV = "BENTKIT_MAX_ARITY"
+_LITERAL = re.compile(r"bf:([0-9]+):([0-9a-fA-F]+)")
 
 Point = Union[int, Sequence[int]]
 
@@ -82,10 +88,41 @@ class BooleanFunction:
 
     def bits(self) -> list[int]:
         """Truth table as a list of bits in index order."""
-        return [(self.table >> k) & 1 for k in range(self.size)]
+        return unpack_bits(self.table, self.size).tolist()
 
     def __str__(self) -> str:
         return format_bf(self)
+
+
+def unpack_bits(table: int, size: int) -> np.ndarray:
+    """Bits 0..size-1 of a non-negative int as a uint8 array, LSB first."""
+    raw = np.frombuffer(table.to_bytes((size + 7) // 8, "little"), dtype=np.uint8)
+    return np.unpackbits(raw, count=size, bitorder="little")
+
+
+def pack_bits(bits: np.ndarray) -> int:
+    """Inverse of unpack_bits: a 0/1 array, flattened in C order, as an int."""
+    return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
+
+
+def unpack_rows(values: np.ndarray, width: int) -> np.ndarray:
+    """Bits 0..width-1 (width <= 64) of each entry of an unsigned int array, as rows."""
+    raw = np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    return np.unpackbits(raw, axis=1, count=width, bitorder="little")
+
+
+def pack_rows(rows: np.ndarray) -> list[int]:
+    """Inverse of unpack_rows: each row of at most 64 bits as an int."""
+    # the bits are distinct powers of two, so the uint64 sum never carries
+    shifts = np.arange(rows.shape[1], dtype=np.uint64)
+    return (rows.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64).tolist()
+
+
+def _bit_array(values: Sequence, what: str) -> np.ndarray:
+    for v in values:
+        if v not in (0, 1):
+            raise ValueError(f"{what} entries must be bits, got {v!r}")
+    return np.array(values, dtype=np.uint8)
 
 
 def make_function(n: int, bits: Union[str, Iterable[int]]) -> BooleanFunction:
@@ -96,23 +133,17 @@ def make_function(n: int, bits: Union[str, Iterable[int]]) -> BooleanFunction:
     """
     _check_arity(n)
     if isinstance(bits, str):
-        values = []
-        for ch in bits:
-            if ch not in "01":
-                raise ValueError(f"truth table string must be over '01', got {ch!r}")
-            values.append(ord(ch) - ord("0"))
+        rest = bits.lstrip("01")
+        if rest:
+            raise ValueError(f"truth table string must be over '01', got {rest[0]!r}")
+        values = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
     else:
-        values = list(bits)
+        values = _bit_array(list(bits), "truth table")
     if len(values) != (1 << n):
         raise ValueError(
             f"truth table for n={n} needs {1 << n} bits, got {len(values)}"
         )
-    table = 0
-    for k, v in enumerate(values):
-        if v not in (0, 1):
-            raise ValueError(f"truth table entries must be bits, got {v!r}")
-        table |= v << k
-    return BooleanFunction(n, table)
+    return BooleanFunction(n, pack_bits(values))
 
 
 def random_function(n: int, rng: Union[int, random.Random, None] = None) -> BooleanFunction:
@@ -200,13 +231,10 @@ def parse_bf(text: str) -> BooleanFunction:
     """Parse a ``bf:<n>:<hex>`` literal; hex digit count must match n exactly."""
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
-    parts = text.strip().split(":")
-    if len(parts) != 3 or parts[0] != "bf":
+    match = _LITERAL.fullmatch(text.strip())
+    if match is None:
         raise ParseError(f"malformed function literal {text!r}: expected bf:<n>:<hex>")
-    try:
-        n = int(parts[1])
-    except ValueError:
-        raise ParseError(f"malformed arity in {text!r}") from None
+    n = int(match[1])
     if n < 1:
         raise ParseError(f"arity must be >= 1, got {n}")
     cap = max_arity()
@@ -214,15 +242,12 @@ def parse_bf(text: str) -> BooleanFunction:
         raise ResourceCapError(
             f"arity {n} exceeds the cap of {cap} (set {_ARITY_ENV} to raise it)"
         )
-    digits = parts[2]
+    digits = match[2]
     if len(digits) != _hex_digits(n):
         raise ParseError(
             f"table for n={n} needs exactly {_hex_digits(n)} hex digits, got {len(digits)}"
         )
-    try:
-        table = int(digits, 16)
-    except ValueError:
-        raise ParseError(f"malformed hex table in {text!r}") from None
+    table = int(digits, 16)
     if table.bit_length() > (1 << n):
         raise ParseError(f"table value out of range for n={n}")
     return BooleanFunction(n, table)

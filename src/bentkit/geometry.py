@@ -9,9 +9,8 @@ free coordinates cleared.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Iterator
-
-import numpy as np
 
 from .core import BooleanFunction, Point, ResourceCapError, _as_index, _check_arity
 
@@ -20,16 +19,21 @@ _PATTERN_DIM_CAP = 4
 
 @dataclass(frozen=True)
 class FaceMask:
-    """Subcube of F_2^n spanned by the coordinates set in ``mask``."""
+    """Subcube of F_2^n spanned by the coordinates set in ``mask``.
+
+    A mask is an O(1) value, so the arity cap does not apply to it; it
+    applies to the truth tables that faces are used with.
+    """
 
     n: int
     mask: int
 
     def __post_init__(self) -> None:
-        _check_arity(self.n)
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
+            raise ValueError(f"arity must be an int >= 1, got {self.n!r}")
         if not isinstance(self.mask, int) or isinstance(self.mask, bool):
             raise ValueError(f"mask must be an int, got {self.mask!r}")
-        if not 0 <= self.mask < (1 << self.n):
+        if self.mask < 0 or self.mask.bit_length() > self.n:
             raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
 
     @property
@@ -110,27 +114,14 @@ def covering_coset_count(n: int, r: int, m: FaceMask) -> int:
     """Number of cosets of Gamma(m) that intersect the ball B_r.
 
     A coset's minimal weight is the weight of its representative (clearing
-    free coordinates never adds weight), so this counts representatives of
-    weight <= r.
+    free coordinates never adds weight), and representatives are the subsets
+    of the n - dim fixed coordinates, so the count is sum_{i<=r} C(n-dim, i).
     """
-    _check_arity(n)
     if m.n != n:
         raise ValueError(f"arity mismatch: n={n}, mask n={m.n}")
     if not 0 <= r <= n:
         raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
-    complement = ~m.mask & ((1 << n) - 1)
-    free = complement.bit_count()
-    if free <= 16:
-        return sum(1 for rep in _submasks_ascending(complement) if rep.bit_count() <= r)
-    # representatives biject with subsets of the complement's bits, weight
-    # preserved; count by popcount in chunks to bound memory
-    count = 0
-    total = 1 << free
-    chunk = 1 << 20
-    for lo in range(0, total, chunk):
-        block = np.arange(lo, min(lo + chunk, total), dtype=np.uint32)
-        count += int(np.count_nonzero(np.bitwise_count(block) <= r))
-    return count
+    return sum(comb(n - m.dim, i) for i in range(r + 1))
 
 
 def gaussian_binomial(n: int, k: int) -> int:
@@ -149,7 +140,8 @@ def gaussian_binomial(n: int, k: int) -> int:
         num *= (1 << (n - i)) - 1
         den *= (1 << (k - i)) - 1
     out, rem = divmod(num, den)
-    assert rem == 0
+    if rem:
+        raise ArithmeticError(f"gaussian binomial [{n} choose {k}]_2 is not integral")
     return out
 
 

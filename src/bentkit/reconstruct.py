@@ -1,16 +1,18 @@
 """Degree-bounded reconstruction from Hamming balls, and the face-restriction
 implication checker relating spectra on a face to coset sums on its dual.
 
-A function of degree <= r is determined by its values on the ball B_r: points
-are filled in by increasing weight, each new value chosen so the normal-form
-coefficient above weight r vanishes.
+A function of degree <= r is determined by its values on the ball B_r: its
+normal form is supported on the ball, and on a down-set the normal form only
+reads values inside the set.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import BooleanFunction
+import numpy as np
+
+from .core import BooleanFunction, pack_bits
 from .geometry import (
     Ball,
     FaceMask,
@@ -19,7 +21,7 @@ from .geometry import (
     dual_face,
     subcube_points,
 )
-from .transforms import degree, walsh_fast
+from .transforms import degree, moebius, walsh_fast
 
 
 @dataclass(frozen=True)
@@ -58,28 +60,22 @@ class BallAssignment:
 def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:
     """The unique function of degree <= r extending the ball assignment.
 
-    Points y of weight above r get f(y) = XOR of f over the proper subcube
-    below y, which forces the normal-form coefficient at y to zero.
+    With t the assignment extended by zeros, the result is
+    moebius(moebius(t) AND ball): B_r is a down-set, so the normal-form
+    coefficients of t on the ball only read values on the ball.
     """
-    size = 1 << a.n
-    bits = [0] * size
-    for point, value in a.as_dict().items():
-        bits[point] = value
-    order = sorted(range(size), key=lambda p: (p.bit_count(), p))
-    for y in order:
-        if y.bit_count() <= a.r:
-            continue
-        acc = 0
-        for x in subcube_points(FaceMask(a.n, y)):
-            if x != y:
-                acc ^= bits[x]
-        bits[y] = acc
-    table = 0
-    for k, v in enumerate(bits):
-        table |= v << k
-    result = BooleanFunction(a.n, table)
-    assert degree(result) <= a.r
-    assert BallAssignment.from_function(result, a.r) == a
+    points = list(a.ball().points)
+    bits = np.zeros(1 << a.n, dtype=np.uint8)
+    bits[points] = 1
+    ball = pack_bits(bits)
+    bits[points] = a.values
+    assigned = pack_bits(bits)
+    anf = moebius(BooleanFunction(a.n, assigned)).table & ball
+    result = moebius(BooleanFunction(a.n, anf))
+    if degree(result) > a.r:
+        raise ArithmeticError(f"reconstruction has degree above {a.r}")
+    if result.table & ball != assigned:
+        raise ArithmeticError("reconstruction disagrees with the assignment on the ball")
     return result
 
 

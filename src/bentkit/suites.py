@@ -12,6 +12,8 @@ import random
 from math import comb
 from typing import Optional
 
+import numpy as np
+
 from .bent import (
     apply_affine,
     is_bent,
@@ -19,11 +21,12 @@ from .bent import (
     two_flat_sum_distribution,
 )
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
-from .core import BooleanFunction, format_bf, random_function, weight
+from .core import BooleanFunction, format_bf, pack_bits, random_function, weight
+from .core import unpack_bits, unpack_rows
 from .geometry import FaceMask, ball_points, coset_value_class_sizes
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
-from .transforms import NAIVE_ARITY_CAP, degree, moebius, walsh_fast, walsh_naive
-from .transforms import check_restriction_identity
+from .transforms import NAIVE_ARITY_CAP, moebius, walsh_fast, walsh_naive
+from .transforms import check_restriction_identity, truth_rows_from_anf
 
 _MAX_REPORTED = 10
 
@@ -43,7 +46,7 @@ def _report(
         "checks": checks,
         "failures": len(counterexamples),
         "counterexamples": counterexamples[:_MAX_REPORTED],
-        "passed": not counterexamples,
+        "passed": checks > 0 and not counterexamples,
         "details": details or {},
     }
 
@@ -100,13 +103,6 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
     )
 
 
-def _function_from_anf_on_ball(n: int, points: tuple[int, ...], candidate: int) -> BooleanFunction:
-    anf_table = 0
-    for j, p in enumerate(points):
-        anf_table |= ((candidate >> j) & 1) << p
-    return moebius(BooleanFunction(n, anf_table))
-
-
 def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1, r: Optional[int] = None) -> dict:
     """Degree-bounded functions are pinned down by their ball restriction.
 
@@ -120,51 +116,55 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1, r: Optional[int]
     counterexamples: list[dict] = []
     per_radius: dict[str, int] = {}
 
-    def round_trip(f: BooleanFunction, radius: int) -> None:
+    def round_trip(truth: np.ndarray, radius: int) -> None:
         nonlocal checks
         checks += 1
+        f = BooleanFunction(n, pack_bits(truth))
         back = reconstruct_from_ball(BallAssignment.from_function(f, radius))
         if back != f:
             counterexamples.append(
                 {"r": radius, "function": format_bf(f), "rebuilt": format_bf(back)}
             )
 
+    def render(truth: np.ndarray) -> str:
+        return format_bf(BooleanFunction(n, pack_bits(truth)))
+
     if n <= 4:
         mode = "exhaustive"
-        radii = range(n + 1)
-        for radius in radii:
+        for radius in range(n + 1):
             points = ball_points(n, radius).points
             total = 1 << len(points)
-            seen: dict[tuple[int, ...], int] = {}
-            for candidate in range(total):
-                f = _function_from_anf_on_ball(n, points, candidate)
-                restriction = tuple(f.bit(p) for p in points)
-                checks += 1
-                if restriction in seen:
-                    counterexamples.append(
-                        {
-                            "r": radius,
-                            "first": format_bf(BooleanFunction(n, seen[restriction])),
-                            "second": format_bf(f),
-                            "reason": "restrictions collide",
-                        }
-                    )
-                else:
-                    seen[restriction] = f.table
+            coeffs = unpack_rows(np.arange(total, dtype=np.uint64), len(points))
+            truth = truth_rows_from_anf(n, points, coeffs)
+            # first[inverse[k]] is the first candidate sharing k's restriction
+            _, first, inverse = np.unique(
+                truth[:, list(points)], axis=0, return_index=True, return_inverse=True
+            )
+            earlier = first[inverse.ravel()]
+            checks += total
+            for k in np.flatnonzero(earlier != np.arange(total)):
+                counterexamples.append(
+                    {
+                        "r": radius,
+                        "first": render(truth[earlier[k]]),
+                        "second": render(truth[k]),
+                        "reason": "restrictions collide",
+                    }
+                )
             if total <= 2048:
-                for candidate in range(total):
-                    round_trip(_function_from_anf_on_ball(n, points, candidate), radius)
+                picks = range(total)
             else:
-                for candidate in rng.sample(range(total), min(samples, total)):
-                    round_trip(_function_from_anf_on_ball(n, points, candidate), radius)
+                picks = rng.sample(range(total), min(samples, total))
+            for candidate in picks:
+                round_trip(truth[candidate], radius)
             per_radius[str(radius)] = total
     else:
         mode = "randomized"
         radius = n // 2 if r is None else r
         points = ball_points(n, radius).points
         for _ in range(samples):
-            candidate = rng.getrandbits(len(points))
-            round_trip(_function_from_anf_on_ball(n, points, candidate), radius)
+            coeffs = unpack_bits(rng.getrandbits(len(points)), len(points))
+            round_trip(truth_rows_from_anf(n, points, coeffs[None])[0], radius)
         per_radius[str(radius)] = samples
 
     return _report(
@@ -179,8 +179,7 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1, r: Optional[int]
 
 def suite_prop1(n: int = 4, maps: int = 10, seed: int = 1) -> dict:
     """Random invertible affine maps preserve bent-ness across the census."""
-    members = enumerate_bent_by_degree(n).functions
-    assert members is not None
+    members = enumerate_bent_by_degree(n).functions or ()
     rng = random.Random(seed)
     checks = 0
     counterexamples: list[dict] = []
@@ -318,8 +317,7 @@ def suite_flats(n: int = 4) -> dict:
     if sizes != expected:
         counterexamples.append({"reason": "pattern classes", "got": sizes})
 
-    members = enumerate_bent_by_degree(n).functions
-    assert members is not None
+    members = enumerate_bent_by_degree(n).functions or ()
     common: Optional[dict[int, int]] = None
     total = None
     for f in members:
@@ -344,7 +342,8 @@ def suite_flats(n: int = 4) -> dict:
                 }
             )
 
-    assert common is not None and total is not None
+    if common is None or total is None:
+        raise ValueError(f"no bent functions at n={n}")
     plus_minus_two = common[2]
     return _report(
         "flats",
@@ -368,7 +367,6 @@ def suite_census_agreement(n: int = 4) -> dict:
     counterexamples: list[dict] = []
     naive = enumerate_bent_naive(n)
     by_degree = enumerate_bent_by_degree(n)
-    assert naive.functions is not None and by_degree.functions is not None
     checks += 1
     if naive.functions != by_degree.functions:
         counterexamples.append(

@@ -1,7 +1,12 @@
 """Walsh-Hadamard and Moebius transforms, algebraic degree, convolution.
 
-All arithmetic is exact: transforms run on Python ints or on int64 arrays
-whose magnitudes are proven to fit.  ``walsh_fast`` is the O(n 2^n) butterfly;
+All arithmetic is exact.  There is one kernel per transform.  ``walsh_rows``
+is the in-place numpy butterfly on (rows, 2^n) arrays of a dtype the caller
+proves wide enough; below ``_NUMPY_CUTOVER``, and for values too large for
+int64, the pure-Python butterfly ``_hadamard_in_place`` runs instead.
+``_moebius_table`` is the Moebius kernel: masked shifts on one Python int
+that packs R truth tables back to back.  ``degree`` reads the normal form
+against cached weight-class masks.  ``walsh_fast`` is the O(n 2^n) transform;
 ``walsh_naive`` evaluates the defining double sum directly and serves as the
 independent oracle.  ``convolve_pm`` is likewise the direct sum, never routed
 through the transform, so ``check_restriction_identity`` really compares two
@@ -17,7 +22,7 @@ from typing import Sequence, Union, overload
 
 import numpy as np
 
-from .core import BooleanFunction, ResourceCapError
+from .core import BooleanFunction, ResourceCapError, _bit_array, pack_bits, unpack_bits
 from .geometry import FaceMask
 
 NAIVE_ARITY_CAP = 12
@@ -50,9 +55,11 @@ def _hadamard_in_place(a: list[int]) -> list[int]:
     return a
 
 
-def _hadamard_numpy(a: np.ndarray) -> np.ndarray:
-    # mutates its argument; callers pass a freshly built array
-    size = a.shape[0]
+def walsh_rows(a: np.ndarray) -> np.ndarray:
+    """In-place Hadamard butterfly along the last axis (length 2^n) of a
+    C-contiguous integer array, e.g. (rows, 2^n); the caller's dtype must
+    hold 2^n times the largest input magnitude."""
+    size = a.shape[-1]
     h = 1
     while h < size:
         view = a.reshape(-1, 2, h)
@@ -75,16 +82,8 @@ def hadamard_transform(values: Sequence[int]) -> IntegerVector:
     peak = max((abs(v) for v in work), default=0)
     # int64 is safe when size * max|v| cannot reach 2^62
     if size >= (1 << _NUMPY_CUTOVER) and peak < (1 << 62) // max(size, 1):
-        out = _hadamard_numpy(np.array(work, dtype=np.int64))
-        return [int(v) for v in out]
+        return walsh_rows(np.array(work, dtype=np.int64)).tolist()
     return _hadamard_in_place(work)
-
-
-def _sign_vector_numpy(f: BooleanFunction) -> np.ndarray:
-    nbytes = max(1, f.size // 8)
-    raw = np.frombuffer(f.table.to_bytes(nbytes, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, bitorder="little")[: f.size]
-    return (1 - 2 * bits.astype(np.int64))
 
 
 def _signs(f: BooleanFunction) -> list[int]:
@@ -96,8 +95,8 @@ def walsh_fast(f: BooleanFunction) -> WalshSpectrum:
     """Walsh-Hadamard spectrum via the in-place butterfly, O(n 2^n)."""
     if f.n < _NUMPY_CUTOVER:
         return WalshSpectrum(f.n, tuple(_hadamard_in_place(_signs(f))))
-    out = _hadamard_numpy(_sign_vector_numpy(f))
-    return WalshSpectrum(f.n, tuple(int(v) for v in out))
+    signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int64)
+    return WalshSpectrum(f.n, tuple(walsh_rows(signs).tolist()))
 
 
 @lru_cache(maxsize=8)
@@ -117,31 +116,43 @@ def walsh_naive(f: BooleanFunction) -> WalshSpectrum:
         raise ResourceCapError(
             f"naive transform is O(4^n); arity {f.n} exceeds the cap of {NAIVE_ARITY_CAP}"
         )
-    signs = _sign_vector_numpy(f)
+    signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int64)
     values = _character_matrix(f.n) @ signs
     return WalshSpectrum(f.n, tuple(int(v) for v in values))
 
 
-@lru_cache(maxsize=32)
-def _moebius_stage_masks(n: int) -> tuple[int, ...]:
-    # mask i selects the table positions whose index has bit i clear
-    size = 1 << n
+@lru_cache(maxsize=16)
+def _moebius_stage_masks(n: int, rows: int) -> tuple[int, ...]:
+    # mask i selects the positions whose index has bit i clear, over `rows`
+    # tables of 2^n bits packed back to back
+    length = rows << n
     masks = []
     for i in range(n):
         shift = 1 << i
         m = (1 << shift) - 1
         span = shift * 2
-        while span < size:
+        while span < length:
             m |= m << span
             span *= 2
-        masks.append(m)
+        masks.append(m & ((1 << length) - 1))
     return tuple(masks)
 
 
-def _moebius_table(table: int, n: int) -> int:
-    for i, mask in enumerate(_moebius_stage_masks(n)):
+def _moebius_table(table: int, n: int, rows: int = 1) -> int:
+    # the only Moebius kernel: each stage XORs the bit-i-clear half onto the
+    # bit-i-set half of every packed table at once
+    for i, mask in enumerate(_moebius_stage_masks(n, rows)):
         table ^= (table & mask) << (1 << i)
     return table
+
+
+def truth_rows_from_anf(n: int, points: Sequence[int], coeffs: np.ndarray) -> np.ndarray:
+    """Truth tables, as (R, 2^n) bit rows, of the R functions whose normal
+    form has coefficient coeffs[k, j] at points[j] and 0 everywhere else."""
+    anf = np.zeros((len(coeffs), 1 << n), dtype=np.uint8)
+    anf[:, list(points)] = coeffs
+    packed = _moebius_table(pack_bits(anf), n, len(anf))
+    return unpack_bits(packed, anf.size).reshape(anf.shape)
 
 
 @overload
@@ -162,24 +173,22 @@ def moebius(t: Union[BooleanFunction, Sequence[int]]):
     size = len(bits)
     if size == 0 or size & (size - 1):
         raise ValueError(f"bit table length must be a power of two, got {size}")
-    table = 0
-    for k, v in enumerate(bits):
-        if v not in (0, 1):
-            raise ValueError(f"bit table entries must be bits, got {v!r}")
-        table |= v << k
-    out = _moebius_table(table, size.bit_length() - 1)
-    return [(out >> k) & 1 for k in range(size)]
+    table = pack_bits(_bit_array(bits, "bit table"))
+    return unpack_bits(_moebius_table(table, size.bit_length() - 1), size).tolist()
+
+
+@lru_cache(maxsize=8)
+def _weight_masks(n: int) -> tuple[int, ...]:
+    # mask w selects the table positions whose index has weight w
+    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
+    return tuple(pack_bits(weights == w) for w in range(n + 1))
 
 
 def degree(f: BooleanFunction) -> int:
     """Algebraic degree: largest monomial size in the normal form; 0 for constants."""
     anf = moebius(f).table
-    best = 0
-    while anf:
-        low = anf & -anf
-        best = max(best, (low.bit_length() - 1).bit_count())
-        anf ^= low
-    return best
+    masks = _weight_masks(f.n)
+    return next((w for w in range(f.n, 0, -1) if anf & masks[w]), 0)
 
 
 def degree_space_log2(n: int, d: int) -> int:

@@ -58,7 +58,9 @@ def test_t_n_below_quarter_exponent():
 
 
 def test_q_n_matches_t_n():
-    # two different computations: a binomial sum vs an actual coset count
+    # q_n counts covering cosets of the actual face through the closed form of
+    # covering_coset_count; test_covering_coset_count_brute checks that form
+    # against an enumeration of coset representatives
     for n in range(4, 18, 2):
         assert q_n(n) == t_n_log2(n)
 

@@ -145,6 +145,15 @@ def test_bounds_matches_library(capsys):
     assert "bounds at n=4" in err  # table goes to stderr only
 
 
+@pytest.mark.parametrize("n", [28, 64, 1024])
+def test_bounds_past_the_arity_cap(capsys, n):
+    # pure arithmetic: the arity cap on truth tables does not apply
+    code, payload, _ = run_json(capsys, "bounds", "--n", str(n))
+    assert code == 0
+    assert payload == bound_report(n).to_json_dict()
+    assert payload["q_n"] == payload["t_n_log2"]
+
+
 def test_bounds_known_file(capsys, tmp_path):
     path = tmp_path / "known.json"
     path.write_text('[{"n": 6, "count": "5425430528", "source": "literature"}]')
@@ -212,6 +221,17 @@ def test_output_is_stable(capsys):
         # the arity guard fires before digit-count validation
         (["degree", "--f", "bf:27:0"], 4),
         (["bounds", "--n", "5"], 2),
+        (["reconstruct", "--ball", "[1,2]"], 2),
+        (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": null}'], 2),
+        (["reconstruct", "--ball", '{"n": "2", "r": 1, "values": [0, 1, 1]}'], 2),
+        (["wht", "--f", "bf:4:03_6"], 2),
+        (["wht", "--f", "bf:4:0x12"], 2),
+        (["wht", "--f", "bf:+4:0356"], 2),
+        (["wht", "--f", "bf:4:-356"], 2),
+        (["verify", "--suite", "lemma1", "--n", "8", "--samples", "-5"], 1),
+        (["verify", "--suite", "lemma2", "--n", "6", "--samples", "0"], 1),
+        (["verify", "--suite", "prop1", "--maps", "0"], 1),
+        (["bounds", "--n", "1026"], 2),
     ],
 )
 def test_exit_codes(capsys, argv, expected):

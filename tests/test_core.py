@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,11 +15,15 @@ from bentkit.core import (
     inner_product,
     make_function,
     max_arity,
+    pack_bits,
+    pack_rows,
     parse_bf,
     point_coords,
     point_index,
     point_weight,
     random_function,
+    unpack_bits,
+    unpack_rows,
     weight,
     xor_add,
 )
@@ -67,10 +72,15 @@ def test_parse_is_case_insensitive():
         "bf:0:1",
         "bf:-1:1",
         "bf:2:-8",
+        # int() accepts underscores, 0x prefixes and signs; the literal does not
+        "bf:4:03_6",
+        "bf:4:0x12",
+        "bf:+4:0356",
+        "bf:4:-356",
     ],
 )
 def test_parse_rejects(bad):
-    with pytest.raises((ParseError, ValueError)):
+    with pytest.raises(ParseError):
         parse_bf(bad)
 
 
@@ -183,3 +193,21 @@ def test_random_function_determinism():
 @given(functions(6))
 def test_weight_matches_bits(f):
     assert weight(f) == sum(f.bits())
+
+
+def test_codec_round_trip_past_int64():
+    # bit 63 set: a 64-bit table overflowed the old int64 row packing
+    table = (1 << 63) | 0b1011
+    bits = unpack_bits(table, 64)
+    assert bits.tolist() == BooleanFunction(6, table).bits()
+    assert pack_bits(bits) == table
+    rows = unpack_rows(np.array([table, 5], dtype=np.uint64), 64)
+    assert [pack_bits(row) for row in rows] == pack_rows(rows) == [table, 5]
+
+
+@given(functions(10))
+def test_codec_matches_shifts(f):
+    assert f.bits() == [(f.table >> k) & 1 for k in range(f.size)]
+    assert pack_bits(unpack_bits(f.table, f.size)) == f.table
+    assert make_function(f.n, f.bits()) == f
+    assert make_function(f.n, "".join(map(str, f.bits()))) == f

@@ -39,6 +39,13 @@ def test_face_mask_validation():
         FaceMask(2, 1.0)
 
 
+def test_face_mask_is_not_arity_capped():
+    # a mask is an O(1) value; the cap applies to the truth tables it meets
+    m = FaceMask(40, 0b11 << 38)
+    assert m.dim == 2 and len(subcube_points(m)) == 4
+    assert covering_coset_count(40, 20, m) == sum(comb(38, i) for i in range(21))
+
+
 def test_dual_face():
     m = FaceMask(4, 0b0011)
     assert dual_face(m).mask == 0b1100
@@ -129,7 +136,8 @@ def test_covering_coset_count_oracles():
 
 
 def test_covering_coset_count_large_path():
-    # free part above 16 bits exercises the chunked counting path
+    # point face: each of the 2^18 cosets is one point, so the count is the
+    # ball volume
     n, r = 18, 2
     got = covering_coset_count(n, r, FaceMask(n, 0))
     assert got == sum(comb(n, i) for i in range(r + 1))

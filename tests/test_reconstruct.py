@@ -88,6 +88,13 @@ def test_round_trip_random_n6_r3(candidate):
     assert reconstruct_from_ball(a) == f
 
 
+def test_reconstruct_n10_r5_returns_its_input():
+    rng = random.Random(10)
+    for _ in range(5):
+        f = anf_on_ball(10, 5, rng.getrandbits(len(ball_points(10, 5).points)))
+        assert reconstruct_from_ball(BallAssignment.from_function(f, 5)) == f
+
+
 def test_reconstruction_clears_high_moebius_coefficients():
     rng = random.Random(2)
     for _ in range(20):

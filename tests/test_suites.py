@@ -125,3 +125,9 @@ def test_census_agreement_suite(n):
     assert report["details"]["count"] == {2: 8, 4: 896}[n]
     if n == 2:
         assert report["details"]["analytic_odd_weight_count"] == 8
+
+
+def test_zero_checks_do_not_pass():
+    assert suite_lemma1(n=8, samples=0)["passed"] is False
+    assert suite_lemma2(n=6, samples=0)["passed"] is False
+    assert suite_prop1(n=2, maps=0)["passed"] is False

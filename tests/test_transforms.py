@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
-from bentkit.geometry import FaceMask
+from bentkit.core import pack_bits, unpack_rows
+from bentkit.geometry import FaceMask, ball_points
 from bentkit.transforms import (
+    _NUMPY_CUTOVER,
     WalshSpectrum,
     check_restriction_identity,
     convolve_pm,
@@ -15,6 +18,7 @@ from bentkit.transforms import (
     degree_space_log2,
     hadamard_transform,
     moebius,
+    truth_rows_from_anf,
     walsh_fast,
     walsh_naive,
 )
@@ -49,6 +53,16 @@ def test_fast_matches_naive_exhaustively(n):
 @settings(max_examples=150, deadline=None)
 def test_fast_matches_naive_random(f):
     assert walsh_fast(f).values == walsh_naive(f).values
+
+
+@pytest.mark.parametrize("n", [6, 7, 8])
+def test_fast_matches_naive_across_cutover(n):
+    # n=6 runs the pure-Python butterfly, n=7 and n=8 the numpy one
+    assert _NUMPY_CUTOVER == 7
+    rng = random.Random(n)
+    for _ in range(20):
+        f = random_function(n, rng)
+        assert walsh_fast(f).values == walsh_naive(f).values
 
 
 def test_naive_cap():
@@ -114,6 +128,17 @@ def test_moebius_involution_exhaustive(n):
 @settings(max_examples=150, deadline=None)
 def test_moebius_involution_random(f):
     assert moebius(moebius(f)) == f
+
+
+@pytest.mark.parametrize("n,r", [(2, 1), (4, 2), (6, 3)])
+def test_packed_batch_moebius_matches_per_function(n, r):
+    points = ball_points(n, r).points
+    rng = random.Random(n)
+    candidates = [rng.getrandbits(len(points)) for _ in range(50)]
+    truth = truth_rows_from_anf(n, points, unpack_rows(np.array(candidates, dtype=np.uint64), len(points)))
+    for candidate, row in zip(candidates, truth):
+        anf = sum(((candidate >> j) & 1) << p for j, p in enumerate(points))
+        assert pack_bits(row) == moebius(BooleanFunction(n, anf)).table
 
 
 def test_moebius_list_validation():
