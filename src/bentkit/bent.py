@@ -3,6 +3,7 @@
 A function is bent when its arity is even and every Walsh value is +-2^(n/2).
 The dual reads the signs of the spectrum.  Affine maps act by
 g(x) = f(Mx + translation) + <functional, x> + constant with M invertible.
+2-flat sums add truth-table translates built with ``geometry``'s coordinate masks.
 """
 
 from __future__ import annotations
@@ -10,17 +11,15 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .core import BooleanFunction, ResourceCapError, _check_arity, pack_bits
-from .geometry import gaussian_binomial
+from .geometry import coordinate_masks, gaussian_binomial
 from .transforms import walsh_fast
 
 FLAT_ARITY_CAP = 12
-_FLAT_CACHE_ARITY = 8
 
 
 def is_bent(f: BooleanFunction) -> bool:
@@ -160,11 +159,6 @@ def two_flats(n: int) -> Iterator[tuple[int, int, int, int]]:
                 yield (t, t ^ u, t ^ v, t ^ w)
 
 
-@lru_cache(maxsize=4)
-def _flat_table(n: int) -> tuple[tuple[int, int, int, int], ...]:
-    return tuple(two_flats(n))
-
-
 @dataclass(frozen=True)
 class FlatSumDistribution:
     """Counts of 2-flats by their sign sum; sums live in {-4,-2,0,2,4}."""
@@ -185,9 +179,21 @@ def two_flat_sum_distribution(b: BooleanFunction) -> FlatSumDistribution:
         raise ResourceCapError(
             f"flat enumeration at arity {b.n} exceeds the cap of {FLAT_ARITY_CAP}"
         )
-    bits = b.bits()
-    counts = {s: 0 for s in (-4, -2, 0, 2, 4)}
-    flats = _flat_table(b.n) if b.n <= _FLAT_CACHE_ARITY else two_flats(b.n)
-    for p0, p1, p2, p3 in flats:
-        counts[4 - 2 * (bits[p0] + bits[p1] + bits[p2] + bits[p3])] += 1
-    return FlatSumDistribution(b.n, counts)
+    # translates[u] has bit x = b(x ^ u): swap the table halves along each bit of u
+    translates = [b.table]
+    for i, mask in enumerate(coordinate_masks(b.n)):
+        shift = 1 << i
+        translates += [((t & mask) << shift) | ((t >> shift) & mask) for t in translates]
+    # half-adders give bits 0, 1 of k(x) = ones of b on x + {0, u, v, u^v}; 4 points per flat
+    odd = mid = threes = fours = 0
+    for u, v in _canonical_pairs(b.n):
+        t, a, c, d = b.table, translates[u], translates[v], translates[u ^ v]
+        bit0 = t ^ a ^ c ^ d
+        bit1 = (t & a) ^ (c & d) ^ ((t ^ a) & (c ^ d))
+        odd += bit0.bit_count()
+        mid += bit1.bit_count()
+        threes += (bit0 & bit1).bit_count()
+        fours += (t & a & c & d).bit_count()
+    k = {4: fours, 3: threes, 2: mid - threes, 1: odd - threes}
+    k[0] = (gaussian_binomial(b.n, 2) << b.n) - sum(k.values())
+    return FlatSumDistribution(b.n, {4 - 2 * j: k[j] // 4 for j in range(4, -1, -1)})

@@ -2,16 +2,17 @@
 
 Two independent methods: brute force over every truth table, and search over
 normal forms supported on the ball B_{n/2}.  Both stream results in ascending
-truth-table order for any shard count.  Candidates are (rows, 2^n) bit
-arrays: the degree method turns normal forms into truth tables with the
-packed Moebius kernel, and both run the bent test through the shared
-``walsh_rows`` butterfly at int32.  Hard caps keep infeasible arities
-from hanging: the brute-force space is 2^(2^n) and the degree-restricted
-space is 2^42 already at n=6.
+truth-table order for any job count: min(jobs, cores) workers each take one
+contiguous shard of the candidates.  Candidates are (rows, 2^n) bit arrays:
+the degree method turns normal forms into truth tables with the packed
+Moebius kernel, and both run the bent test through the shared ``walsh_rows``
+butterfly at int32.  Hard caps keep infeasible arities from hanging: the
+brute-force space is 2^(2^n) and the degree-restricted space is 2^42 at n=6.
 """
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -83,29 +84,25 @@ def _check_even(n: int) -> None:
         raise ValueError(f"bent functions need even arity, got {n}")
 
 
-def _shard_ranges(total: int, shards: int) -> list[tuple[int, int]]:
-    if shards < 1:
-        raise ValueError(f"shard count must be >= 1, got {shards}")
-    bounds = [total * k // shards for k in range(shards + 1)]
-    return [(bounds[k], bounds[k + 1]) for k in range(shards)]
-
-
-def _run_sharded(worker, n: int, total: int, shards: int, jobs: int) -> list[int]:
-    ranges = _shard_ranges(total, shards)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            parts = list(pool.map(worker, [n] * len(ranges), *zip(*ranges)))
+def _census(method: str, worker, n: int, total: int, jobs: int, keep: bool) -> CensusResult:
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    started = time.perf_counter()
+    workers = min(jobs, os.cpu_count() or 1)
+    if workers == 1:
+        tables = worker(n, 0, total)
     else:
-        parts = [worker(n, lo, hi) for lo, hi in ranges]
-    merged: list[int] = []
-    for part in parts:
-        merged.extend(part)
-    return merged
+        bounds = [total * k // workers for k in range(workers + 1)]
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            parts = pool.map(worker, [n] * workers, bounds[:-1], bounds[1:])
+            tables = [t for part in parts for t in part]
+    tables.sort()
+    elapsed = time.perf_counter() - started
+    functions = tuple(BooleanFunction(n, t) for t in tables) if keep else None
+    return CensusResult(n, method, len(tables), elapsed, functions)
 
 
-def enumerate_bent_naive(
-    n: int, *, shards: int = 1, jobs: int = 1, include_functions: bool = True
-) -> CensusResult:
+def enumerate_bent_naive(n: int, *, jobs: int = 1, include_functions: bool = True) -> CensusResult:
     """Filter all 2^(2^n) truth tables through the bent test."""
     _check_even(n)
     if n > NAIVE_ARITY_CAP:
@@ -113,15 +110,11 @@ def enumerate_bent_naive(
             f"brute-force census is capped at n <= {NAIVE_ARITY_CAP} "
             f"(2^(2^n) tables); got n={n}"
         )
-    started = time.perf_counter()
-    tables = _run_sharded(_bent_tables_in_range, n, 1 << (1 << n), shards, jobs)
-    elapsed = time.perf_counter() - started
-    functions = tuple(BooleanFunction(n, t) for t in tables) if include_functions else None
-    return CensusResult(n, "naive", len(tables), elapsed, functions)
+    return _census("naive", _bent_tables_in_range, n, 1 << (1 << n), jobs, include_functions)
 
 
 def enumerate_bent_by_degree(
-    n: int, *, shards: int = 1, jobs: int = 1, include_functions: bool = True
+    n: int, *, jobs: int = 1, include_functions: bool = True
 ) -> CensusResult:
     """Search normal forms supported on B_{n/2} and filter by the bent test."""
     _check_even(n)
@@ -131,12 +124,9 @@ def enumerate_bent_by_degree(
             f"degree-restricted census needs 2^{exponent} candidates at n={n}, "
             f"over the 2^{DEGREE_EXPONENT_CAP} cap"
         )
-    started = time.perf_counter()
-    tables = _run_sharded(_bent_tables_from_anf_range, n, 1 << exponent, shards, jobs)
-    tables.sort()
-    elapsed = time.perf_counter() - started
-    functions = tuple(BooleanFunction(n, t) for t in tables) if include_functions else None
-    return CensusResult(n, "degree", len(tables), elapsed, functions)
+    return _census(
+        "degree", _bent_tables_from_anf_range, n, 1 << exponent, jobs, include_functions
+    )
 
 
 @lru_cache(maxsize=None)

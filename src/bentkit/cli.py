@@ -155,13 +155,13 @@ def _cmd_reconstruct(args: argparse.Namespace):
 
 
 def _cmd_census(args: argparse.Namespace):
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be >= 1, got {args.jobs}")
     runs = {}
     if args.method in ("naive", "both"):
-        runs["naive"] = enumerate_bent_naive(args.n, shards=args.shards, jobs=args.jobs)
+        runs["naive"] = enumerate_bent_naive(args.n, jobs=args.jobs)
     if args.method in ("degree", "both"):
-        runs["degree"] = enumerate_bent_by_degree(
-            args.n, shards=args.shards, jobs=args.jobs
-        )
+        runs["degree"] = enumerate_bent_by_degree(args.n, jobs=args.jobs)
     for name, result in runs.items():
         print(f"census {name}: n={args.n} count={result.count} "
               f"elapsed={result.elapsed:.3f}s", file=sys.stderr)
@@ -271,7 +271,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("census", help="enumerate all bent functions at an arity")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--method", choices=("naive", "degree", "both"), default="both")
-    p.add_argument("--shards", type=int, default=1)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--emit", metavar="PATH", help="write one bf literal per line")
     p.set_defaults(handler=_cmd_census)

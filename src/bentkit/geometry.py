@@ -3,14 +3,17 @@
 A face is the subcube Gamma(mask) = {x : x AND NOT mask = 0}: the set bits of
 ``mask`` are the free coordinates, every face contains the origin.  Cosets of
 a face are keyed by their minimal-index member, which is the point with all
-free coordinates cleared.
+free coordinates cleared; a coset is its face shifted by that representative.
+The point-set masks on truth tables, ``coordinate_masks``, ``weight_masks``
+and ``face_indicator``, are built here and nowhere else.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from itertools import combinations
 from math import comb
-from typing import Iterator
 
 from .core import BooleanFunction, Point, ResourceCapError, _as_index, _check_arity
 
@@ -45,19 +48,17 @@ class FaceMask:
         return 1 << self.dim
 
 
-def _submasks_ascending(mask: int) -> Iterator[int]:
-    # enumerates all s with s AND NOT mask = 0 in increasing order
-    s = 0
-    while True:
-        yield s
-        s = (s - mask) & mask
-        if s == 0:
-            return
+def _submasks(mask: int) -> list[int]:
+    # every s with s AND NOT mask = 0, ascending: (s - mask) & mask follows s
+    points = [0]
+    while s := (points[-1] - mask) & mask:
+        points.append(s)
+    return points
 
 
 def subcube_points(m: FaceMask) -> list[int]:
     """All points of Gamma(m), ascending by index."""
-    return list(_submasks_ascending(m.mask))
+    return _submasks(m.mask)
 
 
 def dual_face(m: FaceMask) -> FaceMask:
@@ -72,24 +73,53 @@ def coset_representative(m: FaceMask, z: int) -> int:
     return z & ~m.mask
 
 
+@lru_cache(maxsize=16)
+def coordinate_masks(n: int, rows: int = 1) -> tuple[int, ...]:
+    """Mask i marks the index-bit-i-clear positions of ``rows`` packed 2^n-bit tables."""
+    length = rows << n
+    masks = []
+    for i in range(n):
+        m = (1 << (1 << i)) - 1
+        for j in range(i + 1, (length - 1).bit_length()):  # double m until it covers length
+            m |= m << (1 << j)
+        masks.append(m & ((1 << length) - 1))
+    return tuple(masks)
+
+
+@lru_cache(maxsize=8)
+def weight_masks(n: int) -> tuple[int, ...]:
+    """Mask w marks the positions whose index has Hamming weight w."""
+    # weight w on n + 1 coordinates: weight w with bit n clear, or w - 1 with it set
+    masks = [1]
+    for i in range(n):
+        masks = [lo | (hi << (1 << i)) for lo, hi in zip(masks + [0], [0] + masks)]
+    return tuple(masks)
+
+
+def face_indicator(m: FaceMask) -> int:
+    """Indicator of Gamma(m): the AND of the coordinate masks of its fixed coordinates."""
+    indicator = (1 << (1 << m.n)) - 1
+    for i, mask in enumerate(coordinate_masks(m.n)):
+        if not (m.mask >> i) & 1:
+            indicator &= mask
+    return indicator
+
+
 def coset_sum(f: BooleanFunction, m: FaceMask, z: Point) -> int:
     """Sum of (-1)^f over the coset z + Gamma(m)."""
     if f.n != m.n:
         raise ValueError(f"arity mismatch: function n={f.n}, mask n={m.n}")
-    base = _as_index(f, z)
-    table = f.table
-    total = 0
-    for s in _submasks_ascending(m.mask):
-        total += 1 - 2 * ((table >> (base ^ s)) & 1)
-    return total
+    rep = _as_index(f, z) & ~m.mask
+    return m.size - 2 * ((f.table >> rep) & face_indicator(m)).bit_count()
 
 
 def coset_spectrum(f: BooleanFunction, m: FaceMask) -> dict[int, int]:
     """Coset sums of every coset of Gamma(m), keyed by minimal-index representative."""
     if f.n != m.n:
         raise ValueError(f"arity mismatch: function n={f.n}, mask n={m.n}")
-    complement = ~m.mask & ((1 << m.n) - 1)
-    return {rep: coset_sum(f, m, rep) for rep in _submasks_ascending(complement)}
+    indicator, size = face_indicator(m), m.size
+    reps = _submasks(~m.mask & ((1 << m.n) - 1))
+    return {rep: size - 2 * ((f.table >> rep) & indicator).bit_count() for rep in reps}
 
 
 @dataclass(frozen=True)
@@ -105,9 +135,10 @@ def ball_points(n: int, r: int) -> Ball:
     _check_arity(n)
     if not 0 <= r <= n:
         raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
-    members = [x for x in range(1 << n) if x.bit_count() <= r]
-    members.sort(key=lambda x: (x.bit_count(), x))
-    return Ball(n, r, tuple(members))
+    # combinations of descending bits are descending: list weights r..0, reverse
+    bits = [1 << i for i in reversed(range(n))]
+    members = [x for w in range(r, -1, -1) for x in map(sum, combinations(bits, w))]
+    return Ball(n, r, tuple(reversed(members)))
 
 
 def covering_coset_count(n: int, r: int, m: FaceMask) -> int:

@@ -20,6 +20,7 @@ from .geometry import (
     coset_spectrum,
     dual_face,
     subcube_points,
+    weight_masks,
 )
 from .transforms import degree, moebius, walsh_fast
 
@@ -64,11 +65,9 @@ def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:
     moebius(moebius(t) AND ball): B_r is a down-set, so the normal-form
     coefficients of t on the ball only read values on the ball.
     """
-    points = list(a.ball().points)
+    ball = sum(weight_masks(a.n)[: a.r + 1])  # disjoint classes: the sum is the union
     bits = np.zeros(1 << a.n, dtype=np.uint8)
-    bits[points] = 1
-    ball = pack_bits(bits)
-    bits[points] = a.values
+    bits[list(a.ball().points)] = a.values
     assigned = pack_bits(bits)
     anf = moebius(BooleanFunction(a.n, assigned)).table & ball
     result = moebius(BooleanFunction(a.n, anf))

@@ -4,13 +4,14 @@ All arithmetic is exact.  There is one kernel per transform.  ``walsh_rows``
 is the in-place numpy butterfly on (rows, 2^n) arrays of a dtype the caller
 proves wide enough; below ``_NUMPY_CUTOVER``, and for values too large for
 int64, the pure-Python butterfly ``_hadamard_in_place`` runs instead.
-``_moebius_table`` is the Moebius kernel: masked shifts on one Python int
-that packs R truth tables back to back.  ``degree`` reads the normal form
-against cached weight-class masks.  ``walsh_fast`` is the O(n 2^n) transform;
-``walsh_naive`` evaluates the defining double sum directly and serves as the
-independent oracle.  ``convolve_pm`` is likewise the direct sum, never routed
-through the transform, so ``check_restriction_identity`` really compares two
-different computations.
+``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
+masks of ``geometry``, on one Python int that packs R truth tables back to
+back; ``degree`` reads the normal form against its weight-class masks.
+``walsh_fast`` is the O(n 2^n) transform; ``walsh_naive`` evaluates the
+defining double sum directly and serves as the independent oracle.
+``convolve_pm`` is likewise the direct sum, never routed through the
+transform, so ``check_restriction_identity`` really compares two different
+computations.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Sequence, Union, overload
 import numpy as np
 
 from .core import BooleanFunction, ResourceCapError, _bit_array, pack_bits, unpack_bits
-from .geometry import FaceMask
+from .geometry import FaceMask, coordinate_masks, dual_face, face_indicator, weight_masks
 
 NAIVE_ARITY_CAP = 12
 # pure-python butterflies beat numpy call overhead below this arity
@@ -121,27 +122,10 @@ def walsh_naive(f: BooleanFunction) -> WalshSpectrum:
     return WalshSpectrum(f.n, tuple(int(v) for v in values))
 
 
-@lru_cache(maxsize=16)
-def _moebius_stage_masks(n: int, rows: int) -> tuple[int, ...]:
-    # mask i selects the positions whose index has bit i clear, over `rows`
-    # tables of 2^n bits packed back to back
-    length = rows << n
-    masks = []
-    for i in range(n):
-        shift = 1 << i
-        m = (1 << shift) - 1
-        span = shift * 2
-        while span < length:
-            m |= m << span
-            span *= 2
-        masks.append(m & ((1 << length) - 1))
-    return tuple(masks)
-
-
 def _moebius_table(table: int, n: int, rows: int = 1) -> int:
     # the only Moebius kernel: each stage XORs the bit-i-clear half onto the
     # bit-i-set half of every packed table at once
-    for i, mask in enumerate(_moebius_stage_masks(n, rows)):
+    for i, mask in enumerate(coordinate_masks(n, rows)):
         table ^= (table & mask) << (1 << i)
     return table
 
@@ -177,17 +161,10 @@ def moebius(t: Union[BooleanFunction, Sequence[int]]):
     return unpack_bits(_moebius_table(table, size.bit_length() - 1), size).tolist()
 
 
-@lru_cache(maxsize=8)
-def _weight_masks(n: int) -> tuple[int, ...]:
-    # mask w selects the table positions whose index has weight w
-    weights = np.bitwise_count(np.arange(1 << n, dtype=np.uint32))
-    return tuple(pack_bits(weights == w) for w in range(n + 1))
-
-
 def degree(f: BooleanFunction) -> int:
     """Algebraic degree: largest monomial size in the normal form; 0 for constants."""
     anf = moebius(f).table
-    masks = _weight_masks(f.n)
+    masks = weight_masks(f.n)
     return next((w for w in range(f.n, 0, -1) if anf & masks[w]), 0)
 
 
@@ -238,14 +215,11 @@ def check_restriction_identity(f: BooleanFunction, gamma: FaceMask) -> bool:
     if f.n != gamma.n:
         raise ValueError(f"arity mismatch: function n={f.n}, mask n={gamma.n}")
     size = f.size
-    dual_indicator = [1 if (x & gamma.mask) == 0 else 0 for x in range(size)]
-    lhs = convolve_pm(f, dual_indicator)
+    lhs = convolve_pm(f, unpack_bits(face_indicator(dual_face(gamma)), size).tolist())
 
     spectrum = hadamard_transform(_signs(f))
-    masked = [
-        spectrum[y] if (y & ~gamma.mask) == 0 else 0 for y in range(size)
-    ]
-    doubled = hadamard_transform(masked)
+    inside = unpack_bits(face_indicator(gamma), size)
+    doubled = hadamard_transform([v if bit else 0 for v, bit in zip(spectrum, inside)])
     divisor = 1 << gamma.dim
     rhs = []
     for v in doubled:

@@ -210,10 +210,35 @@ def test_flat_distribution_caps():
         two_flat_sum_distribution(BooleanFunction(1, 0))
 
 
+@pytest.mark.parametrize(
+    "n,odd,four,zero",
+    [
+        (4, 80, 15, 45),
+        (6, 5_376, 1_260, 3_780),
+        (8, 348_160, 85_680, 257_040),
+        (10, 22_347_776, 5_565_120, 16_695_360),
+    ],
+)
+def test_inner_product_flat_closed_forms(n, odd, four, zero):
+    # D_u f is balanced for u != 0, so (2^n - 1) 2^(2n-4) / 3 flats have an
+    # odd sum; the rest split 1:3 between |sum| = 4 and sum = 0
+    h = n // 2
+    low = (1 << h) - 1
+    f = BooleanFunction(n, sum(((k & (k >> h) & low).bit_count() & 1) << k for k in range(1 << n)))
+    assert is_bent(f)
+    counts = two_flat_sum_distribution(f).counts
+    total = gaussian_binomial(n, 2) << (n - 2)
+    assert odd == (((1 << n) - 1) << (2 * n - 4)) // 3
+    assert four == (total - odd) // 4 and zero == 3 * four
+    assert counts[2] + counts[-2] == odd
+    assert counts[4] + counts[-4] == four
+    assert counts[0] == zero
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_flat_sums_match_direct_recount(data):
-    n = data.draw(st.integers(2, 5))
+    n = data.draw(st.integers(2, 6))
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     dist = two_flat_sum_distribution(f)
     recount = {s: 0 for s in (-4, -2, 0, 2, 4)}

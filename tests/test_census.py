@@ -2,6 +2,7 @@
 
 import pytest
 
+from bentkit import census
 from bentkit.bent import is_bent
 from bentkit.census import (
     CensusResult,
@@ -58,17 +59,55 @@ def test_count_only_mode():
     assert result.functions is None
 
 
-@pytest.mark.parametrize("shards", [1, 4, 16])
-def test_sharding_is_invisible(shards):
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Swap the process pool for an in-process map on a 16-core machine;
+    returns the max_workers of every pool started."""
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 16)
+    return started
+
+
+@pytest.mark.parametrize("jobs", [1, 4, 16])
+def test_sharding_is_invisible(jobs, serial_pool):
+    # jobs workers, one shard each, merged back into ascending order
     base = enumerate_bent_naive(4).functions
-    assert enumerate_bent_naive(4, shards=shards).functions == base
-    assert enumerate_bent_by_degree(4, shards=shards).functions == base
+    assert enumerate_bent_naive(4, jobs=jobs).functions == base
+    assert enumerate_bent_by_degree(4, jobs=jobs).functions == base
+    assert serial_pool == ([jobs, jobs] if jobs > 1 else [])
+
+
+def test_jobs_are_capped_at_cpu_count(serial_pool, monkeypatch):
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    assert enumerate_bent_naive(2, jobs=64).count == 8
+    assert serial_pool == [2]
+    # an unknown core count runs in-process, starting no pool
+    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
+    assert enumerate_bent_by_degree(2, jobs=64).count == 8
+    assert serial_pool == [2]
+    with pytest.raises(ValueError):
+        enumerate_bent_naive(2, jobs=0)
 
 
 def test_parallel_jobs_match_serial():
     base = enumerate_bent_naive(4).functions
-    assert enumerate_bent_naive(4, shards=4, jobs=2).functions == base
-    assert enumerate_bent_by_degree(4, shards=4, jobs=2).functions == base
+    assert enumerate_bent_naive(4, jobs=2).functions == base
+    assert enumerate_bent_by_degree(4, jobs=2).functions == base
 
 
 def test_odd_arity_rejected():

@@ -232,6 +232,10 @@ def test_output_is_stable(capsys):
         (["verify", "--suite", "lemma2", "--n", "6", "--samples", "0"], 1),
         (["verify", "--suite", "prop1", "--maps", "0"], 1),
         (["bounds", "--n", "1026"], 2),
+        (["census", "--n", "2", "--jobs", "0"], 1),
+        (["census", "--n", "2", "--jobs", "-3"], 1),
+        (["census", "--n", "2", "--shards", "2"], 1),
+        (["bent", "affine", "--f", "bf:4:0356", "--maps", "3"], 1),
     ],
 )
 def test_exit_codes(capsys, argv, expected):

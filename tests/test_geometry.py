@@ -1,5 +1,6 @@
 """Faces, cosets, balls, and pattern-class counting."""
 
+import time
 from math import comb
 
 import pytest
@@ -14,9 +15,12 @@ from bentkit.geometry import (
     coset_sum,
     coset_value_class_sizes,
     covering_coset_count,
+    coordinate_masks,
     dual_face,
+    face_indicator,
     gaussian_binomial,
     subcube_points,
+    weight_masks,
 )
 
 AND = parse_bf("bf:2:8")
@@ -109,6 +113,37 @@ def test_coset_spectrum_totals(n, data):
     assert all(abs(v) <= m.size and (v - m.size) % 2 == 0 for v in spectrum.values())
 
 
+@given(st.integers(1, 6), st.data())
+@settings(max_examples=30, deadline=None)
+def test_coset_spectrum_matches_point_sums(n, data):
+    f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
+    for mask in range(1 << n):
+        m = FaceMask(n, mask)
+        expected = {}
+        for z in range(1 << n):
+            rep = z & ~mask
+            expected[rep] = expected.get(rep, 0) + 1 - 2 * f.bit(z)
+        assert list(coset_spectrum(f, m).items()) == sorted(expected.items())
+        assert all(coset_sum(f, m, z) == expected[z & ~mask] for z in range(1 << n))
+
+
+@pytest.mark.parametrize("n", [1, 2, 5])
+def test_masks_match_their_point_sets(n):
+    def indicator(points):
+        return sum(1 << x for x in points)
+
+    points = range(1 << n)
+    assert coordinate_masks(n) == tuple(
+        indicator(x for x in points if not (x >> i) & 1) for i in range(n)
+    )
+    assert coordinate_masks(n, 3)[0] == indicator(x for x in range(3 << n) if not x & 1)
+    assert weight_masks(n) == tuple(
+        indicator(x for x in points if x.bit_count() == w) for w in range(n + 1)
+    )
+    for mask in range(1 << n):
+        assert face_indicator(FaceMask(n, mask)) == indicator(subcube_points(FaceMask(n, mask)))
+
+
 def test_ball_points_oracle():
     assert ball_points(4, 2).points == (0, 1, 2, 4, 8, 3, 5, 6, 9, 10, 12)
     assert ball_points(2, 2).points == (0, 1, 2, 3)
@@ -124,6 +159,21 @@ def test_ball_points_ordering():
     pts = ball_points(5, 3).points
     keys = [(p.bit_count(), p) for p in pts]
     assert keys == sorted(keys)
+
+
+def test_ball_points_match_sorted_scan():
+    for n in range(1, 9):
+        for r in range(n + 1):
+            scan = sorted((x for x in range(1 << n) if x.bit_count() <= r),
+                          key=lambda x: (x.bit_count(), x))
+            assert ball_points(n, r).points == tuple(scan)
+
+
+def test_ball_points_cost_follows_the_ball():
+    started = time.perf_counter()
+    ball = ball_points(26, 1)
+    assert time.perf_counter() - started < 0.5
+    assert ball.points == (0,) + tuple(1 << i for i in range(26))
 
 
 def test_covering_coset_count_oracles():
