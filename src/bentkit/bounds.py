@@ -228,20 +228,9 @@ def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> BoundReport:
 def format_report_table(report: BoundReport) -> str:
     """Fixed-width text rendering of a BoundReport."""
     rows = [("quantity", "log2 value"), ("-" * 24, "-" * 18)]
-    data = report.to_json_dict()
-    for name in (
-        "trivial_upper_log2",
-        "tokareva_lower_log2",
-        "t_n_log2",
-        "q_n",
-        "a_n_log2",
-        "theorem_upper_log2",
-        "headline_log2",
-        "simplified_log2",
-        "known_count_log2",
-    ):
-        if name in data:
-            value = data[name]
+    # every numeric field of the JSON form but n, in its order
+    for name, value in report.to_json_dict().items():
+        if name != "n" and isinstance(value, (int, float)):
             shown = f"{value:.6f}" if isinstance(value, float) else str(value)
             rows.append((name, shown))
     lines = [f"bounds at n={report.n}"]

@@ -10,7 +10,6 @@ most 64 bits) are the one codec between tables and numpy bit arrays.
 
 from __future__ import annotations
 
-import os
 import random
 import re
 from dataclasses import dataclass
@@ -18,8 +17,7 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-DEFAULT_MAX_ARITY = 26
-_ARITY_ENV = "BENTKIT_MAX_ARITY"
+MAX_ARITY = 26
 _LITERAL = re.compile(r"bf:([0-9]+):([0-9a-fA-F]+)")
 
 Point = Union[int, Sequence[int]]
@@ -33,30 +31,13 @@ class ResourceCapError(RuntimeError):
     """Operation refused because it would exceed a configured resource cap."""
 
 
-def max_arity() -> int:
-    """Largest accepted n; override with the BENTKIT_MAX_ARITY env variable."""
-    raw = os.environ.get(_ARITY_ENV)
-    if raw is None:
-        return DEFAULT_MAX_ARITY
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"{_ARITY_ENV} must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError(f"{_ARITY_ENV} must be >= 1, got {value}")
-    return value
-
-
 def _check_arity(n: int) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"arity must be an int, got {n!r}")
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
-    cap = max_arity()
-    if n > cap:
-        raise ResourceCapError(
-            f"arity {n} exceeds the cap of {cap} (set {_ARITY_ENV} to raise it)"
-        )
+    if n > MAX_ARITY:
+        raise ResourceCapError(f"arity {n} exceeds the cap of {MAX_ARITY}")
 
 
 @dataclass(frozen=True)
@@ -237,11 +218,7 @@ def parse_bf(text: str) -> BooleanFunction:
     n = int(match[1])
     if n < 1:
         raise ParseError(f"arity must be >= 1, got {n}")
-    cap = max_arity()
-    if n > cap:
-        raise ResourceCapError(
-            f"arity {n} exceeds the cap of {cap} (set {_ARITY_ENV} to raise it)"
-        )
+    _check_arity(n)
     digits = match[2]
     if len(digits) != _hex_digits(n):
         raise ParseError(

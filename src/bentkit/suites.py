@@ -1,16 +1,20 @@
 """Verification suites behind the CLI ``verify`` command.
 
-Each suite runs a batch of checks and returns a JSON-ready report:
-{"suite", "mode", "params", "checks", "failures", "counterexamples",
- "passed", "details"}.  Counterexample lists are truncated to ten entries.
-Randomized suites are deterministic for a fixed seed.
+A suite is a stream of checks: it yields ``None`` for each check that passes
+and a JSON-ready counterexample for each that fails, and fills its
+``details`` dict while the stream runs.  ``_report`` alone consumes the
+stream, counts checks and failures, keeps the first ten counterexamples and
+builds the report {"suite", "mode", "params", "checks", "failures",
+"counterexamples", "passed", "details"}.  Randomized suites are deterministic
+for a fixed seed.
 """
 
 from __future__ import annotations
 
 import random
+from itertools import repeat, starmap
 from math import comb
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -25,7 +29,7 @@ from .core import BooleanFunction, format_bf, pack_bits, random_function, weight
 from .core import unpack_bits, unpack_rows
 from .geometry import FaceMask, ball_points, coset_value_class_sizes
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
-from .transforms import NAIVE_ARITY_CAP, moebius, walsh_fast, walsh_naive
+from .transforms import moebius, walsh_fast, walsh_naive
 from .transforms import check_restriction_identity, truth_rows_from_anf
 
 _MAX_REPORTED = 10
@@ -35,20 +39,41 @@ def _report(
     suite: str,
     mode: str,
     params: dict,
-    checks: int,
-    counterexamples: list,
+    problems: Iterable[Optional[dict]],
     details: Optional[dict] = None,
 ) -> dict:
+    """Run a check stream to its end and report on it.
+
+    Each item of ``problems`` is one check: ``None`` if it passed, else its
+    counterexample.  ``details`` is read only after the stream ends.
+    """
+    checks = failures = 0
+    counterexamples: list[dict] = []
+    for checks, problem in enumerate(problems, 1):
+        if problem is not None:
+            failures += 1
+            if failures <= _MAX_REPORTED:
+                counterexamples.append(problem)
     return {
         "suite": suite,
         "mode": mode,
         "params": params,
         "checks": checks,
-        "failures": len(counterexamples),
-        "counterexamples": counterexamples[:_MAX_REPORTED],
-        "passed": checks > 0 and not counterexamples,
-        "details": details or {},
+        "failures": failures,
+        "counterexamples": counterexamples,
+        "passed": checks > 0 and not failures,
+        "details": {} if details is None else details,
     }
+
+
+def _functions(exhaustive_n: int, samples: int, seed: int, max_n: int) -> Iterator[BooleanFunction]:
+    """Every table for n = 1..exhaustive_n in index order, then random functions."""
+    for n in range(1, exhaustive_n + 1):
+        for table in range(1 << (1 << n)):
+            yield BooleanFunction(n, table)
+    rng = random.Random(seed)
+    for _ in range(samples):
+        yield random_function(rng.randint(1, max_n), rng)
 
 
 def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
@@ -57,83 +82,57 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
     Exhaustive over all function pairs and dimension-1 coordinate faces for
     n <= 3; randomized triples above that.
     """
-    checks = 0
-    premise_true = 0
-    counterexamples: list[dict] = []
+    details = {"premise_true": 0}
 
-    def record(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> None:
-        nonlocal checks, premise_true
+    def check(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> Optional[dict]:
         result = check_lemma1(f, g, gamma)
-        checks += 1
-        premise_true += result["premise"]
-        if not result["holds"]:
-            counterexamples.append(
-                {
-                    "f": format_bf(f),
-                    "g": format_bf(g),
-                    "mask": f"{gamma.mask:#x}",
-                    **result,
-                }
-            )
+        details["premise_true"] += result["premise"]
+        if result["holds"]:
+            return None
+        return {"f": format_bf(f), "g": format_bf(g), "mask": f"{gamma.mask:#x}", **result}
 
     if n <= 3:
         mode = "exhaustive"
         funcs = [BooleanFunction(n, t) for t in range(1 << (1 << n))]
-        for i in range(n):
-            gamma = FaceMask(n, 1 << i)
-            for f in funcs:
-                for g in funcs:
-                    record(f, g, gamma)
+        faces = [FaceMask(n, 1 << i) for i in range(n)]
+        triples = ((f, g, gamma) for gamma in faces for f in funcs for g in funcs)
     else:
         mode = "randomized"
         rng = random.Random(seed)
-        for _ in range(samples):
-            f = random_function(n, rng)
-            g = random_function(n, rng)
-            gamma = FaceMask(n, rng.randrange(1 << n))
-            record(f, g, gamma)
-
-    return _report(
-        "lemma1",
-        mode,
-        {"n": n, "samples": samples, "seed": seed},
-        checks,
-        counterexamples,
-        {"premise_true": premise_true},
-    )
+        triples = (
+            (random_function(n, rng), random_function(n, rng), FaceMask(n, rng.randrange(1 << n)))
+            for _ in range(samples)
+        )
+    params = {"n": n, "samples": samples, "seed": seed}
+    return _report("lemma1", mode, params, starmap(check, triples), details)
 
 
-def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1, r: Optional[int] = None) -> dict:
+def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     """Degree-bounded functions are pinned down by their ball restriction.
 
     For n <= 4 and every radius: all degree-<=r functions have pairwise
     distinct restrictions to B_r, and round-trips through reconstruction are
     exact (exhaustive when the space has at most 2048 members, sampled
-    otherwise).  For larger n: sampled round-trips at one radius.
+    otherwise).  For larger n: sampled round-trips at radius n/2.
     """
     rng = random.Random(seed)
-    checks = 0
-    counterexamples: list[dict] = []
     per_radius: dict[str, int] = {}
-
-    def round_trip(truth: np.ndarray, radius: int) -> None:
-        nonlocal checks
-        checks += 1
-        f = BooleanFunction(n, pack_bits(truth))
-        back = reconstruct_from_ball(BallAssignment.from_function(f, radius))
-        if back != f:
-            counterexamples.append(
-                {"r": radius, "function": format_bf(f), "rebuilt": format_bf(back)}
-            )
 
     def render(truth: np.ndarray) -> str:
         return format_bf(BooleanFunction(n, pack_bits(truth)))
 
-    if n <= 4:
-        mode = "exhaustive"
+    def round_trip(truth: np.ndarray, radius: int) -> Optional[dict]:
+        f = BooleanFunction(n, pack_bits(truth))
+        back = reconstruct_from_ball(BallAssignment.from_function(f, radius))
+        if back == f:
+            return None
+        return {"r": radius, "function": format_bf(f), "rebuilt": format_bf(back)}
+
+    def exhaustive() -> Iterator[Optional[dict]]:
         for radius in range(n + 1):
             points = ball_points(n, radius).points
             total = 1 << len(points)
+            per_radius[str(radius)] = total
             coeffs = unpack_rows(np.arange(total, dtype=np.uint64), len(points))
             truth = truth_rows_from_anf(n, points, coeffs)
             # first[inverse[k]] is the first candidate sharing k's restriction
@@ -141,38 +140,32 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1, r: Optional[int]
                 truth[:, list(points)], axis=0, return_index=True, return_inverse=True
             )
             earlier = first[inverse.ravel()]
-            checks += total
-            for k in np.flatnonzero(earlier != np.arange(total)):
-                counterexamples.append(
-                    {
-                        "r": radius,
-                        "first": render(truth[earlier[k]]),
-                        "second": render(truth[k]),
-                        "reason": "restrictions collide",
-                    }
-                )
-            if total <= 2048:
-                picks = range(total)
-            else:
-                picks = rng.sample(range(total), min(samples, total))
+            collide = np.flatnonzero(earlier != np.arange(total))
+            for k in collide:
+                yield {
+                    "r": radius,
+                    "first": render(truth[earlier[k]]),
+                    "second": render(truth[k]),
+                    "reason": "restrictions collide",
+                }
+            yield from repeat(None, total - len(collide))
+            picks = range(total) if total <= 2048 else rng.sample(range(total), min(samples, total))
             for candidate in picks:
-                round_trip(truth[candidate], radius)
-            per_radius[str(radius)] = total
-    else:
-        mode = "randomized"
-        radius = n // 2 if r is None else r
+                yield round_trip(truth[candidate], radius)
+
+    def randomized() -> Iterator[Optional[dict]]:
+        radius = n // 2
         points = ball_points(n, radius).points
+        per_radius[str(radius)] = samples
         for _ in range(samples):
             coeffs = unpack_bits(rng.getrandbits(len(points)), len(points))
-            round_trip(truth_rows_from_anf(n, points, coeffs[None])[0], radius)
-        per_radius[str(radius)] = samples
+            yield round_trip(truth_rows_from_anf(n, points, coeffs[None])[0], radius)
 
     return _report(
         "lemma2",
-        mode,
+        "exhaustive" if n <= 4 else "randomized",
         {"n": n, "samples": samples, "seed": seed},
-        checks,
-        counterexamples,
+        exhaustive() if n <= 4 else randomized(),
         {"functions_per_radius": per_radius},
     )
 
@@ -181,23 +174,18 @@ def suite_prop1(n: int = 4, maps: int = 10, seed: int = 1) -> dict:
     """Random invertible affine maps preserve bent-ness across the census."""
     members = enumerate_bent_by_degree(n).functions or ()
     rng = random.Random(seed)
-    checks = 0
-    counterexamples: list[dict] = []
-    for f in members:
-        for _ in range(maps):
-            t = random_invertible(n, rng)
-            image = apply_affine(f, t)
-            checks += 1
-            if not is_bent(image):
-                counterexamples.append(
-                    {"function": format_bf(f), "image": format_bf(image)}
-                )
+
+    def check(f: BooleanFunction) -> Optional[dict]:
+        image = apply_affine(f, random_invertible(n, rng))
+        if is_bent(image):
+            return None
+        return {"function": format_bf(f), "image": format_bf(image)}
+
     return _report(
         "prop1",
         "census x random maps",
         {"n": n, "maps": maps, "seed": seed},
-        checks,
-        counterexamples,
+        (check(f) for f in members for _ in range(maps)),
         {"census_size": len(members)},
     )
 
@@ -207,95 +195,64 @@ def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> di
 
     Exhaustive at n=2 over every function and mask, then random pairs.
     """
-    checks = 0
-    counterexamples: list[dict] = []
 
-    def record(f: BooleanFunction, gamma: FaceMask) -> None:
-        nonlocal checks
-        checks += 1
-        if not check_restriction_identity(f, gamma):
-            counterexamples.append({"f": format_bf(f), "mask": f"{gamma.mask:#x}"})
-
-    for table in range(16):
-        for mask in range(4):
-            record(BooleanFunction(2, table), FaceMask(2, mask))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        n = rng.randint(1, max_n)
-        record(random_function(n, rng), FaceMask(n, rng.randrange(1 << n)))
+    def pairs() -> Iterator[tuple[BooleanFunction, FaceMask]]:
+        for table in range(16):
+            for mask in range(4):
+                yield BooleanFunction(2, table), FaceMask(2, mask)
+        rng = random.Random(seed)
+        for _ in range(samples):
+            n = rng.randint(1, max_n)
+            yield random_function(n, rng), FaceMask(n, rng.randrange(1 << n))
 
     return _report(
         "convolution",
         "exhaustive n=2 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
-        checks,
-        counterexamples,
+        (
+            None if check_restriction_identity(f, gamma)
+            else {"f": format_bf(f), "mask": f"{gamma.mask:#x}"}
+            for f, gamma in pairs()
+        ),
     )
+
+
+def _spectrum_problems(f: BooleanFunction) -> Optional[dict]:
+    """The spectrum invariants f breaks, as a counterexample, or None."""
+    spectrum = walsh_fast(f)
+    failed = []
+    if sum(v * v for v in spectrum.values) != 1 << (2 * f.n):
+        failed.append("parseval")
+    parity = (1 << f.n) & 1
+    if any((v & 1) != parity for v in spectrum.values):
+        failed.append("parity")
+    if spectrum.values[0] != (1 << f.n) - 2 * weight(f):
+        failed.append("w0")
+    if f.n <= 10 and walsh_naive(f).values != spectrum.values:
+        failed.append("naive-disagrees")
+    return {"f": format_bf(f), "problems": failed} if failed else None
 
 
 def suite_parseval(samples: int = 1000, seed: int = 1, max_n: int = 12) -> dict:
     """Spectrum invariants: Parseval, parity, W(0), fast/naive agreement."""
-    checks = 0
-    counterexamples: list[dict] = []
-
-    def record(f: BooleanFunction) -> None:
-        nonlocal checks
-        spectrum = walsh_fast(f)
-        problems = []
-        if sum(v * v for v in spectrum.values) != 1 << (2 * f.n):
-            problems.append("parseval")
-        parity = (1 << f.n) & 1
-        if any((v & 1) != parity for v in spectrum.values):
-            problems.append("parity")
-        if spectrum.values[0] != (1 << f.n) - 2 * weight(f):
-            problems.append("w0")
-        if f.n <= NAIVE_ARITY_CAP and f.n <= 10:
-            if walsh_naive(f).values != spectrum.values:
-                problems.append("naive-disagrees")
-        checks += 1
-        if problems:
-            counterexamples.append({"f": format_bf(f), "problems": problems})
-
-    for n in range(1, 4):
-        for table in range(1 << (1 << n)):
-            record(BooleanFunction(n, table))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        record(random_function(rng.randint(1, max_n), rng))
-
     return _report(
         "parseval",
         "exhaustive n<=3 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
-        checks,
-        counterexamples,
+        map(_spectrum_problems, _functions(3, samples, seed, max_n)),
     )
 
 
 def suite_involution(samples: int = 1000, seed: int = 1, max_n: int = 16) -> dict:
     """The normal-form transform undoes itself on every table."""
-    checks = 0
-    counterexamples: list[dict] = []
-
-    def record(f: BooleanFunction) -> None:
-        nonlocal checks
-        checks += 1
-        if moebius(moebius(f)) != f:
-            counterexamples.append({"f": format_bf(f)})
-
-    for n in range(1, 5):
-        for table in range(1 << (1 << n)):
-            record(BooleanFunction(n, table))
-    rng = random.Random(seed)
-    for _ in range(samples):
-        record(random_function(rng.randint(1, max_n), rng))
-
     return _report(
         "involution",
         "exhaustive n<=4 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
-        checks,
-        counterexamples,
+        (
+            None if moebius(moebius(f)) == f else {"f": format_bf(f)}
+            for f in _functions(4, samples, seed, max_n)
+        ),
     )
 
 
@@ -308,91 +265,66 @@ def suite_flats(n: int = 4) -> dict:
     sum, so the signed split varies.  The measured +-2 share is reported as
     data, not asserted against a constant.
     """
-    checks = 0
-    counterexamples: list[dict] = []
+    details: dict = {}
 
-    sizes = coset_value_class_sizes(2)
-    expected = {4 - 2 * k: comb(4, k) for k in range(5)}
-    checks += 1
-    if sizes != expected:
-        counterexamples.append({"reason": "pattern classes", "got": sizes})
+    def problems() -> Iterator[Optional[dict]]:
+        sizes = coset_value_class_sizes(2)
+        expected = {4 - 2 * k: comb(4, k) for k in range(5)}
+        yield None if sizes == expected else {"reason": "pattern classes", "got": sizes}
 
-    members = enumerate_bent_by_degree(n).functions or ()
-    common: Optional[dict[int, int]] = None
-    total = None
-    for f in members:
-        dist = two_flat_sum_distribution(f)
-        total = dist.total
-        abs_counts = {0: dist.counts[0]}
-        for magnitude in (2, 4):
-            abs_counts[magnitude] = dist.counts[magnitude] + dist.counts[-magnitude]
-        checks += 2
-        if sum(dist.counts.values()) != dist.total:
-            counterexamples.append(
-                {"function": format_bf(f), "reason": "counts do not cover all flats"}
-            )
+        members = enumerate_bent_by_degree(n).functions or ()
+        common: Optional[dict[int, int]] = None
+        for f in members:
+            dist = two_flat_sum_distribution(f)
+            abs_counts = {0: dist.counts[0]}
+            for magnitude in (2, 4):
+                abs_counts[magnitude] = dist.counts[magnitude] + dist.counts[-magnitude]
+            covered = sum(dist.counts.values()) == dist.total
+            yield None if covered else {
+                "function": format_bf(f),
+                "reason": "counts do not cover all flats",
+            }
+            if common is None:
+                common = abs_counts
+            yield None if abs_counts == common else {
+                "function": format_bf(f),
+                "reason": "absolute distribution differs across census",
+                "got": {str(k): v for k, v in abs_counts.items()},
+            }
+
         if common is None:
-            common = abs_counts
-        elif abs_counts != common:
-            counterexamples.append(
-                {
-                    "function": format_bf(f),
-                    "reason": "absolute distribution differs across census",
-                    "got": {str(k): v for k, v in abs_counts.items()},
-                }
-            )
+            raise ValueError(f"no bent functions at n={n}")
+        details.update(
+            census_size=len(members),
+            abs_distribution={str(k): v for k, v in common.items()},
+            total_flats=dist.total,
+            plus_minus_two=common[2],
+            plus_minus_two_share=f"{common[2]}/{dist.total}",
+        )
 
-    if common is None or total is None:
-        raise ValueError(f"no bent functions at n={n}")
-    plus_minus_two = common[2]
-    return _report(
-        "flats",
-        "census-wide",
-        {"n": n},
-        checks,
-        counterexamples,
-        {
-            "census_size": len(members),
-            "abs_distribution": {str(k): v for k, v in common.items()},
-            "total_flats": total,
-            "plus_minus_two": plus_minus_two,
-            "plus_minus_two_share": f"{plus_minus_two}/{total}",
-        },
-    )
+    return _report("flats", "census-wide", {"n": n}, problems(), details)
 
 
 def suite_census_agreement(n: int = 4) -> dict:
     """Both census methods produce the identical ascending function stream."""
-    checks = 0
-    counterexamples: list[dict] = []
     naive = enumerate_bent_naive(n)
     by_degree = enumerate_bent_by_degree(n)
-    checks += 1
-    if naive.functions != by_degree.functions:
-        counterexamples.append(
-            {
-                "reason": "method outputs differ",
-                "naive_count": naive.count,
-                "degree_count": by_degree.count,
-            }
-        )
     details = {"count": naive.count, "naive_s": round(naive.elapsed, 6)}
+    problems: list[Optional[dict]] = [None]
+    if naive.functions != by_degree.functions:
+        problems[0] = {
+            "reason": "method outputs differ",
+            "naive_count": naive.count,
+            "degree_count": by_degree.count,
+        }
     if n == 2:
-        checks += 1
-        analytic = tuple(
-            BooleanFunction(2, t) for t in range(16) if t.bit_count() % 2
-        )
-        if naive.functions != analytic:
-            counterexamples.append({"reason": "odd-weight analytic check failed"})
+        analytic = tuple(BooleanFunction(2, t) for t in range(16) if t.bit_count() % 2)
         details["analytic_odd_weight_count"] = len(analytic)
-    return _report(
-        "census-agreement",
-        "cross-method",
-        {"n": n},
-        checks,
-        counterexamples,
-        details,
-    )
+        problems.append(
+            None if naive.functions == analytic
+            else {"reason": "odd-weight analytic check failed"}
+        )
+    return _report("census-agreement", "cross-method", {"n": n}, problems, details)
 
 
 SUITES = {

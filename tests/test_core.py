@@ -14,7 +14,6 @@ from bentkit.core import (
     format_bf,
     inner_product,
     make_function,
-    max_arity,
     pack_bits,
     pack_rows,
     parse_bf,
@@ -87,16 +86,8 @@ def test_parse_rejects(bad):
 def test_parse_arity_cap():
     with pytest.raises(ResourceCapError):
         parse_bf("bf:27:" + "0" * ((1 << 27) // 4))
-
-
-def test_arity_cap_override(monkeypatch):
-    assert max_arity() == 26
-    monkeypatch.setenv("BENTKIT_MAX_ARITY", "5")
-    assert max_arity() == 5
     with pytest.raises(ResourceCapError):
-        BooleanFunction(6, 0)
-    monkeypatch.setenv("BENTKIT_MAX_ARITY", "28")
-    BooleanFunction(27, 0)  # now allowed
+        BooleanFunction(27, 0)
 
 
 def test_hex_digit_counts():

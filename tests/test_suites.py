@@ -2,6 +2,7 @@
 
 import pytest
 
+from bentkit import suites
 from bentkit.suites import (
     SUITES,
     suite_census_agreement,
@@ -131,3 +132,37 @@ def test_zero_checks_do_not_pass():
     assert suite_lemma1(n=8, samples=0)["passed"] is False
     assert suite_lemma2(n=6, samples=0)["passed"] is False
     assert suite_prop1(n=2, maps=0)["passed"] is False
+
+
+def test_prop1_failing_path_reports_counterexamples(monkeypatch):
+    monkeypatch.setattr(suites, "is_bent", lambda f: False)
+    report = suite_prop1(n=2, maps=2)
+    check_shape(report, "prop1")
+    assert report["checks"] == 16
+    assert report["failures"] == 16
+    assert len(report["counterexamples"]) == 10
+    assert all(set(c) == {"function", "image"} for c in report["counterexamples"])
+    assert report["passed"] is False
+
+
+def test_lemma1_failing_path_keeps_counting_premises(monkeypatch):
+    real = suites.check_lemma1
+
+    def fail_on_odd_tables(f, g, gamma):
+        result = real(f, g, gamma)
+        if f.table & 1:
+            result = {**result, "holds": False}
+        return result
+
+    monkeypatch.setattr(suites, "check_lemma1", fail_on_odd_tables)
+    report = suite_lemma1(n=2)
+    check_shape(report, "lemma1")
+    assert report["checks"] == 16 * 16 * 2
+    assert report["failures"] == 8 * 16 * 2
+    assert report["details"]["premise_true"] == 72
+    assert len(report["counterexamples"]) == 10
+    assert all(
+        set(c) == {"f", "g", "mask", "premise", "conclusion", "holds"}
+        for c in report["counterexamples"]
+    )
+    assert report["passed"] is False
