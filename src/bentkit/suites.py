@@ -25,9 +25,9 @@ from .bent import (
     two_flat_sum_distribution,
 )
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
-from .core import BooleanFunction, format_bf, pack_bits, random_function, weight
+from .core import BooleanFunction, _check_arity, format_bf, pack_bits, random_function, weight
 from .core import unpack_bits, unpack_rows
-from .geometry import FaceMask, ball_points, coset_value_class_sizes
+from .geometry import FaceMask, ball_points, coset_value_class_sizes, subcube_points
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
 from .transforms import moebius, walsh_fast, walsh_naive
 from .transforms import check_restriction_identity, truth_rows_from_anf
@@ -80,8 +80,12 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
     """Spectra equal on a face implies equal coset sums on the dual face.
 
     Exhaustive over all function pairs and dimension-1 coordinate faces for
-    n <= 3; randomized triples above that.
+    n <= 3: each function's spectrum is computed once, a pair whose spectra
+    differ on the face passes by its premise alone, and ``check_lemma1``
+    evaluates both sides for every other pair.  Randomized triples above that,
+    each through ``check_lemma1``.
     """
+    _check_arity(n)
     details = {"premise_true": 0}
 
     def check(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> Optional[dict]:
@@ -91,11 +95,21 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
             return None
         return {"f": format_bf(f), "g": format_bf(g), "mask": f"{gamma.mask:#x}", **result}
 
-    if n <= 3:
-        mode = "exhaustive"
+    def exhaustive() -> Iterator[Optional[dict]]:
         funcs = [BooleanFunction(n, t) for t in range(1 << (1 << n))]
-        faces = [FaceMask(n, 1 << i) for i in range(n)]
-        triples = ((f, g, gamma) for gamma in faces for f in funcs for g in funcs)
+        spectra = [walsh_fast(f).values for f in funcs]
+        for gamma in (FaceMask(n, 1 << i) for i in range(n)):
+            points = subcube_points(gamma)
+            keys = [tuple(values[y] for y in points) for values in spectra]
+            groups: dict[tuple[int, ...], list[BooleanFunction]] = {}
+            for g, key in zip(funcs, keys):
+                groups.setdefault(key, []).append(g)
+            for f, key in zip(funcs, keys):
+                yield from (check(f, g, gamma) for g in groups[key])
+                yield from repeat(None, len(funcs) - len(groups[key]))
+
+    if n <= 3:
+        mode, problems = "exhaustive", exhaustive()
     else:
         mode = "randomized"
         rng = random.Random(seed)
@@ -103,8 +117,9 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
             (random_function(n, rng), random_function(n, rng), FaceMask(n, rng.randrange(1 << n)))
             for _ in range(samples)
         )
+        problems = starmap(check, triples)
     params = {"n": n, "samples": samples, "seed": seed}
-    return _report("lemma1", mode, params, starmap(check, triples), details)
+    return _report("lemma1", mode, params, problems, details)
 
 
 def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
@@ -115,6 +130,7 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     exact (exhaustive when the space has at most 2048 members, sampled
     otherwise).  For larger n: sampled round-trips at radius n/2.
     """
+    _check_arity(n)
     rng = random.Random(seed)
     per_radius: dict[str, int] = {}
 

@@ -117,8 +117,9 @@ def walsh_naive(f: BooleanFunction) -> WalshSpectrum:
         raise ResourceCapError(
             f"naive transform is O(4^n); arity {f.n} exceeds the cap of {NAIVE_ARITY_CAP}"
         )
-    signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int64)
-    values = _character_matrix(f.n) @ signs
+    signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int8)
+    # int64 accumulation without an int64 copy of the int8 matrix
+    values = np.einsum("yx,x->y", _character_matrix(f.n), signs, dtype=np.int64)
     return WalshSpectrum(f.n, tuple(int(v) for v in values))
 
 

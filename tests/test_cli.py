@@ -236,6 +236,8 @@ def test_output_is_stable(capsys):
         (["census", "--n", "2", "--jobs", "-3"], 1),
         (["census", "--n", "2", "--shards", "2"], 1),
         (["bent", "affine", "--f", "bf:4:0356", "--maps", "3"], 1),
+        (["verify", "--suite", "lemma1", "--n", "-2"], 2),
+        (["verify", "--suite", "lemma2", "--n", "-2"], 2),
     ],
 )
 def test_exit_codes(capsys, argv, expected):

@@ -3,6 +3,9 @@
 import pytest
 
 from bentkit import suites
+from bentkit.core import BooleanFunction, format_bf
+from bentkit.geometry import FaceMask
+from bentkit.reconstruct import check_lemma1
 from bentkit.suites import (
     SUITES,
     suite_census_agreement,
@@ -149,16 +152,17 @@ def test_lemma1_failing_path_keeps_counting_premises(monkeypatch):
     real = suites.check_lemma1
 
     def fail_on_odd_tables(f, g, gamma):
+        # a broken conclusion can only fail a pair whose premise holds
         result = real(f, g, gamma)
-        if f.table & 1:
-            result = {**result, "holds": False}
+        if result["premise"] and f.table & 1:
+            result = {**result, "conclusion": False, "holds": False}
         return result
 
     monkeypatch.setattr(suites, "check_lemma1", fail_on_odd_tables)
     report = suite_lemma1(n=2)
     check_shape(report, "lemma1")
     assert report["checks"] == 16 * 16 * 2
-    assert report["failures"] == 8 * 16 * 2
+    assert report["failures"] == 36
     assert report["details"]["premise_true"] == 72
     assert len(report["counterexamples"]) == 10
     assert all(
@@ -166,3 +170,50 @@ def test_lemma1_failing_path_keeps_counting_premises(monkeypatch):
         for c in report["counterexamples"]
     )
     assert report["passed"] is False
+
+
+def _lemma1_per_pair(n, check):
+    """The exhaustive lemma1 report with ``check`` run on every (face, f, g)."""
+    funcs = [BooleanFunction(n, t) for t in range(1 << (1 << n))]
+    details = {"premise_true": 0}
+
+    def problems():
+        for gamma in (FaceMask(n, 1 << i) for i in range(n)):
+            for f in funcs:
+                for g in funcs:
+                    result = check(f, g, gamma)
+                    details["premise_true"] += result["premise"]
+                    yield None if result["holds"] else {
+                        "f": format_bf(f),
+                        "g": format_bf(g),
+                        "mask": f"{gamma.mask:#x}",
+                        **result,
+                    }
+
+    params = {"n": n, "samples": 1000, "seed": 1}
+    return suites._report("lemma1", "exhaustive", params, problems(), details)
+
+
+def test_lemma1_stream_matches_the_per_pair_route(monkeypatch):
+    calls = []
+
+    def counting(f, g, gamma):
+        calls.append((f, g, gamma))
+        return check_lemma1(f, g, gamma)
+
+    monkeypatch.setattr(suites, "check_lemma1", counting)
+    assert suite_lemma1(n=2) == _lemma1_per_pair(2, check_lemma1)
+    assert len(calls) == 72  # only the premise-true pairs
+    assert all(check_lemma1(*call)["premise"] for call in calls)
+
+
+def test_lemma1_counterexample_order_matches_the_per_pair_route(monkeypatch):
+    def fail_on_odd_tables(f, g, gamma):
+        result = check_lemma1(f, g, gamma)
+        if result["premise"] and f.table & 1:
+            result = {**result, "conclusion": False, "holds": False}
+        return result
+
+    expected = _lemma1_per_pair(2, fail_on_odd_tables)
+    monkeypatch.setattr(suites, "check_lemma1", fail_on_odd_tables)
+    assert suite_lemma1(n=2) == expected

@@ -1,6 +1,7 @@
 """Walsh-Hadamard, normal form, degree, and the convolution identity."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -63,6 +64,18 @@ def test_fast_matches_naive_across_cutover(n):
     for _ in range(20):
         f = random_function(n, rng)
         assert walsh_fast(f).values == walsh_naive(f).values
+
+
+def test_naive_makes_no_int64_copy_of_the_matrix():
+    f = random_function(10, random.Random(10))
+    walsh_naive(f)  # builds and caches the 1024 x 1024 int8 character matrix
+    tracemalloc.start()
+    try:
+        walsh_naive(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # an int64 copy of the matrix would be 8 MB
 
 
 def test_naive_cap():
