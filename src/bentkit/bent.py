@@ -2,7 +2,9 @@
 
 A function is bent when its arity is even and every Walsh value is +-2^(n/2).
 The dual reads the signs of the spectrum.  Affine maps act by
-g(x) = f(Mx + translation) + <functional, x> + constant with M invertible.
+g(x) = f(Mx + translation) + <functional, x> + constant with M invertible;
+``apply_affine`` gathers the table through the index permutation
+x -> Mx + translation and adds the affine term as one table.
 2-flat sums add truth-table translates built with ``geometry``'s coordinate masks.
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
 import numpy as np
@@ -94,17 +97,22 @@ def apply_affine(f: BooleanFunction, t: AffineMap) -> BooleanFunction:
     """g(x) = f(Mx + translation) + <functional, x> + constant."""
     if f.n != t.n:
         raise ValueError(f"arity mismatch: function n={f.n}, map n={t.n}")
-    table = 0
-    for x in range(f.size):
-        y = t.translation
-        rest = x
-        while rest:
-            low = rest & -rest
-            y ^= t.cols[low.bit_length() - 1]
-            rest ^= low
-        bit = f.bit(y) ^ ((t.functional & x).bit_count() & 1) ^ t.constant
-        table |= bit << x
-    return BooleanFunction(f.n, table)
+    # perm[x] = Mx + translation, doubled over the input bits; reversed so
+    # the gathered string reads most significant point first
+    perm = [t.translation]
+    for c in t.cols:
+        perm += [p ^ c for p in perm]
+    perm.reverse()
+    # character y of the string is f(y); a string gather beats a numpy one
+    # at n=4, where prop1 makes its 8,960 calls
+    bits = format(f.table, f"0{f.size}b")[::-1]
+    image = int("".join(itemgetter(*perm)(bits)), 2)
+    full = (1 << f.size) - 1
+    term = full if t.constant else 0
+    for i, clear in enumerate(coordinate_masks(f.n)):
+        if (t.functional >> i) & 1:
+            term ^= full ^ clear
+    return BooleanFunction(f.n, image ^ term)
 
 
 def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> AffineMap:

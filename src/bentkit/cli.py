@@ -103,6 +103,8 @@ def _cmd_bent_flats(args: argparse.Namespace):
 
 
 def _cmd_bent_affine(args: argparse.Namespace):
+    if args.count < 1:
+        raise _UsageError(f"--count must be >= 1, got {args.count}")
     f = _load_function(args.f)
     if not is_bent(f):
         raise ValueError(f"{format_bf(f)} is not bent; affine images would not be")

@@ -151,11 +151,16 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
             per_radius[str(radius)] = total
             coeffs = unpack_rows(np.arange(total, dtype=np.uint64), len(points))
             truth = truth_rows_from_anf(n, points, coeffs)
+            # one key per row: its restriction to the ball, |B_r| <= 16 bits at
+            # n <= 4, packed little-endian into a uint16
+            packed = np.packbits(truth[:, list(points)], axis=1, bitorder="little")
+            keys = np.zeros((total, 2), dtype=np.uint8)
+            keys[:, : packed.shape[1]] = packed
             # first[inverse[k]] is the first candidate sharing k's restriction
             _, first, inverse = np.unique(
-                truth[:, list(points)], axis=0, return_index=True, return_inverse=True
+                keys.view("<u2").ravel(), return_index=True, return_inverse=True
             )
-            earlier = first[inverse.ravel()]
+            earlier = first[inverse]
             collide = np.flatnonzero(earlier != np.arange(total))
             for k in collide:
                 yield {

@@ -9,9 +9,9 @@ masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
 ``walsh_fast`` is the O(n 2^n) transform; ``walsh_naive`` evaluates the
 defining double sum directly and serves as the independent oracle.
-``convolve_pm`` is likewise the direct sum, never routed through the
-transform, so ``check_restriction_identity`` really compares two different
-computations.
+``convolve_pm`` is likewise the direct sum, taken over the support of its
+vector and never routed through the transform, so
+``check_restriction_identity`` really compares two different computations.
 """
 
 from __future__ import annotations
@@ -80,7 +80,7 @@ def hadamard_transform(values: Sequence[int]) -> IntegerVector:
     if size == 0 or size & (size - 1):
         raise ValueError(f"vector length must be a power of two, got {size}")
     work = [int(v) for v in values]
-    peak = max((abs(v) for v in work), default=0)
+    peak = max(map(abs, work), default=0)
     # int64 is safe when size * max|v| cannot reach 2^62
     if size >= (1 << _NUMPY_CUTOVER) and peak < (1 << 62) // max(size, 1):
         return walsh_rows(np.array(work, dtype=np.int64)).tolist()
@@ -181,28 +181,29 @@ def degree_space_log2(n: int, d: int) -> int:
 def convolve_pm(f: BooleanFunction, g: Sequence[int]) -> IntegerVector:
     """Convolution of the sign vector of f with g: out[z] = sum_x (-1)^f(x) g[z^x].
 
-    Computed as the direct sum (one shifted add per point of the domain).
+    Computed as the direct sum out[z] = sum_w g[w] (-1)^f(z^w) over the
+    support of g (a term with g[w] = 0 adds nothing), one shifted add of the
+    sign vector per nonzero g[w]; never through the transform.
     """
     size = f.size
     if len(g) != size:
         raise ValueError(f"arity mismatch: function size {size}, vector length {len(g)}")
     vec = [int(v) for v in g]
-    peak = max((abs(v) for v in vec), default=0)
+    peak = max(map(abs, vec), default=0)
     if peak < (1 << 62) // max(size, 1):
         arr = np.array(vec, dtype=np.int64)
+        signs = 1 - 2 * unpack_bits(f.table, size).astype(np.int64)
         idx = np.arange(size)
         out = np.zeros(size, dtype=np.int64)
-        table = f.table
-        for x in range(size):
-            sign = 1 - 2 * ((table >> x) & 1)
-            out += sign * arr[idx ^ x]
-        return [int(v) for v in out]
+        for w in np.flatnonzero(arr):
+            out += arr[w] * signs[idx ^ w]
+        return out.tolist()
+    signs_py = _signs(f)
     out_py = [0] * size
-    table = f.table
-    for x in range(size):
-        sign = 1 - 2 * ((table >> x) & 1)
-        for z in range(size):
-            out_py[z] += sign * vec[z ^ x]
+    for w, v in enumerate(vec):
+        if v:
+            for z in range(size):
+                out_py[z] += v * signs_py[z ^ w]
     return out_py
 
 
@@ -218,14 +219,9 @@ def check_restriction_identity(f: BooleanFunction, gamma: FaceMask) -> bool:
     size = f.size
     lhs = convolve_pm(f, unpack_bits(face_indicator(dual_face(gamma)), size).tolist())
 
-    spectrum = hadamard_transform(_signs(f))
+    spectrum = np.array(hadamard_transform(_signs(f)), dtype=np.int64)
     inside = unpack_bits(face_indicator(gamma), size)
-    doubled = hadamard_transform([v if bit else 0 for v, bit in zip(spectrum, inside)])
-    divisor = 1 << gamma.dim
-    rhs = []
-    for v in doubled:
-        q, rem = divmod(v, divisor)
-        if rem:
-            return False
-        rhs.append(q)
-    return lhs == rhs
+    doubled = hadamard_transform((spectrum * inside).tolist())
+    # |doubled| <= 2^(2n) <= 2^52 for n <= MAX_ARITY, so int64 is exact
+    rhs, rem = np.divmod(np.array(doubled, dtype=np.int64), 1 << gamma.dim)
+    return not rem.any() and lhs == rhs.tolist()

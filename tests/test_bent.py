@@ -109,6 +109,23 @@ def test_apply_affine_swap():
     assert apply_affine(AND, swap) == AND
 
 
+@pytest.mark.parametrize("n", [1, 2, 4, 6, 8, 10])
+def test_apply_affine_matches_pointwise_definition(n):
+    rng = random.Random(n)
+    for _ in range(20):
+        f = random_function(n, rng)
+        t = random_invertible(n, rng)
+        expected = 0
+        for x in range(1 << n):
+            y = t.translation
+            for i, col in enumerate(t.cols):
+                if (x >> i) & 1:
+                    y ^= col
+            bit = f.bit(y) ^ ((t.functional & x).bit_count() & 1) ^ t.constant
+            expected |= bit << x
+        assert apply_affine(f, t) == BooleanFunction(n, expected)
+
+
 def test_apply_affine_arity_mismatch():
     with pytest.raises(ValueError):
         apply_affine(AND, AffineMap.identity(3))

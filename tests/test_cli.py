@@ -238,6 +238,8 @@ def test_output_is_stable(capsys):
         (["bent", "affine", "--f", "bf:4:0356", "--maps", "3"], 1),
         (["verify", "--suite", "lemma1", "--n", "-2"], 2),
         (["verify", "--suite", "lemma2", "--n", "-2"], 2),
+        (["bent", "affine", "--f", "bf:4:0356", "--count", "0"], 1),
+        (["bent", "affine", "--f", "bf:4:0356", "--count", "-2"], 1),
     ],
 )
 def test_exit_codes(capsys, argv, expected):

@@ -1,5 +1,6 @@
 """The verification suites themselves, at small parameters."""
 
+import numpy as np
 import pytest
 
 from bentkit import suites
@@ -79,6 +80,29 @@ def test_lemma2_randomized():
     assert report["passed"]
     assert report["checks"] == 20
     assert report == suite_lemma2(n=6, samples=20, seed=2)
+
+
+def test_lemma2_collisions_name_the_first_occurrence(monkeypatch):
+    real = suites.truth_rows_from_anf
+
+    def repeating(n, points, coeffs):
+        # row k repeats row k % 3 on the ball; from row 3 on, it differs off the ball
+        rows = real(n, points, coeffs)[np.arange(len(coeffs)) % 3]
+        rows[3:, sorted(set(range(1 << n)) - set(points))] ^= 1
+        return rows
+
+    monkeypatch.setattr(suites, "truth_rows_from_anf", repeating)
+    report = suite_lemma2(n=2)
+    check_shape(report, "lemma2")
+    assert report["checks"] == (2 + 2) + (8 + 8) + (16 + 16)
+    # radius 1: rows 3..7 collide and fail their round trip; radius 2: rows 3..15 collide
+    assert report["failures"] == 5 + 5 + 13
+    # radius-1 rows 0, 1, 2 are 0, 1 and x1; rows 3..7 flip them at the point 3
+    pairs = [("bf:2:0", "bf:2:8"), ("bf:2:f", "bf:2:7"), ("bf:2:a", "bf:2:2")] * 2
+    assert report["counterexamples"] == [
+        {"r": 1, "first": a, "second": b, "reason": "restrictions collide"} for a, b in pairs[:5]
+    ] + [{"r": 1, "function": b, "rebuilt": a} for a, b in pairs[:5]]
+    assert report["passed"] is False
 
 
 def test_prop1_small():

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bentkit import transforms
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
-from bentkit.core import pack_bits, unpack_rows
-from bentkit.geometry import FaceMask, ball_points
+from bentkit.core import pack_bits, unpack_bits, unpack_rows
+from bentkit.geometry import FaceMask, ball_points, face_indicator
 from bentkit.transforms import (
     _NUMPY_CUTOVER,
     WalshSpectrum,
@@ -219,6 +220,78 @@ def test_convolve_pm_big_values_match_scaled_small():
     scale = 1 << 80  # forces the arbitrary-precision route
     big = convolve_pm(f, [scale * v for v in g])
     assert big == [scale * v for v in small]
+
+
+def _convolve_literal(f, g):
+    size = 1 << f.n
+    return [sum((-1) ** f.bit(x) * g[z ^ x] for x in range(size)) for z in range(size)]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_convolve_pm_matches_the_double_sum(n):
+    rng = random.Random(n)
+    size = 1 << n
+    sparse = [0] * size
+    for w in rng.sample(range(size), min(3, size)):
+        sparse[w] = rng.choice([-7, -2, 3, 5])
+    vectors = [
+        [rng.randrange(-9, 10) for _ in range(size)],
+        sparse,
+        [0] * size,
+    ] + [
+        unpack_bits(face_indicator(FaceMask(n, mask)), size).tolist()
+        for mask in (0, 1, size - 1, rng.randrange(size))
+    ]
+    for _ in range(3):
+        f = random_function(n, rng)
+        for g in vectors:
+            assert convolve_pm(f, g) == _convolve_literal(f, g)
+
+
+def test_convolve_pm_never_reaches_the_butterfly(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("convolve_pm called the transform")
+
+    monkeypatch.setattr(transforms, "walsh_rows", refuse)
+    monkeypatch.setattr(transforms, "_hadamard_in_place", refuse)
+    rng = random.Random(5)
+    for n in (2, _NUMPY_CUTOVER, 9):
+        f = random_function(n, rng)
+        g = [rng.randrange(-3, 4) for _ in range(1 << n)]
+        assert convolve_pm(f, g) == _convolve_literal(f, g)
+        big = convolve_pm(f, [v << 70 for v in g])
+        assert big == [v << 70 for v in _convolve_literal(f, g)]
+
+
+def test_restriction_identity_fails_when_the_direct_sum_is_off(monkeypatch):
+    real = transforms.convolve_pm
+
+    def off_by_one(f, g):
+        out = real(f, g)
+        out[len(out) // 2] += 1
+        return out
+
+    monkeypatch.setattr(transforms, "convolve_pm", off_by_one)
+    assert not check_restriction_identity(AND, FaceMask(2, 0b01))
+    assert not check_restriction_identity(random_function(8, 3), FaceMask(8, 0x5A))
+
+
+def test_restriction_identity_fails_on_an_indivisible_transform(monkeypatch):
+    real = transforms.hadamard_transform
+    calls = []
+
+    def indivisible(values):
+        # the second transform of each check gains 1, which 2^dim (dim >= 1) cannot divide
+        out = real(values)
+        calls.append(None)
+        if len(calls) % 2 == 0:
+            out[0] += 1
+        return out
+
+    monkeypatch.setattr(transforms, "hadamard_transform", indivisible)
+    assert not check_restriction_identity(AND, FaceMask(2, 0b01))
+    assert not check_restriction_identity(random_function(8, 3), FaceMask(8, 0x5A))
+    assert len(calls) == 4
 
 
 def test_restriction_identity_oracle():
