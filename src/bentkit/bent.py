@@ -10,7 +10,6 @@ x -> Mx + translation and adds the affine term as one table.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from operator import itemgetter
@@ -88,10 +87,6 @@ class AffineMap:
         if matrix_rank(self.cols) != self.n:
             raise ValueError("matrix is singular")
 
-    @classmethod
-    def identity(cls, n: int) -> "AffineMap":
-        return cls(n, tuple(1 << i for i in range(n)), 0, 0, 0)
-
 
 def apply_affine(f: BooleanFunction, t: AffineMap) -> BooleanFunction:
     """g(x) = f(Mx + translation) + <functional, x> + constant."""
@@ -130,16 +125,6 @@ def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> A
         rng.getrandbits(n),
         rng.getrandbits(1),
     )
-
-
-def affine_group_size_log2(n: int) -> float:
-    """log2 of |GL(n,2)| * 2^n * 2^(n+1): matrix, translation, affine term."""
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n}")
-    gl = 1
-    for i in range(n):
-        gl *= (1 << n) - (1 << i)
-    return math.log2(gl * (1 << n) * (1 << (n + 1)))
 
 
 def _canonical_pairs(n: int) -> Iterator[tuple[int, int]]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from math import comb
 from typing import Optional, Sequence
 
-from .bent import affine_group_size_log2
 from .geometry import FaceMask, covering_coset_count
 
 _LOG2_6 = math.log2(6)
@@ -64,8 +63,14 @@ def q_n(n: int) -> int:
 
 
 def a_n_log2(n: int) -> float:
-    """log2 of the affine-orbit size |GL(n,2)| * 2^n * 2^(n+1)."""
-    return affine_group_size_log2(n)
+    """log2 of the affine-orbit size |GL(n,2)| * 2^n * 2^(n+1): matrix,
+    translation, affine term."""
+    if n < 1:
+        raise ValueError(f"arity must be >= 1, got {n}")
+    gl = 1
+    for i in range(n):
+        gl *= (1 << n) - (1 << i)
+    return math.log2(gl * (1 << n) * (1 << (n + 1)))
 
 
 def theorem_upper_log2(n: int) -> float:
@@ -90,7 +95,10 @@ def simplified_log2(n: int) -> int:
 def load_known_counts(path: str) -> list[dict]:
     """Read user-supplied counts: [{"n": int, "count": decimal string, "source": str}]."""
     with open(path, "r", encoding="utf-8") as handle:
-        raw = json.load(handle)
+        try:
+            raw = json.load(handle)
+        except RecursionError:
+            raise ValueError("known-count file is nested too deeply") from None
     if not isinstance(raw, list):
         raise ValueError("known-count file must hold a JSON list")
     entries = []

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .core import BooleanFunction, ResourceCapError, pack_rows, unpack_rows
+from .core import BooleanFunction, ResourceCapError, _check_arity, pack_rows, unpack_rows
 from .geometry import ball_points
 from .transforms import degree_space_log2, truth_rows_from_anf, walsh_rows
 
@@ -118,6 +118,7 @@ def enumerate_bent_by_degree(
 ) -> CensusResult:
     """Search normal forms supported on B_{n/2} and filter by the bent test."""
     _check_even(n)
+    _check_arity(n)  # before the exponent, a sum of n/2 big binomials
     exponent = degree_space_log2(n, n // 2)
     if exponent > DEGREE_EXPONENT_CAP:
         raise ResourceCapError(

@@ -142,7 +142,10 @@ def _cmd_reconstruct(args: argparse.Namespace):
     text = args.ball
     if text.startswith("@"):
         text = Path(text[1:]).read_text()
-    data = json.loads(text)
+    try:
+        data = json.loads(text)
+    except RecursionError:
+        raise ValueError("ball JSON is nested too deeply") from None
     if not (isinstance(data, dict) and isinstance(data.get("values"), list)
             and all(type(data.get(key)) is int for key in ("n", "r"))):
         raise ValueError('ball must be a JSON object {"n": int, "r": int, "values": [bits]}')

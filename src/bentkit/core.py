@@ -13,14 +13,12 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from typing import Union
 
 import numpy as np
 
 MAX_ARITY = 26
 _LITERAL = re.compile(r"bf:([0-9]+):([0-9a-fA-F]+)")
-
-Point = Union[int, Sequence[int]]
 
 
 class ParseError(ValueError):
@@ -99,34 +97,6 @@ def pack_rows(rows: np.ndarray) -> list[int]:
     return (rows.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64).tolist()
 
 
-def _bit_array(values: Sequence, what: str) -> np.ndarray:
-    for v in values:
-        if v not in (0, 1):
-            raise ValueError(f"{what} entries must be bits, got {v!r}")
-    return np.array(values, dtype=np.uint8)
-
-
-def make_function(n: int, bits: Union[str, Iterable[int]]) -> BooleanFunction:
-    """Build a function from its truth table given as bits in index order.
-
-    ``bits`` may be a sequence of 0/1 ints or a string of '0'/'1' characters;
-    its length must be exactly 2**n.
-    """
-    _check_arity(n)
-    if isinstance(bits, str):
-        rest = bits.lstrip("01")
-        if rest:
-            raise ValueError(f"truth table string must be over '01', got {rest[0]!r}")
-        values = np.frombuffer(bits.encode(), dtype=np.uint8) - ord("0")
-    else:
-        values = _bit_array(list(bits), "truth table")
-    if len(values) != (1 << n):
-        raise ValueError(
-            f"truth table for n={n} needs {1 << n} bits, got {len(values)}"
-        )
-    return BooleanFunction(n, pack_bits(values))
-
-
 def random_function(n: int, rng: Union[int, random.Random, None] = None) -> BooleanFunction:
     """Uniform random function on F_2^n; pass an int seed or a Random for determinism."""
     _check_arity(n)
@@ -135,67 +105,9 @@ def random_function(n: int, rng: Union[int, random.Random, None] = None) -> Bool
     return BooleanFunction(n, rng.getrandbits(1 << n))
 
 
-def point_index(coords: Sequence[int]) -> int:
-    """Index of the point (x_1, ..., x_n); x_1 lands in the least significant bit."""
-    index = 0
-    for i, bit in enumerate(coords):
-        if bit not in (0, 1):
-            raise ValueError(f"coordinates must be bits, got {bit!r}")
-        index |= bit << i
-    return index
-
-
-def point_coords(index: int, n: int) -> tuple[int, ...]:
-    """Coordinates (x_1, ..., x_n) of the point with the given index."""
-    if not 0 <= index < (1 << n):
-        raise ValueError(f"point index {index} out of range for n={n}")
-    return tuple((index >> i) & 1 for i in range(n))
-
-
-def point_weight(index: int) -> int:
-    """Hamming weight of a point given by index."""
-    if index < 0:
-        raise ValueError(f"point index must be >= 0, got {index}")
-    return index.bit_count()
-
-
-def _as_index(f: BooleanFunction, x: Point) -> int:
-    if isinstance(x, int) and not isinstance(x, bool):
-        if not 0 <= x < f.size:
-            raise ValueError(f"point index {x} out of range for n={f.n}")
-        return x
-    coords = tuple(x)
-    if len(coords) != f.n:
-        raise ValueError(f"point has {len(coords)} coordinates, function has n={f.n}")
-    return point_index(coords)
-
-
-def evaluate(f: BooleanFunction, x: Point) -> int:
-    """f(x) for x given as an index or a coordinate tuple."""
-    return f.bit(_as_index(f, x))
-
-
-def inner_product(x: Point, y: Point) -> int:
-    """<x, y> = x_1 y_1 + ... + x_n y_n over F_2."""
-    if not isinstance(x, int) or isinstance(x, bool):
-        x = point_index(tuple(x))
-    if not isinstance(y, int) or isinstance(y, bool):
-        y = point_index(tuple(y))
-    if x < 0 or y < 0:
-        raise ValueError("point indices must be >= 0")
-    return (x & y).bit_count() & 1
-
-
 def weight(f: BooleanFunction) -> int:
     """Number of points where f is 1."""
     return f.table.bit_count()
-
-
-def xor_add(f: BooleanFunction, g: BooleanFunction) -> BooleanFunction:
-    """Pointwise sum f + g over F_2."""
-    if f.n != g.n:
-        raise ValueError(f"arity mismatch: {f.n} != {g.n}")
-    return BooleanFunction(f.n, f.table ^ g.table)
 
 
 def _hex_digits(n: int) -> int:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import BooleanFunction, Point, ResourceCapError, _as_index, _check_arity
+from .core import BooleanFunction, ResourceCapError, _check_arity
 
 _PATTERN_DIM_CAP = 4
 
@@ -66,13 +66,6 @@ def dual_face(m: FaceMask) -> FaceMask:
     return FaceMask(m.n, ~m.mask & ((1 << m.n) - 1))
 
 
-def coset_representative(m: FaceMask, z: int) -> int:
-    """Minimal-index member of the coset z + Gamma(m)."""
-    if not 0 <= z < (1 << m.n):
-        raise ValueError(f"point index {z} out of range for n={m.n}")
-    return z & ~m.mask
-
-
 @lru_cache(maxsize=16)
 def coordinate_masks(n: int, rows: int = 1) -> tuple[int, ...]:
     """Mask i marks the index-bit-i-clear positions of ``rows`` packed 2^n-bit tables."""
@@ -103,14 +96,6 @@ def face_indicator(m: FaceMask) -> int:
         if not (m.mask >> i) & 1:
             indicator &= mask
     return indicator
-
-
-def coset_sum(f: BooleanFunction, m: FaceMask, z: Point) -> int:
-    """Sum of (-1)^f over the coset z + Gamma(m)."""
-    if f.n != m.n:
-        raise ValueError(f"arity mismatch: function n={f.n}, mask n={m.n}")
-    rep = _as_index(f, z) & ~m.mask
-    return m.size - 2 * ((f.table >> rep) & face_indicator(m)).bit_count()
 
 
 def coset_spectrum(f: BooleanFunction, m: FaceMask) -> dict[int, int]:

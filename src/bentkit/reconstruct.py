@@ -9,10 +9,11 @@ reads values inside the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
-from .core import BooleanFunction, pack_bits
+from .core import BooleanFunction, _check_arity, pack_bits
 from .geometry import (
     Ball,
     FaceMask,
@@ -34,22 +35,21 @@ class BallAssignment:
     values: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        expected = len(self.ball().points)
+        _check_arity(self.n)
+        if not 0 <= self.r <= self.n:
+            raise ValueError(f"radius must satisfy 0 <= r <= {self.n}, got {self.r}")
+        expected = sum(comb(self.n, i) for i in range(self.r + 1))
         if len(self.values) != expected:
             raise ValueError(
                 f"ball of radius {self.r} in n={self.n} has {expected} points, "
                 f"got {len(self.values)} values"
             )
         for v in self.values:
-            if v not in (0, 1):
+            if type(v) is not int or v not in (0, 1):
                 raise ValueError(f"assignment entries must be bits, got {v!r}")
 
     def ball(self) -> Ball:
         return ball_points(self.n, self.r)
-
-    def as_dict(self) -> dict[int, int]:
-        """Point index -> assigned bit."""
-        return dict(zip(self.ball().points, self.values))
 
     @classmethod
     def from_function(cls, f: BooleanFunction, r: int) -> "BallAssignment":

@@ -19,11 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
-from typing import Sequence, Union, overload
+from typing import Sequence
 
 import numpy as np
 
-from .core import BooleanFunction, ResourceCapError, _bit_array, pack_bits, unpack_bits
+from .core import BooleanFunction, ResourceCapError, pack_bits, unpack_bits
 from .geometry import FaceMask, coordinate_masks, dual_face, face_indicator, weight_masks
 
 NAIVE_ARITY_CAP = 12
@@ -140,26 +140,12 @@ def truth_rows_from_anf(n: int, points: Sequence[int], coeffs: np.ndarray) -> np
     return unpack_bits(packed, anf.size).reshape(anf.shape)
 
 
-@overload
-def moebius(t: BooleanFunction) -> BooleanFunction: ...
-@overload
-def moebius(t: Sequence[int]) -> list[int]: ...
-
-
-def moebius(t: Union[BooleanFunction, Sequence[int]]):
-    """Moebius transform: output[y] = XOR of t[x] over x below y coordinatewise.
+def moebius(f: BooleanFunction) -> BooleanFunction:
+    """Moebius transform: output[y] = XOR of f[x] over x below y coordinatewise.
 
     Maps a truth table to its algebraic normal form and back (involution).
-    Accepts a BooleanFunction or a raw bit table of length 2^n.
     """
-    if isinstance(t, BooleanFunction):
-        return BooleanFunction(t.n, _moebius_table(t.table, t.n))
-    bits = list(t)
-    size = len(bits)
-    if size == 0 or size & (size - 1):
-        raise ValueError(f"bit table length must be a power of two, got {size}")
-    table = pack_bits(_bit_array(bits, "bit table"))
-    return unpack_bits(_moebius_table(table, size.bit_length() - 1), size).tolist()
+    return BooleanFunction(f.n, _moebius_table(f.table, f.n))
 
 
 def degree(f: BooleanFunction) -> int:

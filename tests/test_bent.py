@@ -1,6 +1,5 @@
 """Bent checks, duals, affine maps, and 2-flat statistics."""
 
-import math
 import random
 
 import pytest
@@ -8,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 
 from bentkit.bent import (
     AffineMap,
-    affine_group_size_log2,
     apply_affine,
     dual_bent,
     is_bent,
@@ -76,7 +74,7 @@ def test_matrix_rank():
 
 
 def test_affine_map_validation():
-    AffineMap.identity(3)
+    AffineMap(3, (1, 2, 4), 0, 0, 0)
     with pytest.raises(ValueError, match="singular"):
         AffineMap(2, (3, 3), 0, 0, 0)
     with pytest.raises(ValueError, match="singular"):
@@ -90,7 +88,7 @@ def test_affine_map_validation():
 
 
 def test_apply_affine_identity_and_translation():
-    ident = AffineMap.identity(2)
+    ident = AffineMap(2, (1, 2), 0, 0, 0)
     assert apply_affine(AND, ident) == AND
     x1 = parse_bf("bf:2:a")
     shift = AffineMap(2, (1, 2), 1, 0, 0)
@@ -128,7 +126,7 @@ def test_apply_affine_matches_pointwise_definition(n):
 
 def test_apply_affine_arity_mismatch():
     with pytest.raises(ValueError):
-        apply_affine(AND, AffineMap.identity(3))
+        apply_affine(AND, AffineMap(3, (1, 2, 4), 0, 0, 0))
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32), st.data())
@@ -167,23 +165,6 @@ def test_random_invertible_determinism():
     maps = [random_invertible(4, rng) for _ in range(50)]
     assert all(matrix_rank(t.cols) == 4 for t in maps)
     assert len(set(maps)) > 1
-
-
-def test_affine_group_size_log2():
-    assert affine_group_size_log2(1) == 3.0
-    assert math.isclose(affine_group_size_log2(2), math.log2(192))
-    assert math.isclose(affine_group_size_log2(4), math.log2(10321920))
-
-
-def test_affine_group_size_approaches_n_squared():
-    # log2 of the group order is n^2 + 2n + 1 - c with c -> 1.792, so the
-    # ratio to n^2 drifts down toward 1: still 19 percent high at n=10,
-    # under 15 percent from n=14 on
-    ratios = [affine_group_size_log2(n) / n**2 for n in range(8, 26, 2)]
-    assert all(a > b for a, b in zip(ratios, ratios[1:]))
-    assert 1.19 < affine_group_size_log2(10) / 100 < 1.20
-    assert affine_group_size_log2(14) / 14**2 < 1.15
-    assert ratios[-1] < 1.09
 
 
 def test_two_flats_structure():

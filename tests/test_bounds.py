@@ -76,6 +76,17 @@ def test_a_n_oracles():
     assert math.isclose(a_n_log2(4), math.log2(10321920))
 
 
+def test_a_n_approaches_n_squared():
+    # log2 of the group order is n^2 + 2n + 1 - c with c -> 1.792, so the
+    # ratio to n^2 drifts down toward 1: still 19 percent high at n=10,
+    # under 15 percent from n=14 on
+    ratios = [a_n_log2(n) / n**2 for n in range(8, 26, 2)]
+    assert all(a > b for a, b in zip(ratios, ratios[1:]))
+    assert 1.19 < a_n_log2(10) / 100 < 1.20
+    assert a_n_log2(14) / 14**2 < 1.15
+    assert ratios[-1] < 1.09
+
+
 def test_theorem_upper_monotone():
     values = [theorem_upper_log2(n) for n in range(4, 20, 2)]
     assert all(a < b for a, b in zip(values, values[1:]))

@@ -1,21 +1,30 @@
 """CLI: thin-adapter equivalence, exit codes, stream discipline."""
 
+import argparse
+import contextlib
+import inspect
+import io
 import json
 import random
 import subprocess
 import sys
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 import bentkit.cli as cli
 from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_sum_distribution
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
-from bentkit.core import format_bf, parse_bf
-from bentkit.geometry import FaceMask, coset_spectrum
+from bentkit.core import BooleanFunction, format_bf, parse_bf
+from bentkit.geometry import FaceMask, ball_points, coset_spectrum
 from bentkit.reconstruct import BallAssignment, reconstruct_from_ball
 from bentkit.suites import suite_lemma1
 from bentkit.transforms import degree, moebius, walsh_fast
+
+
+# nests past the JSON decoder's recursion limit
+DEEP_JSON = "[" * 100_000
 
 
 def run(capsys, *argv):
@@ -40,7 +49,7 @@ def test_anf_matches_library(capsys):
     f = parse_bf("bf:4:7888")
     code, payload, _ = run_json(capsys, "anf", "--f", "bf:4:7888")
     assert code == 0
-    assert payload == {"n": 4, "values": moebius(f.bits())}
+    assert payload == {"n": 4, "values": moebius(f).bits()}
 
 
 def test_degree_matches_library(capsys):
@@ -240,9 +249,24 @@ def test_output_is_stable(capsys):
         (["verify", "--suite", "lemma2", "--n", "-2"], 2),
         (["bent", "affine", "--f", "bf:4:0356", "--count", "0"], 1),
         (["bent", "affine", "--f", "bf:4:0356", "--count", "-2"], 1),
+        # the arity cap fires before the degree-space exponent is summed
+        (["census", "--n", "100000", "--method", "degree"], 4),
+        (["verify", "--suite", "flats", "--n", "100000"], 4),
+        (["verify", "--suite", "prop1", "--n", "100000"], 4),
+        # the ball's size is counted, not listed, after the arity cap
+        (["reconstruct", "--ball", '{"n": 22, "r": 11, "values": [0]}'], 2),
+        (["reconstruct", "--ball", '{"n": 27, "r": 1, "values": [0]}'], 4),
+        # bits are plain ints
+        (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [1.0, 0, 0]}'], 2),
+        (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [true, 0, 0]}'], 2),
+        (["reconstruct", "--ball", DEEP_JSON], 2),
+        (["bounds", "--n", "4", "--known", "DEEP_FILE"], 2),
     ],
 )
-def test_exit_codes(capsys, argv, expected):
+def test_exit_codes(capsys, tmp_path, argv, expected):
+    deep = tmp_path / "deep.json"
+    deep.write_text(DEEP_JSON)
+    argv = [str(deep) if a == "DEEP_FILE" else a for a in argv]
     code, out, err = run(capsys, *argv)
     assert code == expected
     assert out == ""  # no JSON document on failure
@@ -263,3 +287,104 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"n": 2, "values": [2, 2, 2, -2]}
+
+
+def _leaf_parsers(parser, words=()):
+    """(subcommand words, parser) for every runnable subcommand of the CLI."""
+    subs = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield list(words), parser
+        return
+    for name, sub in subs[0].choices.items():
+        yield from _leaf_parsers(sub, (*words, name))
+
+
+LEAVES = list(_leaf_parsers(cli.build_parser()))
+SMALL = st.integers(-1, 3).map(str)
+ARITIES = st.sampled_from([-2, 0, 1, 2, 3, 27, 10**6])
+LITERALS = st.one_of(
+    st.integers(1, 4).flatmap(
+        lambda n: st.integers(0, (1 << (1 << n)) - 1).map(lambda t: format_bf(BooleanFunction(n, t)))
+    ),
+    st.builds(
+        "bf:{}:{}".format,
+        st.integers(-1, 30).map(str) | st.sampled_from(["+4", "04", " 2", "x", ""]),
+        st.text("0123456789abcdefABCDEFxz_+- ", max_size=6),
+    ),
+    st.sampled_from(["not-a-literal", "@/nonexistent/f.txt", "", "bf:4:0x12"]),
+)
+MASKS = st.one_of(
+    st.integers(-2, 20).map(str),
+    st.integers(0, 31).map(hex),
+    st.sampled_from(["0b11", "xyz", "", " 3", "3.0", "0x"]),
+)
+
+
+def _ball_json(n, r, bits):
+    """A well-formed ball assignment: r clipped to n, the low bits of ``bits``."""
+    r = min(r, n)
+    values = [(bits >> i) & 1 for i in range(len(ball_points(n, r).points))]
+    return json.dumps({"n": n, "r": r, "values": values})
+
+
+BALLS = st.one_of(
+    st.builds(_ball_json, st.integers(1, 4), st.integers(0, 4), st.integers(0, (1 << 16) - 1)),
+    st.fixed_dictionaries({
+        "n": ARITIES | st.integers(1, 4),
+        "r": st.integers(-1, 4),
+        "values": st.lists(st.sampled_from([0, 1, 1.0, True, 2, None, "1"]), max_size=12),
+    }).map(json.dumps),
+    st.sampled_from(["{broken", "[1,2]", "null", "{}", '{"n": 2, "r": 1}', DEEP_JSON]),
+)
+VALUES = {
+    "f": LITERALS,
+    "mask": MASKS,
+    "ball": BALLS,
+    "n": ARITIES.map(str),
+    "samples": SMALL,
+    "maps": SMALL,
+    "count": SMALL,
+    "seed": st.integers(0, 9).map(str),
+    "jobs": st.integers(-1, 1).map(str),  # <= 1: no process pool
+    "known": st.sampled_from(["/nonexistent/known.json", "."]),
+}
+
+
+@st.composite
+def argvs(draw):
+    words, parser = draw(st.sampled_from(LEAVES))
+    argv = list(words)
+    accepted = set()
+    for action in parser._actions:
+        if action.dest == "suite":
+            suite = draw(st.sampled_from(sorted(action.choices)))
+            argv += ["--suite", suite]
+            accepted = set(inspect.signature(cli.SUITES[suite]).parameters)
+    for action in parser._actions:
+        if not action.option_strings or action.dest in ("help", "suite", "emit"):
+            continue
+        # a suite's default samples or maps would run for seconds; pass <= 3
+        forced = action.dest in ("samples", "maps") and action.dest in accepted
+        if forced or draw(st.booleans()):
+            values = st.sampled_from(action.choices) if action.choices else VALUES[action.dest]
+            argv += [action.option_strings[0], draw(values)]
+    return argv
+
+
+@given(argvs())
+@example(["census", "--n", "100000", "--method", "degree"])
+@example(["verify", "--suite", "flats", "--n", "100000"])
+@example(["reconstruct", "--ball", '{"n": 22, "r": 11, "values": [0]}'])
+@example(["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [1.0, 0, 0]}'])
+@example(["reconstruct", "--ball", DEEP_JSON])
+@settings(max_examples=150, deadline=None)
+def test_main_keeps_its_stream_and_exit_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in range(5)
+    if code in (0, 3):
+        json.loads(out.getvalue())
+    else:
+        assert out.getvalue() == ""
+    assert "Traceback" not in err.getvalue()

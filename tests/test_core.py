@@ -1,4 +1,4 @@
-"""Representation, text format, and point helpers."""
+"""Representation, text format, and the bit codec."""
 
 import random
 
@@ -10,21 +10,14 @@ from bentkit.core import (
     BooleanFunction,
     ParseError,
     ResourceCapError,
-    evaluate,
     format_bf,
-    inner_product,
-    make_function,
     pack_bits,
     pack_rows,
     parse_bf,
-    point_coords,
-    point_index,
-    point_weight,
     random_function,
     unpack_bits,
     unpack_rows,
     weight,
-    xor_add,
 )
 
 AND = BooleanFunction(2, 0b1000)  # f(x1,x2) = x1 & x2, true only at index 3
@@ -122,58 +115,6 @@ def test_bit_bounds():
         AND.bit(-1)
 
 
-def test_make_function():
-    assert make_function(2, "0110").table == 0b0110
-    assert make_function(2, [0, 1, 1, 0]).table == 0b0110
-    assert make_function(1, "10").table == 0b01  # bits listed in index order
-    with pytest.raises(ValueError):
-        make_function(2, "011")
-    with pytest.raises(ValueError):
-        make_function(2, "0120")
-
-
-def test_point_index_lsb_first():
-    # x1 is the least significant coordinate
-    assert point_index([1, 0]) == 1
-    assert point_index([0, 1]) == 2
-    assert point_index([1, 1, 0, 1]) == 0b1011
-    with pytest.raises(ValueError):
-        point_index([2, 0])
-
-
-@given(st.integers(1, 10), st.data())
-def test_point_coords_round_trip(n, data):
-    index = data.draw(st.integers(0, (1 << n) - 1))
-    coords = point_coords(index, n)
-    assert len(coords) == n
-    assert point_index(coords) == index
-    assert point_weight(index) == sum(coords)
-
-
-def test_evaluate_accepts_index_or_coords():
-    assert evaluate(AND, 3) == 1
-    assert evaluate(AND, (1, 1)) == 1
-    assert evaluate(AND, (1, 0)) == 0
-    with pytest.raises(ValueError):
-        evaluate(AND, 4)
-    with pytest.raises(ValueError):
-        evaluate(AND, (1, 1, 1))
-
-
-def test_inner_product():
-    assert inner_product(0b101, 0b100) == 1
-    assert inner_product(0b101, 0b111) == 0
-    assert inner_product((1, 0, 1), (1, 1, 1)) == 0
-
-
-def test_xor_add():
-    x1 = parse_bf("bf:2:a")
-    assert xor_add(AND, x1) == parse_bf("bf:2:2")
-    assert xor_add(AND, AND).table == 0
-    with pytest.raises(ValueError):
-        xor_add(AND, BooleanFunction(3, 0))
-
-
 def test_random_function_determinism():
     assert random_function(6, 123) == random_function(6, 123)
     assert random_function(6, random.Random(5)) == random_function(6, random.Random(5))
@@ -200,5 +141,3 @@ def test_codec_round_trip_past_int64():
 def test_codec_matches_shifts(f):
     assert f.bits() == [(f.table >> k) & 1 for k in range(f.size)]
     assert pack_bits(unpack_bits(f.table, f.size)) == f.table
-    assert make_function(f.n, f.bits()) == f
-    assert make_function(f.n, "".join(map(str, f.bits()))) == f

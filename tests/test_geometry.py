@@ -10,9 +10,7 @@ from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, weight
 from bentkit.geometry import (
     FaceMask,
     ball_points,
-    coset_representative,
     coset_spectrum,
-    coset_sum,
     coset_value_class_sizes,
     covering_coset_count,
     coordinate_masks,
@@ -58,24 +56,20 @@ def test_dual_face():
 
 
 def test_coset_representative():
-    m = FaceMask(3, 0b011)
-    assert coset_representative(m, 0b110) == 0b100
-    assert coset_representative(m, 0b011) == 0
-    # the representative is the minimum index in its coset
+    # coset_spectrum keys each coset by its minimum index, the point with
+    # every free coordinate cleared
+    assert list(coset_spectrum(AND, FaceMask(2, 0b01))) == [0, 2]
     for mask in range(8):
         fm = FaceMask(3, mask)
-        for z in range(8):
-            rep = coset_representative(fm, z)
-            members = [rep ^ s for s in subcube_points(fm)]
-            assert min(members) == rep
-            assert z in members
+        for rep in coset_spectrum(BooleanFunction(3, 0), fm):
+            assert min(rep ^ s for s in subcube_points(fm)) == rep
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_cosets_partition_cube(n):
     for mask in range(1 << n):
         fm = FaceMask(n, mask)
-        reps = {coset_representative(fm, z) for z in range(1 << n)}
+        reps = {z & ~fm.mask for z in range(1 << n)}
         assert len(reps) == 1 << (n - fm.dim)
         seen = set()
         for rep in reps:
@@ -86,12 +80,14 @@ def test_cosets_partition_cube(n):
 
 
 def test_coset_sum_oracle():
+    # the sum on the coset of z is the spectrum entry at z's representative
     m = FaceMask(2, 0b01)
-    assert coset_sum(AND, m, 0) == 2
-    assert coset_sum(AND, m, 2) == 0
-    assert coset_sum(AND, m, 3) == 0  # same coset as 2
+    sums = coset_spectrum(AND, m)
+    assert sums[0 & ~m.mask] == 2
+    assert sums[2 & ~m.mask] == 0
+    assert sums[3 & ~m.mask] == 0  # same coset as 2
     with pytest.raises(ValueError):
-        coset_sum(AND, FaceMask(3, 1), 0)
+        coset_spectrum(AND, FaceMask(3, 1))
 
 
 def test_coset_spectrum_oracle():
@@ -124,7 +120,6 @@ def test_coset_spectrum_matches_point_sums(n, data):
             rep = z & ~mask
             expected[rep] = expected.get(rep, 0) + 1 - 2 * f.bit(z)
         assert list(coset_spectrum(f, m).items()) == sorted(expected.items())
-        assert all(coset_sum(f, m, z) == expected[z & ~mask] for z in range(1 << n))
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -198,13 +193,7 @@ def test_covering_coset_count_large_path():
 def test_covering_coset_count_brute(n, data):
     r = data.draw(st.integers(0, n))
     m = FaceMask(n, data.draw(st.integers(0, (1 << n) - 1)))
-    expected = len(
-        {
-            coset_representative(m, z)
-            for z in range(1 << n)
-            if z.bit_count() <= r
-        }
-    )
+    expected = len({z & ~m.mask for z in range(1 << n) if z.bit_count() <= r})
     assert covering_coset_count(n, r, m) == expected
 
 

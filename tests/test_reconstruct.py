@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bentkit.core import BooleanFunction, parse_bf, random_function, weight
+from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
 from bentkit.geometry import FaceMask, ball_points, dual_face, subcube_points
 from bentkit.reconstruct import (
     BallAssignment,
@@ -36,12 +36,28 @@ def test_ball_assignment_validation():
         BallAssignment(2, 1, (0, 1, 2))
     with pytest.raises(ValueError):
         BallAssignment(2, 3, (0,) * 4)
+    with pytest.raises(ResourceCapError):
+        BallAssignment(27, 1, (0,))
+    # bits are plain ints: floats and bools compare equal to 0/1 but are refused
+    for bad in (1.0, True, False):
+        with pytest.raises(ValueError, match="must be bits"):
+            BallAssignment(2, 1, (bad, 0, 0))
+
+
+def test_ball_assignment_counts_the_ball_without_listing_it(monkeypatch):
+    import bentkit.reconstruct as reconstruct
+
+    def refuse(n, r):
+        raise AssertionError(f"ball_points({n}, {r}) listed the ball")
+
+    monkeypatch.setattr(reconstruct, "ball_points", refuse)
+    with pytest.raises(ValueError, match="has 38754732 points, got 1 values"):
+        BallAssignment(26, 13, (0,))
 
 
 def test_ball_assignment_round_trip_helpers():
     a = BallAssignment.from_function(AND, 1)
     assert a.values == (0, 0, 0)
-    assert a.as_dict() == {0: 0, 1: 0, 2: 0}
     b = BallAssignment.from_function(parse_bf("bf:4:7888"), 2)
     assert b.ball().points == ball_points(4, 2).points
     assert len(b.values) == 11

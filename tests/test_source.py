@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-SOURCES = sorted((Path(__file__).resolve().parents[1] / "src" / "bentkit").glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted((ROOT / "src" / "bentkit").glob("*.py"))
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
@@ -14,3 +15,23 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert lines == [], f"{path.name} uses assert at lines {lines}"
+
+
+def test_readme_library_example_runs():
+    section = (ROOT / "README.md").read_text().split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(code, "README.md", "exec"), {})
+
+
+def test_all_names_exactly_the_imports():
+    import bentkit
+
+    tree = ast.parse((ROOT / "src" / "bentkit" / "__init__.py").read_text())
+    imported = [
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    ]
+    assert len(bentkit.__all__) == len(set(bentkit.__all__))
+    assert sorted(bentkit.__all__) == sorted(imported)
