@@ -1,10 +1,12 @@
 """Bent-ness testing, dual functions, affine equivalence, 2-flat statistics.
 
 A function is bent when its arity is even and every Walsh value is +-2^(n/2).
-The dual reads the signs of the spectrum.  Affine maps act by
-g(x) = f(Mx + translation) + <functional, x> + constant with M invertible;
-``apply_affine`` gathers the table through the index permutation
-x -> Mx + translation and adds the affine term as one table.
+``bent_rows`` alone tests this, with one int32 ``walsh_rows`` butterfly over
+(rows, 2^n) truth tables; ``is_bent``, ``dual_bent``, the census and the
+``prop1`` suite all call it, and the dual reads the butterfly's signs.
+Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
+with M invertible; ``apply_affine`` gathers the table through the index
+permutation x -> Mx + translation and adds the affine term as one table.
 2-flat sums add truth-table translates built with ``geometry``'s coordinate masks.
 """
 
@@ -17,29 +19,32 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import BooleanFunction, ResourceCapError, _check_arity, pack_bits
+from .core import BooleanFunction, ResourceCapError, _check_arity, pack_bits, unpack_bits
 from .geometry import coordinate_masks, gaussian_binomial
-from .transforms import walsh_fast
+from .transforms import walsh_rows
 
 FLAT_ARITY_CAP = 12
 
 
+def bent_rows(truth: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the (rows, 2^n) truth-table rows whose spectrum is +-2^(n/2)
+    everywhere; all False for odd n (squares summing to 2^(2n-1) break Parseval)."""
+    # no butterfly stage exceeds 2^n <= 2^MAX_ARITY = 2^26, so int32 is exact
+    spectra = walsh_rows(1 - 2 * truth.astype(np.int32))
+    return np.all(np.abs(spectra) == (1 << (n // 2)), axis=1)
+
+
 def is_bent(f: BooleanFunction) -> bool:
     """True iff n is even and the whole spectrum is +-2^(n/2)."""
-    if f.n % 2:
-        return False
-    target = 1 << (f.n // 2)
-    return all(abs(v) == target for v in walsh_fast(f).values)
+    return bool(bent_rows(unpack_bits(f.table, f.size)[None], f.n)[0])
 
 
 def dual_bent(b: BooleanFunction) -> BooleanFunction:
     """The bent function g with W_b(y) = 2^(n/2) * (-1)^g(y)."""
-    if b.n % 2:
+    truth = unpack_bits(b.table, b.size)[None]
+    if not bent_rows(truth, b.n)[0]:
         raise ValueError("not bent")
-    values = np.array(walsh_fast(b).values)
-    if np.any(np.abs(values) != 1 << (b.n // 2)):
-        raise ValueError("not bent")
-    return BooleanFunction(b.n, pack_bits(values < 0))
+    return BooleanFunction(b.n, pack_bits(walsh_rows(1 - 2 * truth.astype(np.int32)) < 0))
 
 
 def matrix_rank(cols: Sequence[int]) -> int:

@@ -5,9 +5,9 @@ normal forms supported on the ball B_{n/2}.  Both stream results in ascending
 truth-table order for any job count: min(jobs, cores) workers each take one
 contiguous shard of the candidates.  Candidates are (rows, 2^n) bit arrays:
 the degree method turns normal forms into truth tables with the packed
-Moebius kernel, and both run the bent test through the shared ``walsh_rows``
-butterfly at int32.  Hard caps keep infeasible arities from hanging: the
-brute-force space is 2^(2^n) and the degree-restricted space is 2^42 at n=6.
+Moebius kernel, and both filter each chunk with ``bent.bent_rows``, the one
+bent test.  Hard caps keep infeasible arities from hanging: the brute-force
+space is 2^(2^n) and the degree-restricted space is 2^42 at n=6.
 """
 
 from __future__ import annotations
@@ -21,9 +21,10 @@ from typing import Optional
 
 import numpy as np
 
+from .bent import bent_rows
 from .core import BooleanFunction, ResourceCapError, _check_arity, pack_rows, unpack_rows
 from .geometry import ball_points
-from .transforms import degree_space_log2, truth_rows_from_anf, walsh_rows
+from .transforms import degree_space_log2, truth_rows_from_anf
 
 NAIVE_ARITY_CAP = 4
 DEGREE_EXPONENT_CAP = 24
@@ -39,19 +40,12 @@ class CensusResult:
     functions: Optional[tuple[BooleanFunction, ...]]
 
 
-def _bent_rows(truth: np.ndarray, n: int) -> np.ndarray:
-    """Boolean mask of the truth-table rows whose spectrum is +-2^(n/2) everywhere."""
-    # |W| <= 2^n <= 2^4 here, so int32 holds every butterfly stage
-    spectra = walsh_rows(1 - 2 * truth.astype(np.int32))
-    return np.all(np.abs(spectra) == (1 << (n // 2)), axis=1)
-
-
 def _bent_tables_in_range(n: int, lo: int, hi: int) -> list[int]:
     """Truth-table ints of the bent functions with lo <= table < hi, ascending."""
     out: list[int] = []
     for start in range(lo, hi, _CHUNK):
         tables = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64)
-        keep = _bent_rows(unpack_rows(tables, 1 << n), n)
+        keep = bent_rows(unpack_rows(tables, 1 << n), n)
         out.extend(tables[keep].tolist())
     return out
 
@@ -73,7 +67,7 @@ def _bent_tables_from_anf_range(n: int, lo: int, hi: int) -> list[int]:
     for start in range(lo, hi, _CHUNK):
         candidates = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64) + offset
         truth = truth_rows_from_anf(n, points, unpack_rows(candidates, len(points)))
-        out.extend(pack_rows(truth[_bent_rows(truth, n)]))
+        out.extend(pack_rows(truth[bent_rows(truth, n)]))
     return out
 
 

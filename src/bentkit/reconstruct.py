@@ -13,7 +13,7 @@ from math import comb
 
 import numpy as np
 
-from .core import BooleanFunction, _check_arity, pack_bits
+from .core import BooleanFunction, _check_arity, pack_bits, unpack_bits
 from .geometry import (
     Ball,
     FaceMask,
@@ -53,9 +53,9 @@ class BallAssignment:
 
     @classmethod
     def from_function(cls, f: BooleanFunction, r: int) -> "BallAssignment":
-        """Restriction of f to the ball B_r."""
-        pts = ball_points(f.n, r).points
-        return cls(f.n, r, tuple(f.bit(p) for p in pts))
+        """Restriction of f to the ball B_r, gathered from one unpacked table."""
+        bits = unpack_bits(f.table, f.size)[list(ball_points(f.n, r).points)]
+        return cls(f.n, r, tuple(bits.tolist()))
 
 
 def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:

@@ -3,19 +3,22 @@
 All arithmetic is exact.  There is one kernel per transform.  ``walsh_rows``
 is the in-place numpy butterfly on (rows, 2^n) arrays of a dtype the caller
 proves wide enough; below ``_NUMPY_CUTOVER``, and for values too large for
-int64, the pure-Python butterfly ``_hadamard_in_place`` runs instead.
+int64 (2^n * max|v| >= 2^62), the pure-Python butterfly ``_hadamard_in_place``
+runs instead.  A non-integral vector entry is a ``ValueError``.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
 ``walsh_fast`` is the O(n 2^n) transform; ``walsh_naive`` evaluates the
 defining double sum directly and serves as the independent oracle.
-``convolve_pm`` is likewise the direct sum, taken over the support of its
-vector and never routed through the transform, so
-``check_restriction_identity`` really compares two different computations.
+``convolve_pm`` is likewise the direct sum over the support of its vector,
+in int64 or else on exact ints in an object array, and never routed through
+the transform, so ``check_restriction_identity`` really compares two
+different computations.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
@@ -71,6 +74,15 @@ def walsh_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _integer_array(values: Sequence[int]) -> np.ndarray:
+    try:
+        vec = [operator.index(v) for v in values]
+    except TypeError as exc:
+        raise ValueError(f"vector entries must be integers: {exc}") from None
+    peak = max(map(abs, vec), default=0)
+    return np.array(vec, dtype=np.int64 if peak < (1 << 62) // len(vec) else object)
+
+
 def hadamard_transform(values: Sequence[int]) -> IntegerVector:
     """Integer Hadamard transform of a vector of length 2^n (exact).
 
@@ -79,12 +91,10 @@ def hadamard_transform(values: Sequence[int]) -> IntegerVector:
     size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError(f"vector length must be a power of two, got {size}")
-    work = [int(v) for v in values]
-    peak = max(map(abs, work), default=0)
-    # int64 is safe when size * max|v| cannot reach 2^62
-    if size >= (1 << _NUMPY_CUTOVER) and peak < (1 << 62) // max(size, 1):
-        return walsh_rows(np.array(work, dtype=np.int64)).tolist()
-    return _hadamard_in_place(work)
+    work = _integer_array(values)
+    if size >= (1 << _NUMPY_CUTOVER) and work.dtype == np.int64:
+        return walsh_rows(work).tolist()
+    return _hadamard_in_place(work.tolist())
 
 
 def _signs(f: BooleanFunction) -> list[int]:
@@ -174,23 +184,13 @@ def convolve_pm(f: BooleanFunction, g: Sequence[int]) -> IntegerVector:
     size = f.size
     if len(g) != size:
         raise ValueError(f"arity mismatch: function size {size}, vector length {len(g)}")
-    vec = [int(v) for v in g]
-    peak = max(map(abs, vec), default=0)
-    if peak < (1 << 62) // max(size, 1):
-        arr = np.array(vec, dtype=np.int64)
-        signs = 1 - 2 * unpack_bits(f.table, size).astype(np.int64)
-        idx = np.arange(size)
-        out = np.zeros(size, dtype=np.int64)
-        for w in np.flatnonzero(arr):
-            out += arr[w] * signs[idx ^ w]
-        return out.tolist()
-    signs_py = _signs(f)
-    out_py = [0] * size
-    for w, v in enumerate(vec):
-        if v:
-            for z in range(size):
-                out_py[z] += v * signs_py[z ^ w]
-    return out_py
+    arr = _integer_array(g)
+    signs = 1 - 2 * unpack_bits(f.table, size).astype(arr.dtype)
+    idx = np.arange(size)
+    out = np.zeros(size, dtype=arr.dtype)
+    for w in np.flatnonzero(arr):
+        out += arr[w] * signs[idx ^ w]
+    return out.tolist()
 
 
 def check_restriction_identity(f: BooleanFunction, gamma: FaceMask) -> bool:

@@ -2,12 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bentkit import bent, transforms
 from bentkit.bent import (
     AffineMap,
     apply_affine,
+    bent_rows,
     dual_bent,
     is_bent,
     matrix_rank,
@@ -16,8 +19,9 @@ from bentkit.bent import (
     two_flats,
 )
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
+from bentkit.core import pack_bits, unpack_bits
 from bentkit.geometry import gaussian_binomial
-from bentkit.transforms import walsh_fast
+from bentkit.transforms import walsh_fast, walsh_naive
 
 AND = parse_bf("bf:2:8")
 QUAD = parse_bf("bf:4:7888")  # x1x2 + x3x4
@@ -29,6 +33,64 @@ def test_is_bent_oracles():
     assert not is_bent(parse_bf("bf:2:6"))
     assert not is_bent(BooleanFunction(2, 0))
     assert not is_bent(BooleanFunction(3, 0b10000000))  # odd arity is never bent
+
+
+def _naive_bent(f):
+    return all(abs(v) == 1 << (f.n // 2) for v in walsh_naive(f).values) and f.n % 2 == 0
+
+
+def _rows(n, tables):
+    return np.array([unpack_bits(t, 1 << n) for t in tables]).reshape(len(tables), 1 << n)
+
+
+def _maiorana_mcfarland(n, rng):
+    # f(x, y) = <x, pi(y)> + g(y), with x the low n/2 index bits and y the high
+    h = n // 2
+    pi = np.array(rng.sample(range(1 << h), 1 << h))
+    g = np.array([rng.getrandbits(1) for _ in range(1 << h)])
+    idx = np.arange(1 << n)
+    x, y = idx & ((1 << h) - 1), idx >> h
+    return BooleanFunction(n, pack_bits((np.bitwise_count(x & pi[y]) & 1) ^ g[y]))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_bent_rows_matches_the_naive_criterion_on_every_table(n):
+    tables = range(1 << (1 << n))
+    mask = bent_rows(_rows(n, tables), n)
+    assert mask.tolist() == [_naive_bent(BooleanFunction(n, t)) for t in tables]
+    assert mask.any() == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("n", [5, 6, 7, 8, 9, 10])
+def test_bent_rows_matches_the_naive_criterion_on_random_tables(n):
+    rng = random.Random(n)
+    functions = [random_function(n, rng) for _ in range(20)]
+    if n % 2 == 0:
+        functions.append(_maiorana_mcfarland(n, rng))
+    mask = bent_rows(_rows(n, [f.table for f in functions]), n)
+    assert mask.tolist() == [_naive_bent(f) for f in functions]
+    assert mask[-1] == (n % 2 == 0)
+
+
+@pytest.mark.parametrize("n", [12, 14])
+def test_is_bent_on_maiorana_mcfarland_and_one_flip(n):
+    rng = random.Random(n)
+    f = _maiorana_mcfarland(n, rng)
+    assert is_bent(f)
+    # one flipped bit moves every Walsh value by 2
+    assert not is_bent(BooleanFunction(n, f.table ^ (1 << rng.randrange(f.size))))
+
+
+def test_bent_test_never_builds_a_spectrum_tuple(monkeypatch):
+    def refuse(f):
+        raise AssertionError("walsh_fast called")
+
+    # bent would bind the name on import, so patch it there as well
+    for module in (transforms, bent):
+        monkeypatch.setattr(module, "walsh_fast", refuse, raising=False)
+    assert is_bent(QUAD) and not is_bent(parse_bf("bf:4:7889"))
+    assert is_bent(_maiorana_mcfarland(8, random.Random(8)))
+    assert dual_bent(QUAD) == QUAD
 
 
 def test_bent_iff_odd_weight_at_n2():

@@ -55,6 +55,19 @@ def test_ball_assignment_counts_the_ball_without_listing_it(monkeypatch):
         BallAssignment(26, 13, (0,))
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_ball_assignment_from_function_reads_every_ball_point(n, monkeypatch):
+    f = random_function(n, n)
+    expected = {r: tuple(f.bit(p) for p in ball_points(n, r).points) for r in range(n + 1)}
+
+    def refuse(self, index):
+        raise AssertionError("from_function read a point with BooleanFunction.bit")
+
+    monkeypatch.setattr(BooleanFunction, "bit", refuse)
+    for r in range(n + 1):
+        assert BallAssignment.from_function(f, r).values == expected[r]
+
+
 def test_ball_assignment_round_trip_helpers():
     a = BallAssignment.from_function(AND, 1)
     assert a.values == (0, 0, 0)

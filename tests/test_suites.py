@@ -1,9 +1,13 @@
 """The verification suites themselves, at small parameters."""
 
+import random
+
 import numpy as np
 import pytest
 
 from bentkit import suites
+from bentkit.bent import apply_affine, is_bent, random_invertible
+from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, format_bf
 from bentkit.geometry import FaceMask
 from bentkit.reconstruct import check_lemma1
@@ -162,7 +166,7 @@ def test_zero_checks_do_not_pass():
 
 
 def test_prop1_failing_path_reports_counterexamples(monkeypatch):
-    monkeypatch.setattr(suites, "is_bent", lambda f: False)
+    monkeypatch.setattr(suites, "bent_rows", lambda truth, n: np.zeros(len(truth), dtype=bool))
     report = suite_prop1(n=2, maps=2)
     check_shape(report, "prop1")
     assert report["checks"] == 16
@@ -170,6 +174,24 @@ def test_prop1_failing_path_reports_counterexamples(monkeypatch):
     assert len(report["counterexamples"]) == 10
     assert all(set(c) == {"function", "image"} for c in report["counterexamples"])
     assert report["passed"] is False
+
+
+@pytest.mark.parametrize("n,maps,seed", [(2, 3, 7), (4, 2, 1)])
+def test_prop1_batch_reports_what_a_per_image_test_would(monkeypatch, n, maps, seed):
+    real = suites.bent_rows
+    # fail every image whose table is odd, i.e. is 1 at the origin
+    monkeypatch.setattr(suites, "bent_rows", lambda truth, k: real(truth, k) & (truth[:, 0] == 0))
+    report = suite_prop1(n=n, maps=maps, seed=seed)
+    rng = random.Random(seed)
+    expected = []
+    for f in enumerate_bent_by_degree(n).functions:
+        for _ in range(maps):
+            image = apply_affine(f, random_invertible(n, rng))
+            if not (is_bent(image) and image.table % 2 == 0):
+                expected.append({"function": format_bf(f), "image": format_bf(image)})
+    assert report["checks"] == maps * {2: 8, 4: 896}[n]
+    assert 0 < report["failures"] == len(expected) < report["checks"]
+    assert report["counterexamples"] == expected[:10]
 
 
 def test_lemma1_failing_path_keeps_counting_premises(monkeypatch):

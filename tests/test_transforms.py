@@ -106,6 +106,13 @@ def test_hadamard_transform_oracle():
         hadamard_transform([])
 
 
+def test_hadamard_transform_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="integers"):
+        hadamard_transform([1.5, 2.5])
+    assert hadamard_transform([np.uint8(3), np.int64(7)]) == [10, -4]
+    assert hadamard_transform([True, False]) == [1, 1]
+
+
 @given(st.lists(st.integers(-50, 50), min_size=1, max_size=64))
 def test_hadamard_involution(values):
     size = 1
@@ -201,6 +208,13 @@ def test_convolve_pm_oracles():
     assert convolve_pm(AND, [1, 0, 1, 0]) == [2, 0, 2, 0]
     with pytest.raises(ValueError):
         convolve_pm(AND, [1, 0])
+
+
+def test_convolve_pm_rejects_non_integral_entries():
+    with pytest.raises(ValueError, match="integers"):
+        convolve_pm(BooleanFunction(1, 0), [0.5, 1.7])
+    one = BooleanFunction(1, 0)
+    assert convolve_pm(one, [np.int64(2), True]) == convolve_pm(one, [2, 1]) == [3, 3]
 
 
 def test_convolve_pm_big_values_match_scaled_small():
