@@ -1,9 +1,10 @@
 """Bent-ness testing, dual functions, affine equivalence, 2-flat statistics.
 
 A function is bent when its arity is even and every Walsh value is +-2^(n/2).
-``bent_rows`` alone tests this, with one int32 ``walsh_rows`` butterfly over
-(rows, 2^n) truth tables; ``is_bent``, ``dual_bent``, the census and the
-``prop1`` suite all call it, and the dual reads the butterfly's signs.
+``_flat_rows`` alone states this test, on int32 spectra.  ``bent_rows`` runs
+one ``walsh_rows`` butterfly over (rows, 2^n) truth tables and applies it;
+``is_bent``, the census and the ``prop1`` suite call it.  ``dual_bent`` runs
+one butterfly too and reads both the test and the dual's signs from it.
 Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
 with M invertible; ``apply_affine`` gathers the table through the index
 permutation x -> Mx + translation and adds the affine term as one table.
@@ -26,12 +27,15 @@ from .transforms import walsh_rows
 FLAT_ARITY_CAP = 12
 
 
-def bent_rows(truth: np.ndarray, n: int) -> np.ndarray:
-    """Mask of the (rows, 2^n) truth-table rows whose spectrum is +-2^(n/2)
-    everywhere; all False for odd n (squares summing to 2^(2n-1) break Parseval)."""
-    # no butterfly stage exceeds 2^n <= 2^MAX_ARITY = 2^26, so int32 is exact
-    spectra = walsh_rows(1 - 2 * truth.astype(np.int32))
+def _flat_rows(spectra: np.ndarray, n: int) -> np.ndarray:
+    # all False for odd n (squares summing to 2^(2n-1) break Parseval)
     return np.all(np.abs(spectra) == (1 << (n // 2)), axis=1)
+
+
+def bent_rows(truth: np.ndarray, n: int) -> np.ndarray:
+    """Mask of the (rows, 2^n) truth-table rows whose spectrum is +-2^(n/2) everywhere."""
+    # no butterfly stage exceeds 2^n <= 2^MAX_ARITY = 2^26, so int32 is exact
+    return _flat_rows(walsh_rows(1 - 2 * truth.astype(np.int32)), n)
 
 
 def is_bent(f: BooleanFunction) -> bool:
@@ -41,10 +45,10 @@ def is_bent(f: BooleanFunction) -> bool:
 
 def dual_bent(b: BooleanFunction) -> BooleanFunction:
     """The bent function g with W_b(y) = 2^(n/2) * (-1)^g(y)."""
-    truth = unpack_bits(b.table, b.size)[None]
-    if not bent_rows(truth, b.n)[0]:
+    spectrum = walsh_rows(1 - 2 * unpack_bits(b.table, b.size)[None].astype(np.int32))
+    if not _flat_rows(spectrum, b.n)[0]:
         raise ValueError("not bent")
-    return BooleanFunction(b.n, pack_bits(walsh_rows(1 - 2 * truth.astype(np.int32)) < 0))
+    return BooleanFunction(b.n, pack_bits(spectrum < 0))
 
 
 def matrix_rank(cols: Sequence[int]) -> int:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import comb
 from typing import Optional, Sequence
 
@@ -123,14 +123,15 @@ def load_known_counts(path: str) -> list[dict]:
     return entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class BoundReport:
+    # fields in the order of the JSON form
     n: int
     trivial_upper_log2: int
     tokareva_lower_log2: int
-    a_n_log2: float
     t_n_log2: Optional[int] = None
     q_n: Optional[int] = None
+    a_n_log2: float
     theorem_upper_log2: Optional[float] = None
     headline_log2: Optional[float] = None
     simplified_log2: Optional[int] = None
@@ -142,26 +143,12 @@ class BoundReport:
     note: str = _ASYMPTOTIC_NOTE
 
     def to_json_dict(self) -> dict:
-        out: dict = {"n": self.n}
-        for name in (
-            "trivial_upper_log2",
-            "tokareva_lower_log2",
-            "t_n_log2",
-            "q_n",
-            "a_n_log2",
-            "theorem_upper_log2",
-            "headline_log2",
-            "simplified_log2",
-            "known_count_log2",
-            "known_source",
-            "known_provenance",
-        ):
-            value = getattr(self, name)
+        """Every field in declaration order, without the unset ones; tuples as lists."""
+        out: dict = {}
+        for field in fields(self):
+            value = getattr(self, field.name)
             if value is not None:
-                out[name] = value
-        out["asymptotic_only"] = list(self.asymptotic_only)
-        out["warnings"] = list(self.warnings)
-        out["note"] = self.note
+                out[field.name] = list(value) if isinstance(value, tuple) else value
         return out
 
 

@@ -68,7 +68,7 @@ def _add_function_arg(parser: argparse.ArgumentParser) -> None:
 
 def _cmd_wht(args: argparse.Namespace):
     f = _load_function(args.f)
-    return {"n": f.n, "values": list(walsh_fast(f).values)}, EXIT_OK
+    return {"n": f.n, "values": walsh_fast(f)}, EXIT_OK
 
 
 def _cmd_anf(args: argparse.Namespace):

@@ -84,8 +84,8 @@ def lemma1_premise(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> b
         raise ValueError(f"arity mismatch: {f.n} != {g.n}")
     if gamma.n != f.n:
         raise ValueError(f"arity mismatch: function n={f.n}, mask n={gamma.n}")
-    wf = walsh_fast(f).values
-    wg = walsh_fast(g).values
+    wf = walsh_fast(f)
+    wg = walsh_fast(g)
     return all(wf[y] == wg[y] for y in subcube_points(gamma))
 
 

@@ -97,7 +97,7 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
 
     def exhaustive() -> Iterator[Optional[dict]]:
         funcs = [BooleanFunction(n, t) for t in range(1 << (1 << n))]
-        spectra = [walsh_fast(f).values for f in funcs]
+        spectra = [walsh_fast(f) for f in funcs]
         for gamma in (FaceMask(n, 1 << i) for i in range(n)):
             points = subcube_points(gamma)
             keys = [tuple(values[y] for y in points) for values in spectra]
@@ -242,14 +242,14 @@ def _spectrum_problems(f: BooleanFunction) -> Optional[dict]:
     """The spectrum invariants f breaks, as a counterexample, or None."""
     spectrum = walsh_fast(f)
     failed = []
-    if sum(v * v for v in spectrum.values) != 1 << (2 * f.n):
+    if sum(v * v for v in spectrum) != 1 << (2 * f.n):
         failed.append("parseval")
     parity = (1 << f.n) & 1
-    if any((v & 1) != parity for v in spectrum.values):
+    if any((v & 1) != parity for v in spectrum):
         failed.append("parity")
-    if spectrum.values[0] != (1 << f.n) - 2 * weight(f):
+    if spectrum[0] != (1 << f.n) - 2 * weight(f):
         failed.append("w0")
-    if f.n <= 10 and walsh_naive(f).values != spectrum.values:
+    if f.n <= 10 and walsh_naive(f) != spectrum:
         failed.append("naive-disagrees")
     return {"f": format_bf(f), "problems": failed} if failed else None
 

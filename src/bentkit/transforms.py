@@ -8,18 +8,20 @@ runs instead.  A non-integral vector entry is a ``ValueError``.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
-``walsh_fast`` is the O(n 2^n) transform; ``walsh_naive`` evaluates the
-defining double sum directly and serves as the independent oracle.
-``convolve_pm`` is likewise the direct sum over the support of its vector,
-in int64 or else on exact ints in an object array, and never routed through
-the transform, so ``check_restriction_identity`` really compares two
-different computations.
+Spectra and vectors are returned as plain ``list[int]`` of Python ints.
+``walsh_fast`` (the spectrum of a function) and ``hadamard_transform`` (of an
+integer vector) each run one butterfly, O(n 2^n); ``walsh_naive`` evaluates
+the defining double sum directly, with no butterfly, and serves as the
+independent oracle.  ``convolve_pm`` is likewise the direct sum over the
+support of its vector, in int64 or else on exact ints in an object array, and
+never reaches a butterfly, so ``check_restriction_identity``, whose right side
+runs two (``walsh_fast`` of f, ``hadamard_transform`` of the masked
+spectrum), really compares two different computations.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb
 from typing import Sequence
@@ -34,14 +36,6 @@ NAIVE_ARITY_CAP = 12
 _NUMPY_CUTOVER = 7
 
 IntegerVector = list[int]
-
-
-@dataclass(frozen=True)
-class WalshSpectrum:
-    """Walsh-Hadamard spectrum: values[index(y)] = sum_x (-1)^(f(x) + <x,y>)."""
-
-    n: int
-    values: tuple[int, ...]
 
 
 def _hadamard_in_place(a: list[int]) -> list[int]:
@@ -102,12 +96,13 @@ def _signs(f: BooleanFunction) -> list[int]:
     return [1 - 2 * ((table >> k) & 1) for k in range(f.size)]
 
 
-def walsh_fast(f: BooleanFunction) -> WalshSpectrum:
-    """Walsh-Hadamard spectrum via the in-place butterfly, O(n 2^n)."""
+def walsh_fast(f: BooleanFunction) -> IntegerVector:
+    """Walsh-Hadamard spectrum, values[y] = sum_x (-1)^(f(x) + <x,y>), via one
+    butterfly, O(n 2^n)."""
     if f.n < _NUMPY_CUTOVER:
-        return WalshSpectrum(f.n, tuple(_hadamard_in_place(_signs(f))))
+        return _hadamard_in_place(_signs(f))
     signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int64)
-    return WalshSpectrum(f.n, tuple(walsh_rows(signs).tolist()))
+    return walsh_rows(signs).tolist()
 
 
 @lru_cache(maxsize=8)
@@ -118,7 +113,7 @@ def _character_matrix(n: int) -> np.ndarray:
     return (1 - 2 * parity).astype(np.int8)
 
 
-def walsh_naive(f: BooleanFunction) -> WalshSpectrum:
+def walsh_naive(f: BooleanFunction) -> IntegerVector:
     """Walsh-Hadamard spectrum by direct evaluation of the defining double sum.
 
     O(4^n) work; the independent oracle for walsh_fast.
@@ -130,7 +125,7 @@ def walsh_naive(f: BooleanFunction) -> WalshSpectrum:
     signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int8)
     # int64 accumulation without an int64 copy of the int8 matrix
     values = np.einsum("yx,x->y", _character_matrix(f.n), signs, dtype=np.int64)
-    return WalshSpectrum(f.n, tuple(int(v) for v in values))
+    return values.tolist()
 
 
 def _moebius_table(table: int, n: int, rows: int = 1) -> int:
@@ -197,15 +192,15 @@ def check_restriction_identity(f: BooleanFunction, gamma: FaceMask) -> bool:
     """Exact check that convolving (-1)^f with the dual-face indicator equals
     the doubly-transformed, face-masked spectrum divided by 2^dim.
 
-    The left side goes through convolve_pm, the right side through two
-    Hadamard transforms; both are exact integers.
+    The left side goes through convolve_pm, the right side through walsh_fast
+    and one hadamard_transform of the masked spectrum; both are exact integers.
     """
     if f.n != gamma.n:
         raise ValueError(f"arity mismatch: function n={f.n}, mask n={gamma.n}")
     size = f.size
     lhs = convolve_pm(f, unpack_bits(face_indicator(dual_face(gamma)), size).tolist())
 
-    spectrum = np.array(hadamard_transform(_signs(f)), dtype=np.int64)
+    spectrum = np.array(walsh_fast(f), dtype=np.int64)
     inside = unpack_bits(face_indicator(gamma), size)
     doubled = hadamard_transform((spectrum * inside).tolist())
     # |doubled| <= 2^(2n) <= 2^52 for n <= MAX_ARITY, so int64 is exact

@@ -126,7 +126,7 @@ def test_criterion_08_transform_properties():
     spectrum = walsh_fast(f)
     elapsed = time.perf_counter() - t0
     assert elapsed < 1.0
-    assert sum(v * v for v in spectrum.values) == 1 << 40
+    assert sum(v * v for v in spectrum) == 1 << 40
     print(f"ACCEPTANCE 8: PASS involution/Parseval/naive agreement; n=20 WHT in {elapsed:.2f}s")
 
 

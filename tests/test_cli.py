@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import hashlib
 import inspect
 import io
 import json
@@ -16,7 +17,7 @@ import bentkit.cli as cli
 from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_sum_distribution
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
-from bentkit.core import BooleanFunction, format_bf, parse_bf
+from bentkit.core import BooleanFunction, format_bf, parse_bf, random_function
 from bentkit.geometry import FaceMask, ball_points, coset_spectrum
 from bentkit.reconstruct import BallAssignment, reconstruct_from_ball
 from bentkit.suites import suite_lemma1
@@ -42,7 +43,7 @@ def test_wht_matches_library(capsys):
     code, payload, _ = run_json(capsys, "wht", "--f", "bf:2:8")
     assert code == 0
     assert payload == {"n": 2, "values": [2, 2, 2, -2]}
-    assert payload["values"] == list(walsh_fast(parse_bf("bf:2:8")).values)
+    assert payload["values"] == walsh_fast(parse_bf("bf:2:8"))
 
 
 def test_anf_matches_library(capsys):
@@ -287,6 +288,61 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout) == {"n": 2, "values": [2, 2, 2, -2]}
+
+
+# Maiorana-McFarland <x, y> on F_2^4 x F_2^4, x the low index bits
+MM8 = format_bf(BooleanFunction(8, sum(((x & 15) & (x >> 4)).bit_count() % 2 << x for x in range(256))))
+GOLDEN_ARGVS = [
+    ["wht", "--f", "bf:2:8"],
+    ["wht", "--f", format_bf(random_function(8, 8))],
+    ["wht", "--f", format_bf(random_function(12, 12))],
+]
+for _literal, _mask in (("bf:4:0356", "0x5"), (MM8, "0x33")):
+    GOLDEN_ARGVS += [
+        ["bent", "test", "--f", _literal],
+        ["bent", "dual", "--f", _literal],
+        ["bent", "affine", "--f", _literal, "--count", "3"],
+        ["coset-spectrum", "--f", _literal, "--mask", _mask],
+    ]
+GOLDEN_ARGVS += [["bounds", "--n", "4"], ["bounds", "--n", "26"], ["census", "--n", "4"]]
+# census-agreement is left out: its naive_s detail is a timing
+GOLDEN_ARGVS += [
+    ["verify", "--suite", suite]
+    for suite in ("lemma1", "lemma2", "prop1", "flats", "convolution", "parseval", "involution")
+]
+# (sha256 of stdout, exit code) per argv above
+GOLDEN = [
+    ("f92695d70604bbee38f227f10a969a05229a3c8d136a4506a38021287ee3a70b", 0),
+    ("493d6219a2c46aba300e9cc39a52cff243865a4f21a2f7fd7992d347341a19d1", 0),
+    ("e922ecb73e657e77798e7defed12417ae26eb4a300432a01c38b092f5ee18e02", 0),
+    ("3d33bc5bbf180d80bb7022f8ccc2827691ad58ed4acfbfbc6483d73e8313437f", 0),
+    ("673fe3f7a616733b9432f93ba889b9bc599d3c34115ff693a9b1081f175e7581", 0),
+    ("be153cdaf154f6145295e96c76af3ecc1d747881727ac31506162ff6777bb3bb", 0),
+    ("5a11dbc909821cb715c78139a2d2ed6550443825dcdb07401638088160a53a6b", 0),
+    ("f368abb41d8e36d6fc631beabdeedc503fa75825308e73178e21447a325e6ab2", 0),
+    ("ad1459c31323556cae5c665bb3b9ed2966c3a449ae18fe39e1f9bff4906d86a6", 0),
+    ("d6bcd3118e8c391a0c7ad01b161ef7c5a91497e5b9050e9be0b2e975b1d2b955", 0),
+    ("93c405f0610843a89bb1118e22d44ad3dcd5ee0ee2e214aef630735a4c9eee82", 0),
+    ("4877edbf1de2f0641225fa182853a97e260d8d5958d199f5f465fb2c2862fce9", 0),
+    ("69682f3c739f199c37f76d3edac84dccd3b42d4bda65afa330674b7c655c607c", 0),
+    ("4f77c628c206b90bc081bc5698f491c8aa9facbd155bb0470d4d2b56a6f9344f", 0),
+    ("dd94e3e7d88e68f59521c8bcabd6572a4c4ae4aadc117ccdf49ba92473e81525", 0),
+    ("3784b9b792c5d06777ebec53e4d1b8ddc935772b1eeaefeeea2f41401a15bf11", 0),
+    ("7e24ce66a88216c40c2009d5a0b1a529d1949cb2df50e54527658f936cb82de7", 0),
+    ("a20d50d9f55b094dbde870727c1e35feceaf27b8c63e0632d2b20924827fa5b4", 0),
+    ("539d0928e731e66a9d2b8054327c5349b2b4520fc661ddb2ecd25e619404e34d", 0),
+    ("3fa658c9919b5210189789cb4e5212b45c2afe5cf761f03e2974bc6178c5d6f7", 0),
+    ("1bf1b5b90c6d9b23272c643d64ce43d8dfd747ba83346283f57c48969b220a4d", 0),
+]
+
+
+def test_stdout_bytes_and_exit_codes_match_the_golden_digests(capsys):
+    changed = []
+    for argv, expected in zip(GOLDEN_ARGVS, GOLDEN, strict=True):
+        code, out, _ = run(capsys, *argv)
+        if (hashlib.sha256(out.encode()).hexdigest(), code) != expected:
+            changed.append(argv)
+    assert changed == []
 
 
 def _leaf_parsers(parser, words=()):

@@ -13,7 +13,6 @@ from bentkit.core import pack_bits, unpack_bits, unpack_rows
 from bentkit.geometry import FaceMask, ball_points, face_indicator
 from bentkit.transforms import (
     _NUMPY_CUTOVER,
-    WalshSpectrum,
     check_restriction_identity,
     convolve_pm,
     degree,
@@ -36,25 +35,25 @@ def functions(max_n=10):
 
 
 def test_walsh_oracles():
-    assert walsh_fast(AND).values == (2, 2, 2, -2)
-    assert walsh_naive(AND).values == (2, 2, 2, -2)
-    assert walsh_fast(XOR).values == (0, 0, 0, 4)
-    assert walsh_fast(BooleanFunction(1, 0)).values == (2, 0)
-    assert walsh_fast(BooleanFunction(1, 0b10)).values == (0, 2)
-    assert walsh_fast(parse_bf("bf:4:7888")).values[0] == 4
+    assert walsh_fast(AND) == [2, 2, 2, -2]
+    assert walsh_naive(AND) == [2, 2, 2, -2]
+    assert walsh_fast(XOR) == [0, 0, 0, 4]
+    assert walsh_fast(BooleanFunction(1, 0)) == [2, 0]
+    assert walsh_fast(BooleanFunction(1, 0b10)) == [0, 2]
+    assert walsh_fast(parse_bf("bf:4:7888"))[0] == 4
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fast_matches_naive_exhaustively(n):
     for table in range(1 << (1 << n)):
         f = BooleanFunction(n, table)
-        assert walsh_fast(f).values == walsh_naive(f).values
+        assert walsh_fast(f) == walsh_naive(f)
 
 
 @given(functions(10))
 @settings(max_examples=150, deadline=None)
 def test_fast_matches_naive_random(f):
-    assert walsh_fast(f).values == walsh_naive(f).values
+    assert walsh_fast(f) == walsh_naive(f)
 
 
 @pytest.mark.parametrize("n", [6, 7, 8])
@@ -64,7 +63,16 @@ def test_fast_matches_naive_across_cutover(n):
     rng = random.Random(n)
     for _ in range(20):
         f = random_function(n, rng)
-        assert walsh_fast(f).values == walsh_naive(f).values
+        assert walsh_fast(f) == walsh_naive(f)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_spectra_are_lists_of_python_ints(n):
+    # both sides of _NUMPY_CUTOVER for walsh_fast
+    f = random_function(n, n)
+    for spectrum in (walsh_fast(f), walsh_naive(f)):
+        assert type(spectrum) is list and len(spectrum) == f.size
+        assert all(type(v) is int for v in spectrum)
 
 
 def test_naive_makes_no_int64_copy_of_the_matrix():
@@ -88,12 +96,11 @@ def test_naive_cap():
 @settings(max_examples=150, deadline=None)
 def test_spectrum_invariants(f):
     spectrum = walsh_fast(f)
-    assert isinstance(spectrum, WalshSpectrum)
-    assert len(spectrum.values) == f.size
+    assert len(spectrum) == f.size
     # Parseval, parity, and the zero coefficient
-    assert sum(v * v for v in spectrum.values) == 1 << (2 * f.n)
-    assert all(v % 2 == 0 for v in spectrum.values)
-    assert spectrum.values[0] == f.size - 2 * weight(f)
+    assert sum(v * v for v in spectrum) == 1 << (2 * f.n)
+    assert all(v % 2 == 0 for v in spectrum)
+    assert spectrum[0] == f.size - 2 * weight(f)
 
 
 def test_hadamard_transform_oracle():
@@ -286,17 +293,36 @@ def test_restriction_identity_fails_on_an_indivisible_transform(monkeypatch):
     calls = []
 
     def indivisible(values):
-        # the second transform of each check gains 1, which 2^dim (dim >= 1) cannot divide
+        # the transform of the masked spectrum gains 1, which 2^dim (dim >= 1) cannot divide
         out = real(values)
         calls.append(None)
-        if len(calls) % 2 == 0:
-            out[0] += 1
+        out[0] += 1
         return out
 
     monkeypatch.setattr(transforms, "hadamard_transform", indivisible)
     assert not check_restriction_identity(AND, FaceMask(2, 0b01))
     assert not check_restriction_identity(random_function(8, 3), FaceMask(8, 0x5A))
-    assert len(calls) == 4
+    assert len(calls) == 2
+
+
+def test_restriction_identity_runs_one_fast_and_one_hadamard_transform(monkeypatch):
+    calls = []
+
+    def counting(name):
+        real = getattr(transforms, name)
+
+        def wrapper(arg):
+            calls.append(name)
+            return real(arg)
+
+        return wrapper
+
+    for name in ("walsh_fast", "hadamard_transform"):
+        monkeypatch.setattr(transforms, name, counting(name))
+    for f, mask in ((AND, FaceMask(2, 0b01)), (random_function(8, 3), FaceMask(8, 0x5A))):
+        calls.clear()
+        assert check_restriction_identity(f, mask)
+        assert sorted(calls) == ["hadamard_transform", "walsh_fast"]
 
 
 def test_restriction_identity_oracle():
