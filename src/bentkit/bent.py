@@ -3,12 +3,13 @@
 A function is bent when its arity is even and every Walsh value is +-2^(n/2).
 ``_flat_rows`` alone states this test, on int32 spectra.  ``bent_rows`` runs
 one ``walsh_rows`` butterfly over (rows, 2^n) truth tables and applies it;
-``is_bent``, the census and the ``prop1`` suite call it.  ``dual_bent`` runs
-one butterfly too and reads both the test and the dual's signs from it.
+``is_bent``, the census and ``_bent_images`` (``prop1``, ``bent affine``)
+call it.  ``dual_bent`` runs one butterfly and reads the test and signs from it.
 Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
 with M invertible; ``apply_affine`` gathers the table through the index
 permutation x -> Mx + translation and adds the affine term as one table.
-2-flat sums add truth-table translates built with ``geometry``'s coordinate masks.
+``two_flat_sum_distribution`` is a closed form in n, W(0) and sum_y W(y)^4
+from one ``walsh_fast``; ``two_flats`` lists the flats for direct counts.
 """
 
 from __future__ import annotations
@@ -20,11 +21,9 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import BooleanFunction, ResourceCapError, _check_arity, pack_bits, unpack_bits
+from .core import BooleanFunction, _check_arity, pack_bits, unpack_bits
 from .geometry import coordinate_masks, gaussian_binomial
-from .transforms import walsh_rows
-
-FLAT_ARITY_CAP = 12
+from .transforms import walsh_fast, walsh_rows
 
 
 def _flat_rows(spectra: np.ndarray, n: int) -> np.ndarray:
@@ -136,14 +135,11 @@ def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> A
     )
 
 
-def _canonical_pairs(n: int) -> Iterator[tuple[int, int]]:
-    # each 2-dim subspace once, keyed by its two smallest nonzero members;
-    # u < v forces u^v to be the largest of the three
-    top = 1 << n
-    for u in range(1, top):
-        for v in range(u + 1, top):
-            if v < (u ^ v):
-                yield (u, v)
+def _bent_images(f: BooleanFunction, count: int, rng: random.Random) -> tuple[list, np.ndarray]:
+    """``count`` random affine images of f, drawn from rng in order, and one ``bent_rows`` mask."""
+    images = [apply_affine(f, random_invertible(f.n, rng)) for _ in range(count)]
+    truth = np.array([unpack_bits(g.table, g.size) for g in images]).reshape(count, f.size)
+    return images, bent_rows(truth, f.n)
 
 
 def two_flats(n: int) -> Iterator[tuple[int, int, int, int]]:
@@ -154,11 +150,16 @@ def two_flats(n: int) -> Iterator[tuple[int, int, int, int]]:
     _check_arity(n)
     if n < 2:
         raise ValueError(f"2-dimensional flats need n >= 2, got {n}")
-    for u, v in _canonical_pairs(n):
-        w = u ^ v
-        for t in range(1 << n):
-            if t < (t ^ u) and t < (t ^ v) and t < (t ^ w):
-                yield (t, t ^ u, t ^ v, t ^ w)
+    top = 1 << n
+    # each direction subspace once, keyed by its two smallest nonzero members;
+    # u < v forces u^v to be the largest of the three
+    for u in range(1, top):
+        for v in range(u + 1, top):
+            w = u ^ v
+            if v < w:
+                for t in range(top):
+                    if t < (t ^ u) and t < (t ^ v) and t < (t ^ w):
+                        yield (t, t ^ u, t ^ v, t ^ w)
 
 
 @dataclass(frozen=True)
@@ -174,28 +175,34 @@ class FlatSumDistribution:
 
 
 def two_flat_sum_distribution(b: BooleanFunction) -> FlatSumDistribution:
-    """Distribution of sum of (-1)^b over every 2-dimensional affine flat."""
+    """Distribution of sum of (-1)^b over every 2-dimensional affine flat.
+
+    With N = 2^n points, P = gaussian_binomial(n, 2) planes and T = P N/4
+    flats, the flat sums S have sum S = W(0) P, sum S^2 = 4T + (N/2 - 1)
+    (W(0)^2 - N) and sum S^3 = 10 W(0) P + W(0)^3 - (3N - 2) W(0); their sign
+    products sum to (sum W^4 / N - 3N^2 + 2N) / 24.  These fix the five
+    counts, every division exact.
+    """
     if b.n < 2:
         raise ValueError(f"2-dimensional flats need n >= 2, got {b.n}")
-    if b.n > FLAT_ARITY_CAP:
-        raise ResourceCapError(
-            f"flat enumeration at arity {b.n} exceeds the cap of {FLAT_ARITY_CAP}"
-        )
-    # translates[u] has bit x = b(x ^ u): swap the table halves along each bit of u
-    translates = [b.table]
-    for i, mask in enumerate(coordinate_masks(b.n)):
-        shift = 1 << i
-        translates += [((t & mask) << shift) | ((t >> shift) & mask) for t in translates]
-    # half-adders give bits 0, 1 of k(x) = ones of b on x + {0, u, v, u^v}; 4 points per flat
-    odd = mid = threes = fours = 0
-    for u, v in _canonical_pairs(b.n):
-        t, a, c, d = b.table, translates[u], translates[v], translates[u ^ v]
-        bit0 = t ^ a ^ c ^ d
-        bit1 = (t & a) ^ (c & d) ^ ((t ^ a) & (c ^ d))
-        odd += bit0.bit_count()
-        mid += bit1.bit_count()
-        threes += (bit0 & bit1).bit_count()
-        fours += (t & a & c & d).bit_count()
-    k = {4: fours, 3: threes, 2: mid - threes, 1: odd - threes}
-    k[0] = (gaussian_binomial(b.n, 2) << b.n) - sum(k.values())
-    return FlatSumDistribution(b.n, {4 - 2 * j: k[j] // 4 for j in range(4, -1, -1)})
+    spectrum = walsh_fast(b)
+    size, w0 = b.size, spectrum[0]  # N, W(0)
+    planes = gaussian_binomial(b.n, 2)
+    total = planes << (b.n - 2)
+    # a point lies on P flats, two points on N/2 - 1, three points on one
+    s1 = w0 * planes
+    s2 = 4 * total + (size // 2 - 1) * (w0 * w0 - size)
+    s3 = 10 * s1 + w0**3 - (3 * size - 2) * w0
+    # x+y+z+w = 0 tuples give sum W^4 / N, less 3N^2 - 2N with a repeat, 24 per flat
+    products = (sum(v**4 for v in spectrum) // size - 3 * size * size + 2 * size) // 24
+    odd = (total - products) // 2
+    four = (s2 - 4 * odd) // 16
+    four_diff = (s3 - 4 * s1) // 48
+    two_diff = (s1 - 4 * four_diff) // 2
+    return FlatSumDistribution(b.n, {
+        -4: (four - four_diff) // 2,
+        -2: (odd - two_diff) // 2,
+        0: total - four - odd,
+        2: (odd + two_diff) // 2,
+        4: (four + four_diff) // 2,
+    })

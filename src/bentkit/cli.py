@@ -19,13 +19,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .bent import (
-    apply_affine,
-    dual_bent,
-    is_bent,
-    random_invertible,
-    two_flat_sum_distribution,
-)
+from .bent import _bent_images, dual_bent, is_bent, two_flat_sum_distribution
 from .bounds import bound_report, format_report_table, load_known_counts
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import BooleanFunction, ParseError, ResourceCapError, format_bf, parse_bf
@@ -108,12 +102,9 @@ def _cmd_bent_affine(args: argparse.Namespace):
     f = _load_function(args.f)
     if not is_bent(f):
         raise ValueError(f"{format_bf(f)} is not bent; affine images would not be")
-    rng = random.Random(args.seed)
-    images = []
-    for _ in range(args.count):
-        image = apply_affine(f, random_invertible(f.n, rng))
-        images.append({"function": format_bf(image), "bent": is_bent(image)})
-    all_bent = all(entry["bent"] for entry in images)
+    functions, bent = _bent_images(f, args.count, random.Random(args.seed))
+    images = [{"function": format_bf(g), "bent": ok} for g, ok in zip(functions, bent.tolist())]
+    all_bent = all(bent)
     payload = {
         "n": f.n,
         "function": format_bf(f),

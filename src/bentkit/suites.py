@@ -18,12 +18,7 @@ from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
-from .bent import (
-    apply_affine,
-    bent_rows,
-    random_invertible,
-    two_flat_sum_distribution,
-)
+from .bent import _bent_images, two_flat_sum_distribution, two_flats
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import BooleanFunction, _check_arity, format_bf, pack_bits, random_function, weight
 from .core import unpack_bits, unpack_rows
@@ -197,9 +192,7 @@ def suite_prop1(n: int = 4, maps: int = 10, seed: int = 1) -> dict:
     rng = random.Random(seed)
 
     def checks(f: BooleanFunction) -> Iterator[Optional[dict]]:
-        images = [apply_affine(f, random_invertible(n, rng)) for _ in range(maps)]
-        bent = bent_rows(unpack_rows(np.array([g.table for g in images], np.uint64), 1 << n), n)
-        for image, ok in zip(images, bent):
+        for image, ok in zip(*_bent_images(f, maps, rng)):
             yield None if ok else {"function": format_bf(f), "image": format_bf(image)}
 
     return _report(
@@ -280,8 +273,9 @@ def suite_involution(samples: int = 1000, seed: int = 1, max_n: int = 16) -> dic
 def suite_flats(n: int = 4) -> dict:
     """2-flat sum statistics over the whole census at one arity.
 
-    Checks the 16-pattern class sizes against binomial counts, then verifies
-    every bent function shares one absolute-value distribution.  Only |sum|
+    Checks the 16-pattern class sizes against binomial counts, then that each
+    member's closed form equals a direct sign count over ``two_flats`` (no
+    spectrum) and that all share one absolute-value distribution.  Only |sum|
     can be census-constant: complementing a bent function negates every flat
     sum, so the signed split varies.  The measured +-2 share is reported as
     data, not asserted against a constant.
@@ -294,17 +288,23 @@ def suite_flats(n: int = 4) -> dict:
         yield None if sizes == expected else {"reason": "pattern classes", "got": sizes}
 
         members = enumerate_bent_by_degree(n).functions or ()
+        # ones[i, j] = ones of member i on flat j; column k of direct counts sum 4 - 2k
+        truth = unpack_rows(np.array([f.table for f in members], np.uint64), 1 << n)
+        ones = truth[:, np.array(list(two_flats(n)))].sum(axis=2)
+        direct = np.stack([(ones == k).sum(axis=1) for k in range(5)], axis=1).tolist()
         common: Optional[dict[int, int]] = None
-        for f in members:
+        for f, row in zip(members, direct):
             dist = two_flat_sum_distribution(f)
+            counted = {4 - 2 * k: v for k, v in enumerate(row)}
+            yield None if dist.counts == counted else {
+                "function": format_bf(f),
+                "reason": "closed form differs from the direct count",
+                "got": {str(k): v for k, v in sorted(dist.counts.items())},
+                "direct": {str(k): v for k, v in sorted(counted.items())},
+            }
             abs_counts = {0: dist.counts[0]}
             for magnitude in (2, 4):
                 abs_counts[magnitude] = dist.counts[magnitude] + dist.counts[-magnitude]
-            covered = sum(dist.counts.values()) == dist.total
-            yield None if covered else {
-                "function": format_bf(f),
-                "reason": "counts do not cover all flats",
-            }
             if common is None:
                 common = abs_counts
             yield None if abs_counts == common else {

@@ -18,7 +18,7 @@ from bentkit.bent import (
     two_flat_sum_distribution,
     two_flats,
 )
-from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
+from bentkit.core import BooleanFunction, parse_bf, random_function, weight
 from bentkit.core import pack_bits, unpack_bits
 from bentkit.geometry import gaussian_binomial
 from bentkit.transforms import walsh_fast, walsh_naive
@@ -279,8 +279,6 @@ def test_flat_distribution_works_on_any_function():
 
 
 def test_flat_distribution_caps():
-    with pytest.raises(ResourceCapError):
-        two_flat_sum_distribution(BooleanFunction(13, 0))
     with pytest.raises(ValueError):
         two_flat_sum_distribution(BooleanFunction(1, 0))
 
@@ -292,6 +290,9 @@ def test_flat_distribution_caps():
         (6, 5_376, 1_260, 3_780),
         (8, 348_160, 85_680, 257_040),
         (10, 22_347_776, 5_565_120, 16_695_360),
+        (12, 1_431_306_240, 357_477_120, 1_072_431_360),
+        (14, 91_620_376_576, 22_899_502_080, 68_698_506_240),
+        (16, 5_863_972_536_320, 1_465_903_656_960, 4_397_710_970_880),
     ],
 )
 def test_inner_product_flat_closed_forms(n, odd, four, zero):
@@ -310,13 +311,23 @@ def test_inner_product_flat_closed_forms(n, odd, four, zero):
     assert counts[0] == zero
 
 
+def _flat_recount(f):
+    recount = {s: 0 for s in (-4, -2, 0, 2, 4)}
+    for flat in two_flats(f.n):
+        recount[sum(1 - 2 * f.bit(p) for p in flat)] += 1
+    return recount
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_flat_sums_match_direct_recount_on_every_table(n):
+    for table in range(1 << (1 << n)):
+        f = BooleanFunction(n, table)
+        assert two_flat_sum_distribution(f).counts == _flat_recount(f)
+
+
 @given(st.data())
 @settings(max_examples=30, deadline=None)
 def test_flat_sums_match_direct_recount(data):
     n = data.draw(st.integers(2, 6))
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
-    dist = two_flat_sum_distribution(f)
-    recount = {s: 0 for s in (-4, -2, 0, 2, 4)}
-    for flat in two_flats(n):
-        recount[sum(1 - 2 * f.bit(p) for p in flat)] += 1
-    assert dist.counts == recount
+    assert two_flat_sum_distribution(f).counts == _flat_recount(f)

@@ -310,6 +310,16 @@ GOLDEN_ARGVS += [
     ["verify", "--suite", suite]
     for suite in ("lemma1", "lemma2", "prop1", "flats", "convolution", "parseval", "involution")
 ]
+GOLDEN_ARGVS += [
+    ["bent", "flats", "--f", literal]
+    for literal in (
+        "bf:2:8",
+        "bf:4:0356",
+        MM8,
+        format_bf(random_function(3, 3)),
+        format_bf(random_function(10, 10)),
+    )
+]
 # (sha256 of stdout, exit code) per argv above
 GOLDEN = [
     ("f92695d70604bbee38f227f10a969a05229a3c8d136a4506a38021287ee3a70b", 0),
@@ -333,6 +343,11 @@ GOLDEN = [
     ("539d0928e731e66a9d2b8054327c5349b2b4520fc661ddb2ecd25e619404e34d", 0),
     ("3fa658c9919b5210189789cb4e5212b45c2afe5cf761f03e2974bc6178c5d6f7", 0),
     ("1bf1b5b90c6d9b23272c643d64ce43d8dfd747ba83346283f57c48969b220a4d", 0),
+    ("b2c5771654b7ea73f777de4f0096d23d170d99399b8d4ea8c2194b21dcd1a5f9", 0),
+    ("688de565d24828ba14eada79b58098c52867a218af4bd4ffaf4209bbb66ca39c", 0),
+    ("f7c18e5b85adfba2ae0fb509231788522ae315bc096ed69063339c9790a51f35", 0),
+    ("7417bca63ca8aee526819866fac1e4eddb91fa54a319b586783c1ddbcbf258cc", 0),
+    ("1c2d0a2be88bd49c0459a5e798c9aea96fd51e07f36460a5d383b1355592f28c", 0),
 ]
 
 

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from bentkit import suites
+from bentkit import bent, suites
 from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, format_bf
@@ -159,6 +159,26 @@ def test_census_agreement_suite(n):
         assert report["details"]["analytic_odd_weight_count"] == 8
 
 
+def test_flats_suite_fails_when_the_closed_form_leaves_the_direct_count(monkeypatch):
+    real = suites.two_flat_sum_distribution
+
+    def one_flat_moved(f):
+        # census-constant, so the absolute-distribution check alone would pass
+        dist = real(f)
+        counts = {**dist.counts, 0: dist.counts[0] - 1, 4: dist.counts[4] + 1}
+        return type(dist)(dist.n, counts)
+
+    monkeypatch.setattr(suites, "two_flat_sum_distribution", one_flat_moved)
+    report = suite_flats(4)
+    check_shape(report, "flats")
+    assert report["passed"] is False
+    assert report["checks"] == 1 + 2 * 896
+    assert report["failures"] == 896
+    assert {c["reason"] for c in report["counterexamples"]} == {
+        "closed form differs from the direct count"
+    }
+
+
 def test_zero_checks_do_not_pass():
     assert suite_lemma1(n=8, samples=0)["passed"] is False
     assert suite_lemma2(n=6, samples=0)["passed"] is False
@@ -166,7 +186,7 @@ def test_zero_checks_do_not_pass():
 
 
 def test_prop1_failing_path_reports_counterexamples(monkeypatch):
-    monkeypatch.setattr(suites, "bent_rows", lambda truth, n: np.zeros(len(truth), dtype=bool))
+    monkeypatch.setattr(bent, "bent_rows", lambda truth, n: np.zeros(len(truth), dtype=bool))
     report = suite_prop1(n=2, maps=2)
     check_shape(report, "prop1")
     assert report["checks"] == 16
@@ -178,10 +198,6 @@ def test_prop1_failing_path_reports_counterexamples(monkeypatch):
 
 @pytest.mark.parametrize("n,maps,seed", [(2, 3, 7), (4, 2, 1)])
 def test_prop1_batch_reports_what_a_per_image_test_would(monkeypatch, n, maps, seed):
-    real = suites.bent_rows
-    # fail every image whose table is odd, i.e. is 1 at the origin
-    monkeypatch.setattr(suites, "bent_rows", lambda truth, k: real(truth, k) & (truth[:, 0] == 0))
-    report = suite_prop1(n=n, maps=maps, seed=seed)
     rng = random.Random(seed)
     expected = []
     for f in enumerate_bent_by_degree(n).functions:
@@ -189,6 +205,11 @@ def test_prop1_batch_reports_what_a_per_image_test_would(monkeypatch, n, maps, s
             image = apply_affine(f, random_invertible(n, rng))
             if not (is_bent(image) and image.table % 2 == 0):
                 expected.append({"function": format_bf(f), "image": format_bf(image)})
+    real = bent.bent_rows
+    # fail every image whose table is odd, i.e. is 1 at the origin; patched
+    # after the per-image reference, which also reaches bent.bent_rows
+    monkeypatch.setattr(bent, "bent_rows", lambda truth, k: real(truth, k) & (truth[:, 0] == 0))
+    report = suite_prop1(n=n, maps=maps, seed=seed)
     assert report["checks"] == maps * {2: 8, 4: 896}[n]
     assert 0 < report["failures"] == len(expected) < report["checks"]
     assert report["counterexamples"] == expected[:10]
