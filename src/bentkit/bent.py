@@ -25,6 +25,9 @@ from .core import BooleanFunction, _check_arity, pack_bits, unpack_bits
 from .geometry import coordinate_masks, gaussian_binomial
 from .transforms import walsh_fast, walsh_rows
 
+# bent-tests at most this many truth-table points (images x 2^n) at once
+_IMAGE_CHUNK_POINTS = 1 << 18
+
 
 def _flat_rows(spectra: np.ndarray, n: int) -> np.ndarray:
     # all False for odd n (squares summing to 2^(2n-1) break Parseval)
@@ -136,10 +139,17 @@ def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> A
 
 
 def _bent_images(f: BooleanFunction, count: int, rng: random.Random) -> tuple[list, np.ndarray]:
-    """``count`` random affine images of f, drawn from rng in order, and one ``bent_rows`` mask."""
+    """``count`` random affine images of f, drawn from rng in order, and their
+    ``bent_rows`` mask, tested in chunks so that memory does not grow with ``count``."""
     images = [apply_affine(f, random_invertible(f.n, rng)) for _ in range(count)]
-    truth = np.array([unpack_bits(g.table, g.size) for g in images]).reshape(count, f.size)
-    return images, bent_rows(truth, f.n)
+    step = max(1, _IMAGE_CHUNK_POINTS >> f.n)
+    bent = np.zeros(count, dtype=bool)
+    for start in range(0, count, step):
+        chunk = images[start : start + step]
+        bent[start : start + step] = bent_rows(
+            np.array([unpack_bits(g.table, g.size) for g in chunk]), f.n
+        )
+    return images, bent
 
 
 def two_flats(n: int) -> Iterator[tuple[int, int, int, int]]:

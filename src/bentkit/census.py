@@ -1,17 +1,20 @@
 """Exhaustive bent-function census at desk scale.
 
 Two independent methods: brute force over every truth table, and search over
-normal forms supported on the ball B_{n/2}.  Both stream results in ascending
-truth-table order for any job count: min(jobs, cores) workers each take one
-contiguous shard of the candidates.  Candidates are (rows, 2^n) bit arrays:
-the degree method turns normal forms into truth tables with the packed
-Moebius kernel, and both filter each chunk with ``bent.bent_rows``, the one
-bent test.  Hard caps keep infeasible arities from hanging: the brute-force
-space is 2^(2^n) and the degree-restricted space is 2^42 at n=6.
+normal forms supported on the ball B_d, d = max(2, n/2): a bent function has
+degree <= n/2 for n >= 4, and all 8 at n=2 have degree 2.  Both stream
+results in ascending truth-table order for any job count: min(jobs, cores)
+spawned workers each take one contiguous shard of the candidates.
+Candidates are (rows, 2^n) bit arrays: the degree method turns normal forms
+into truth tables with the packed Moebius kernel, and both filter each chunk
+with ``bent.bent_rows``, the one bent test.  Hard caps keep infeasible
+arities from hanging: the brute-force space is 2^(2^n) and the
+degree-restricted space is 2^42 at n=6.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -29,6 +32,11 @@ from .transforms import degree_space_log2, truth_rows_from_anf
 NAIVE_ARITY_CAP = 4
 DEGREE_EXPONENT_CAP = 24
 _CHUNK = 1 << 16
+
+
+def _degree_bound(n: int) -> int:
+    """The degree bound of bent functions at even arity n."""
+    return max(2, n // 2)
 
 
 @dataclass(frozen=True)
@@ -53,19 +61,13 @@ def _bent_tables_in_range(n: int, lo: int, hi: int) -> list[int]:
 def _bent_tables_from_anf_range(n: int, lo: int, hi: int) -> list[int]:
     """Truth-table ints of bent functions among candidates lo..hi (unsorted).
 
-    For n >= 4 candidate k sets the normal-form coefficient at ball point j
-    wherever bit j of k is set (the degree bound for bent functions).  n=2 is
-    special: bent functions there all have degree 2, so the top monomial is
-    pinned to 1 (candidates shift by 8 over all four points) and the 2^3
-    candidates range over the affine part.
+    Candidate k sets the normal-form coefficient at point j of the ball B_d,
+    d = ``_degree_bound(n)``, wherever bit j of k is set.
     """
-    points = ball_points(n, n // 2).points
-    offset = 0
-    if n == 2:
-        points, offset = (0, 1, 2, 3), 8
+    points = ball_points(n, _degree_bound(n))
     out: list[int] = []
     for start in range(lo, hi, _CHUNK):
-        candidates = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64) + offset
+        candidates = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64)
         truth = truth_rows_from_anf(n, points, unpack_rows(candidates, len(points)))
         out.extend(pack_rows(truth[bent_rows(truth, n)]))
     return out
@@ -87,7 +89,9 @@ def _census(method: str, worker, n: int, total: int, jobs: int, keep: bool) -> C
         tables = worker(n, 0, total)
     else:
         bounds = [total * k // workers for k in range(workers + 1)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        # spawn, not fork: numpy has already started threads in this process
+        spawn = multiprocessing.get_context("spawn")
+        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
             parts = pool.map(worker, [n] * workers, bounds[:-1], bounds[1:])
             tables = [t for part in parts for t in part]
     tables.sort()
@@ -110,10 +114,10 @@ def enumerate_bent_naive(n: int, *, jobs: int = 1, include_functions: bool = Tru
 def enumerate_bent_by_degree(
     n: int, *, jobs: int = 1, include_functions: bool = True
 ) -> CensusResult:
-    """Search normal forms supported on B_{n/2} and filter by the bent test."""
+    """Search normal forms of degree <= max(2, n/2) and filter by the bent test."""
     _check_even(n)
     _check_arity(n)  # before the exponent, a sum of n/2 big binomials
-    exponent = degree_space_log2(n, n // 2)
+    exponent = degree_space_log2(n, _degree_bound(n))
     if exponent > DEGREE_EXPONENT_CAP:
         raise ResourceCapError(
             f"degree-restricted census needs 2^{exponent} candidates at n={n}, "

@@ -92,9 +92,11 @@ def unpack_rows(values: np.ndarray, width: int) -> np.ndarray:
 
 def pack_rows(rows: np.ndarray) -> list[int]:
     """Inverse of unpack_rows: each row of at most 64 bits as an int."""
-    # the bits are distinct powers of two, so the uint64 sum never carries
-    shifts = np.arange(rows.shape[1], dtype=np.uint64)
-    return (rows.astype(np.uint64) << shifts).sum(axis=1, dtype=np.uint64).tolist()
+    # each row's little-endian bytes, zero-padded to 8 and read as one <u8
+    packed = np.packbits(rows, axis=1, bitorder="little")
+    raw = np.zeros((len(rows), 8), dtype=np.uint8)
+    raw[:, : packed.shape[1]] = packed
+    return raw.view("<u8").ravel().tolist()
 
 
 def random_function(n: int, rng: Union[int, random.Random, None] = None) -> BooleanFunction:

@@ -5,7 +5,8 @@ A face is the subcube Gamma(mask) = {x : x AND NOT mask = 0}: the set bits of
 a face are keyed by their minimal-index member, which is the point with all
 free coordinates cleared; a coset is its face shifted by that representative.
 The point-set masks on truth tables, ``coordinate_masks``, ``weight_masks``
-and ``face_indicator``, are built here and nowhere else.
+and ``face_indicator``, are built here and nowhere else.  A Hamming ball is
+the plain tuple of its points that ``ball_points`` returns.
 """
 
 from __future__ import annotations
@@ -107,23 +108,15 @@ def coset_spectrum(f: BooleanFunction, m: FaceMask) -> dict[int, int]:
     return {rep: size - 2 * ((f.table >> rep) & indicator).bit_count() for rep in reps}
 
 
-@dataclass(frozen=True)
-class Ball:
+def ball_points(n: int, r: int) -> tuple[int, ...]:
     """Hamming ball B_r: all points of weight <= r, sorted by (weight, index)."""
-
-    n: int
-    r: int
-    points: tuple[int, ...]
-
-
-def ball_points(n: int, r: int) -> Ball:
     _check_arity(n)
     if not 0 <= r <= n:
         raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
     # combinations of descending bits are descending: list weights r..0, reverse
     bits = [1 << i for i in reversed(range(n))]
     members = [x for w in range(r, -1, -1) for x in map(sum, combinations(bits, w))]
-    return Ball(n, r, tuple(reversed(members)))
+    return tuple(reversed(members))
 
 
 def covering_coset_count(n: int, r: int, m: FaceMask) -> int:

@@ -15,7 +15,6 @@ import numpy as np
 
 from .core import BooleanFunction, _check_arity, pack_bits, unpack_bits
 from .geometry import (
-    Ball,
     FaceMask,
     ball_points,
     coset_spectrum,
@@ -48,13 +47,10 @@ class BallAssignment:
             if type(v) is not int or v not in (0, 1):
                 raise ValueError(f"assignment entries must be bits, got {v!r}")
 
-    def ball(self) -> Ball:
-        return ball_points(self.n, self.r)
-
     @classmethod
     def from_function(cls, f: BooleanFunction, r: int) -> "BallAssignment":
         """Restriction of f to the ball B_r, gathered from one unpacked table."""
-        bits = unpack_bits(f.table, f.size)[list(ball_points(f.n, r).points)]
+        bits = unpack_bits(f.table, f.size)[list(ball_points(f.n, r))]
         return cls(f.n, r, tuple(bits.tolist()))
 
 
@@ -67,7 +63,7 @@ def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:
     """
     ball = sum(weight_masks(a.n)[: a.r + 1])  # disjoint classes: the sum is the union
     bits = np.zeros(1 << a.n, dtype=np.uint8)
-    bits[list(a.ball().points)] = a.values
+    bits[list(ball_points(a.n, a.r))] = a.values
     assigned = pack_bits(bits)
     anf = moebius(BooleanFunction(a.n, assigned)).table & ball
     result = moebius(BooleanFunction(a.n, anf))

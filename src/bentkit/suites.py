@@ -21,7 +21,7 @@ import numpy as np
 from .bent import _bent_images, two_flat_sum_distribution, two_flats
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import BooleanFunction, _check_arity, format_bf, pack_bits, random_function, weight
-from .core import unpack_bits, unpack_rows
+from .core import pack_rows, unpack_bits, unpack_rows
 from .geometry import FaceMask, ball_points, coset_value_class_sizes, subcube_points
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
 from .transforms import moebius, walsh_fast, walsh_naive
@@ -141,20 +141,15 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
 
     def exhaustive() -> Iterator[Optional[dict]]:
         for radius in range(n + 1):
-            points = ball_points(n, radius).points
+            points = ball_points(n, radius)
             total = 1 << len(points)
             per_radius[str(radius)] = total
             coeffs = unpack_rows(np.arange(total, dtype=np.uint64), len(points))
             truth = truth_rows_from_anf(n, points, coeffs)
-            # one key per row: its restriction to the ball, |B_r| <= 16 bits at
-            # n <= 4, packed little-endian into a uint16
-            packed = np.packbits(truth[:, list(points)], axis=1, bitorder="little")
-            keys = np.zeros((total, 2), dtype=np.uint8)
-            keys[:, : packed.shape[1]] = packed
+            # one key per row: its restriction to the ball, |B_r| <= 16 bits at n <= 4
+            keys = pack_rows(truth[:, list(points)])
             # first[inverse[k]] is the first candidate sharing k's restriction
-            _, first, inverse = np.unique(
-                keys.view("<u2").ravel(), return_index=True, return_inverse=True
-            )
+            _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             earlier = first[inverse]
             collide = np.flatnonzero(earlier != np.arange(total))
             for k in collide:
@@ -171,7 +166,7 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
 
     def randomized() -> Iterator[Optional[dict]]:
         radius = n // 2
-        points = ball_points(n, radius).points
+        points = ball_points(n, radius)
         per_radius[str(radius)] = samples
         for _ in range(samples):
             coeffs = unpack_bits(rng.getrandbits(len(points)), len(points))

@@ -2,9 +2,11 @@
 
 All arithmetic is exact.  There is one kernel per transform.  ``walsh_rows``
 is the in-place numpy butterfly on (rows, 2^n) arrays of a dtype the caller
-proves wide enough; below ``_NUMPY_CUTOVER``, and for values too large for
-int64 (2^n * max|v| >= 2^62), the pure-Python butterfly ``_hadamard_in_place``
-runs instead.  A non-integral vector entry is a ``ValueError``.
+proves wide enough; ``hadamard_transform`` runs it at every length, in int64
+or, for values too large for it (2^n * max|v| >= 2^62), on exact ints in an
+object array.  The pure-Python butterfly ``_hadamard_in_place`` runs only
+inside ``walsh_fast`` below ``_NUMPY_CUTOVER``, where numpy's call overhead
+dominates.  A non-integral vector entry is a ``ValueError``.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
@@ -32,7 +34,7 @@ from .core import BooleanFunction, ResourceCapError, pack_bits, unpack_bits
 from .geometry import FaceMask, coordinate_masks, dual_face, face_indicator, weight_masks
 
 NAIVE_ARITY_CAP = 12
-# pure-python butterflies beat numpy call overhead below this arity
+# walsh_fast's pure-Python butterfly beats numpy call overhead below this arity
 _NUMPY_CUTOVER = 7
 
 IntegerVector = list[int]
@@ -85,10 +87,7 @@ def hadamard_transform(values: Sequence[int]) -> IntegerVector:
     size = len(values)
     if size == 0 or size & (size - 1):
         raise ValueError(f"vector length must be a power of two, got {size}")
-    work = _integer_array(values)
-    if size >= (1 << _NUMPY_CUTOVER) and work.dtype == np.int64:
-        return walsh_rows(work).tolist()
-    return _hadamard_in_place(work.tolist())
+    return walsh_rows(_integer_array(values)).tolist()
 
 
 def _signs(f: BooleanFunction) -> list[int]:

@@ -1,6 +1,7 @@
 """Bent checks, duals, affine maps, and 2-flat statistics."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,6 +243,37 @@ def test_random_invertible_determinism():
     maps = [random_invertible(4, rng) for _ in range(50)]
     assert all(matrix_rank(t.cols) == 4 for t in maps)
     assert len(set(maps)) > 1
+
+
+def test_bent_images_memory_does_not_grow_with_the_count():
+    f = _maiorana_mcfarland(16, random.Random(16))
+    tracemalloc.start()
+    try:
+        images, mask = bent._bent_images(f, 50, random.Random(1))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(images) == 50 and mask.all()
+    assert peak < 12 << 20  # one 50-row batch with its int32 spectra peaks near 32 MB
+
+
+def test_bent_images_in_one_row_chunks_match_one_batch(monkeypatch):
+    # every image is bent, so the mask also reads each image's value at the
+    # origin: a chunk written to the wrong rows then shows
+    calls = []
+
+    def marked(truth, n):
+        calls.append(len(truth))
+        return bent_rows(truth, n) & (truth[:, 0] == 0)
+
+    monkeypatch.setattr(bent, "bent_rows", marked)
+    images, mask = bent._bent_images(QUAD, 40, random.Random(3))
+    monkeypatch.setattr(bent, "_IMAGE_CHUNK_POINTS", QUAD.size)
+    per_row = bent._bent_images(QUAD, 40, random.Random(3))
+    assert calls == [40] + [1] * 40
+    assert per_row[0] == images
+    assert per_row[1].tolist() == mask.tolist() == [g.bit(0) == 0 for g in images]
+    assert 0 < mask.sum() < 40
 
 
 def test_two_flats_structure():

@@ -66,7 +66,8 @@ def serial_pool(monkeypatch):
     started = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, mp_context):
+            assert mp_context.get_start_method() == "spawn"
             started.append(max_workers)
 
         def __enter__(self):

@@ -394,7 +394,7 @@ MASKS = st.one_of(
 def _ball_json(n, r, bits):
     """A well-formed ball assignment: r clipped to n, the low bits of ``bits``."""
     r = min(r, n)
-    values = [(bits >> i) & 1 for i in range(len(ball_points(n, r).points))]
+    values = [(bits >> i) & 1 for i in range(len(ball_points(n, r)))]
     return json.dumps({"n": n, "r": r, "values": values})
 
 

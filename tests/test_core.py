@@ -137,6 +137,14 @@ def test_codec_round_trip_past_int64():
     assert [pack_bits(row) for row in rows] == pack_rows(rows) == [table, 5]
 
 
+@pytest.mark.parametrize("width", [1, 7, 8, 9, 63, 64])
+def test_pack_rows_matches_shift_and_sum(width):
+    rows = np.random.default_rng(width).integers(0, 2, (20, width), dtype=np.uint8)
+    rows[0], rows[1] = 1, 0  # all ones sets bit 63 at width 64
+    assert pack_rows(rows) == [sum(int(b) << i for i, b in enumerate(row)) for row in rows]
+    assert pack_rows(rows[:0]) == []
+
+
 @given(functions(10))
 def test_codec_matches_shifts(f):
     assert f.bits() == [(f.table >> k) & 1 for k in range(f.size)]

@@ -130,8 +130,31 @@ def test_hadamard_involution(values):
     assert twice == [size * v for v in values]
 
 
+def _hadamard_literal(values):
+    return [
+        sum(v * (-1) ** (x & y).bit_count() for x, v in enumerate(values))
+        for y in range(len(values))
+    ]
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_hadamard_transform_is_the_double_sum_at_every_length(n, monkeypatch):
+    rng = random.Random(n)
+    small = [rng.randrange(-100, 101) for _ in range(1 << n)]
+    big = [rng.choice((-1, 1)) * ((1 << 62) + rng.getrandbits(40)) for _ in range(1 << n)]
+    expected = [_hadamard_literal(small), _hadamard_literal(big)]
+
+    def refuse(*args):
+        raise AssertionError("hadamard_transform ran the pure-Python butterfly")
+
+    monkeypatch.setattr(transforms, "_hadamard_in_place", refuse)
+    got = [hadamard_transform(small), hadamard_transform(big)]
+    assert got == expected
+    assert all(type(v) is int for values in got for v in values)
+
+
 def test_hadamard_big_integers_exact():
-    # magnitudes way past int64 must stay exact (pure-python route)
+    # magnitudes way past int64 must stay exact (object-array route)
     values = [(-3) ** 41 + i for i in range(128)]
     twice = hadamard_transform(hadamard_transform(values))
     assert twice == [128 * v for v in values]
@@ -158,7 +181,7 @@ def test_moebius_involution_random(f):
 
 @pytest.mark.parametrize("n,r", [(2, 1), (4, 2), (6, 3)])
 def test_packed_batch_moebius_matches_per_function(n, r):
-    points = ball_points(n, r).points
+    points = ball_points(n, r)
     rng = random.Random(n)
     candidates = [rng.getrandbits(len(points)) for _ in range(50)]
     truth = truth_rows_from_anf(n, points, unpack_rows(np.array(candidates, dtype=np.uint64), len(points)))
