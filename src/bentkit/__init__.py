@@ -48,6 +48,7 @@ from .core import (
 from .geometry import (
     FaceMask,
     ball_points,
+    ball_size,
     coset_spectrum,
     coset_value_class_sizes,
     covering_coset_count,
@@ -58,8 +59,6 @@ from .geometry import (
 from .reconstruct import (
     BallAssignment,
     check_lemma1,
-    lemma1_conclusion,
-    lemma1_premise,
     reconstruct_from_ball,
 )
 from .suites import SUITES
@@ -67,7 +66,6 @@ from .transforms import (
     check_restriction_identity,
     convolve_pm,
     degree,
-    degree_space_log2,
     hadamard_transform,
     moebius,
     walsh_fast,
@@ -91,6 +89,7 @@ __all__ = [
     "a_n_log2",
     "apply_affine",
     "ball_points",
+    "ball_size",
     "bent_count",
     "bound_report",
     "check_lemma1",
@@ -100,7 +99,6 @@ __all__ = [
     "coset_value_class_sizes",
     "covering_coset_count",
     "degree",
-    "degree_space_log2",
     "dual_bent",
     "dual_face",
     "enumerate_bent_by_degree",
@@ -111,8 +109,6 @@ __all__ = [
     "hadamard_transform",
     "headline_log2",
     "is_bent",
-    "lemma1_conclusion",
-    "lemma1_premise",
     "load_known_counts",
     "matrix_rank",
     "moebius",

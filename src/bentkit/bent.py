@@ -6,8 +6,10 @@ one ``walsh_rows`` butterfly over (rows, 2^n) truth tables and applies it;
 ``is_bent``, the census and ``_bent_images`` (``prop1``, ``bent affine``)
 call it.  ``dual_bent`` runs one butterfly and reads the test and signs from it.
 Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
-with M invertible; ``apply_affine`` gathers the table through the index
-permutation x -> Mx + translation and adds the affine term as one table.
+with M invertible.  ``apply_affine`` builds the images under a batch of maps:
+it doubles each map's index permutation x -> Mx + translation and its affine
+term over the input bits in numpy, then gathers all the images from one
+unpacked table as (maps, 2^n) bit rows, which ``_bent_images`` tests directly.
 ``two_flat_sum_distribution`` is a closed form in n, W(0) and sum_y W(y)^4
 from one ``walsh_fast``; ``two_flats`` lists the flats for direct counts.
 """
@@ -16,16 +18,15 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from .core import BooleanFunction, _check_arity, pack_bits, unpack_bits
-from .geometry import coordinate_masks, gaussian_binomial
+from .geometry import gaussian_binomial
 from .transforms import walsh_fast, walsh_rows
 
-# bent-tests at most this many truth-table points (images x 2^n) at once
+# builds and bent-tests at most this many truth-table points (images x 2^n) at once
 _IMAGE_CHUNK_POINTS = 1 << 18
 
 
@@ -99,26 +100,24 @@ class AffineMap:
             raise ValueError("matrix is singular")
 
 
-def apply_affine(f: BooleanFunction, t: AffineMap) -> BooleanFunction:
-    """g(x) = f(Mx + translation) + <functional, x> + constant."""
-    if f.n != t.n:
-        raise ValueError(f"arity mismatch: function n={f.n}, map n={t.n}")
-    # perm[x] = Mx + translation, doubled over the input bits; reversed so
-    # the gathered string reads most significant point first
-    perm = [t.translation]
-    for c in t.cols:
-        perm += [p ^ c for p in perm]
-    perm.reverse()
-    # character y of the string is f(y); a string gather beats a numpy one
-    # at n=4, where prop1 makes its 8,960 calls
-    bits = format(f.table, f"0{f.size}b")[::-1]
-    image = int("".join(itemgetter(*perm)(bits)), 2)
-    full = (1 << f.size) - 1
-    term = full if t.constant else 0
-    for i, clear in enumerate(coordinate_masks(f.n)):
-        if (t.functional >> i) & 1:
-            term ^= full ^ clear
-    return BooleanFunction(f.n, image ^ term)
+def apply_affine(f: BooleanFunction, maps: Sequence[AffineMap]) -> np.ndarray:
+    """Images g(x) = f(Mx + translation) + <functional, x> + constant of f, one
+    per map, as the rows of a (len(maps), 2^n) uint8 bit block."""
+    for t in maps:
+        if t.n != f.n:
+            raise ValueError(f"arity mismatch: function n={f.n}, map n={t.n}")
+    n = f.n
+    # word bits 0..n-1 hold Mx + translation and bit n the affine term, so one
+    # doubling word[x | 2^i] = word[x] ^ step_i builds both; words < 2^27 fit int32
+    steps = np.array(
+        [[c | ((t.functional >> i) & 1) << n for i, c in enumerate(t.cols)] for t in maps],
+        dtype=np.int32,
+    ).reshape(len(maps), n)
+    words = np.empty((len(maps), f.size), dtype=np.int32)
+    words[:, 0] = [t.translation | t.constant << n for t in maps]
+    for i in range(n):
+        words[:, 1 << i : 2 << i] = words[:, : 1 << i] ^ steps[:, i, None]
+    return unpack_bits(f.table, f.size)[words & (f.size - 1)] ^ (words >> n).astype(np.uint8)
 
 
 def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> AffineMap:
@@ -140,15 +139,15 @@ def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> A
 
 def _bent_images(f: BooleanFunction, count: int, rng: random.Random) -> tuple[list, np.ndarray]:
     """``count`` random affine images of f, drawn from rng in order, and their
-    ``bent_rows`` mask, tested in chunks so that memory does not grow with ``count``."""
-    images = [apply_affine(f, random_invertible(f.n, rng)) for _ in range(count)]
+    ``bent_rows`` mask, built and tested in chunks so that memory does not grow
+    with ``count``."""
+    maps = [random_invertible(f.n, rng) for _ in range(count)]
     step = max(1, _IMAGE_CHUNK_POINTS >> f.n)
-    bent = np.zeros(count, dtype=bool)
+    images, bent = [], np.zeros(count, dtype=bool)
     for start in range(0, count, step):
-        chunk = images[start : start + step]
-        bent[start : start + step] = bent_rows(
-            np.array([unpack_bits(g.table, g.size) for g in chunk]), f.n
-        )
+        rows = apply_affine(f, maps[start : start + step])
+        bent[start : start + step] = bent_rows(rows, f.n)
+        images += [BooleanFunction(f.n, pack_bits(row)) for row in rows]
     return images, bent
 
 

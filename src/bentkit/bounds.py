@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 from math import comb
 from typing import Optional, Sequence
 
-from .geometry import FaceMask, covering_coset_count
+from .geometry import FaceMask, ball_size, covering_coset_count
 
 _LOG2_6 = math.log2(6)
 # past this arity 2^(n-6) and T_n no longer convert to a float
@@ -53,7 +53,7 @@ def tokareva_lower_log2(n: int) -> int:
 def t_n_log2(n: int) -> int:
     """Sum of C(n-2, i) for i = 0..n/2: restriction-count exponent."""
     _check_even(n, 4)
-    return sum(comb(n - 2, i) for i in range(n // 2 + 1))
+    return ball_size(n - 2, n // 2)
 
 
 def q_n(n: int) -> int:

@@ -26,8 +26,8 @@ import numpy as np
 
 from .bent import bent_rows
 from .core import BooleanFunction, ResourceCapError, _check_arity, pack_rows, unpack_rows
-from .geometry import ball_points
-from .transforms import degree_space_log2, truth_rows_from_anf
+from .geometry import ball_points, ball_size
+from .transforms import truth_rows_from_anf
 
 NAIVE_ARITY_CAP = 4
 DEGREE_EXPONENT_CAP = 24
@@ -117,7 +117,7 @@ def enumerate_bent_by_degree(
     """Search normal forms of degree <= max(2, n/2) and filter by the bent test."""
     _check_even(n)
     _check_arity(n)  # before the exponent, a sum of n/2 big binomials
-    exponent = degree_space_log2(n, _degree_bound(n))
+    exponent = ball_size(n, _degree_bound(n))  # log2 of the normal forms of that degree
     if exponent > DEGREE_EXPONENT_CAP:
         raise ResourceCapError(
             f"degree-restricted census needs 2^{exponent} candidates at n={n}, "

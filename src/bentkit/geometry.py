@@ -119,6 +119,11 @@ def ball_points(n: int, r: int) -> tuple[int, ...]:
     return tuple(reversed(members))
 
 
+def ball_size(n: int, r: int) -> int:
+    """Number of points of B_r in F_2^n, sum_{i<=r} C(n, i), for n, r >= 0."""
+    return sum(comb(n, i) for i in range(r + 1))
+
+
 def covering_coset_count(n: int, r: int, m: FaceMask) -> int:
     """Number of cosets of Gamma(m) that intersect the ball B_r.
 
@@ -130,7 +135,7 @@ def covering_coset_count(n: int, r: int, m: FaceMask) -> int:
         raise ValueError(f"arity mismatch: n={n}, mask n={m.n}")
     if not 0 <= r <= n:
         raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
-    return sum(comb(n - m.dim, i) for i in range(r + 1))
+    return ball_size(n - m.dim, r)
 
 
 def gaussian_binomial(n: int, k: int) -> int:

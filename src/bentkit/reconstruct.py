@@ -9,7 +9,6 @@ reads values inside the set.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
 
 import numpy as np
 
@@ -17,6 +16,7 @@ from .core import BooleanFunction, _check_arity, pack_bits, unpack_bits
 from .geometry import (
     FaceMask,
     ball_points,
+    ball_size,
     coset_spectrum,
     dual_face,
     subcube_points,
@@ -37,7 +37,7 @@ class BallAssignment:
         _check_arity(self.n)
         if not 0 <= self.r <= self.n:
             raise ValueError(f"radius must satisfy 0 <= r <= {self.n}, got {self.r}")
-        expected = sum(comb(self.n, i) for i in range(self.r + 1))
+        expected = ball_size(self.n, self.r)
         if len(self.values) != expected:
             raise ValueError(
                 f"ball of radius {self.r} in n={self.n} has {expected} points, "
@@ -74,32 +74,19 @@ def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:
     return result
 
 
-def lemma1_premise(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> bool:
-    """True iff the spectra of f and g agree at every point of the face."""
+def check_lemma1(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> dict[str, bool]:
+    """Evaluate both sides of the implication.  The premise: the spectra of f
+    and g agree at every point of the face.  The conclusion: f and g have equal
+    sums on every coset of the dual face.  ``holds`` must always be true."""
     if f.n != g.n:
         raise ValueError(f"arity mismatch: {f.n} != {g.n}")
     if gamma.n != f.n:
         raise ValueError(f"arity mismatch: function n={f.n}, mask n={gamma.n}")
     wf = walsh_fast(f)
     wg = walsh_fast(g)
-    return all(wf[y] == wg[y] for y in subcube_points(gamma))
-
-
-def lemma1_conclusion(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> bool:
-    """True iff f and g have equal sums on every coset of the dual face."""
-    if f.n != g.n:
-        raise ValueError(f"arity mismatch: {f.n} != {g.n}")
-    if gamma.n != f.n:
-        raise ValueError(f"arity mismatch: function n={f.n}, mask n={gamma.n}")
+    premise = all(wf[y] == wg[y] for y in subcube_points(gamma))
     dual = dual_face(gamma)
-    return coset_spectrum(f, dual) == coset_spectrum(g, dual)
-
-
-def check_lemma1(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> dict[str, bool]:
-    """Evaluate both sides of the implication: spectra equal on a face implies
-    equal coset sums on the dual face.  ``holds`` must always be true."""
-    premise = lemma1_premise(f, g, gamma)
-    conclusion = lemma1_conclusion(f, g, gamma)
+    conclusion = coset_spectrum(f, dual) == coset_spectrum(g, dual)
     return {
         "premise": premise,
         "conclusion": conclusion,

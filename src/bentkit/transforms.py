@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import operator
 from functools import lru_cache
-from math import comb
 from typing import Sequence
 
 import numpy as np
@@ -157,15 +156,6 @@ def degree(f: BooleanFunction) -> int:
     anf = moebius(f).table
     masks = weight_masks(f.n)
     return next((w for w in range(f.n, 0, -1) if anf & masks[w]), 0)
-
-
-def degree_space_log2(n: int, d: int) -> int:
-    """log2 of the number of functions of degree <= d on F_2^n."""
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n}")
-    if not 0 <= d <= n:
-        raise ValueError(f"degree bound must satisfy 0 <= d <= {n}, got {d}")
-    return sum(comb(n, i) for i in range(d + 1))
 
 
 def convolve_pm(f: BooleanFunction, g: Sequence[int]) -> IntegerVector:

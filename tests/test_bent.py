@@ -165,46 +165,57 @@ def test_affine_map_validation():
         AffineMap(2, (1, 2), 0, 0, 2)
 
 
+def _image(f, t):
+    """The image of f under the one map t, as a function."""
+    return BooleanFunction(f.n, pack_bits(apply_affine(f, [t])[0]))
+
+
 def test_apply_affine_identity_and_translation():
     ident = AffineMap(2, (1, 2), 0, 0, 0)
-    assert apply_affine(AND, ident) == AND
+    assert apply_affine(AND, [ident])[0].tolist() == AND.bits()
     x1 = parse_bf("bf:2:a")
     shift = AffineMap(2, (1, 2), 1, 0, 0)
-    assert apply_affine(x1, shift) == parse_bf("bf:2:5")  # x1 + 1
+    assert _image(x1, shift) == parse_bf("bf:2:5")  # x1 + 1
     flip = AffineMap(2, (1, 2), 0, 0, 1)
-    assert apply_affine(x1, flip) == parse_bf("bf:2:5")
+    assert _image(x1, flip) == parse_bf("bf:2:5")
     add_x2 = AffineMap(2, (1, 2), 0, 2, 0)
-    assert apply_affine(x1, add_x2) == parse_bf("bf:2:6")  # x1 + x2
+    assert _image(x1, add_x2) == parse_bf("bf:2:6")  # x1 + x2
+    assert apply_affine(x1, []).shape == (0, 4)
 
 
 def test_apply_affine_swap():
     swap = AffineMap(2, (2, 1), 0, 0, 0)  # exchanges the two inputs
     x1 = parse_bf("bf:2:a")
     x2 = parse_bf("bf:2:c")
-    assert apply_affine(x1, swap) == x2
-    assert apply_affine(AND, swap) == AND
+    assert _image(x1, swap) == x2
+    assert _image(AND, swap) == AND
 
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6, 8, 10])
 def test_apply_affine_matches_pointwise_definition(n):
     rng = random.Random(n)
-    for _ in range(20):
-        f = random_function(n, rng)
-        t = random_invertible(n, rng)
-        expected = 0
+    f = random_function(n, rng)
+    maps = [random_invertible(n, rng) for _ in range(20)]
+    rows = apply_affine(f, maps)
+    assert rows.shape == (20, 1 << n) and rows.dtype == np.uint8
+    for t, row in zip(maps, rows):
+        expected = []
         for x in range(1 << n):
             y = t.translation
             for i, col in enumerate(t.cols):
                 if (x >> i) & 1:
                     y ^= col
-            bit = f.bit(y) ^ ((t.functional & x).bit_count() & 1) ^ t.constant
-            expected |= bit << x
-        assert apply_affine(f, t) == BooleanFunction(n, expected)
+            expected.append(f.bit(y) ^ ((t.functional & x).bit_count() & 1) ^ t.constant)
+        assert row.tolist() == expected
 
 
 def test_apply_affine_arity_mismatch():
     with pytest.raises(ValueError):
-        apply_affine(AND, AffineMap(3, (1, 2, 4), 0, 0, 0))
+        apply_affine(AND, [AffineMap(3, (1, 2, 4), 0, 0, 0)])
+    # one map of the wrong arity fails the whole batch
+    ident = AffineMap(2, (1, 2), 0, 0, 0)
+    with pytest.raises(ValueError, match="map n=3"):
+        apply_affine(AND, [ident, AffineMap(3, (1, 2, 4), 0, 0, 0), ident])
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32), st.data())
@@ -213,7 +224,7 @@ def test_linear_part_permutes_spectrum(n, seed, data):
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     t = random_invertible(n, seed)
     linear = AffineMap(n, t.cols, 0, 0, 0)
-    image = apply_affine(f, linear)
+    image = _image(f, linear)
     assert sorted(walsh_fast(image)) == sorted(walsh_fast(f))
 
 
@@ -224,7 +235,7 @@ def test_affine_preserves_absolute_spectrum(n, seed, data):
     # negates its whole spectrum
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     t = random_invertible(n, seed)
-    image = apply_affine(f, t)
+    image = _image(f, t)
     assert sorted(abs(v) for v in walsh_fast(image)) == sorted(
         abs(v) for v in walsh_fast(f)
     )
@@ -232,7 +243,7 @@ def test_affine_preserves_absolute_spectrum(n, seed, data):
 
 def test_translation_flips_signed_spectrum():
     x1 = parse_bf("bf:2:a")
-    shifted = apply_affine(x1, AffineMap(2, (1, 2), 1, 0, 0))
+    shifted = _image(x1, AffineMap(2, (1, 2), 1, 0, 0))
     assert walsh_fast(x1) == [0, 4, 0, 0]
     assert walsh_fast(shifted) == [0, -4, 0, 0]
 

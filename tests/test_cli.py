@@ -10,6 +10,7 @@ import random
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -17,7 +18,7 @@ import bentkit.cli as cli
 from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_sum_distribution
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
-from bentkit.core import BooleanFunction, format_bf, parse_bf, random_function
+from bentkit.core import BooleanFunction, format_bf, pack_bits, parse_bf, random_function
 from bentkit.geometry import FaceMask, ball_points, coset_spectrum
 from bentkit.reconstruct import BallAssignment, reconstruct_from_ball
 from bentkit.suites import suite_lemma1
@@ -79,7 +80,10 @@ def test_bent_flats_matches_library(capsys):
 def test_bent_affine_matches_library_replay(capsys):
     f = parse_bf("bf:4:7888")
     rng = random.Random(3)
-    expected = [format_bf(apply_affine(f, random_invertible(4, rng))) for _ in range(4)]
+    expected = [
+        format_bf(BooleanFunction(4, pack_bits(apply_affine(f, [random_invertible(4, rng)])[0])))
+        for _ in range(4)
+    ]
     code, payload, _ = run_json(
         capsys, "bent", "affine", "--f", "bf:4:7888", "--count", "4", "--seed", "3"
     )
@@ -292,6 +296,9 @@ def test_module_entry_point():
 
 # Maiorana-McFarland <x, y> on F_2^4 x F_2^4, x the low index bits
 MM8 = format_bf(BooleanFunction(8, sum(((x & 15) & (x >> 4)).bit_count() % 2 << x for x in range(256))))
+# the same on F_2^8 x F_2^8
+_X16 = np.arange(1 << 16)
+MM16 = format_bf(BooleanFunction(16, pack_bits(np.bitwise_count(_X16 & (_X16 >> 8) & 255) & 1)))
 GOLDEN_ARGVS = [
     ["wht", "--f", "bf:2:8"],
     ["wht", "--f", format_bf(random_function(8, 8))],
@@ -319,6 +326,11 @@ GOLDEN_ARGVS += [
         format_bf(random_function(3, 3)),
         format_bf(random_function(10, 10)),
     )
+]
+# count 9 at n=16 tests the images in three chunks of 4
+GOLDEN_ARGVS += [
+    ["bent", "affine", "--f", "bf:2:8", "--count", "5"],
+    ["bent", "affine", "--f", MM16, "--count", "9"],
 ]
 # (sha256 of stdout, exit code) per argv above
 GOLDEN = [
@@ -348,6 +360,8 @@ GOLDEN = [
     ("f7c18e5b85adfba2ae0fb509231788522ae315bc096ed69063339c9790a51f35", 0),
     ("7417bca63ca8aee526819866fac1e4eddb91fa54a319b586783c1ddbcbf258cc", 0),
     ("1c2d0a2be88bd49c0459a5e798c9aea96fd51e07f36460a5d383b1355592f28c", 0),
+    ("c2691bb4c4e1ec67b0229050d5f0cdff64326db9b0fc3f3ac8ea487ab180eed3", 0),
+    ("8cca86b17daa56f885942b0c64d3820db232460b1034182d0ca7e7c2fe148c22", 0),
 ]
 
 

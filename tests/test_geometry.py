@@ -10,6 +10,7 @@ from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, weight
 from bentkit.geometry import (
     FaceMask,
     ball_points,
+    ball_size,
     coset_spectrum,
     coset_value_class_sizes,
     covering_coset_count,
@@ -169,6 +170,21 @@ def test_ball_points_cost_follows_the_ball():
     ball = ball_points(26, 1)
     assert time.perf_counter() - started < 0.5
     assert ball == (0,) + tuple(1 << i for i in range(26))
+
+
+def test_ball_size_oracles():
+    assert ball_size(4, 2) == 11
+    assert ball_size(2, 1) == 3
+    assert ball_size(3, 3) == 8
+    assert ball_size(3, 0) == 1
+    assert ball_size(3, 4) == 8  # a radius past n covers the cube
+    assert ball_size(0, 0) == 1
+
+
+def test_ball_size_counts_ball_points():
+    for n in range(1, 11):
+        for r in range(n + 1):
+            assert ball_size(n, r) == len(ball_points(n, r))
 
 
 def test_covering_coset_count_oracles():

@@ -7,13 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
 from bentkit.geometry import FaceMask, ball_points, dual_face, subcube_points
-from bentkit.reconstruct import (
-    BallAssignment,
-    check_lemma1,
-    lemma1_conclusion,
-    lemma1_premise,
-    reconstruct_from_ball,
-)
+from bentkit.reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
 from bentkit.transforms import degree, moebius
 
 AND = parse_bf("bf:2:8")
@@ -139,14 +133,16 @@ def test_reconstruction_clears_high_moebius_coefficients():
 
 def test_lemma1_premise_oracles():
     gamma = FaceMask(2, 0b01)
-    assert lemma1_premise(AND, AND, gamma)
-    assert not lemma1_premise(AND, XOR, gamma)
+    assert check_lemma1(AND, AND, gamma)["premise"]
+    assert not check_lemma1(AND, XOR, gamma)["premise"]
     # mask 0: premise compares only W(0), i.e. the weights
     zero = FaceMask(2, 0)
-    assert lemma1_premise(AND, parse_bf("bf:2:1"), zero)
-    assert not lemma1_premise(AND, XOR, zero)
+    assert check_lemma1(AND, parse_bf("bf:2:1"), zero)["premise"]
+    assert not check_lemma1(AND, XOR, zero)["premise"]
     with pytest.raises(ValueError):
-        lemma1_premise(AND, BooleanFunction(3, 0), FaceMask(2, 1))
+        check_lemma1(AND, BooleanFunction(3, 0), FaceMask(2, 1))
+    with pytest.raises(ValueError):
+        check_lemma1(AND, XOR, FaceMask(3, 1))
 
 
 def test_lemma1_conclusion_full_mask_is_pointwise():
@@ -154,7 +150,7 @@ def test_lemma1_conclusion_full_mask_is_pointwise():
     assert dual_face(full).mask == 0
     for table in range(16):
         g = BooleanFunction(2, table)
-        assert lemma1_conclusion(AND, g, full) == (g == AND)
+        assert check_lemma1(AND, g, full)["conclusion"] == (g == AND)
 
 
 def test_check_lemma1_oracle():

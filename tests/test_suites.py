@@ -8,7 +8,7 @@ import pytest
 from bentkit import bent, suites
 from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
-from bentkit.core import BooleanFunction, format_bf
+from bentkit.core import BooleanFunction, format_bf, pack_bits
 from bentkit.geometry import FaceMask
 from bentkit.reconstruct import check_lemma1
 from bentkit.suites import (
@@ -202,7 +202,7 @@ def test_prop1_batch_reports_what_a_per_image_test_would(monkeypatch, n, maps, s
     expected = []
     for f in enumerate_bent_by_degree(n).functions:
         for _ in range(maps):
-            image = apply_affine(f, random_invertible(n, rng))
+            image = BooleanFunction(n, pack_bits(apply_affine(f, [random_invertible(n, rng)])[0]))
             if not (is_bent(image) and image.table % 2 == 0):
                 expected.append({"function": format_bf(f), "image": format_bf(image)})
     real = bent.bent_rows

@@ -10,13 +10,12 @@ from hypothesis import given, settings, strategies as st
 from bentkit import transforms
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
 from bentkit.core import pack_bits, unpack_bits, unpack_rows
-from bentkit.geometry import FaceMask, ball_points, face_indicator
+from bentkit.geometry import FaceMask, ball_points, ball_size, face_indicator
 from bentkit.transforms import (
     _NUMPY_CUTOVER,
     check_restriction_identity,
     convolve_pm,
     degree,
-    degree_space_log2,
     hadamard_transform,
     moebius,
     truth_rows_from_anf,
@@ -208,17 +207,6 @@ def test_degree_top_coefficient_is_weight_parity(f):
     assert (d == f.n) == (weight(f) % 2 == 1)
 
 
-def test_degree_space_log2():
-    assert degree_space_log2(4, 2) == 11
-    assert degree_space_log2(2, 1) == 3
-    assert degree_space_log2(3, 3) == 8
-    assert degree_space_log2(3, 0) == 1
-    with pytest.raises(ValueError):
-        degree_space_log2(3, 4)
-    with pytest.raises(ValueError):
-        degree_space_log2(3, -1)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_degree_census_matches_space_size(n):
     by_degree = [0] * (n + 1)
@@ -227,7 +215,7 @@ def test_degree_census_matches_space_size(n):
     running = 0
     for d in range(n + 1):
         running += by_degree[d]
-        assert running == 1 << degree_space_log2(n, d)
+        assert running == 1 << ball_size(n, d)
 
 
 def test_convolve_pm_oracles():
