@@ -9,7 +9,10 @@ Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
 with M invertible.  ``apply_affine`` builds the images under a batch of maps:
 it doubles each map's index permutation x -> Mx + translation and its affine
 term over the input bits in numpy, then gathers all the images from one
-unpacked table as (maps, 2^n) bit rows, which ``_bent_images`` tests directly.
+unpacked table as (maps, 2^n) bit rows.  ``_bent_images`` draws, builds and
+tests them one chunk of maps at a time and yields (row, bent) pairs, so
+``prop1``, which packs only failing rows, holds one chunk at most; ``bent
+affine`` prints every image, so its output still grows with the count.
 ``two_flat_sum_distribution`` is a closed form in n, W(0) and sum_y W(y)^4
 from one ``walsh_fast``; ``two_flats`` lists the flats for direct counts.
 """
@@ -137,18 +140,15 @@ def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> A
     )
 
 
-def _bent_images(f: BooleanFunction, count: int, rng: random.Random) -> tuple[list, np.ndarray]:
-    """``count`` random affine images of f, drawn from rng in order, and their
-    ``bent_rows`` mask, built and tested in chunks so that memory does not grow
-    with ``count``."""
-    maps = [random_invertible(f.n, rng) for _ in range(count)]
+def _bent_images(f: BooleanFunction, count: int, rng: random.Random) -> Iterator[tuple]:
+    """(bit row, bent) for ``count`` random affine images of f, maps drawn from
+    rng in order, one chunk of at most ``_IMAGE_CHUNK_POINTS >> n`` maps drawn,
+    built and bent-tested at a time: a caller keeping no row holds one chunk."""
     step = max(1, _IMAGE_CHUNK_POINTS >> f.n)
-    images, bent = [], np.zeros(count, dtype=bool)
     for start in range(0, count, step):
-        rows = apply_affine(f, maps[start : start + step])
-        bent[start : start + step] = bent_rows(rows, f.n)
-        images += [BooleanFunction(f.n, pack_bits(row)) for row in rows]
-    return images, bent
+        maps = [random_invertible(f.n, rng) for _ in range(min(step, count - start))]
+        rows = apply_affine(f, maps)
+        yield from zip(rows, bent_rows(rows, f.n).tolist())
 
 
 def two_flats(n: int) -> Iterator[tuple[int, int, int, int]]:

@@ -22,7 +22,8 @@ from typing import Optional, Sequence
 from .bent import _bent_images, dual_bent, is_bent, two_flat_sum_distribution
 from .bounds import bound_report, format_report_table, load_known_counts
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
-from .core import BooleanFunction, ParseError, ResourceCapError, format_bf, parse_bf
+from .core import MAX_ARITY, BooleanFunction, ParseError, ResourceCapError, format_bf, pack_bits
+from .core import parse_bf
 from .geometry import FaceMask, coset_spectrum
 from .reconstruct import BallAssignment, reconstruct_from_ball
 from .suites import SUITES
@@ -45,9 +46,21 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+# an @path file holds one literal, at most bf:26: and 2^24 hex digits, plus
+# up to 64 bytes of surrounding whitespace; no more than that is ever read
+_FUNCTION_FILE_BYTES = len(f"bf:{MAX_ARITY}:") + (1 << MAX_ARITY) // 4 + 64
+
+
 def _load_function(text: str) -> BooleanFunction:
     if text.startswith("@"):
-        text = Path(text[1:]).read_text().strip()
+        with open(text[1:], "rb") as handle:
+            data = handle.read(_FUNCTION_FILE_BYTES + 1)
+        if len(data) > _FUNCTION_FILE_BYTES:
+            raise ValueError(
+                f"{text[1:]} is longer than {_FUNCTION_FILE_BYTES} bytes, "
+                "the longest function literal with whitespace"
+            )
+        text = data.decode().strip()
     return parse_bf(text)
 
 
@@ -102,9 +115,11 @@ def _cmd_bent_affine(args: argparse.Namespace):
     f = _load_function(args.f)
     if not is_bent(f):
         raise ValueError(f"{format_bf(f)} is not bent; affine images would not be")
-    functions, bent = _bent_images(f, args.count, random.Random(args.seed))
-    images = [{"function": format_bf(g), "bent": ok} for g, ok in zip(functions, bent.tolist())]
-    all_bent = all(bent)
+    images = [
+        {"function": format_bf(BooleanFunction(f.n, pack_bits(row))), "bent": ok}
+        for row, ok in _bent_images(f, args.count, random.Random(args.seed))
+    ]
+    all_bent = all(image["bent"] for image in images)
     payload = {
         "n": f.n,
         "function": format_bf(f),

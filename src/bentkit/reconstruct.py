@@ -22,7 +22,7 @@ from .geometry import (
     subcube_points,
     weight_masks,
 )
-from .transforms import degree, moebius, walsh_fast
+from .transforms import _moebius_table, degree, walsh_fast
 
 
 @dataclass(frozen=True)
@@ -65,8 +65,7 @@ def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:
     bits = np.zeros(1 << a.n, dtype=np.uint8)
     bits[list(ball_points(a.n, a.r))] = a.values
     assigned = pack_bits(bits)
-    anf = moebius(BooleanFunction(a.n, assigned)).table & ball
-    result = moebius(BooleanFunction(a.n, anf))
+    result = BooleanFunction(a.n, _moebius_table(_moebius_table(assigned, a.n) & ball, a.n))
     if degree(result) > a.r:
         raise ArithmeticError(f"reconstruction has degree above {a.r}")
     if result.table & ball != assigned:

@@ -153,7 +153,7 @@ def moebius(f: BooleanFunction) -> BooleanFunction:
 
 def degree(f: BooleanFunction) -> int:
     """Algebraic degree: largest monomial size in the normal form; 0 for constants."""
-    anf = moebius(f).table
+    anf = _moebius_table(f.table, f.n)
     masks = weight_masks(f.n)
     return next((w for w in range(f.n, 0, -1) if anf & masks[w]), 0)
 

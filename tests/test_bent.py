@@ -45,13 +45,14 @@ def _rows(n, tables):
 
 
 def _maiorana_mcfarland(n, rng):
-    # f(x, y) = <x, pi(y)> + g(y), with x the low n/2 index bits and y the high
+    """f(x, y) = <x, pi(y)> + g(y), with x the low n/2 index bits and y the
+    high, returned with the permutation pi and the bits g as arrays."""
     h = n // 2
     pi = np.array(rng.sample(range(1 << h), 1 << h))
     g = np.array([rng.getrandbits(1) for _ in range(1 << h)])
     idx = np.arange(1 << n)
     x, y = idx & ((1 << h) - 1), idx >> h
-    return BooleanFunction(n, pack_bits((np.bitwise_count(x & pi[y]) & 1) ^ g[y]))
+    return BooleanFunction(n, pack_bits((np.bitwise_count(x & pi[y]) & 1) ^ g[y])), pi, g
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
@@ -67,7 +68,7 @@ def test_bent_rows_matches_the_naive_criterion_on_random_tables(n):
     rng = random.Random(n)
     functions = [random_function(n, rng) for _ in range(20)]
     if n % 2 == 0:
-        functions.append(_maiorana_mcfarland(n, rng))
+        functions.append(_maiorana_mcfarland(n, rng)[0])
     mask = bent_rows(_rows(n, [f.table for f in functions]), n)
     assert mask.tolist() == [_naive_bent(f) for f in functions]
     assert mask[-1] == (n % 2 == 0)
@@ -76,7 +77,7 @@ def test_bent_rows_matches_the_naive_criterion_on_random_tables(n):
 @pytest.mark.parametrize("n", [12, 14])
 def test_is_bent_on_maiorana_mcfarland_and_one_flip(n):
     rng = random.Random(n)
-    f = _maiorana_mcfarland(n, rng)
+    f = _maiorana_mcfarland(n, rng)[0]
     assert is_bent(f)
     # one flipped bit moves every Walsh value by 2
     assert not is_bent(BooleanFunction(n, f.table ^ (1 << rng.randrange(f.size))))
@@ -90,7 +91,7 @@ def test_bent_test_never_builds_a_spectrum_tuple(monkeypatch):
     for module in (transforms, bent):
         monkeypatch.setattr(module, "walsh_fast", refuse, raising=False)
     assert is_bent(QUAD) and not is_bent(parse_bf("bf:4:7889"))
-    assert is_bent(_maiorana_mcfarland(8, random.Random(8)))
+    assert is_bent(_maiorana_mcfarland(8, random.Random(8))[0])
     assert dual_bent(QUAD) == QUAD
 
 
@@ -131,6 +132,21 @@ def test_dual_involution_n2():
             d = dual_bent(f)
             assert is_bent(d)
             assert dual_bent(d) == f
+
+
+@pytest.mark.parametrize("n", [6, 8, 10, 12])
+def test_dual_of_maiorana_mcfarland_matches_the_closed_form(n):
+    # the dual of <x, pi(y)> + g(y) is <b, pi^-1(a)> + g(pi^-1(a)) at the
+    # point with low half a and high half b
+    f, pi, g = _maiorana_mcfarland(n, random.Random(n))
+    h = n // 2
+    inverse = np.argsort(pi)
+    idx = np.arange(1 << n)
+    a, b = idx & ((1 << h) - 1), idx >> h
+    closed = BooleanFunction(n, pack_bits((np.bitwise_count(b & inverse[a]) & 1) ^ g[inverse[a]]))
+    dual = dual_bent(f)
+    assert dual == closed
+    assert dual_bent(dual) == f
 
 
 def test_dual_sign_rule():
@@ -256,16 +272,53 @@ def test_random_invertible_determinism():
     assert len(set(maps)) > 1
 
 
+def _bent_flags(f, count, seed):
+    """The bent flags of ``_bent_images``, keeping no row."""
+    return [ok for _, ok in bent._bent_images(f, count, random.Random(seed))]
+
+
 def test_bent_images_memory_does_not_grow_with_the_count():
-    f = _maiorana_mcfarland(16, random.Random(16))
+    f = _maiorana_mcfarland(16, random.Random(16))[0]
     tracemalloc.start()
     try:
-        images, mask = bent._bent_images(f, 50, random.Random(1))
+        flags = _bent_flags(f, 50, 1)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert len(images) == 50 and mask.all()
+    assert len(flags) == 50 and all(flags)
     assert peak < 12 << 20  # one 50-row batch with its int32 spectra peaks near 32 MB
+
+
+def test_bent_images_peak_is_one_chunk():
+    # n=6 takes 4,096 maps per chunk; four chunks' worth must not hold more
+    # than the one chunk being built
+    f = _maiorana_mcfarland(6, random.Random(6))[0]
+    step = bent._IMAGE_CHUNK_POINTS >> 6
+    peaks = []
+    for count in (step, 4 * step):
+        tracemalloc.start()
+        try:
+            flags = _bent_flags(f, count, 1)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(flags) == count and all(flags)
+    assert peaks[1] < 1.5 * peaks[0]
+
+
+def test_first_image_draws_at_most_one_chunk(monkeypatch):
+    calls = []
+
+    def counting(n, rng):
+        calls.append(n)
+        return random_invertible(n, rng)
+
+    monkeypatch.setattr(bent, "random_invertible", counting)
+    f = _maiorana_mcfarland(8, random.Random(8))[0]
+    step = bent._IMAGE_CHUNK_POINTS >> 8
+    row, ok = next(iter(bent._bent_images(f, 3 * step + 1, random.Random(1))))
+    assert 0 < len(calls) <= step
+    assert row.shape == (f.size,) and ok
 
 
 def test_bent_images_in_one_row_chunks_match_one_batch(monkeypatch):
@@ -278,13 +331,24 @@ def test_bent_images_in_one_row_chunks_match_one_batch(monkeypatch):
         return bent_rows(truth, n) & (truth[:, 0] == 0)
 
     monkeypatch.setattr(bent, "bent_rows", marked)
-    images, mask = bent._bent_images(QUAD, 40, random.Random(3))
+    images = [(row.tolist(), ok) for row, ok in bent._bent_images(QUAD, 40, random.Random(3))]
     monkeypatch.setattr(bent, "_IMAGE_CHUNK_POINTS", QUAD.size)
-    per_row = bent._bent_images(QUAD, 40, random.Random(3))
+    per_row = [(row.tolist(), ok) for row, ok in bent._bent_images(QUAD, 40, random.Random(3))]
     assert calls == [40] + [1] * 40
-    assert per_row[0] == images
-    assert per_row[1].tolist() == mask.tolist() == [g.bit(0) == 0 for g in images]
-    assert 0 < mask.sum() < 40
+    assert per_row == images
+    mask = [ok for _, ok in images]
+    assert mask == [row[0] == 0 for row, _ in images]
+    assert 0 < sum(mask) < 40
+
+
+@pytest.mark.parametrize("n", [6, 8, 10])
+def test_affine_images_of_bent_functions_are_bent_by_the_naive_spectrum(n):
+    # the naive oracle, not bent_rows, judges every image
+    f = _maiorana_mcfarland(n, random.Random(n))[0]
+    images = list(bent._bent_images(f, 12, random.Random(n + 1)))
+    assert len(images) == 12
+    for row, ok in images:
+        assert ok and _naive_bent(BooleanFunction(n, pack_bits(row)))
 
 
 def test_two_flats_structure():

@@ -131,6 +131,23 @@ def test_function_from_file(capsys, tmp_path):
     assert code == 0 and payload["degree"] == 2
 
 
+def test_function_file_is_read_up_to_the_longest_literal(capsys, tmp_path):
+    limit = cli._FUNCTION_FILE_BYTES
+    literal = "bf:26:" + "0" * (1 << 24)
+    path = tmp_path / "f26.txt"
+    path.write_text(literal + "\n")
+    f = cli._load_function(f"@{path}")
+    assert f.n == 26 and f.table == 0
+    path.write_text(literal + " " * (limit - len(literal)))
+    assert cli._load_function(f"@{path}") == f
+    path.write_text(literal + " " * (limit - len(literal) + 1))
+    assert path.stat().st_size == limit + 1
+    assert cli.main(["degree", "--f", f"@{path}"]) == 2
+    err = capsys.readouterr().err
+    assert f"longer than {limit} bytes" in err
+    assert limit == len("bf:26:") + (1 << 24) + 64
+
+
 def test_census_payload_and_emit(capsys, tmp_path):
     emit = tmp_path / "bent2.txt"
     code, payload, err = run_json(

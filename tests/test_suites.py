@@ -11,6 +11,7 @@ from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, format_bf, pack_bits
 from bentkit.geometry import FaceMask
 from bentkit.reconstruct import check_lemma1
+from bentkit.transforms import walsh_naive
 from bentkit.suites import (
     SUITES,
     suite_census_agreement,
@@ -131,6 +132,21 @@ def test_parseval_suite():
     assert report["checks"] == 4 + 16 + 256 + 40
 
 
+def test_parseval_meets_the_naive_oracle_up_to_the_cutoff(monkeypatch):
+    arities = []
+
+    def recording(f):
+        arities.append(f.n)
+        return walsh_naive(f)
+
+    monkeypatch.setattr(suites, "walsh_naive", recording)
+    report = suite_parseval(samples=60, seed=1, max_n=12)
+    assert report["passed"] and report["checks"] == 4 + 16 + 256 + 60
+    # the n <= 10 functions meet the oracle; the samples above the cutoff do not
+    assert max(arities) == suites._NAIVE_CHECK_MAX_N == 10
+    assert 4 + 16 + 256 < len(arities) < report["checks"]
+
+
 def test_involution_suite():
     report = suite_involution(samples=30, seed=1, max_n=10)
     check_shape(report, "involution")
@@ -194,6 +210,20 @@ def test_prop1_failing_path_reports_counterexamples(monkeypatch):
     assert len(report["counterexamples"]) == 10
     assert all(set(c) == {"function", "image"} for c in report["counterexamples"])
     assert report["passed"] is False
+
+
+def test_passing_prop1_packs_no_image(monkeypatch):
+    packed = []
+
+    def counting(bits):
+        packed.append(len(bits))
+        return pack_bits(bits)
+
+    for module in (bent, suites):
+        monkeypatch.setattr(module, "pack_bits", counting)
+    report = suite_prop1(n=4, maps=2)
+    assert report["passed"] and report["checks"] == 2 * 896
+    assert packed == []
 
 
 @pytest.mark.parametrize("n,maps,seed", [(2, 3, 7), (4, 2, 1)])
