@@ -2,7 +2,7 @@
 
 A function is bent when its arity is even and every Walsh value is +-2^(n/2).
 ``_flat_rows`` alone states this test, on int32 spectra.  ``bent_rows`` runs
-one ``walsh_rows`` butterfly over (rows, 2^n) truth tables and applies it;
+one ``walsh_truth_rows`` butterfly on (rows, 2^n) truth tables and applies it;
 ``is_bent``, the census and ``_bent_images`` (``prop1``, ``bent affine``)
 call it.  ``dual_bent`` runs one butterfly and reads the test and signs from it.
 Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
@@ -25,9 +25,9 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import BooleanFunction, _check_arity, pack_bits, unpack_bits
+from .core import BooleanFunction, _check_arity, _check_same_arity, pack_bits, unpack_bits
 from .geometry import gaussian_binomial
-from .transforms import walsh_fast, walsh_rows
+from .transforms import walsh_fast, walsh_truth_rows
 
 # builds and bent-tests at most this many truth-table points (images x 2^n) at once
 _IMAGE_CHUNK_POINTS = 1 << 18
@@ -40,8 +40,7 @@ def _flat_rows(spectra: np.ndarray, n: int) -> np.ndarray:
 
 def bent_rows(truth: np.ndarray, n: int) -> np.ndarray:
     """Mask of the (rows, 2^n) truth-table rows whose spectrum is +-2^(n/2) everywhere."""
-    # no butterfly stage exceeds 2^n <= 2^MAX_ARITY = 2^26, so int32 is exact
-    return _flat_rows(walsh_rows(1 - 2 * truth.astype(np.int32)), n)
+    return _flat_rows(walsh_truth_rows(truth), n)
 
 
 def is_bent(f: BooleanFunction) -> bool:
@@ -51,7 +50,7 @@ def is_bent(f: BooleanFunction) -> bool:
 
 def dual_bent(b: BooleanFunction) -> BooleanFunction:
     """The bent function g with W_b(y) = 2^(n/2) * (-1)^g(y)."""
-    spectrum = walsh_rows(1 - 2 * unpack_bits(b.table, b.size)[None].astype(np.int32))
+    spectrum = walsh_truth_rows(unpack_bits(b.table, b.size)[None])
     if not _flat_rows(spectrum, b.n)[0]:
         raise ValueError("not bent")
     return BooleanFunction(b.n, pack_bits(spectrum < 0))
@@ -107,8 +106,7 @@ def apply_affine(f: BooleanFunction, maps: Sequence[AffineMap]) -> np.ndarray:
     """Images g(x) = f(Mx + translation) + <functional, x> + constant of f, one
     per map, as the rows of a (len(maps), 2^n) uint8 bit block."""
     for t in maps:
-        if t.n != f.n:
-            raise ValueError(f"arity mismatch: function n={f.n}, map n={t.n}")
+        _check_same_arity(f.n, t.n, "map")
     n = f.n
     # word bits 0..n-1 hold Mx + translation and bit n the affine term, so one
     # doubling word[x | 2^i] = word[x] ^ step_i builds both; words < 2^27 fit int32

@@ -15,6 +15,7 @@ from dataclasses import dataclass, fields
 from math import comb
 from typing import Optional, Sequence
 
+from .core import _check_even
 from .geometry import FaceMask, ball_size, covering_coset_count
 
 _LOG2_6 = math.log2(6)
@@ -26,13 +27,6 @@ _ASYMPTOTIC_NOTE = (
 )
 
 
-def _check_even(n: int, minimum: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"arity must be an int, got {n!r}")
-    if n < minimum or n % 2:
-        raise ValueError(f"need even n >= {minimum}, got {n}")
-
-
 def _half_central_binomial(n: int) -> int:
     # C(n, n/2) / 2 = C(n-1, n/2-1) exactly, by Pascal's rule and symmetry
     return comb(n - 1, n // 2 - 1)
@@ -40,13 +34,13 @@ def _half_central_binomial(n: int) -> int:
 
 def trivial_upper_log2(n: int) -> int:
     """2^(n-1) + C(n, n/2)/2: the degree-restricted space size, exactly."""
-    _check_even(n, 2)
+    _check_even(n)
     return (1 << (n - 1)) + _half_central_binomial(n)
 
 
 def tokareva_lower_log2(n: int) -> int:
     """2^(n-2) + C(n, n/2)/2: conjectured lower bound exponent."""
-    _check_even(n, 2)
+    _check_even(n)
     return (1 << (n - 2)) + _half_central_binomial(n)
 
 
@@ -155,7 +149,7 @@ class BoundReport:
 def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> BoundReport:
     """Evaluate every bound at n and compare against a known count if one is
     available (supplied externally, or the census itself for n <= 4)."""
-    _check_even(n, 2)
+    _check_even(n)
     if n > _FLOAT_ARITY_LIMIT:
         raise ValueError(f"log2 values overflow a float past n={_FLOAT_ARITY_LIMIT}, got {n}")
     trivial = trivial_upper_log2(n)

@@ -7,9 +7,10 @@ results in ascending truth-table order for any job count: min(jobs, cores)
 spawned workers each take one contiguous shard of the candidates.
 Candidates are (rows, 2^n) bit arrays: the degree method turns normal forms
 into truth tables with the packed Moebius kernel, and both filter each chunk
-with ``bent.bent_rows``, the one bent test.  Hard caps keep infeasible
-arities from hanging: the brute-force space is 2^(2^n) and the
-degree-restricted space is 2^42 at n=6.
+with ``bent.bent_rows``, the one bent test.  Both refuse a space of more
+than 2^24 candidates, the one work budget ``core.MAX_WORK_LOG2``: the
+brute-force space is 2^(2^n), 2^64 at n=6, and the degree-restricted space
+is 2^42 at n=6.
 """
 
 from __future__ import annotations
@@ -25,12 +26,10 @@ from typing import Optional
 import numpy as np
 
 from .bent import bent_rows
-from .core import BooleanFunction, ResourceCapError, _check_arity, pack_rows, unpack_rows
+from .core import BooleanFunction, _check_arity, _check_even, _check_work, pack_rows, unpack_rows
 from .geometry import ball_points, ball_size
 from .transforms import truth_rows_from_anf
 
-NAIVE_ARITY_CAP = 4
-DEGREE_EXPONENT_CAP = 24
 _CHUNK = 1 << 16
 
 
@@ -73,13 +72,6 @@ def _bent_tables_from_anf_range(n: int, lo: int, hi: int) -> list[int]:
     return out
 
 
-def _check_even(n: int) -> None:
-    if n < 1:
-        raise ValueError(f"arity must be >= 1, got {n}")
-    if n % 2:
-        raise ValueError(f"bent functions need even arity, got {n}")
-
-
 def _census(method: str, worker, n: int, total: int, jobs: int, keep: bool) -> CensusResult:
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -103,11 +95,8 @@ def _census(method: str, worker, n: int, total: int, jobs: int, keep: bool) -> C
 def enumerate_bent_naive(n: int, *, jobs: int = 1, include_functions: bool = True) -> CensusResult:
     """Filter all 2^(2^n) truth tables through the bent test."""
     _check_even(n)
-    if n > NAIVE_ARITY_CAP:
-        raise ResourceCapError(
-            f"brute-force census is capped at n <= {NAIVE_ARITY_CAP} "
-            f"(2^(2^n) tables); got n={n}"
-        )
+    _check_arity(n)  # before 1 << n
+    _check_work(1 << n, f"truth tables for the brute-force census at n={n}")
     return _census("naive", _bent_tables_in_range, n, 1 << (1 << n), jobs, include_functions)
 
 
@@ -118,17 +107,13 @@ def enumerate_bent_by_degree(
     _check_even(n)
     _check_arity(n)  # before the exponent, a sum of n/2 big binomials
     exponent = ball_size(n, _degree_bound(n))  # log2 of the normal forms of that degree
-    if exponent > DEGREE_EXPONENT_CAP:
-        raise ResourceCapError(
-            f"degree-restricted census needs 2^{exponent} candidates at n={n}, "
-            f"over the 2^{DEGREE_EXPONENT_CAP} cap"
-        )
+    _check_work(exponent, f"normal forms for the degree-restricted census at n={n}")
     return _census(
         "degree", _bent_tables_from_anf_range, n, 1 << exponent, jobs, include_functions
     )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # so 4.0 never hits the entry for 4
 def bent_count(n: int, method: str = "naive") -> int:
     """Cached census count for (n, method); method is 'naive' or 'degree'."""
     if method == "naive":

@@ -18,6 +18,8 @@ from typing import Union
 import numpy as np
 
 MAX_ARITY = 26
+# the one work budget: an enumeration may visit at most 2^MAX_WORK_LOG2 items
+MAX_WORK_LOG2 = 24
 _LITERAL = re.compile(r"bf:([0-9]+):([0-9a-fA-F]+)")
 
 
@@ -36,6 +38,28 @@ def _check_arity(n: int) -> None:
         raise ValueError(f"arity must be >= 1, got {n}")
     if n > MAX_ARITY:
         raise ResourceCapError(f"arity {n} exceeds the cap of {MAX_ARITY}")
+
+
+def _check_work(log2_items: int, what: str) -> None:
+    if log2_items > MAX_WORK_LOG2:
+        raise ResourceCapError(f"needs 2^{log2_items} {what}, over the cap of 2^{MAX_WORK_LOG2}")
+
+
+def _check_even(n: int, minimum: int = 2) -> None:
+    if not isinstance(n, int) or isinstance(n, bool):
+        raise ValueError(f"arity must be an int, got {n!r}")
+    if n < minimum or n % 2:
+        raise ValueError(f"need even n >= {minimum}, got {n}")
+
+
+def _check_radius(n: int, r: int) -> None:
+    if not 0 <= r <= n:
+        raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
+
+
+def _check_same_arity(n: int, other: int, what: str) -> None:
+    if other != n:
+        raise ValueError(f"arity mismatch: function n={n}, {what} n={other}")
 
 
 @dataclass(frozen=True)

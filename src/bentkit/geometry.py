@@ -16,9 +16,9 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import BooleanFunction, ResourceCapError, _check_arity
-
-_PATTERN_DIM_CAP = 4
+from .core import (
+    MAX_ARITY, BooleanFunction, _check_arity, _check_radius, _check_same_arity, _check_work
+)
 
 
 @dataclass(frozen=True)
@@ -101,8 +101,7 @@ def face_indicator(m: FaceMask) -> int:
 
 def coset_spectrum(f: BooleanFunction, m: FaceMask) -> dict[int, int]:
     """Coset sums of every coset of Gamma(m), keyed by minimal-index representative."""
-    if f.n != m.n:
-        raise ValueError(f"arity mismatch: function n={f.n}, mask n={m.n}")
+    _check_same_arity(f.n, m.n, "mask")
     indicator, size = face_indicator(m), m.size
     reps = _submasks(~m.mask & ((1 << m.n) - 1))
     return {rep: size - 2 * ((f.table >> rep) & indicator).bit_count() for rep in reps}
@@ -111,8 +110,7 @@ def coset_spectrum(f: BooleanFunction, m: FaceMask) -> dict[int, int]:
 def ball_points(n: int, r: int) -> tuple[int, ...]:
     """Hamming ball B_r: all points of weight <= r, sorted by (weight, index)."""
     _check_arity(n)
-    if not 0 <= r <= n:
-        raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
+    _check_radius(n, r)
     # combinations of descending bits are descending: list weights r..0, reverse
     bits = [1 << i for i in reversed(range(n))]
     members = [x for w in range(r, -1, -1) for x in map(sum, combinations(bits, w))]
@@ -131,10 +129,8 @@ def covering_coset_count(n: int, r: int, m: FaceMask) -> int:
     free coordinates never adds weight), and representatives are the subsets
     of the n - dim fixed coordinates, so the count is sum_{i<=r} C(n-dim, i).
     """
-    if m.n != n:
-        raise ValueError(f"arity mismatch: n={n}, mask n={m.n}")
-    if not 0 <= r <= n:
-        raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
+    _check_same_arity(n, m.n, "mask")
+    _check_radius(n, r)
     return ball_size(n - m.dim, r)
 
 
@@ -162,13 +158,12 @@ def gaussian_binomial(n: int, k: int) -> int:
 def coset_value_class_sizes(dim: int) -> dict[int, int]:
     """How many of the 2^(2^dim) sign patterns on a dim-flat reach each sum.
 
-    Brute force over all bit patterns; sums range over {-2^dim, ..., 2^dim}
-    in steps of 2.
+    Brute force over all bit patterns, within the work budget (dim <= 4);
+    sums range over {-2^dim, ..., 2^dim} in steps of 2.
     """
-    if not 0 <= dim <= _PATTERN_DIM_CAP:
-        raise ResourceCapError(
-            f"pattern enumeration over 2^(2^{dim}) patterns exceeds the dim cap of {_PATTERN_DIM_CAP}"
-        )
+    if not 0 <= dim <= MAX_ARITY:
+        raise ValueError(f"a face has dimension 0..{MAX_ARITY}, got {dim}")
+    _check_work(1 << dim, f"sign patterns on a {dim}-flat")
     size = 1 << dim
     counts = {s: 0 for s in range(-size, size + 1, 2)}
     for pattern in range(1 << size):

@@ -12,7 +12,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import BooleanFunction, _check_arity, pack_bits, unpack_bits
+from .core import (
+    BooleanFunction, _check_arity, _check_radius, _check_same_arity, pack_bits, unpack_bits
+)
 from .geometry import (
     FaceMask,
     ball_points,
@@ -35,8 +37,7 @@ class BallAssignment:
 
     def __post_init__(self) -> None:
         _check_arity(self.n)
-        if not 0 <= self.r <= self.n:
-            raise ValueError(f"radius must satisfy 0 <= r <= {self.n}, got {self.r}")
+        _check_radius(self.n, self.r)
         expected = ball_size(self.n, self.r)
         if len(self.values) != expected:
             raise ValueError(
@@ -77,10 +78,8 @@ def check_lemma1(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> dic
     """Evaluate both sides of the implication.  The premise: the spectra of f
     and g agree at every point of the face.  The conclusion: f and g have equal
     sums on every coset of the dual face.  ``holds`` must always be true."""
-    if f.n != g.n:
-        raise ValueError(f"arity mismatch: {f.n} != {g.n}")
-    if gamma.n != f.n:
-        raise ValueError(f"arity mismatch: function n={f.n}, mask n={gamma.n}")
+    _check_same_arity(f.n, g.n, "second function")
+    _check_same_arity(f.n, gamma.n, "mask")
     wf = walsh_fast(f)
     wg = walsh_fast(g)
     premise = all(wf[y] == wg[y] for y in subcube_points(gamma))

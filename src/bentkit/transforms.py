@@ -7,6 +7,8 @@ or, for values too large for it (2^n * max|v| >= 2^62), on exact ints in an
 object array.  The pure-Python butterfly ``_hadamard_in_place`` runs only
 inside ``walsh_fast`` below ``_NUMPY_CUTOVER``, where numpy's call overhead
 dominates.  A non-integral vector entry is a ``ValueError``.
+``walsh_truth_rows`` runs ``walsh_rows`` on the int32 signs of truth-table
+rows, for ``walsh_fast`` and the bent tests.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
@@ -29,10 +31,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BooleanFunction, ResourceCapError, pack_bits, unpack_bits
+from .core import BooleanFunction, _check_same_arity, _check_work, pack_bits, unpack_bits
 from .geometry import FaceMask, coordinate_masks, dual_face, face_indicator, weight_masks
 
-NAIVE_ARITY_CAP = 12
 # walsh_fast's pure-Python butterfly beats numpy call overhead below this arity
 _NUMPY_CUTOVER = 7
 
@@ -69,6 +70,13 @@ def walsh_rows(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def walsh_truth_rows(truth: np.ndarray) -> np.ndarray:
+    """Walsh spectra of 0/1 truth-table rows (last axis 2^n), in int32: one
+    ``walsh_rows`` butterfly on the signs 1 - 2 * truth.  No butterfly stage
+    exceeds 2^n <= 2^MAX_ARITY = 2^26 in magnitude, so int32 is exact."""
+    return walsh_rows(1 - 2 * truth.astype(np.int32))
+
+
 def _integer_array(values: Sequence[int]) -> np.ndarray:
     try:
         vec = [operator.index(v) for v in values]
@@ -99,8 +107,7 @@ def walsh_fast(f: BooleanFunction) -> IntegerVector:
     butterfly, O(n 2^n)."""
     if f.n < _NUMPY_CUTOVER:
         return _hadamard_in_place(_signs(f))
-    signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int64)
-    return walsh_rows(signs).tolist()
+    return walsh_truth_rows(unpack_bits(f.table, f.size)).tolist()
 
 
 @lru_cache(maxsize=8)
@@ -114,12 +121,10 @@ def _character_matrix(n: int) -> np.ndarray:
 def walsh_naive(f: BooleanFunction) -> IntegerVector:
     """Walsh-Hadamard spectrum by direct evaluation of the defining double sum.
 
-    O(4^n) work; the independent oracle for walsh_fast.
+    O(4^n) work, within the work budget up to n=12; the independent oracle
+    for walsh_fast.
     """
-    if f.n > NAIVE_ARITY_CAP:
-        raise ResourceCapError(
-            f"naive transform is O(4^n); arity {f.n} exceeds the cap of {NAIVE_ARITY_CAP}"
-        )
+    _check_work(2 * f.n, f"matrix entries for the naive transform at n={f.n}")
     signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int8)
     # int64 accumulation without an int64 copy of the int8 matrix
     values = np.einsum("yx,x->y", _character_matrix(f.n), signs, dtype=np.int64)
@@ -184,8 +189,7 @@ def check_restriction_identity(f: BooleanFunction, gamma: FaceMask) -> bool:
     The left side goes through convolve_pm, the right side through walsh_fast
     and one hadamard_transform of the masked spectrum; both are exact integers.
     """
-    if f.n != gamma.n:
-        raise ValueError(f"arity mismatch: function n={f.n}, mask n={gamma.n}")
+    _check_same_arity(f.n, gamma.n, "mask")
     size = f.size
     lhs = convolve_pm(f, unpack_bits(face_indicator(dual_face(gamma)), size).tolist())
 

@@ -126,6 +126,24 @@ def test_resource_caps():
         enumerate_bent_by_degree(6)
 
 
+def test_cap_messages_name_the_refused_work():
+    with pytest.raises(ResourceCapError, match=r"needs 2\^64 truth tables .* n=6"):
+        enumerate_bent_naive(6)
+    with pytest.raises(ResourceCapError, match=r"needs 2\^42 normal forms .* n=6"):
+        enumerate_bent_by_degree(6)
+
+
+def test_float_arity_rejected():
+    # a cached answer for the int must not answer for the float
+    assert bent_count(4) == bent_count(4, "naive") == 896
+    with pytest.raises(ValueError, match="must be an int"):
+        enumerate_bent_naive(4.0)
+    with pytest.raises(ValueError, match="must be an int"):
+        bent_count(4.0)
+    with pytest.raises(ValueError, match="must be an int"):
+        bent_count(4.0, "naive")
+
+
 def test_bent_count_dispatch():
     assert bent_count(2, "naive") == 8
     assert bent_count(2, "degree") == 8

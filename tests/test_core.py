@@ -1,4 +1,4 @@
-"""Representation, text format, and the bit codec."""
+"""Representation, text format, the bit codec, and the shared input and work checks."""
 
 import random
 
@@ -6,6 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from bentkit import core
+from bentkit.bent import AffineMap, apply_affine
+from bentkit.census import enumerate_bent_by_degree, enumerate_bent_naive
 from bentkit.core import (
     BooleanFunction,
     ParseError,
@@ -19,6 +22,9 @@ from bentkit.core import (
     unpack_rows,
     weight,
 )
+from bentkit.geometry import FaceMask, coset_spectrum, coset_value_class_sizes, covering_coset_count
+from bentkit.reconstruct import check_lemma1
+from bentkit.transforms import check_restriction_identity, walsh_naive
 
 AND = BooleanFunction(2, 0b1000)  # f(x1,x2) = x1 & x2, true only at index 3
 
@@ -149,3 +155,41 @@ def test_pack_rows_matches_shift_and_sum(width):
 def test_codec_matches_shifts(f):
     assert f.bits() == [(f.table >> k) & 1 for k in range(f.size)]
     assert pack_bits(unpack_bits(f.table, f.size)) == f.table
+
+
+def test_one_work_budget_sets_every_enumeration_limit(monkeypatch):
+    # each limit sits exactly where the work passes 2^MAX_WORK_LOG2, so a
+    # budget of 25 moves none of them, and 23 is the first to move one
+    refused = [
+        lambda: walsh_naive(BooleanFunction(13, 0)),
+        lambda: coset_value_class_sizes(5),
+        lambda: enumerate_bent_naive(6),
+        lambda: enumerate_bent_by_degree(6),
+    ]
+    for budget in (24, 25):
+        monkeypatch.setattr(core, "MAX_WORK_LOG2", budget)
+        walsh_naive(BooleanFunction(12, 0))
+        coset_value_class_sizes(4)
+        assert enumerate_bent_naive(4, include_functions=False).count == 896
+        assert enumerate_bent_by_degree(4, include_functions=False).count == 896
+        for call in refused:
+            with pytest.raises(ResourceCapError, match=rf"over the cap of 2\^{budget}$"):
+                call()
+    monkeypatch.setattr(core, "MAX_WORK_LOG2", 23)
+    with pytest.raises(ResourceCapError, match=r"needs 2\^24 matrix entries"):
+        walsh_naive(BooleanFunction(12, 0))
+
+
+def test_arity_mismatch_has_one_wording():
+    mask3 = FaceMask(3, 1)
+    cases = [
+        (lambda: coset_spectrum(AND, mask3), "mask"),
+        (lambda: covering_coset_count(2, 1, mask3), "mask"),
+        (lambda: check_restriction_identity(AND, mask3), "mask"),
+        (lambda: check_lemma1(AND, BooleanFunction(3, 0), FaceMask(2, 1)), "second function"),
+        (lambda: check_lemma1(AND, AND, mask3), "mask"),
+        (lambda: apply_affine(AND, [AffineMap(3, (1, 2, 4), 0, 0, 0)]), "map"),
+    ]
+    for call, what in cases:
+        with pytest.raises(ValueError, match=f"^arity mismatch: function n=2, {what} n=3$"):
+            call()

@@ -235,5 +235,11 @@ def test_coset_value_class_sizes():
         # sum s needs (points - s)/2 minus-signs among the points
         for s, count in sizes.items():
             assert count == comb(points, (points - s) // 2)
-    with pytest.raises(ResourceCapError):
+    assert sum(coset_value_class_sizes(4).values()) == 1 << 16
+    assert coset_value_class_sizes(0) == {-1: 1, 1: 1}
+    with pytest.raises(ResourceCapError, match=r"needs 2\^32 sign patterns"):
         coset_value_class_sizes(5)
+    # no face has a negative dimension or one above MAX_ARITY
+    for dim in (-1, 27):
+        with pytest.raises(ValueError):
+            coset_value_class_sizes(dim)

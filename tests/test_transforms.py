@@ -87,7 +87,7 @@ def test_naive_makes_no_int64_copy_of_the_matrix():
 
 
 def test_naive_cap():
-    with pytest.raises(ResourceCapError):
+    with pytest.raises(ResourceCapError, match=r"needs 2\^26 matrix entries .* n=13"):
         walsh_naive(BooleanFunction(13, 0))
 
 
