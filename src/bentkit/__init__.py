@@ -16,7 +16,6 @@ from .bent import (
     two_flats,
 )
 from .bounds import (
-    BoundReport,
     a_n_log2,
     bound_report,
     format_report_table,
@@ -78,7 +77,6 @@ __all__ = [
     "AffineMap",
     "BallAssignment",
     "BooleanFunction",
-    "BoundReport",
     "CensusResult",
     "FaceMask",
     "FlatSumDistribution",

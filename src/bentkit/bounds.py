@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
 from math import comb
 from typing import Optional, Sequence
 
@@ -61,10 +60,12 @@ def a_n_log2(n: int) -> float:
     translation, affine term."""
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
-    gl = 1
-    for i in range(n):
-        gl *= (1 << n) - (1 << i)
-    return math.log2(gl * (1 << n) * (1 << (n + 1)))
+    # |GL(n,2)| = prod_i (2^n - 2^i) = prod_{i=1..n} (2^i - 1) * 2^(n(n-1)/2),
+    # the same exact int without multiplying out the trailing zeros
+    odd = 1
+    for i in range(1, n + 1):
+        odd *= (1 << i) - 1
+    return math.log2(odd << (n * (n - 1) // 2 + 2 * n + 1))
 
 
 def theorem_upper_log2(n: int) -> float:
@@ -117,116 +118,78 @@ def load_known_counts(path: str) -> list[dict]:
     return entries
 
 
-@dataclass(frozen=True, kw_only=True)
-class BoundReport:
-    # fields in the order of the JSON form
-    n: int
-    trivial_upper_log2: int
-    tokareva_lower_log2: int
-    t_n_log2: Optional[int] = None
-    q_n: Optional[int] = None
-    a_n_log2: float
-    theorem_upper_log2: Optional[float] = None
-    headline_log2: Optional[float] = None
-    simplified_log2: Optional[int] = None
-    known_count_log2: Optional[float] = None
-    known_source: Optional[str] = None
-    known_provenance: Optional[str] = None
-    asymptotic_only: tuple[str, ...] = ()
-    warnings: tuple[str, ...] = ()
-    note: str = _ASYMPTOTIC_NOTE
-
-    def to_json_dict(self) -> dict:
-        """Every field in declaration order, without the unset ones; tuples as lists."""
-        out: dict = {}
-        for field in fields(self):
-            value = getattr(self, field.name)
-            if value is not None:
-                out[field.name] = list(value) if isinstance(value, tuple) else value
-        return out
+# (JSON name, formula, least even n it is defined at, whether it is an upper
+# bound a known count can exceed), in the order of the JSON form
+_ROWS = (
+    ("trivial_upper_log2", trivial_upper_log2, 2, True),
+    ("tokareva_lower_log2", tokareva_lower_log2, 2, False),
+    ("t_n_log2", t_n_log2, 4, False),
+    ("q_n", q_n, 4, False),
+    ("a_n_log2", a_n_log2, 2, False),
+    ("theorem_upper_log2", theorem_upper_log2, 4, True),
+    ("headline_log2", headline_log2, 6, True),
+    ("simplified_log2", simplified_log2, 4, True),
+)
 
 
-def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> BoundReport:
+def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> dict:
     """Evaluate every bound at n and compare against a known count if one is
-    available (supplied externally, or the census itself for n <= 4)."""
+    available (supplied externally, or the census itself for n <= 4).
+
+    Returns the JSON form: "n", then each ``_ROWS`` entry defined at n (a row
+    that is not is a missing key), the known count with its source and
+    provenance when there is one, "asymptotic_only" (the upper bounds below
+    the known count), "warnings" and "note".
+    """
     _check_even(n)
     if n > _FLOAT_ARITY_LIMIT:
         raise ValueError(f"log2 values overflow a float past n={_FLOAT_ARITY_LIMIT}, got {n}")
-    trivial = trivial_upper_log2(n)
-    tokareva = tokareva_lower_log2(n)
-    a_log = a_n_log2(n)
-    t_log = t_n_log2(n) if n >= 4 else None
-    q_val = q_n(n) if n >= 4 else None
-    theorem = theorem_upper_log2(n) if n >= 4 else None
-    headline = headline_log2(n) if n >= 6 else None
-    simplified = simplified_log2(n) if n >= 4 else None
+    report: dict = {"n": n}
+    for name, formula, least, _ in _ROWS:
+        if n >= least:
+            report[name] = formula(n)
 
-    known_log = None
-    known_source = None
-    known_provenance = None
-    if known:
-        for entry in known:
-            if entry.get("n") == n:
-                known_log = math.log2(int(entry["count"]))
-                known_source = str(entry["source"])
-                known_provenance = "external"
-                break
-    if known_log is None and n <= 4:
+    entry = next((e for e in known or () if e.get("n") == n), None)
+    if entry is not None:
+        report["known_count_log2"] = math.log2(int(entry["count"]))
+        report["known_source"] = str(entry["source"])
+        report["known_provenance"] = "external"
+    elif n <= 4:
         from .census import bent_count
 
-        known_log = math.log2(bent_count(n, "naive"))
-        known_source = "exhaustive census at this arity"
-        known_provenance = "census"
+        report["known_count_log2"] = math.log2(bent_count(n, "naive"))
+        report["known_source"] = "exhaustive census at this arity"
+        report["known_provenance"] = "census"
 
-    asymptotic = []
-    if known_log is not None:
-        for name, value in (
-            ("trivial_upper_log2", trivial),
-            ("theorem_upper_log2", theorem),
-            ("headline_log2", headline),
-            ("simplified_log2", simplified),
-        ):
-            if value is not None and value < known_log - 1e-12:
-                asymptotic.append(name)
-
-    warnings = []
-    if theorem is not None and theorem > trivial:
-        warnings.append(
+    # without a known count, or without a theorem row, nothing is flagged
+    known_log = report.get("known_count_log2", -math.inf)
+    report["asymptotic_only"] = [
+        name for name, _, _, upper in _ROWS
+        if upper and name in report and report[name] < known_log - 1e-12
+    ]
+    report["warnings"] = []
+    if report.get("theorem_upper_log2", -math.inf) > report["trivial_upper_log2"]:
+        report["warnings"].append(
             "theorem_upper_log2 exceeds trivial_upper_log2 at this n; "
             "asymptotic formula only, vacuous as a bound here"
         )
-
-    return BoundReport(
-        n=n,
-        trivial_upper_log2=trivial,
-        tokareva_lower_log2=tokareva,
-        a_n_log2=a_log,
-        t_n_log2=t_log,
-        q_n=q_val,
-        theorem_upper_log2=theorem,
-        headline_log2=headline,
-        simplified_log2=simplified,
-        known_count_log2=known_log,
-        known_source=known_source,
-        known_provenance=known_provenance,
-        asymptotic_only=tuple(asymptotic),
-        warnings=tuple(warnings),
-    )
+    report["note"] = _ASYMPTOTIC_NOTE
+    return report
 
 
-def format_report_table(report: BoundReport) -> str:
-    """Fixed-width text rendering of a BoundReport."""
+def format_report_table(report: dict) -> str:
+    """Fixed-width text rendering of a ``bound_report`` dict: one line per
+    numeric entry but n, in the dict's order, then the flags, warnings and note."""
     rows = [("quantity", "log2 value"), ("-" * 24, "-" * 18)]
-    # every numeric field of the JSON form but n, in its order
-    for name, value in report.to_json_dict().items():
+    for name, value in report.items():
         if name != "n" and isinstance(value, (int, float)):
             shown = f"{value:.6f}" if isinstance(value, float) else str(value)
             rows.append((name, shown))
-    lines = [f"bounds at n={report.n}"]
+    lines = [f"bounds at n={report['n']}"]
     lines += [f"  {name:<24} {shown:>18}" for name, shown in rows]
-    for flagged in report.asymptotic_only:
+    for flagged in report["asymptotic_only"]:
         lines.append(f"  [asymptotic-only] {flagged} is below the known count")
-    for warning in report.warnings:
+    for warning in report["warnings"]:
         lines.append(f"  [warning] {warning}")
-    lines.append(f"  note: {report.note}")
+    lines.append(f"  note: {report['note']}")
     return "\n".join(lines)

@@ -15,10 +15,8 @@ is 2^42 at n=6.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Optional
@@ -80,6 +78,10 @@ def _census(method: str, worker, n: int, total: int, jobs: int, keep: bool) -> C
     if workers == 1:
         tables = worker(n, 0, total)
     else:
+        # imported here, so that only a pool run pays for importing the pool
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         bounds = [total * k // workers for k in range(workers + 1)]
         # spawn, not fork: numpy has already started threads in this process
         spawn = multiprocessing.get_context("spawn")

@@ -331,7 +331,7 @@ def suite_census_agreement(n: int = 4) -> dict:
     """Both census methods produce the identical ascending function stream."""
     naive = enumerate_bent_naive(n)
     by_degree = enumerate_bent_by_degree(n)
-    details = {"count": naive.count, "naive_s": round(naive.elapsed, 6)}
+    details = {"count": naive.count}
     problems: list[Optional[dict]] = [None]
     if naive.functions != by_degree.functions:
         problems[0] = {

@@ -6,7 +6,7 @@ import math
 import pytest
 
 from bentkit.bounds import (
-    BoundReport,
+    _ROWS,
     a_n_log2,
     bound_report,
     format_report_table,
@@ -74,6 +74,15 @@ def test_a_n_oracles():
     assert a_n_log2(1) == 3.0
     assert math.isclose(a_n_log2(2), math.log2(192))
     assert math.isclose(a_n_log2(4), math.log2(10321920))
+
+
+def test_a_n_equals_the_written_out_group_order():
+    for n in [*range(1, 65), 1024]:
+        # |GL(n,2)| as the product of the 2^n - 2^i choices for each column
+        gl = 1
+        for i in range(n):
+            gl *= (1 << n) - (1 << i)
+        assert a_n_log2(n) == math.log2(gl * (1 << n) * (1 << (n + 1))), n
 
 
 def test_a_n_approaches_n_squared():
@@ -172,24 +181,24 @@ def test_load_known_counts_missing_file():
 
 def test_bound_report_n4_uses_census():
     report = bound_report(4)
-    assert report.trivial_upper_log2 == 11
-    assert report.tokareva_lower_log2 == 7
-    assert report.known_provenance == "census"
-    assert math.isclose(report.known_count_log2, math.log2(896), rel_tol=1e-12)
-    assert report.tokareva_lower_log2 <= report.known_count_log2 <= report.trivial_upper_log2
+    assert report["trivial_upper_log2"] == 11
+    assert report["tokareva_lower_log2"] == 7
+    assert report["known_provenance"] == "census"
+    assert math.isclose(report["known_count_log2"], math.log2(896), rel_tol=1e-12)
+    assert report["tokareva_lower_log2"] <= report["known_count_log2"] <= report["trivial_upper_log2"]
     # the theorem surrogate exceeds the trivial bound at n=4: flagged, not hidden
-    assert report.warnings
-    assert "simplified_log2" in report.asymptotic_only
+    assert report["warnings"]
+    assert "simplified_log2" in report["asymptotic_only"]
 
 
 def test_bound_report_n2_omits_theorem_fields():
     report = bound_report(2)
-    assert report.t_n_log2 is None
-    assert report.q_n is None
-    assert report.theorem_upper_log2 is None
-    assert report.headline_log2 is None
-    assert report.simplified_log2 is None
-    data = report.to_json_dict()
+    assert "t_n_log2" not in report
+    assert "q_n" not in report
+    assert "theorem_upper_log2" not in report
+    assert "headline_log2" not in report
+    assert "simplified_log2" not in report
+    data = report
     assert "t_n_log2" not in data
     assert "theorem_upper_log2" not in data
     assert data["trivial_upper_log2"] == 3
@@ -198,19 +207,34 @@ def test_bound_report_n2_omits_theorem_fields():
 def test_bound_report_external_provenance():
     known = [{"n": 6, "count": "5425430528", "source": "literature"}]
     report = bound_report(6, known)
-    assert report.known_provenance == "external"
-    assert report.known_source == "literature"
-    assert math.isclose(report.known_count_log2, math.log2(5425430528))
+    assert report["known_provenance"] == "external"
+    assert report["known_source"] == "literature"
+    assert math.isclose(report["known_count_log2"], math.log2(5425430528))
     # the n=6 surrogates sit below the true count and must be flagged
-    assert "headline_log2" in report.asymptotic_only
-    assert "simplified_log2" in report.asymptotic_only
-    assert "trivial_upper_log2" not in report.asymptotic_only
+    assert "headline_log2" in report["asymptotic_only"]
+    assert "simplified_log2" in report["asymptotic_only"]
+    assert "trivial_upper_log2" not in report["asymptotic_only"]
 
 
 def test_bound_report_no_known_count_above_census_range():
     report = bound_report(8)
-    assert report.known_count_log2 is None
-    assert report.asymptotic_only == ()
+    assert "known_count_log2" not in report
+    assert report["asymptotic_only"] == []
+
+
+@pytest.mark.parametrize("n", [*range(2, 31, 2), 1024])
+def test_bound_report_holds_each_row_exactly_where_its_formula_is_defined(n):
+    report = bound_report(n)
+    for name, formula, _, _ in _ROWS:
+        try:
+            value = formula(n)
+        except ValueError:
+            assert name not in report
+        else:
+            assert report[name] == value
+    # n first, then the rows in table order
+    present = [name for name, *_ in _ROWS if name in report]
+    assert list(report)[: len(present) + 1] == ["n", *present]
 
 
 def test_bound_report_rejects_odd():
@@ -220,7 +244,7 @@ def test_bound_report_rejects_odd():
 
 def test_report_json_round_trip():
     report = bound_report(6)
-    data = report.to_json_dict()
+    data = report
     assert json.loads(json.dumps(data)) == data
     assert data["note"]
     assert isinstance(data["asymptotic_only"], list)

@@ -1,5 +1,9 @@
 """Exhaustive bent enumeration and its two independent methods."""
 
+import concurrent.futures
+import subprocess
+import sys
+
 import pytest
 
 from bentkit import census
@@ -79,7 +83,7 @@ def serial_pool(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 16)
     return started
 
@@ -103,6 +107,16 @@ def test_jobs_are_capped_at_cpu_count(serial_pool, monkeypatch):
     assert serial_pool == [2]
     with pytest.raises(ValueError):
         enumerate_bent_naive(2, jobs=0)
+
+
+def test_importing_the_cli_loads_no_process_pool():
+    # only a census with jobs > 1 imports the pool modules
+    code = (
+        "import sys, bentkit.cli; "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_parallel_jobs_match_serial():

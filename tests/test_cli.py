@@ -172,7 +172,7 @@ def test_census_single_method(capsys):
 def test_bounds_matches_library(capsys):
     code, payload, err = run_json(capsys, "bounds", "--n", "4")
     assert code == 0
-    assert payload == bound_report(4).to_json_dict()
+    assert payload == bound_report(4)
     assert "bounds at n=4" in err  # table goes to stderr only
 
 
@@ -181,7 +181,7 @@ def test_bounds_past_the_arity_cap(capsys, n):
     # pure arithmetic: the arity cap on truth tables does not apply
     code, payload, _ = run_json(capsys, "bounds", "--n", str(n))
     assert code == 0
-    assert payload == bound_report(n).to_json_dict()
+    assert payload == bound_report(n)
     assert payload["q_n"] == payload["t_n_log2"]
 
 
@@ -283,6 +283,8 @@ def test_output_is_stable(capsys):
         (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [true, 0, 0]}'], 2),
         (["reconstruct", "--ball", DEEP_JSON], 2),
         (["bounds", "--n", "4", "--known", "DEEP_FILE"], 2),
+        # the parser refuses the count before the literal is read
+        (["bent", "affine", "--f", "bf:2:zz", "--count", "0"], 1),
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, expected):
@@ -329,7 +331,6 @@ for _literal, _mask in (("bf:4:0356", "0x5"), (MM8, "0x33")):
         ["coset-spectrum", "--f", _literal, "--mask", _mask],
     ]
 GOLDEN_ARGVS += [["bounds", "--n", "4"], ["bounds", "--n", "26"], ["census", "--n", "4"]]
-# census-agreement is left out: its naive_s detail is a timing
 GOLDEN_ARGVS += [
     ["verify", "--suite", suite]
     for suite in ("lemma1", "lemma2", "prop1", "flats", "convolution", "parseval", "involution")
@@ -348,6 +349,10 @@ GOLDEN_ARGVS += [
 GOLDEN_ARGVS += [
     ["bent", "affine", "--f", "bf:2:8", "--count", "5"],
     ["bent", "affine", "--f", MM16, "--count", "9"],
+]
+GOLDEN_ARGVS += [
+    ["verify", "--suite", "census-agreement"],
+    ["verify", "--suite", "census-agreement", "--n", "2"],
 ]
 # (sha256 of stdout, exit code) per argv above
 GOLDEN = [
@@ -379,6 +384,8 @@ GOLDEN = [
     ("1c2d0a2be88bd49c0459a5e798c9aea96fd51e07f36460a5d383b1355592f28c", 0),
     ("c2691bb4c4e1ec67b0229050d5f0cdff64326db9b0fc3f3ac8ea487ab180eed3", 0),
     ("8cca86b17daa56f885942b0c64d3820db232460b1034182d0ca7e7c2fe148c22", 0),
+    ("c8b7dd830100746982b403d4737f14459b0b99606e369a9eebadd4a2accd4449", 0),
+    ("1a0b4498d1dadac744de23767c0cc01f68a7d6d799c0e6fa5f6ba2f3520c2cb4", 0),
 ]
 
 
