@@ -68,11 +68,18 @@ def a_n_log2(n: int) -> float:
     return math.log2(odd << (n * (n - 1) // 2 + 2 * n + 1))
 
 
-def theorem_upper_log2(n: int) -> float:
-    """a_n + T_n + 4^(Q/2) + 6^(3Q/8) combined in log2."""
+def theorem_upper_log2(n: int, terms: Optional[dict] = None) -> float:
+    """a_n + T_n + 4^(Q/2) + 6^(3Q/8) combined in log2.
+
+    ``terms`` may hold the "a_n_log2", "t_n_log2" and "q_n" rows already
+    computed at n, which are then not evaluated again.
+    """
     _check_even(n, 4)
-    q = q_n(n)
-    return a_n_log2(n) + t_n_log2(n) + q + 3 * q * _LOG2_6 / 8
+    if terms is None:
+        terms = {"a_n_log2": a_n_log2(n), "t_n_log2": t_n_log2(n), "q_n": q_n(n)}
+    q = terms["q_n"]
+    # 3q/8 before the float factor: 3q * log2(6) overflows a float at n=1024
+    return terms["a_n_log2"] + terms["t_n_log2"] + q + 3 * q / 8 * _LOG2_6
 
 
 def headline_log2(n: int) -> float:
@@ -147,7 +154,9 @@ def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> dict:
     report: dict = {"n": n}
     for name, formula, least, _ in _ROWS:
         if n >= least:
-            report[name] = formula(n)
+            # the theorem row sums the term rows before it instead of
+            # evaluating them again
+            report[name] = formula(n, report) if formula is theorem_upper_log2 else formula(n)
 
     entry = next((e for e in known or () if e.get("n") == n), None)
     if entry is not None:
@@ -157,7 +166,9 @@ def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> dict:
     elif n <= 4:
         from .census import bent_count
 
-        report["known_count_log2"] = math.log2(bent_count(n, "naive"))
+        # the degree census is exhaustive too, and counts without listing
+        # the 2^(2^n) truth tables that the brute-force scan visits
+        report["known_count_log2"] = math.log2(bent_count(n, "degree"))
         report["known_source"] = "exhaustive census at this arity"
         report["known_provenance"] = "census"
 

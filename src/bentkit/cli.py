@@ -12,6 +12,7 @@ Exactly one JSON document goes to stdout on success; diagnostics
 from __future__ import annotations
 
 import argparse
+import functools
 import inspect
 import json
 import random
@@ -226,7 +227,15 @@ def _cmd_verify(args: argparse.Namespace):
     return report, EXIT_OK if report["passed"] else EXIT_FAILED
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argparse tree of every subcommand, built on the first call.
+
+    Cached: every later call, and so every ``main`` call in this process,
+    reuses that parser, whose handlers and ``--suite`` choices are bound at
+    the first call.  ``parse_args`` returns a fresh namespace each time, so
+    no value carries over from one call to the next.
+    """
     parser = _Parser(prog="bentkit", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", metavar="command", required=True)
 

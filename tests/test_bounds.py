@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from bentkit import bounds, census
 from bentkit.bounds import (
     _ROWS,
     a_n_log2,
@@ -189,6 +190,27 @@ def test_bound_report_n4_uses_census():
     # the theorem surrogate exceeds the trivial bound at n=4: flagged, not hidden
     assert report["warnings"]
     assert "simplified_log2" in report["asymptotic_only"]
+
+
+def test_bound_report_takes_the_small_known_count_from_the_degree_census(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the brute-force census ran")
+
+    monkeypatch.setattr(census, "enumerate_bent_naive", refuse)
+    census.bent_count.cache_clear()
+    assert bound_report(2)["known_count_log2"] == 3.0
+    assert bound_report(4)["known_count_log2"] == math.log2(896)
+    assert bound_report(4)["known_source"] == "exhaustive census at this arity"
+
+
+def test_bound_report_evaluates_each_term_once(monkeypatch):
+    calls = []
+    real = bounds.covering_coset_count
+    monkeypatch.setattr(bounds, "covering_coset_count", lambda *a: calls.append(a) or real(*a))
+    report = bound_report(8)
+    assert len(calls) == 1
+    assert report["theorem_upper_log2"] == theorem_upper_log2(8)
+    assert len(calls) == 2
 
 
 def test_bound_report_n2_omits_theorem_fields():

@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import io
 import json
+import math
 import random
 import subprocess
 import sys
@@ -183,6 +184,18 @@ def test_bounds_past_the_arity_cap(capsys, n):
     assert code == 0
     assert payload == bound_report(n)
     assert payload["q_n"] == payload["t_n_log2"]
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_bounds_prints_strict_json_at_the_largest_arity(capsys):
+    # Infinity and NaN are not JSON (RFC 8259); 3q/8 * log2(6) stays finite
+    code, out, _ = run(capsys, "bounds", "--n", "1024")
+    assert code == 0
+    payload = json.loads(out, parse_constant=_refuse_constant)
+    assert math.isfinite(payload["theorem_upper_log2"])
 
 
 def test_bounds_known_file(capsys, tmp_path):
@@ -396,6 +409,41 @@ def test_stdout_bytes_and_exit_codes_match_the_golden_digests(capsys):
         if (hashlib.sha256(out.encode()).hexdigest(), code) != expected:
             changed.append(argv)
     assert changed == []
+
+
+def test_golden_digests_hold_in_reverse_order_in_one_process(capsys):
+    # every argv after the first reuses the parser that an earlier one built
+    changed = []
+    for argv, expected in reversed(list(zip(GOLDEN_ARGVS, GOLDEN, strict=True))):
+        code, out, _ = run(capsys, *argv)
+        if (hashlib.sha256(out.encode()).hexdigest(), code) != expected:
+            changed.append(argv)
+    assert changed == []
+
+
+def test_main_builds_the_parser_once_per_process(capsys):
+    cli.build_parser.cache_clear()
+    assert run(capsys, "bent", "test", "--f", "bf:4:0356")[0] == 0
+    assert run(capsys, "bounds", "--n", "4")[0] == 0
+    assert cli.build_parser.cache_info().misses == 1
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_a_reused_parser_carries_no_value_into_the_next_call(capsys):
+    code, payload, _ = run_json(
+        capsys, "bent", "affine", "--f", "bf:4:0356", "--count", "3", "--seed", "9"
+    )
+    assert code == 0 and (payload["count"], payload["seed"]) == (3, 9)
+    code, payload, _ = run_json(capsys, "bent", "affine", "--f", "bf:4:0356")
+    assert code == 0 and (payload["count"], payload["seed"]) == (10, 1)
+    parser = cli.build_parser()
+    assert parser.parse_args(["verify", "--suite", "lemma1", "--n", "3"]).n == 3
+    assert parser.parse_args(["verify", "--suite", "lemma1"]).n is None
+    # a usage error leaves nothing behind for the call after it
+    code, out, err = run(capsys, "bent", "affine", "--f", "bf:4:0356", "--count", "0")
+    assert (code, out) == (1, "") and "usage error" in err
+    code, payload, _ = run_json(capsys, "bent", "affine", "--f", "bf:4:0356", "--count", "2")
+    assert code == 0 and len(payload["images"]) == 2
 
 
 def _leaf_parsers(parser, words=()):
