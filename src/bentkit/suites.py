@@ -12,7 +12,7 @@ for a fixed seed.
 from __future__ import annotations
 
 import random
-from itertools import repeat, starmap
+from itertools import chain, repeat, starmap
 from math import comb
 from typing import Iterable, Iterator, Optional
 
@@ -24,7 +24,7 @@ from .core import BooleanFunction, _check_arity, format_bf, pack_bits, random_fu
 from .core import pack_rows, unpack_bits, unpack_rows
 from .geometry import FaceMask, ball_points, coset_value_class_sizes, subcube_points
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
-from .transforms import moebius, walsh_fast, walsh_naive
+from .transforms import _moebius_table, moebius, walsh_fast, walsh_naive
 from .transforms import check_restriction_identity, truth_rows_from_anf
 
 _MAX_REPORTED = 10
@@ -259,15 +259,34 @@ def suite_parseval(samples: int = 1000, seed: int = 1, max_n: int = 12) -> dict:
 
 
 def suite_involution(samples: int = 1000, seed: int = 1, max_n: int = 16) -> dict:
-    """The normal-form transform undoes itself on every table."""
+    """The normal-form transform undoes itself on every table.
+
+    Exhaustive for n <= 4 as one packed block per arity: all 2^(2^n) tables
+    in index order, put through the packed Moebius kernel twice.  Then
+    ``samples`` random functions, each through ``moebius`` twice.
+    """
+
+    def exhaustive() -> Iterator[Optional[dict]]:
+        for n in range(1, 5):
+            size = 1 << n
+            total = 1 << size
+            tables = pack_bits(unpack_rows(np.arange(total, dtype=np.uint64), size))
+            back = _moebius_table(_moebius_table(tables, n, total), n, total)
+            wrong = unpack_bits(back ^ tables, total * size).reshape(total, size).any(axis=1)
+            bad = np.flatnonzero(wrong).tolist()
+            for table in bad:
+                yield {"f": format_bf(BooleanFunction(n, table))}
+            yield from repeat(None, total - len(bad))
+
+    randomized = (
+        None if moebius(moebius(f)) == f else {"f": format_bf(f)}
+        for f in _functions(0, samples, seed, max_n)
+    )
     return _report(
         "involution",
         "exhaustive n<=4 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
-        (
-            None if moebius(moebius(f)) == f else {"f": format_bf(f)}
-            for f in _functions(4, samples, seed, max_n)
-        ),
+        chain(exhaustive(), randomized),
     )
 
 

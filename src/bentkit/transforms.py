@@ -110,7 +110,8 @@ def walsh_fast(f: BooleanFunction) -> IntegerVector:
     return walsh_truth_rows(unpack_bits(f.table, f.size)).tolist()
 
 
-@lru_cache(maxsize=8)
+# unbounded: _check_work keeps n <= 12, so at most 12 matrices (~22 MB)
+@lru_cache(maxsize=None)
 def _character_matrix(n: int) -> np.ndarray:
     # C[y, x] = (-1)^<x, y>
     idx = np.arange(1 << n, dtype=np.uint32)

@@ -111,6 +111,16 @@ def test_theorem_to_simplified_ratio_decreases():
     assert all(r > 1 for r in ratios)
 
 
+def test_theorem_excess_over_the_headline_vanishes():
+    # the abstract's o(1): theorem / headline - 1 falls towards 0, about as
+    # fast as 1/sqrt(n); every even n up to 1024 takes ~30 s, so a sample
+    ns = [*range(8, 257, 2), 384, 512, 768, 1022, 1024]
+    excess = [theorem_upper_log2(n) / headline_log2(n) - 1 for n in ns]
+    assert min(excess) > 0
+    assert all(a > b for a, b in zip(excess, excess[1:]))
+    assert all(2.3 <= math.sqrt(n) * e <= 4.6 for n, e in zip(ns, excess))
+
+
 def test_headline_oracles():
     assert math.isclose(headline_log2(6), 3 * LOG2_6 + 16, rel_tol=1e-12)
     assert headline_log2(8) < 96

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from bentkit import bent, suites
+from bentkit import bent, suites, transforms
 from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, format_bf, pack_bits
@@ -152,6 +152,39 @@ def test_involution_suite():
     check_shape(report, "involution")
     assert report["passed"]
     assert report["checks"] == 4 + 16 + 256 + 65536 + 30
+
+
+def test_involution_reports_a_wrong_packed_row(monkeypatch):
+    real = suites._moebius_table
+
+    def one_wrong(table, n, rows=1):
+        out = real(table, n, rows)
+        if n == 3 and rows > 1:
+            out ^= 1 << (0x5A << n)  # bit 0 of packed table 0x5a
+        return out
+
+    monkeypatch.setattr(suites, "_moebius_table", one_wrong)
+    report = suite_involution(samples=5, seed=1, max_n=6)
+    assert report["checks"] == 4 + 16 + 256 + 65536 + 5
+    assert report["failures"] == 1
+    assert report["counterexamples"] == [{"f": "bf:3:5a"}]
+    assert not report["passed"]
+
+
+def test_involution_sends_only_its_samples_through_moebius(monkeypatch):
+    calls = []
+    real = suites.moebius
+    monkeypatch.setattr(suites, "moebius", lambda f: calls.append(f.n) or real(f))
+    samples = 7
+    assert suite_involution(samples=samples, seed=1, max_n=8)["passed"]
+    assert len(calls) == 2 * samples
+
+
+def test_parseval_builds_each_oracle_matrix_once():
+    transforms._character_matrix.cache_clear()
+    assert suite_parseval()["passed"]
+    # one matrix per arity n = 1.._NAIVE_CHECK_MAX_N, none rebuilt
+    assert transforms._character_matrix.cache_info().misses == suites._NAIVE_CHECK_MAX_N
 
 
 @pytest.mark.parametrize("n", [2, 4])
