@@ -3,8 +3,8 @@
 Every subcommand is a thin adapter: parse arguments, call one library entry
 point, serialize the result.  No arithmetic lives in this module.
 
-Exit codes: 0 success, 1 usage error, 2 domain/input error,
-3 verification failure or counterexample, 4 resource cap.
+Exit codes: 0 success, 1 usage error, 2 domain/input error or a closed
+stdout, 3 verification failure or counterexample, 4 resource cap.
 Exactly one JSON document goes to stdout on success; diagnostics
 (timings, tables) go to stderr.
 """
@@ -15,6 +15,7 @@ import argparse
 import functools
 import inspect
 import json
+import os
 import random
 import sys
 from pathlib import Path
@@ -227,6 +228,32 @@ def _cmd_verify(args: argparse.Namespace):
     return report, EXIT_OK if report["passed"] else EXIT_FAILED
 
 
+def _dumps(payload: dict) -> str:
+    """``json.dumps(payload, indent=2)``, byte for byte, with each top-level
+    non-empty list of exact ints formatted by json's C encoder.
+
+    With ``indent`` set, json formats every list item in Python; without it,
+    the C encoder runs, here with the layout's newline and indent as its item
+    separator.  Every other member is one stock ``json.dumps`` of a
+    one-member dict, which puts it at the same depth as in the whole payload.
+    """
+    # exact ints only: bool and IntEnum items keep the stock encoder
+    fast = [
+        type(key) is str and type(value) is list and set(map(type, value)) == {int}
+        for key, value in payload.items()
+    ]
+    if not any(fast):
+        return json.dumps(payload, indent=2)
+    members = []
+    for (key, value), is_int_list in zip(payload.items(), fast):
+        if is_int_list:
+            items = json.dumps(value, separators=(",\n    ", ": "))
+            members.append(f"  {json.dumps(key)}: [\n    {items[1:-1]}\n  ]")
+        else:
+            members.append(json.dumps({key: value}, indent=2)[2:-2])
+    return "{\n" + ",\n".join(members) + "\n}"
+
+
 @functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     """The argparse tree of every subcommand, built on the first call.
@@ -325,7 +352,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (ParseError, ValueError, OSError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DOMAIN
-    print(json.dumps(payload, indent=2))
+    text = _dumps(payload)
+    try:
+        print(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout (the flush above raises here what would
+        # otherwise surface at exit): point it at /dev/null so that the
+        # flush at interpreter exit finds nothing to fail on
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print("error: stdout was closed before the JSON document was written", file=sys.stderr)
+        return EXIT_DOMAIN
     return code
 
 

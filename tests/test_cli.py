@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import enum
 import hashlib
 import inspect
 import io
@@ -367,6 +368,12 @@ GOLDEN_ARGVS += [
     ["verify", "--suite", "census-agreement"],
     ["verify", "--suite", "census-agreement", "--n", "2"],
 ]
+# top-level int lists of 4,096 and 65,536 entries
+GOLDEN_ARGVS += [
+    ["anf", "--f", format_bf(random_function(12, 12))],
+    ["wht", "--f", MM16],
+    ["anf", "--f", MM16],
+]
 # (sha256 of stdout, exit code) per argv above
 GOLDEN = [
     ("f92695d70604bbee38f227f10a969a05229a3c8d136a4506a38021287ee3a70b", 0),
@@ -399,6 +406,9 @@ GOLDEN = [
     ("8cca86b17daa56f885942b0c64d3820db232460b1034182d0ca7e7c2fe148c22", 0),
     ("c8b7dd830100746982b403d4737f14459b0b99606e369a9eebadd4a2accd4449", 0),
     ("1a0b4498d1dadac744de23767c0cc01f68a7d6d799c0e6fa5f6ba2f3520c2cb4", 0),
+    ("22ae71a67f80262c6ee4395352ee5a4ef005f26e777ecdfce773c25d7be75266", 0),
+    ("7a9e24cf2bca8f785d5970ce2cbec93a54856e5d6ae7c3cff691101173a7bb51", 0),
+    ("10475c0bf1093cc03b984e948baaea3a0dae695727d4524797d022e3eadab593", 0),
 ]
 
 
@@ -419,6 +429,81 @@ def test_golden_digests_hold_in_reverse_order_in_one_process(capsys):
         if (hashlib.sha256(out.encode()).hexdigest(), code) != expected:
             changed.append(argv)
     assert changed == []
+
+
+def test_golden_stdout_is_the_stock_encoding_of_its_payload(capsys):
+    for argv in GOLDEN_ARGVS:
+        _, out, _ = run(capsys, *argv)
+        payload = json.loads(out)
+        assert out == cli._dumps(payload) + "\n" == json.dumps(payload, indent=2) + "\n"
+
+
+class _Bit(enum.IntEnum):
+    ONE = 1
+
+
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-(2**80), 2**80),
+    st.floats(),
+    st.text(),
+    st.sampled_from(["a\nb", "\u00e9\r\n", "\u2028", '"\\', "\U0001f600"]),
+)
+JSON_VALUES = st.recursive(
+    JSON_SCALARS,
+    lambda children: st.lists(children, max_size=4) | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=12,
+)
+PAYLOADS = st.dictionaries(
+    st.text(max_size=6),
+    st.one_of(JSON_VALUES, st.lists(st.integers(), max_size=20), st.lists(st.integers(-(2**70), 2**70))),
+    max_size=5,
+)
+
+
+@given(PAYLOADS)
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_the_stock_encoder(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+@pytest.mark.parametrize("payload", [
+    {"v": [1, True]},
+    {"v": [1, _Bit.ONE, 2]},
+    {"v": []},
+    {"v": [0]},
+    {},
+    {1: [1, 2], "v": [3]},
+    {"n": 2, "values": [2, 2, 2, -2], "note": "a\nb", "nested": {"w": [1, 2]}},
+    # the shape of bent affine's images, with int lists below the top level
+    {"n": 2, "images": [{"values": [1, 0]}, {"values": []}], "v": [-(2**64), 2**64]},
+])
+def test_dumps_matches_the_stock_encoder_on_fixed_payloads(payload):
+    assert cli._dumps(payload) == json.dumps(payload, indent=2)
+
+
+def test_a_closed_stdout_exits_2_without_a_traceback(tmp_path):
+    # 622 kB of output: the write blocks on the pipe until the reader closes it
+    path = tmp_path / "mm16.txt"
+    path.write_text(MM16)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bentkit.cli", "wht", "--f", f"@{path}"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    try:
+        assert proc.stdout.read(8) == b'{\n  "n":'
+        proc.stdout.close()
+        code = proc.wait(timeout=120)
+        err = proc.stderr.read().decode()
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert code == cli.EXIT_DOMAIN
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_main_builds_the_parser_once_per_process(capsys):

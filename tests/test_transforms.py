@@ -42,6 +42,13 @@ def test_walsh_oracles():
     assert walsh_fast(parse_bf("bf:4:7888"))[0] == 4
 
 
+@pytest.mark.parametrize("n", range(1, 7))
+def test_character_matrix_is_the_sign_of_every_inner_product(n):
+    matrix = transforms._character_matrix(n)
+    assert matrix.dtype == np.int8
+    assert matrix.tolist() == [[(-1) ** (x & y).bit_count() for x in range(1 << n)] for y in range(1 << n)]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fast_matches_naive_exhaustively(n):
     for table in range(1 << (1 << n)):
