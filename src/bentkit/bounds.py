@@ -14,12 +14,15 @@ import math
 from math import comb
 from typing import Optional, Sequence
 
-from .core import _check_even
+from .core import _check_even, _read_bounded
 from .geometry import FaceMask, ball_size, covering_coset_count
 
 _LOG2_6 = math.log2(6)
 # past this arity 2^(n-6) and T_n no longer convert to a float
 _FLOAT_ARITY_LIMIT = 1024
+# a known-count file is read up to one entry per even n that bound_report takes:
+# a 4300-digit count (int()'s default string limit) and 1 KiB for the rest
+_KNOWN_FILE_BYTES = _FLOAT_ARITY_LIMIT // 2 * (4300 + 1024)
 _ASYMPTOTIC_NOTE = (
     "theorem_upper_log2 and headline_log2 evaluate exact surrogates of "
     "asymptotic formulas; they are not certified bounds at any fixed n"
@@ -96,11 +99,11 @@ def simplified_log2(n: int) -> int:
 
 def load_known_counts(path: str) -> list[dict]:
     """Read user-supplied counts: [{"n": int, "count": decimal string, "source": str}]."""
-    with open(path, "r", encoding="utf-8") as handle:
-        try:
-            raw = json.load(handle)
-        except RecursionError:
-            raise ValueError("known-count file is nested too deeply") from None
+    text = _read_bounded(path, _KNOWN_FILE_BYTES, "a 4300-digit count per even n")
+    try:
+        raw = json.loads(text)
+    except RecursionError:
+        raise ValueError("known-count file is nested too deeply") from None
     if not isinstance(raw, list):
         raise ValueError("known-count file must hold a JSON list")
     entries = []

@@ -25,7 +25,7 @@ from .bent import _bent_images, dual_bent, is_bent, two_flat_sum_distribution
 from .bounds import bound_report, format_report_table, load_known_counts
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import MAX_ARITY, BooleanFunction, ParseError, ResourceCapError, format_bf, pack_bits
-from .core import parse_bf
+from .core import _read_bounded, parse_bf
 from .geometry import FaceMask, coset_spectrum
 from .reconstruct import BallAssignment, reconstruct_from_ball
 from .suites import SUITES
@@ -48,21 +48,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-# an @path file holds one literal, at most bf:26: and 2^24 hex digits, plus
-# up to 64 bytes of surrounding whitespace; no more than that is ever read
+# no more is ever read from an @path file than the largest input it can hold:
+# one literal, bf:26: and 2^24 hex digits, plus 64 bytes of whitespace; or the
+# ball B_26 of n=26, 2^26 bits at 3 bytes each as json.dumps writes them
+# ("0, "), plus 128 bytes of keys and whitespace
 _FUNCTION_FILE_BYTES = len(f"bf:{MAX_ARITY}:") + (1 << MAX_ARITY) // 4 + 64
+_BALL_FILE_BYTES = 3 * (1 << MAX_ARITY) + 128
 
 
 def _load_function(text: str) -> BooleanFunction:
     if text.startswith("@"):
-        with open(text[1:], "rb") as handle:
-            data = handle.read(_FUNCTION_FILE_BYTES + 1)
-        if len(data) > _FUNCTION_FILE_BYTES:
-            raise ValueError(
-                f"{text[1:]} is longer than {_FUNCTION_FILE_BYTES} bytes, "
-                "the longest function literal with whitespace"
-            )
-        text = data.decode().strip()
+        text = _read_bounded(text[1:], _FUNCTION_FILE_BYTES, "the longest literal").strip()
     return parse_bf(text)
 
 
@@ -154,7 +150,7 @@ def _cmd_coset_spectrum(args: argparse.Namespace):
 def _cmd_reconstruct(args: argparse.Namespace):
     text = args.ball
     if text.startswith("@"):
-        text = Path(text[1:]).read_text()
+        text = _read_bounded(text[1:], _BALL_FILE_BYTES, "the largest ball")
     try:
         data = json.loads(text)
     except RecursionError:

@@ -45,6 +45,15 @@ def _check_work(log2_items: int, what: str) -> None:
         raise ResourceCapError(f"needs 2^{log2_items} {what}, over the cap of 2^{MAX_WORK_LOG2}")
 
 
+def _read_bounded(path: str, limit: int, what: str) -> str:
+    """UTF-8 text of a file, read up to ``limit`` + 1 bytes: one more is a ValueError."""
+    with open(path, "rb") as handle:
+        data = handle.read(limit + 1)
+    if len(data) > limit:
+        raise ValueError(f"{path} is longer than {limit} bytes, {what}")
+    return data.decode()
+
+
 def _check_even(n: int, minimum: int = 2) -> None:
     if not isinstance(n, int) or isinstance(n, bool):
         raise ValueError(f"arity must be an int, got {n!r}")

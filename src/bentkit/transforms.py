@@ -14,19 +14,18 @@ masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
 Spectra and vectors are returned as plain ``list[int]`` of Python ints.
 ``walsh_fast`` (the spectrum of a function) and ``hadamard_transform`` (of an
-integer vector) each run one butterfly, O(n 2^n); ``walsh_naive`` evaluates
-the defining double sum directly, with no butterfly, and serves as the
-independent oracle.  ``convolve_pm`` is likewise the direct sum over the
-support of its vector, in int64 or else on exact ints in an object array, and
-never reaches a butterfly, so ``check_restriction_identity``, whose right side
-runs two (``walsh_fast`` of f, ``hadamard_transform`` of the masked
+integer vector) each run one butterfly, O(n 2^n); ``walsh_naive``, the
+independent oracle, reads each W(y) = 2^n - 2 wt(f + <., y>) as a popcount,
+with no butterfly and no numpy.  ``convolve_pm`` is likewise the direct sum
+over the support of its vector, in int64 or else on exact ints in an object
+array, and never reaches a butterfly, so ``check_restriction_identity``, whose
+right side runs two (``walsh_fast`` of f, ``hadamard_transform`` of the masked
 spectrum), really compares two different computations.
 """
 
 from __future__ import annotations
 
 import operator
-from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -110,27 +109,19 @@ def walsh_fast(f: BooleanFunction) -> IntegerVector:
     return walsh_truth_rows(unpack_bits(f.table, f.size)).tolist()
 
 
-# unbounded: _check_work keeps n <= 12, so at most 12 matrices (~22 MB)
-@lru_cache(maxsize=None)
-def _character_matrix(n: int) -> np.ndarray:
-    # C[y, x] = (-1)^<x, y>; uint16 holds every index at n <= 12 and halves
-    # the outer AND against uint32 (32 MB at n=12)
-    idx = np.arange(1 << n, dtype=np.uint16)
-    parity = np.bitwise_count(idx[:, None] & idx[None, :]).astype(np.int8) & 1
-    return (1 - 2 * parity).astype(np.int8)
-
-
 def walsh_naive(f: BooleanFunction) -> IntegerVector:
-    """Walsh-Hadamard spectrum by direct evaluation of the defining double sum.
-
-    O(4^n) work, within the work budget up to n=12; the independent oracle
-    for walsh_fast.
-    """
-    _check_work(2 * f.n, f"matrix entries for the naive transform at n={f.n}")
-    signs = 1 - 2 * unpack_bits(f.table, f.size).astype(np.int8)
-    # int64 accumulation without an int64 copy of the int8 matrix
-    values = np.einsum("yx,x->y", _character_matrix(f.n), signs, dtype=np.int64)
-    return values.tolist()
+    """Walsh-Hadamard spectrum by the defining sum: W(y) = 2^n - 2 wt(f + l_y),
+    with l_y the table of <x, y>, the XOR of the tables l_i of x_i over the bits
+    of y; y runs in Gray-code order, so each step XORs one l_i.  O(4^n) bit
+    work, within the budget up to n=12; the independent oracle for walsh_fast."""
+    _check_work(2 * f.n, f"terms of the defining sum for the naive transform at n={f.n}")
+    size, t = f.size, f.table
+    lines = [((1 << size) - 1) ^ m for m in coordinate_masks(f.n)]  # mask i: x_i = 0
+    values = [size - 2 * t.bit_count()] * size  # W(0); the loop sets every other y
+    for k in range(1, size):
+        t ^= lines[(k & -k).bit_length() - 1]  # Gray codes k - 1 and k differ in bit ctz(k)
+        values[k ^ (k >> 1)] = size - 2 * t.bit_count()
+    return values
 
 
 def _moebius_table(table: int, n: int, rows: int = 1) -> int:

@@ -185,6 +185,23 @@ def test_load_known_counts_rejects(tmp_path, payload):
         load_known_counts(str(path))
 
 
+def test_known_count_file_is_read_up_to_its_bound(tmp_path):
+    limit = bounds._KNOWN_FILE_BYTES
+    assert limit == 512 * (4300 + 1024)
+    # one entry per even n that bound_report accepts, each with a 4300-digit
+    # count, fits with room to spare for whitespace
+    largest = [{"n": n, "count": "9" * 4300, "source": "s" * 900} for n in range(2, 1025, 2)]
+    text = json.dumps(largest)
+    assert len(text) < limit
+    path = tmp_path / "counts.json"
+    path.write_text(text + " " * (limit - len(text)))
+    assert path.stat().st_size == limit
+    assert load_known_counts(str(path)) == largest
+    path.write_text(text + " " * (limit - len(text) + 1))
+    with pytest.raises(ValueError, match=rf"longer than {limit} bytes"):
+        load_known_counts(str(path))
+
+
 def test_load_known_counts_missing_file():
     with pytest.raises(OSError):
         load_known_counts("/nonexistent/counts.json")

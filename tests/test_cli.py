@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bentkit.cli as cli
+from bentkit import bounds
 from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_sum_distribution
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
@@ -148,6 +149,42 @@ def test_function_file_is_read_up_to_the_longest_literal(capsys, tmp_path):
     err = capsys.readouterr().err
     assert f"longer than {limit} bytes" in err
     assert limit == len("bf:26:") + (1 << 24) + 64
+
+
+def test_ball_file_is_read_up_to_the_largest_ball(capsys, tmp_path, monkeypatch):
+    limit = cli._BALL_FILE_BYTES
+    assert limit == 3 * (1 << 26) + 128
+    # json.dumps writes each further bit in 3 bytes, so B_26 in n=26 leaves
+    # 64 bytes of the bound for whitespace
+    five = len(json.dumps({"n": 26, "r": 26, "values": [1] * 5}))
+    assert five + 3 * ((1 << 26) - 5) <= limit - 64
+    # the same read against a small bound: a file at the real one is 192 MiB
+    doc = '{"n": 2, "r": 1, "values": [0, 1, 1]}'
+    monkeypatch.setattr(cli, "_BALL_FILE_BYTES", len(doc) + 8)
+    path = tmp_path / "ball.json"
+    path.write_text(doc + " " * 8)
+    code, payload, _ = run_json(capsys, "reconstruct", "--ball", f"@{path}")
+    assert code == 0 and payload["function"] == "bf:2:6"
+    path.write_text(doc + " " * 9)
+    code, out, err = run(capsys, "reconstruct", "--ball", f"@{path}")
+    assert (code, out) == (2, "")
+    assert f"longer than {len(doc) + 8} bytes" in err
+
+
+@pytest.mark.parametrize(
+    "argv, limit",
+    [
+        (["degree", "--f", "@/dev/zero"], cli._FUNCTION_FILE_BYTES),
+        (["reconstruct", "--ball", "@/dev/zero"], cli._BALL_FILE_BYTES),
+        (["bounds", "--n", "4", "--known", "/dev/zero"], bounds._KNOWN_FILE_BYTES),
+    ],
+    ids=["function", "ball", "known"],
+)
+def test_endless_file_inputs_stop_at_their_bound(capsys, argv, limit):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: /dev/zero is longer than {limit} bytes, ")
+    assert err.count("\n") == 1 and "Traceback" not in err
 
 
 def test_census_payload_and_emit(capsys, tmp_path):

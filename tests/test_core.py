@@ -176,8 +176,17 @@ def test_one_work_budget_sets_every_enumeration_limit(monkeypatch):
             with pytest.raises(ResourceCapError, match=rf"over the cap of 2\^{budget}$"):
                 call()
     monkeypatch.setattr(core, "MAX_WORK_LOG2", 23)
-    with pytest.raises(ResourceCapError, match=r"needs 2\^24 matrix entries"):
+    with pytest.raises(ResourceCapError, match=r"needs 2\^24 terms of the defining sum"):
         walsh_naive(BooleanFunction(12, 0))
+
+
+def test_bounded_read_refuses_one_byte_past_the_limit(tmp_path):
+    path = tmp_path / "text.txt"
+    path.write_text("é" * 5)  # 10 bytes of UTF-8
+    assert core._read_bounded(str(path), 10, "ten bytes") == "é" * 5
+    path.write_text("é" * 5 + " ")
+    with pytest.raises(ValueError, match=r"text\.txt is longer than 10 bytes, ten bytes$"):
+        core._read_bounded(str(path), 10, "ten bytes")
 
 
 def test_arity_mismatch_has_one_wording():

@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from bentkit import bent, suites, transforms
+from bentkit import bent, suites
 from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, format_bf, pack_bits
@@ -178,13 +178,6 @@ def test_involution_sends_only_its_samples_through_moebius(monkeypatch):
     samples = 7
     assert suite_involution(samples=samples, seed=1, max_n=8)["passed"]
     assert len(calls) == 2 * samples
-
-
-def test_parseval_builds_each_oracle_matrix_once():
-    transforms._character_matrix.cache_clear()
-    assert suite_parseval()["passed"]
-    # one matrix per arity n = 1.._NAIVE_CHECK_MAX_N, none rebuilt
-    assert transforms._character_matrix.cache_info().misses == suites._NAIVE_CHECK_MAX_N
 
 
 @pytest.mark.parametrize("n", [2, 4])

@@ -42,13 +42,6 @@ def test_walsh_oracles():
     assert walsh_fast(parse_bf("bf:4:7888"))[0] == 4
 
 
-@pytest.mark.parametrize("n", range(1, 7))
-def test_character_matrix_is_the_sign_of_every_inner_product(n):
-    matrix = transforms._character_matrix(n)
-    assert matrix.dtype == np.int8
-    assert matrix.tolist() == [[(-1) ** (x & y).bit_count() for x in range(1 << n)] for y in range(1 << n)]
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_fast_matches_naive_exhaustively(n):
     for table in range(1 << (1 << n)):
@@ -62,9 +55,10 @@ def test_fast_matches_naive_random(f):
     assert walsh_fast(f) == walsh_naive(f)
 
 
-@pytest.mark.parametrize("n", [6, 7, 8])
+@pytest.mark.parametrize("n", [6, 7, 8, 11, 12])
 def test_fast_matches_naive_across_cutover(n):
-    # n=6 runs the pure-Python butterfly, n=7 and n=8 the numpy one
+    # n=6 runs the pure-Python butterfly, n >= 7 the numpy one; n = 11 and 12
+    # are past the random strategy's arities and up to the oracle's budget
     assert _NUMPY_CUTOVER == 7
     rng = random.Random(n)
     for _ in range(20):
@@ -81,20 +75,22 @@ def test_spectra_are_lists_of_python_ints(n):
         assert all(type(v) is int for v in spectrum)
 
 
-def test_naive_makes_no_int64_copy_of_the_matrix():
-    f = random_function(10, random.Random(10))
-    walsh_naive(f)  # builds and caches the 1024 x 1024 int8 character matrix
+def test_naive_call_at_the_largest_arity_peaks_under_a_megabyte():
+    # no warm-up call: the oracle keeps nothing between calls, and holds only
+    # its 2^12 values and n coordinate tables; a 4096 x 4096 matrix of the
+    # characters would take 16 MB even in int8
+    f = random_function(12, random.Random(12))
     tracemalloc.start()
     try:
         walsh_naive(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1 << 20  # an int64 copy of the matrix would be 8 MB
+    assert peak < 1 << 20
 
 
 def test_naive_cap():
-    with pytest.raises(ResourceCapError, match=r"needs 2\^26 matrix entries .* n=13"):
+    with pytest.raises(ResourceCapError, match=r"needs 2\^26 terms of the defining sum .* n=13"):
         walsh_naive(BooleanFunction(13, 0))
 
 
@@ -278,15 +274,26 @@ def test_convolve_pm_matches_the_double_sum(n):
             assert convolve_pm(f, g) == _convolve_literal(f, g)
 
 
-def test_convolve_pm_never_reaches_the_butterfly(monkeypatch):
+def _walsh_literal(f):
+    return [
+        sum((-1) ** (f.bit(x) + (x & y).bit_count()) for x in range(f.size))
+        for y in range(f.size)
+    ]
+
+
+@pytest.mark.parametrize("oracle", ["convolve_pm", "walsh_naive"])
+def test_naive_oracles_never_reach_the_butterfly(monkeypatch, oracle):
     def refuse(*args):
-        raise AssertionError("convolve_pm called the transform")
+        raise AssertionError(f"{oracle} called the transform")
 
     monkeypatch.setattr(transforms, "walsh_rows", refuse)
     monkeypatch.setattr(transforms, "_hadamard_in_place", refuse)
     rng = random.Random(5)
     for n in (2, _NUMPY_CUTOVER, 9):
         f = random_function(n, rng)
+        if oracle == "walsh_naive":
+            assert walsh_naive(f) == _walsh_literal(f)
+            continue
         g = [rng.randrange(-3, 4) for _ in range(1 << n)]
         assert convolve_pm(f, g) == _convolve_literal(f, g)
         big = convolve_pm(f, [v << 70 for v in g])
