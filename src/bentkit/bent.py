@@ -89,15 +89,15 @@ class AffineMap:
         if len(self.cols) != self.n:
             raise ValueError(f"need {self.n} matrix columns, got {len(self.cols)}")
         top = 1 << self.n
-        for c in self.cols:
-            if not 0 <= c < top:
-                raise ValueError(f"matrix column {c:#x} out of range for n={self.n}")
-        if not 0 <= self.translation < top:
-            raise ValueError("translation out of range")
-        if not 0 <= self.functional < top:
-            raise ValueError("functional vector out of range")
-        if self.constant not in (0, 1):
-            raise ValueError("constant must be a bit")
+        # one pass over every field; type(), not isinstance, also refuses bools
+        for v in (*self.cols, self.translation, self.functional):
+            if type(v) is not int or not 0 <= v < top:
+                raise ValueError(
+                    f"matrix columns, translation and functional must be ints in "
+                    f"[0, 2^{self.n}), got {v!r}"
+                )
+        if type(self.constant) is not int or self.constant not in (0, 1):
+            raise ValueError(f"constant must be the int 0 or 1, got {self.constant!r}")
         if matrix_rank(self.cols) != self.n:
             raise ValueError("matrix is singular")
 

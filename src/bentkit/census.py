@@ -5,12 +5,14 @@ normal forms supported on the ball B_d, d = max(2, n/2): a bent function has
 degree <= n/2 for n >= 4, and all 8 at n=2 have degree 2.  Both stream
 results in ascending truth-table order for any job count: min(jobs, cores)
 spawned workers each take one contiguous shard of the candidates.
-Candidates are (rows, 2^n) bit arrays: the degree method turns normal forms
-into truth tables with the packed Moebius kernel, and both filter each chunk
-with ``bent.bent_rows``, the one bent test.  Both refuse a space of more
-than 2^24 candidates, the one work budget ``core.MAX_WORK_LOG2``: the
-brute-force space is 2^(2^n), 2^64 at n=6, and the degree-restricted space
-is 2^42 at n=6.
+Each shard is scanned as one (rows, 2^n) bit block: the degree method turns
+its normal forms into truth tables with the packed Moebius kernel, and both
+filter the block with one call of ``bent.bent_rows``, the one bent test.
+Both refuse a space of more than 2^24 candidates, the one work budget
+``core.MAX_WORK_LOG2``: the brute-force space is 2^(2^n), 2^64 at n=6, and
+the degree-restricted space is 2^42 at n=6.  So the largest census the
+budget admits is the brute-force scan at n=4, 65,536 tables, and no shard
+holds more.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ from .bent import bent_rows
 from .core import BooleanFunction, _check_arity, _check_even, _check_work, pack_rows, unpack_rows
 from .geometry import ball_points, ball_size
 from .transforms import truth_rows_from_anf
-
-_CHUNK = 1 << 16
 
 
 def _degree_bound(n: int) -> int:
@@ -47,12 +47,8 @@ class CensusResult:
 
 def _bent_tables_in_range(n: int, lo: int, hi: int) -> list[int]:
     """Truth-table ints of the bent functions with lo <= table < hi, ascending."""
-    out: list[int] = []
-    for start in range(lo, hi, _CHUNK):
-        tables = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64)
-        keep = bent_rows(unpack_rows(tables, 1 << n), n)
-        out.extend(tables[keep].tolist())
-    return out
+    tables = np.arange(lo, hi, dtype=np.uint64)
+    return tables[bent_rows(unpack_rows(tables, 1 << n), n)].tolist()
 
 
 def _bent_tables_from_anf_range(n: int, lo: int, hi: int) -> list[int]:
@@ -62,12 +58,9 @@ def _bent_tables_from_anf_range(n: int, lo: int, hi: int) -> list[int]:
     d = ``_degree_bound(n)``, wherever bit j of k is set.
     """
     points = ball_points(n, _degree_bound(n))
-    out: list[int] = []
-    for start in range(lo, hi, _CHUNK):
-        candidates = np.arange(start, min(start + _CHUNK, hi), dtype=np.uint64)
-        truth = truth_rows_from_anf(n, points, unpack_rows(candidates, len(points)))
-        out.extend(pack_rows(truth[bent_rows(truth, n)]))
-    return out
+    candidates = np.arange(lo, hi, dtype=np.uint64)
+    truth = truth_rows_from_anf(n, points, unpack_rows(candidates, len(points)))
+    return pack_rows(truth[bent_rows(truth, n)])
 
 
 def _census(method: str, worker, n: int, total: int, jobs: int, keep: bool) -> CensusResult:

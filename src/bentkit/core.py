@@ -62,6 +62,8 @@ def _check_even(n: int, minimum: int = 2) -> None:
 
 
 def _check_radius(n: int, r: int) -> None:
+    if not isinstance(r, int) or isinstance(r, bool):
+        raise ValueError(f"radius must be an int, got {r!r}")
     if not 0 <= r <= n:
         raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
 

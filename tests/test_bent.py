@@ -180,6 +180,12 @@ def test_affine_map_validation():
         AffineMap(2, (1, 2), 4, 0, 0)
     with pytest.raises(ValueError):
         AffineMap(2, (1, 2), 0, 0, 2)
+    # a float column has full rank through int(), so it used to construct and
+    # fail later inside apply_affine; True used to be applied as the constant 1
+    not_ints = [((1.5, 2), 0, 0, 0), ((1, 2), 1.0, 0, 0), ((1, 2), 0, 0, 1.0), ((1, 2), 0, 0, True)]
+    for fields in not_ints:
+        with pytest.raises(ValueError, match="int"):
+            AffineMap(2, *fields)
 
 
 def _image(f, t):

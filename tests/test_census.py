@@ -6,15 +6,23 @@ import sys
 
 import pytest
 
-from bentkit import census
-from bentkit.bent import is_bent
+from bentkit import census, core
+from bentkit.bent import bent_rows, is_bent
 from bentkit.census import (
     CensusResult,
     bent_count,
     enumerate_bent_by_degree,
     enumerate_bent_naive,
 )
-from bentkit.core import BooleanFunction, ResourceCapError, format_bf, weight
+from bentkit.core import (
+    MAX_ARITY,
+    BooleanFunction,
+    ResourceCapError,
+    _check_work,
+    format_bf,
+    weight,
+)
+from bentkit.geometry import ball_size
 
 N2_TABLES = [1, 2, 4, 7, 8, 11, 13, 14]  # the eight odd-weight tables
 
@@ -107,6 +115,62 @@ def test_jobs_are_capped_at_cpu_count(serial_pool, monkeypatch):
     assert serial_pool == [2]
     with pytest.raises(ValueError):
         enumerate_bent_naive(2, jobs=0)
+
+
+@pytest.fixture
+def bent_rows_calls(monkeypatch):
+    """Count the census's calls of the bent test."""
+    calls = []
+
+    def counted(truth, n):
+        calls.append(len(truth))
+        return bent_rows(truth, n)
+
+    monkeypatch.setattr(census, "bent_rows", counted)
+    return calls
+
+
+@pytest.mark.parametrize("jobs", [1, 4])
+def test_each_shard_is_one_block(jobs, serial_pool, bent_rows_calls):
+    # one bent_rows call per shard, over the whole shard
+    enumerate_bent_naive(4, jobs=jobs)
+    assert bent_rows_calls == [(1 << 16) // jobs] * jobs
+    bent_rows_calls.clear()
+    enumerate_bent_by_degree(4, jobs=jobs)
+    assert bent_rows_calls == [(1 << 11) // jobs] * jobs
+
+
+def test_empty_shards_change_nothing(serial_pool, monkeypatch, bent_rows_calls):
+    # 64 workers share 16 candidates, so most shards are empty
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+    for enumerate_bent in (enumerate_bent_naive, enumerate_bent_by_degree):
+        bent_rows_calls.clear()
+        assert [f.table for f in enumerate_bent(2, jobs=64).functions] == N2_TABLES
+        assert len(bent_rows_calls) == 64 and sum(bent_rows_calls) == 16
+    assert serial_pool == [64, 64]
+
+
+def _largest_admitted_scan_log2():
+    """log2 of the most candidates a census the work budget admits would
+    scan, over both methods at every even arity up to MAX_ARITY."""
+    largest = 0
+    for n in range(2, MAX_ARITY + 1, 2):
+        for log2_candidates in (1 << n, ball_size(n, census._degree_bound(n))):
+            try:
+                _check_work(log2_candidates, "candidates")
+            except ResourceCapError:
+                continue
+            largest = max(largest, log2_candidates)
+    return largest
+
+
+def test_the_budget_keeps_every_shard_one_small_block(monkeypatch):
+    # each worker scans its shard as one (rows, 2^n) block, which is only
+    # sound while the largest admitted census is the n=4 brute-force scan
+    assert _largest_admitted_scan_log2() <= 16
+    # the tripwire fires for a budget that admits the n=6 degree scan
+    monkeypatch.setattr(core, "MAX_WORK_LOG2", 42)
+    assert _largest_admitted_scan_log2() == 42
 
 
 def test_importing_the_cli_loads_no_process_pool():

@@ -22,8 +22,14 @@ from bentkit.core import (
     unpack_rows,
     weight,
 )
-from bentkit.geometry import FaceMask, coset_spectrum, coset_value_class_sizes, covering_coset_count
-from bentkit.reconstruct import check_lemma1
+from bentkit.geometry import (
+    FaceMask,
+    ball_points,
+    coset_spectrum,
+    coset_value_class_sizes,
+    covering_coset_count,
+)
+from bentkit.reconstruct import BallAssignment, check_lemma1
 from bentkit.transforms import check_restriction_identity, walsh_naive
 
 AND = BooleanFunction(2, 0b1000)  # f(x1,x2) = x1 & x2, true only at index 3
@@ -112,6 +118,19 @@ def test_table_validation():
         BooleanFunction(0, 0)
     with pytest.raises(ValueError):
         BooleanFunction(2, 1.0)
+
+
+def test_radius_must_be_an_int():
+    # not a TypeError from range() or comb(), and True is not the radius 1
+    cases = [
+        lambda: ball_points(4, 1.5),
+        lambda: BallAssignment(4, 1.5, (0,) * 5),
+        lambda: covering_coset_count(4, 1.0, FaceMask(4, 1)),
+        lambda: ball_points(4, True),
+    ]
+    for call in cases:
+        with pytest.raises(ValueError, match="^radius must be an int, got "):
+            call()
 
 
 def test_bit_bounds():
