@@ -14,7 +14,8 @@ tests them one chunk of maps at a time and yields (row, bent) pairs, so
 ``prop1``, which packs only failing rows, holds one chunk at most; ``bent
 affine`` prints every image, so its output still grows with the count.
 ``two_flat_sum_distribution`` is a closed form in n, W(0) and sum_y W(y)^4
-from one ``walsh_fast``; ``two_flats`` lists the flats for direct counts.
+from one spectrum (``transforms._walsh_by_arity``); ``two_flats`` lists the
+flats for direct counts.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ import numpy as np
 
 from .core import BooleanFunction, _check_arity, _check_same_arity, pack_bits, unpack_bits
 from .geometry import gaussian_binomial
-from .transforms import walsh_fast, walsh_truth_rows
+from .transforms import _walsh_by_arity, walsh_truth_rows
 
 # builds and bent-tests at most this many truth-table points (images x 2^n) at once
 _IMAGE_CHUNK_POINTS = 1 << 18
@@ -192,7 +193,7 @@ def two_flat_sum_distribution(b: BooleanFunction) -> FlatSumDistribution:
     """
     if b.n < 2:
         raise ValueError(f"2-dimensional flats need n >= 2, got {b.n}")
-    spectrum = walsh_fast(b)
+    spectrum = _walsh_by_arity(b)
     size, w0 = b.size, spectrum[0]  # N, W(0)
     planes = gaussian_binomial(b.n, 2)
     total = planes << (b.n - 2)

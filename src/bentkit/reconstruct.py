@@ -24,7 +24,7 @@ from .geometry import (
     subcube_points,
     weight_masks,
 )
-from .transforms import _moebius_table, degree, walsh_fast
+from .transforms import _moebius_table, _walsh_by_arity, degree
 
 
 @dataclass(frozen=True)
@@ -77,11 +77,12 @@ def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:
 def check_lemma1(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> dict[str, bool]:
     """Evaluate both sides of the implication.  The premise: the spectra of f
     and g agree at every point of the face.  The conclusion: f and g have equal
-    sums on every coset of the dual face.  ``holds`` must always be true."""
+    sums on every coset of the dual face.  ``holds`` must always be true.
+    The spectra come from the defining sum (``walsh_naive``) up to n=7, where
+    it is faster, and from the butterfly (``walsh_fast``) above it."""
     _check_same_arity(f.n, g.n, "second function")
     _check_same_arity(f.n, gamma.n, "mask")
-    wf = walsh_fast(f)
-    wg = walsh_fast(g)
+    wf, wg = _walsh_by_arity(f), _walsh_by_arity(g)
     premise = all(wf[y] == wg[y] for y in subcube_points(gamma))
     dual = dual_face(gamma)
     conclusion = coset_spectrum(f, dual) == coset_spectrum(g, dual)

@@ -20,9 +20,9 @@ import numpy as np
 
 from .bent import _bent_images, two_flat_sum_distribution, two_flats
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
-from .core import BooleanFunction, _check_arity, format_bf, pack_bits, random_function, weight
-from .core import pack_rows, unpack_bits, unpack_rows
-from .geometry import FaceMask, ball_points, coset_value_class_sizes, subcube_points
+from .core import BooleanFunction, _check_arity, _check_work, format_bf, pack_bits, random_function
+from .core import pack_rows, unpack_bits, unpack_rows, weight
+from .geometry import FaceMask, ball_points, ball_size, coset_value_class_sizes, subcube_points
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
 from .transforms import _moebius_table, moebius, walsh_fast, walsh_naive
 from .transforms import check_restriction_identity, truth_rows_from_anf
@@ -130,9 +130,13 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     For n <= 4 and every radius: all degree-<=r functions have pairwise
     distinct restrictions to B_r, and round-trips through reconstruction are
     exact (exhaustive when the space has at most 2048 members, sampled
-    otherwise).  For larger n: sampled round-trips at radius n/2.
+    otherwise).  For larger n: sampled round-trips at radius n/2, whose ball
+    must hold at most 2^MAX_WORK_LOG2 points (n <= 25).
     """
     _check_arity(n)
+    if n > 4:
+        size = ball_size(n, n // 2)
+        _check_work((size - 1).bit_length(), f"points in the ball B_{n // 2} at n={n} ({size})")
     rng = random.Random(seed)
     per_radius: dict[str, int] = {}
 

@@ -4,11 +4,10 @@ All arithmetic is exact.  There is one kernel per transform.  ``walsh_rows``
 is the in-place numpy butterfly on (rows, 2^n) arrays of a dtype the caller
 proves wide enough; ``hadamard_transform`` runs it at every length, in int64
 or, for values too large for it (2^n * max|v| >= 2^62), on exact ints in an
-object array.  The pure-Python butterfly ``_hadamard_in_place`` runs only
-inside ``walsh_fast`` below ``_NUMPY_CUTOVER``, where numpy's call overhead
-dominates.  A non-integral vector entry is a ``ValueError``.
+object array.  A non-integral vector entry is a ``ValueError``.
 ``walsh_truth_rows`` runs ``walsh_rows`` on the int32 signs of truth-table
-rows, for ``walsh_fast`` and the bent tests.
+rows, for ``walsh_fast`` at every arity and for the bent tests; no other
+Walsh butterfly exists.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
@@ -16,11 +15,13 @@ Spectra and vectors are returned as plain ``list[int]`` of Python ints.
 ``walsh_fast`` (the spectrum of a function) and ``hadamard_transform`` (of an
 integer vector) each run one butterfly, O(n 2^n); ``walsh_naive``, the
 independent oracle, reads each W(y) = 2^n - 2 wt(f + <., y>) as a popcount,
-with no butterfly and no numpy.  ``convolve_pm`` is likewise the direct sum
-over the support of its vector, in int64 or else on exact ints in an object
-array, and never reaches a butterfly, so ``check_restriction_identity``, whose
-right side runs two (``walsh_fast`` of f, ``hadamard_transform`` of the masked
-spectrum), really compares two different computations.
+with no butterfly and no numpy; it is the faster of the two at small n, where
+``_walsh_by_arity`` (for ``check_lemma1`` and the 2-flat closed form) takes it.
+``convolve_pm`` is likewise the direct sum over the support of its vector, in
+int64 or else on exact ints in an object array, and never reaches a
+butterfly, so ``check_restriction_identity``, whose right side runs two
+(``walsh_fast`` of f, ``hadamard_transform`` of the masked spectrum), really
+compares two different computations.
 """
 
 from __future__ import annotations
@@ -33,25 +34,14 @@ import numpy as np
 from .core import BooleanFunction, _check_same_arity, _check_work, pack_bits, unpack_bits
 from .geometry import FaceMask, coordinate_masks, dual_face, face_indicator, weight_masks
 
-# walsh_fast's pure-Python butterfly beats numpy call overhead below this arity
-_NUMPY_CUTOVER = 7
-
 IntegerVector = list[int]
 
-
-def _hadamard_in_place(a: list[int]) -> list[int]:
-    # stage i mixes index bit i-1; h runs 1, 2, 4, ...
-    size = len(a)
-    h = 1
-    while h < size:
-        for start in range(0, size, h * 2):
-            for j in range(start, start + h):
-                x = a[j]
-                y = a[j + h]
-                a[j] = x + y
-                a[j + h] = x - y
-        h *= 2
-    return a
+# _walsh_by_arity runs walsh_naive up to this arity and walsh_fast above it;
+# microseconds per call, best of 7 over 20 random functions (2-core Xeon):
+#   n      1     2     3     4     5     6     7     8     9    10
+#   naive  2.0   2.6   3.4   4.3   6.0  10.5  19.7  43.1   110   255
+#   fast  12.4  20.1  17.5  22.4  27.2  31.5  39.3  48.5  63.6  93.5
+_NAIVE_SPECTRUM_MAX_N = 7
 
 
 def walsh_rows(a: np.ndarray) -> np.ndarray:
@@ -96,16 +86,9 @@ def hadamard_transform(values: Sequence[int]) -> IntegerVector:
     return walsh_rows(_integer_array(values)).tolist()
 
 
-def _signs(f: BooleanFunction) -> list[int]:
-    table = f.table
-    return [1 - 2 * ((table >> k) & 1) for k in range(f.size)]
-
-
 def walsh_fast(f: BooleanFunction) -> IntegerVector:
     """Walsh-Hadamard spectrum, values[y] = sum_x (-1)^(f(x) + <x,y>), via one
-    butterfly, O(n 2^n)."""
-    if f.n < _NUMPY_CUTOVER:
-        return _hadamard_in_place(_signs(f))
+    ``walsh_truth_rows`` butterfly at every arity, O(n 2^n)."""
     return walsh_truth_rows(unpack_bits(f.table, f.size)).tolist()
 
 
@@ -122,6 +105,12 @@ def walsh_naive(f: BooleanFunction) -> IntegerVector:
         t ^= lines[(k & -k).bit_length() - 1]  # Gray codes k - 1 and k differ in bit ctz(k)
         values[k ^ (k >> 1)] = size - 2 * t.bit_count()
     return values
+
+
+def _walsh_by_arity(f: BooleanFunction) -> IntegerVector:
+    """Spectrum of f by the faster exact route: ``walsh_naive`` up to n =
+    ``_NAIVE_SPECTRUM_MAX_N``, else ``walsh_fast``, past the oracle's budget."""
+    return (walsh_naive if f.n <= _NAIVE_SPECTRUM_MAX_N else walsh_fast)(f)
 
 
 def _moebius_table(table: int, n: int, rows: int = 1) -> int:

@@ -385,6 +385,17 @@ def test_flat_distribution_oracles():
     assert two_flat_sum_distribution(parse_bf("bf:2:6")).counts[0] == 1
 
 
+def test_flat_distribution_reads_the_defining_sum_at_small_n(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("two_flat_sum_distribution ran the butterfly")
+
+    # bent would bind walsh_fast on import, so patch it there as well
+    for module in (transforms, bent):
+        monkeypatch.setattr(module, "walsh_fast", refuse, raising=False)
+    monkeypatch.setattr(transforms, "walsh_rows", refuse)
+    assert two_flat_sum_distribution(QUAD).counts == {-4: 0, -2: 20, 0: 45, 2: 60, 4: 15}
+
+
 def test_flat_distribution_works_on_any_function():
     f = random_function(3, 11)
     dist = two_flat_sum_distribution(f)

@@ -176,6 +176,8 @@ def test_load_known_counts(tmp_path):
         '[{"count": "10", "source": "x"}]',
         '[{"n": 6, "count": "10", "source": ""}]',
         '[[1, 2]]',
+        # a JSON true is a Python bool, which is an int but not an arity
+        '[{"n": true, "count": "10", "source": "x"}]',
     ],
 )
 def test_load_known_counts_rejects(tmp_path, payload):

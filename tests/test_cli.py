@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import enum
 import hashlib
 import inspect
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bentkit.cli as cli
-from bentkit import bounds
+from bentkit import bounds, suites
 from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_sum_distribution
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
@@ -270,6 +271,32 @@ def test_verify_failure_exits_3(capsys, monkeypatch):
     assert payload["passed"] is False
 
 
+def test_verify_lemma2_refuses_the_n26_ball_before_listing_it(capsys, monkeypatch):
+    def refuse(n, r):
+        raise AssertionError(f"ball_points({n}, {r}) listed the ball")
+
+    monkeypatch.setattr(suites, "ball_points", refuse)
+    code, out, err = run(capsys, "verify", "--suite", "lemma2", "--n", "26")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert "38754732" in err and "Traceback" not in err
+
+
+def test_census_disagreement_exits_3(capsys, monkeypatch):
+    real = cli.enumerate_bent_naive
+
+    def one_short(n, jobs):
+        result = real(n, jobs=jobs)
+        return dataclasses.replace(result, count=result.count - 1, functions=result.functions[1:])
+
+    monkeypatch.setattr(cli, "enumerate_bent_naive", one_short)
+    code, payload, _ = run_json(capsys, "census", "--n", "2")
+    assert code == 3
+    assert payload["counts"] == {"naive": 7, "degree": 8}
+    assert payload["agreement"] is False
+
+
 def test_verify_rejects_foreign_flag(capsys):
     code, out, err = run(capsys, "verify", "--suite", "convolution", "--n", "4")
     assert code == 1
@@ -336,6 +363,7 @@ def test_output_is_stable(capsys):
         (["bounds", "--n", "4", "--known", "DEEP_FILE"], 2),
         # the parser refuses the count before the literal is read
         (["bent", "affine", "--f", "bf:2:zz", "--count", "0"], 1),
+        (["census", "--n", "2", "--jobs", "x"], 1),
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, expected):

@@ -81,6 +81,8 @@ def test_parse_is_case_insensitive():
         "bf:4:0x12",
         "bf:+4:0356",
         "bf:4:-356",
+        # one hex digit holds 4 bits, n=1 a 2-bit table
+        "bf:1:4",
     ],
 )
 def test_parse_rejects(bad):

@@ -5,13 +5,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bentkit import transforms
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
-from bentkit.geometry import FaceMask, ball_points, dual_face, subcube_points
+from bentkit.geometry import FaceMask, ball_points, coset_spectrum, dual_face, subcube_points
 from bentkit.reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
-from bentkit.transforms import degree, moebius
+from bentkit.transforms import degree, moebius, walsh_fast
 
 AND = parse_bf("bf:2:8")
 XOR = parse_bf("bf:2:6")
+
+
+def _shifted(f, shift):
+    """f(x + shift): its spectrum is f's times (-1)^<shift, y>."""
+    table = 0
+    for x in range(f.size):
+        table |= f.bit(x ^ shift) << x
+    return BooleanFunction(f.n, table)
 
 
 def anf_on_ball(n, r, candidate):
@@ -186,10 +195,38 @@ def test_lemma1_premise_true_by_construction(n, data):
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     gamma = FaceMask(n, data.draw(st.integers(0, (1 << n) - 1)))
     shift = data.draw(st.sampled_from(subcube_points(dual_face(gamma))))
-    table = 0
-    for x in range(1 << n):
-        table |= f.bit(x ^ shift) << x
-    g = BooleanFunction(n, table)
-    report = check_lemma1(f, g, gamma)
+    report = check_lemma1(f, _shifted(f, shift), gamma)
     assert report["premise"]
     assert report["conclusion"]
+
+
+def _lemma1_from_fast(f, g, gamma):
+    wf, wg = walsh_fast(f), walsh_fast(g)
+    premise = all(wf[y] == wg[y] for y in subcube_points(gamma))
+    dual = dual_face(gamma)
+    conclusion = coset_spectrum(f, dual) == coset_spectrum(g, dual)
+    return {"premise": premise, "conclusion": conclusion, "holds": not premise or conclusion}
+
+
+@pytest.mark.parametrize("n", [7, 8])
+def test_check_lemma1_matches_a_premise_from_walsh_fast(n, monkeypatch):
+    rng = random.Random(n)
+    triples = []
+    for k in range(24):
+        f = random_function(n, rng)
+        gamma = FaceMask(n, rng.randrange(1 << n))
+        # odd k: g is f shifted by a dual-face vector, so the premise holds
+        if k % 2:
+            g = _shifted(f, rng.choice(subcube_points(dual_face(gamma))))
+        else:
+            g = random_function(n, rng)
+        triples.append((f, g, gamma))
+    expected = [_lemma1_from_fast(*triple) for triple in triples]
+    assert {e["premise"] for e in expected} == {True, False}
+
+    def refuse(*args):
+        raise AssertionError("check_lemma1 took the other route")
+
+    # up to n=7 both spectra come from the defining sum, above it from the butterfly
+    monkeypatch.setattr(transforms, "walsh_rows" if n <= 7 else "walsh_naive", refuse)
+    assert [check_lemma1(*triple) for triple in triples] == expected

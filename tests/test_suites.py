@@ -1,6 +1,8 @@
 """The verification suites themselves, at small parameters."""
 
+import dataclasses
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from bentkit import bent, suites
 from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
-from bentkit.core import BooleanFunction, format_bf, pack_bits
+from bentkit.core import BooleanFunction, ResourceCapError, format_bf, pack_bits
 from bentkit.geometry import FaceMask
 from bentkit.reconstruct import check_lemma1
 from bentkit.transforms import walsh_naive
@@ -340,3 +342,116 @@ def test_lemma1_counterexample_order_matches_the_per_pair_route(monkeypatch):
     expected = _lemma1_per_pair(2, fail_on_odd_tables)
     monkeypatch.setattr(suites, "check_lemma1", fail_on_odd_tables)
     assert suite_lemma1(n=2) == expected
+
+
+def test_lemma2_refuses_a_ball_over_the_budget_before_listing_it(monkeypatch):
+    def refuse(n, r):
+        raise AssertionError(f"ball_points({n}, {r}) listed the ball")
+
+    monkeypatch.setattr(suites, "ball_points", refuse)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceCapError, match=r"2\^26 points in the ball B_13 at n=26 \(38"):
+            suite_lemma2(n=26)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 16
+    # n=25's ball holds exactly 2^24 points, within the budget: it is listed
+    with pytest.raises(AssertionError, match=r"ball_points\(25, 12\)"):
+        suite_lemma2(n=25)
+
+
+def test_convolution_failing_path_reports_counterexamples(monkeypatch):
+    monkeypatch.setattr(suites, "check_restriction_identity", lambda f, gamma: gamma.mask != 1)
+    report = suite_convolution(samples=0)
+    check_shape(report, "convolution")
+    assert report["checks"] == 64
+    assert report["failures"] == 16  # every n=2 function on the mask 0x1
+    assert report["counterexamples"][:2] == [
+        {"f": "bf:2:0", "mask": "0x1"},
+        {"f": "bf:2:1", "mask": "0x1"},
+    ]
+    assert report["passed"] is False
+
+
+@pytest.mark.parametrize(
+    "perturb,names",
+    [
+        # W(0) + 1: the sum of squares, the parity, W(0) and the oracle all break
+        (lambda w: [w[0] + 1] + w[1:], ["parseval", "parity", "w0", "naive-disagrees"]),
+        # every value but W(0) in reverse order: only the oracle can tell
+        (lambda w: w[:1] + w[:0:-1], ["naive-disagrees"]),
+    ],
+    ids=["w0-plus-one", "reversed"],
+)
+def test_parseval_failing_path_names_each_broken_invariant(monkeypatch, perturb, names):
+    real = suites.walsh_fast
+    monkeypatch.setattr(suites, "walsh_fast", lambda f: perturb(real(f)))
+    report = suite_parseval(samples=0)
+    check_shape(report, "parseval")
+    assert report["checks"] == 4 + 16 + 256
+    assert len(report["counterexamples"]) == 10
+    assert all(set(c) == {"f", "problems"} for c in report["counterexamples"])
+    assert all(c["problems"] == names for c in report["counterexamples"])
+    assert report["passed"] is False
+
+
+def test_flats_failing_path_reports_a_member_off_the_common_distribution(monkeypatch):
+    real = suites.two_flat_sum_distribution
+    last = enumerate_bent_by_degree(4).functions[-1]
+
+    def last_moved(f):
+        dist = real(f)
+        if f != last:
+            return dist
+        return type(dist)(dist.n, {**dist.counts, 0: dist.counts[0] - 1, 4: dist.counts[4] + 1})
+
+    monkeypatch.setattr(suites, "two_flat_sum_distribution", last_moved)
+    report = suite_flats(4)
+    check_shape(report, "flats")
+    assert report["checks"] == 1 + 2 * 896
+    assert report["failures"] == 2
+    direct, spread = report["counterexamples"]
+    assert direct["reason"] == "closed form differs from the direct count"
+    assert spread["reason"] == "absolute distribution differs across census"
+    assert set(spread) == {"function", "reason", "got"}
+    assert spread["function"] == format_bf(last)
+    assert report["passed"] is False
+
+
+def test_flats_refuses_an_empty_census(monkeypatch):
+    real = suites.enumerate_bent_by_degree
+    monkeypatch.setattr(
+        suites, "enumerate_bent_by_degree", lambda n: dataclasses.replace(real(n), functions=())
+    )
+    with pytest.raises(ValueError, match="no bent functions at n=4"):
+        suite_flats(4)
+
+
+def _census_dropping_the_first(real):
+    def census(n):
+        result = real(n)
+        return dataclasses.replace(result, count=result.count - 1, functions=result.functions[1:])
+
+    return census
+
+
+def test_census_agreement_failing_paths_report_counterexamples(monkeypatch):
+    monkeypatch.setattr(
+        suites, "enumerate_bent_naive", _census_dropping_the_first(suites.enumerate_bent_naive)
+    )
+    report = suite_census_agreement(2)
+    check_shape(report, "census-agreement")
+    assert report["checks"] == 2 and report["failures"] == 2
+    assert report["counterexamples"] == [
+        {"reason": "method outputs differ", "naive_count": 7, "degree_count": 8},
+        {"reason": "odd-weight analytic check failed"},
+    ]
+    assert report["passed"] is False
+    # both methods agree on the same wrong stream: only the analytic check fails
+    one_short = _census_dropping_the_first(suites.enumerate_bent_by_degree)
+    monkeypatch.setattr(suites, "enumerate_bent_by_degree", one_short)
+    report = suite_census_agreement(2)
+    assert report["counterexamples"] == [{"reason": "odd-weight analytic check failed"}]
+    assert report["passed"] is False

@@ -12,7 +12,6 @@ from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_fun
 from bentkit.core import pack_bits, unpack_bits, unpack_rows
 from bentkit.geometry import FaceMask, ball_points, ball_size, face_indicator
 from bentkit.transforms import (
-    _NUMPY_CUTOVER,
     check_restriction_identity,
     convolve_pm,
     degree,
@@ -55,20 +54,31 @@ def test_fast_matches_naive_random(f):
     assert walsh_fast(f) == walsh_naive(f)
 
 
-@pytest.mark.parametrize("n", [6, 7, 8, 11, 12])
+@pytest.mark.parametrize("n", range(5, 13))
 def test_fast_matches_naive_across_cutover(n):
-    # n=6 runs the pure-Python butterfly, n >= 7 the numpy one; n = 11 and 12
-    # are past the random strategy's arities and up to the oracle's budget
-    assert _NUMPY_CUTOVER == 7
+    # both sides of check_lemma1's switch from walsh_naive to walsh_fast at
+    # n = 7; n = 11 and 12 are past the random strategy's arities and up to
+    # the oracle's budget
     rng = random.Random(n)
     for _ in range(20):
         f = random_function(n, rng)
         assert walsh_fast(f) == walsh_naive(f)
 
 
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walsh_by_arity_takes_the_defining_sum_up_to_n7(n, monkeypatch):
+    f = random_function(n, n)
+    expected = walsh_fast(f)
+
+    def refuse(*args):
+        raise AssertionError("_walsh_by_arity took the other route")
+
+    monkeypatch.setattr(transforms, "walsh_rows" if n <= 7 else "walsh_naive", refuse)
+    assert transforms._walsh_by_arity(f) == expected
+
+
 @pytest.mark.parametrize("n", range(1, 13))
 def test_spectra_are_lists_of_python_ints(n):
-    # both sides of _NUMPY_CUTOVER for walsh_fast
     f = random_function(n, n)
     for spectrum in (walsh_fast(f), walsh_naive(f)):
         assert type(spectrum) is list and len(spectrum) == f.size
@@ -140,16 +150,11 @@ def _hadamard_literal(values):
 
 
 @pytest.mark.parametrize("n", range(1, 9))
-def test_hadamard_transform_is_the_double_sum_at_every_length(n, monkeypatch):
+def test_hadamard_transform_is_the_double_sum_at_every_length(n):
     rng = random.Random(n)
     small = [rng.randrange(-100, 101) for _ in range(1 << n)]
     big = [rng.choice((-1, 1)) * ((1 << 62) + rng.getrandbits(40)) for _ in range(1 << n)]
     expected = [_hadamard_literal(small), _hadamard_literal(big)]
-
-    def refuse(*args):
-        raise AssertionError("hadamard_transform ran the pure-Python butterfly")
-
-    monkeypatch.setattr(transforms, "_hadamard_in_place", refuse)
     got = [hadamard_transform(small), hadamard_transform(big)]
     assert got == expected
     assert all(type(v) is int for values in got for v in values)
@@ -287,9 +292,8 @@ def test_naive_oracles_never_reach_the_butterfly(monkeypatch, oracle):
         raise AssertionError(f"{oracle} called the transform")
 
     monkeypatch.setattr(transforms, "walsh_rows", refuse)
-    monkeypatch.setattr(transforms, "_hadamard_in_place", refuse)
     rng = random.Random(5)
-    for n in (2, _NUMPY_CUTOVER, 9):
+    for n in (2, 7, 9):
         f = random_function(n, rng)
         if oracle == "walsh_naive":
             assert walsh_naive(f) == _walsh_literal(f)
