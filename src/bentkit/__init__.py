@@ -45,7 +45,6 @@ from .core import (
     weight,
 )
 from .geometry import (
-    FaceMask,
     ball_points,
     ball_size,
     coset_spectrum,
@@ -78,7 +77,6 @@ __all__ = [
     "BallAssignment",
     "BooleanFunction",
     "CensusResult",
-    "FaceMask",
     "FlatSumDistribution",
     "MAX_ARITY",
     "ParseError",

@@ -26,7 +26,9 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import BooleanFunction, _check_arity, _check_same_arity, pack_bits, unpack_bits
+from .core import (
+    BooleanFunction, _check_arity, _check_int, _check_same_arity, pack_bits, unpack_bits
+)
 from .geometry import gaussian_binomial
 from .transforms import _walsh_by_arity, walsh_truth_rows
 
@@ -89,16 +91,13 @@ class AffineMap:
         _check_arity(self.n)
         if len(self.cols) != self.n:
             raise ValueError(f"need {self.n} matrix columns, got {len(self.cols)}")
-        top = 1 << self.n
-        # one pass over every field; type(), not isinstance, also refuses bools
         for v in (*self.cols, self.translation, self.functional):
-            if type(v) is not int or not 0 <= v < top:
-                raise ValueError(
-                    f"matrix columns, translation and functional must be ints in "
-                    f"[0, 2^{self.n}), got {v!r}"
-                )
-        if type(self.constant) is not int or self.constant not in (0, 1):
-            raise ValueError(f"constant must be the int 0 or 1, got {self.constant!r}")
+            if type(v) is not int or v < 0 or v >> self.n:  # inline: a call per entry is slow
+                _check_int(v, "a matrix column, translation or functional")
+                raise ValueError(f"map entry {v} out of range for n={self.n}")
+        _check_int(self.constant, "constant")
+        if self.constant not in (0, 1):
+            raise ValueError(f"constant must be 0 or 1, got {self.constant}")
         if matrix_rank(self.cols) != self.n:
             raise ValueError("matrix is singular")
 

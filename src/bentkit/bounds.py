@@ -14,8 +14,8 @@ import math
 from math import comb
 from typing import Optional, Sequence
 
-from .core import _check_even, _read_bounded
-from .geometry import FaceMask, ball_size, covering_coset_count
+from .core import _check_even, _check_int, _read_bounded
+from .geometry import ball_size, covering_coset_count
 
 _LOG2_6 = math.log2(6)
 # past this arity 2^(n-6) and T_n no longer convert to a float
@@ -55,7 +55,7 @@ def t_n_log2(n: int) -> int:
 def q_n(n: int) -> int:
     """Cosets of the face on the two highest coordinates that meet B_{n/2}."""
     _check_even(n, 4)
-    return covering_coset_count(n, n // 2, FaceMask(n, 0b11 << (n - 2)))
+    return covering_coset_count(n, n // 2, 0b11 << (n - 2))
 
 
 def a_n_log2(n: int) -> float:
@@ -116,9 +116,10 @@ def load_known_counts(path: str) -> list[dict]:
             source = item["source"]
         except KeyError as exc:
             raise ValueError(f"known-count entry missing key {exc}") from None
-        if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        _check_int(n, "known-count arity")
+        if n < 1:
             raise ValueError(f"known-count arity must be a positive int, got {n!r}")
-        if isinstance(count, int) and not isinstance(count, bool):
+        if type(count) is int:
             count = str(count)
         if not isinstance(count, str) or not count.isdigit() or int(count) < 1:
             raise ValueError(f"count for n={n} must be a positive decimal string")

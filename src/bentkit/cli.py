@@ -26,7 +26,7 @@ from .bounds import bound_report, format_report_table, load_known_counts
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import MAX_ARITY, BooleanFunction, ParseError, ResourceCapError, format_bf, pack_bits
 from .core import _read_bounded, parse_bf
-from .geometry import FaceMask, coset_spectrum
+from .geometry import coset_spectrum
 from .reconstruct import BallAssignment, reconstruct_from_ball
 from .suites import SUITES
 from .transforms import degree, moebius, walsh_fast
@@ -136,14 +136,13 @@ def _cmd_bent_affine(args: argparse.Namespace):
 
 def _cmd_coset_spectrum(args: argparse.Namespace):
     f = args.f
-    mask = FaceMask(f.n, int(args.mask, 0))
-    sums = coset_spectrum(f, mask)
+    mask = int(args.mask, 0)
     return {
         "n": f.n,
         "function": format_bf(f),
-        "mask": f"{mask.mask:#x}",
-        "dim": mask.dim,
-        "sums": {str(rep): value for rep, value in sums.items()},
+        "mask": f"{mask:#x}",
+        "dim": mask.bit_count(),
+        "sums": {str(rep): value for rep, value in coset_spectrum(f, mask).items()},
     }, EXIT_OK
 
 

@@ -31,9 +31,14 @@ class ResourceCapError(RuntimeError):
     """Operation refused because it would exceed a configured resource cap."""
 
 
+def _check_int(value: object, what: str) -> None:
+    # type(), not isinstance, also refuses bools and int subclasses
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an int, got {value!r}")
+
+
 def _check_arity(n: int) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"arity must be an int, got {n!r}")
+    _check_int(n, "arity")
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     if n > MAX_ARITY:
@@ -55,17 +60,25 @@ def _read_bounded(path: str, limit: int, what: str) -> str:
 
 
 def _check_even(n: int, minimum: int = 2) -> None:
-    if not isinstance(n, int) or isinstance(n, bool):
-        raise ValueError(f"arity must be an int, got {n!r}")
+    _check_int(n, "arity")
     if n < minimum or n % 2:
         raise ValueError(f"need even n >= {minimum}, got {n}")
 
 
 def _check_radius(n: int, r: int) -> None:
-    if not isinstance(r, int) or isinstance(r, bool):
-        raise ValueError(f"radius must be an int, got {r!r}")
+    _check_int(r, "radius")
     if not 0 <= r <= n:
         raise ValueError(f"radius must satisfy 0 <= r <= {n}, got {r}")
+
+
+def _check_mask(n: int, mask: int) -> None:
+    # a face of F_2^n, free where mask is set; a mask is O(1), so no arity cap applies
+    _check_int(n, "arity")
+    if n < 1:
+        raise ValueError(f"arity must be >= 1, got {n}")
+    _check_int(mask, "mask")
+    if mask < 0 or mask >> n:
+        raise ValueError(f"mask {mask:#x} out of range for n={n}")
 
 
 def _check_same_arity(n: int, other: int, what: str) -> None:
@@ -82,8 +95,7 @@ class BooleanFunction:
 
     def __post_init__(self) -> None:
         _check_arity(self.n)
-        if not isinstance(self.table, int) or isinstance(self.table, bool):
-            raise ValueError(f"table must be an int, got {self.table!r}")
+        _check_int(self.table, "table")
         # bit_length comparison avoids materializing 2**(2**n) for large n
         if self.table < 0 or self.table.bit_length() > self.size:
             raise ValueError(

@@ -1,6 +1,7 @@
 """Coordinate faces of the hypercube, their cosets, and Hamming balls.
 
-A face is the subcube Gamma(mask) = {x : x AND NOT mask = 0}: the set bits of
+A face is the subcube Gamma(mask) = {x : x AND NOT mask = 0} of F_2^n, passed
+as the int ``mask`` with n or with a function of arity n: the set bits of
 ``mask`` are the free coordinates, every face contains the origin.  Cosets of
 a face are keyed by their minimal-index member, which is the point with all
 free coordinates cleared; a coset is its face shifted by that representative.
@@ -11,45 +12,16 @@ the plain tuple of its points that ``ball_points`` returns.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import (
-    MAX_ARITY, BooleanFunction, _check_arity, _check_radius, _check_same_arity, _check_work
-)
+from .core import MAX_ARITY, BooleanFunction, _check_arity, _check_mask, _check_radius, _check_work
 
 
-@dataclass(frozen=True)
-class FaceMask:
-    """Subcube of F_2^n spanned by the coordinates set in ``mask``.
-
-    A mask is an O(1) value, so the arity cap does not apply to it; it
-    applies to the truth tables that faces are used with.
-    """
-
-    n: int
-    mask: int
-
-    def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValueError(f"arity must be an int >= 1, got {self.n!r}")
-        if not isinstance(self.mask, int) or isinstance(self.mask, bool):
-            raise ValueError(f"mask must be an int, got {self.mask!r}")
-        if self.mask < 0 or self.mask.bit_length() > self.n:
-            raise ValueError(f"mask {self.mask:#x} out of range for n={self.n}")
-
-    @property
-    def dim(self) -> int:
-        return self.mask.bit_count()
-
-    @property
-    def size(self) -> int:
-        return 1 << self.dim
-
-
-def _submasks(mask: int) -> list[int]:
+def subcube_points(n: int, mask: int) -> list[int]:
+    """All points of Gamma(mask), ascending by index."""
+    _check_mask(n, mask)
     # every s with s AND NOT mask = 0, ascending: (s - mask) & mask follows s
     points = [0]
     while s := (points[-1] - mask) & mask:
@@ -57,14 +29,10 @@ def _submasks(mask: int) -> list[int]:
     return points
 
 
-def subcube_points(m: FaceMask) -> list[int]:
-    """All points of Gamma(m), ascending by index."""
-    return _submasks(m.mask)
-
-
-def dual_face(m: FaceMask) -> FaceMask:
-    """The face whose points are orthogonal to every point of Gamma(m)."""
-    return FaceMask(m.n, ~m.mask & ((1 << m.n) - 1))
+def dual_face(n: int, mask: int) -> int:
+    """The face whose points are orthogonal to every point of Gamma(mask)."""
+    _check_mask(n, mask)
+    return ~mask & ((1 << n) - 1)
 
 
 @lru_cache(maxsize=16)
@@ -90,20 +58,20 @@ def weight_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def face_indicator(m: FaceMask) -> int:
-    """Indicator of Gamma(m): the AND of the coordinate masks of its fixed coordinates."""
-    indicator = (1 << (1 << m.n)) - 1
-    for i, mask in enumerate(coordinate_masks(m.n)):
-        if not (m.mask >> i) & 1:
-            indicator &= mask
+def face_indicator(n: int, mask: int) -> int:
+    """Indicator of Gamma(mask): the AND of the coordinate masks of its fixed coordinates."""
+    _check_mask(n, mask)
+    indicator = (1 << (1 << n)) - 1
+    for i, line in enumerate(coordinate_masks(n)):
+        if not (mask >> i) & 1:
+            indicator &= line
     return indicator
 
 
-def coset_spectrum(f: BooleanFunction, m: FaceMask) -> dict[int, int]:
-    """Coset sums of every coset of Gamma(m), keyed by minimal-index representative."""
-    _check_same_arity(f.n, m.n, "mask")
-    indicator, size = face_indicator(m), m.size
-    reps = _submasks(~m.mask & ((1 << m.n) - 1))
+def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
+    """Coset sums of every coset of Gamma(mask), keyed by minimal-index representative."""
+    indicator, size = face_indicator(f.n, mask), 1 << mask.bit_count()
+    reps = subcube_points(f.n, dual_face(f.n, mask))
     return {rep: size - 2 * ((f.table >> rep) & indicator).bit_count() for rep in reps}
 
 
@@ -122,16 +90,16 @@ def ball_size(n: int, r: int) -> int:
     return sum(comb(n, i) for i in range(r + 1))
 
 
-def covering_coset_count(n: int, r: int, m: FaceMask) -> int:
-    """Number of cosets of Gamma(m) that intersect the ball B_r.
+def covering_coset_count(n: int, r: int, mask: int) -> int:
+    """Number of cosets of Gamma(mask) that intersect the ball B_r.
 
     A coset's minimal weight is the weight of its representative (clearing
     free coordinates never adds weight), and representatives are the subsets
     of the n - dim fixed coordinates, so the count is sum_{i<=r} C(n-dim, i).
     """
-    _check_same_arity(n, m.n, "mask")
+    _check_mask(n, mask)
     _check_radius(n, r)
-    return ball_size(n - m.dim, r)
+    return ball_size(n - mask.bit_count(), r)
 
 
 def gaussian_binomial(n: int, k: int) -> int:

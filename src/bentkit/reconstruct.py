@@ -13,16 +13,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BooleanFunction, _check_arity, _check_radius, _check_same_arity, pack_bits, unpack_bits
+    BooleanFunction, _check_arity, _check_int, _check_radius, _check_same_arity, pack_bits,
+    unpack_bits,
 )
 from .geometry import (
-    FaceMask,
-    ball_points,
-    ball_size,
-    coset_spectrum,
-    dual_face,
-    subcube_points,
-    weight_masks,
+    ball_points, ball_size, coset_spectrum, dual_face, subcube_points, weight_masks
 )
 from .transforms import _moebius_table, _walsh_by_arity, degree
 
@@ -45,8 +40,9 @@ class BallAssignment:
                 f"got {len(self.values)} values"
             )
         for v in self.values:
-            if type(v) is not int or v not in (0, 1):
-                raise ValueError(f"assignment entries must be bits, got {v!r}")
+            if type(v) is not int or v not in (0, 1):  # inline: a call per entry is slow
+                _check_int(v, "assignment entries")
+                raise ValueError(f"assignment entries must be bits, got {v}")
 
     @classmethod
     def from_function(cls, f: BooleanFunction, r: int) -> "BallAssignment":
@@ -74,17 +70,18 @@ def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:
     return result
 
 
-def check_lemma1(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> dict[str, bool]:
-    """Evaluate both sides of the implication.  The premise: the spectra of f
-    and g agree at every point of the face.  The conclusion: f and g have equal
-    sums on every coset of the dual face.  ``holds`` must always be true.
-    The spectra come from the defining sum (``walsh_naive``) up to n=7, where
-    it is faster, and from the butterfly (``walsh_fast``) above it."""
+def check_lemma1(f: BooleanFunction, g: BooleanFunction, mask: int) -> dict[str, bool]:
+    """Evaluate both sides of the implication for the face Gamma(mask).  The
+    premise: the spectra of f and g agree at every point of the face.  The
+    conclusion: f and g have equal sums on every coset of the dual face.
+    ``holds`` must always be true.  The spectra come from the defining sum
+    (``walsh_naive``) up to n=7, where it is faster, and from the butterfly
+    (``walsh_fast``) above it."""
     _check_same_arity(f.n, g.n, "second function")
-    _check_same_arity(f.n, gamma.n, "mask")
+    points = subcube_points(f.n, mask)
     wf, wg = _walsh_by_arity(f), _walsh_by_arity(g)
-    premise = all(wf[y] == wg[y] for y in subcube_points(gamma))
-    dual = dual_face(gamma)
+    premise = all(wf[y] == wg[y] for y in points)
+    dual = dual_face(f.n, mask)
     conclusion = coset_spectrum(f, dual) == coset_spectrum(g, dual)
     return {
         "premise": premise,

@@ -22,7 +22,7 @@ from .bent import _bent_images, two_flat_sum_distribution, two_flats
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import BooleanFunction, _check_arity, _check_work, format_bf, pack_bits, random_function
 from .core import pack_rows, unpack_bits, unpack_rows, weight
-from .geometry import FaceMask, ball_points, ball_size, coset_value_class_sizes, subcube_points
+from .geometry import ball_points, ball_size, coset_value_class_sizes, subcube_points
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
 from .transforms import _moebius_table, moebius, walsh_fast, walsh_naive
 from .transforms import check_restriction_identity, truth_rows_from_anf
@@ -90,24 +90,24 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
     _check_arity(n)
     details = {"premise_true": 0}
 
-    def check(f: BooleanFunction, g: BooleanFunction, gamma: FaceMask) -> Optional[dict]:
-        result = check_lemma1(f, g, gamma)
+    def check(f: BooleanFunction, g: BooleanFunction, mask: int) -> Optional[dict]:
+        result = check_lemma1(f, g, mask)
         details["premise_true"] += result["premise"]
         if result["holds"]:
             return None
-        return {"f": format_bf(f), "g": format_bf(g), "mask": f"{gamma.mask:#x}", **result}
+        return {"f": format_bf(f), "g": format_bf(g), "mask": f"{mask:#x}", **result}
 
     def exhaustive() -> Iterator[Optional[dict]]:
         funcs = [BooleanFunction(n, t) for t in range(1 << (1 << n))]
         spectra = [walsh_fast(f) for f in funcs]
-        for gamma in (FaceMask(n, 1 << i) for i in range(n)):
-            points = subcube_points(gamma)
+        for mask in (1 << i for i in range(n)):
+            points = subcube_points(n, mask)
             keys = [tuple(values[y] for y in points) for values in spectra]
             groups: dict[tuple[int, ...], list[BooleanFunction]] = {}
             for g, key in zip(funcs, keys):
                 groups.setdefault(key, []).append(g)
             for f, key in zip(funcs, keys):
-                yield from (check(f, g, gamma) for g in groups[key])
+                yield from (check(f, g, mask) for g in groups[key])
                 yield from repeat(None, len(funcs) - len(groups[key]))
 
     if n <= 3:
@@ -116,7 +116,7 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
         mode = "randomized"
         rng = random.Random(seed)
         triples = (
-            (random_function(n, rng), random_function(n, rng), FaceMask(n, rng.randrange(1 << n)))
+            (random_function(n, rng), random_function(n, rng), rng.randrange(1 << n))
             for _ in range(samples)
         )
         problems = starmap(check, triples)
@@ -213,23 +213,23 @@ def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> di
     Exhaustive at n=2 over every function and mask, then random pairs.
     """
 
-    def pairs() -> Iterator[tuple[BooleanFunction, FaceMask]]:
+    def pairs() -> Iterator[tuple[BooleanFunction, int]]:
         for table in range(16):
             for mask in range(4):
-                yield BooleanFunction(2, table), FaceMask(2, mask)
+                yield BooleanFunction(2, table), mask
         rng = random.Random(seed)
         for _ in range(samples):
             n = rng.randint(1, max_n)
-            yield random_function(n, rng), FaceMask(n, rng.randrange(1 << n))
+            yield random_function(n, rng), rng.randrange(1 << n)
 
     return _report(
         "convolution",
         "exhaustive n=2 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
         (
-            None if check_restriction_identity(f, gamma)
-            else {"f": format_bf(f), "mask": f"{gamma.mask:#x}"}
-            for f, gamma in pairs()
+            None if check_restriction_identity(f, mask)
+            else {"f": format_bf(f), "mask": f"{mask:#x}"}
+            for f, mask in pairs()
         ),
     )
 

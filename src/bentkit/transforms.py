@@ -31,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BooleanFunction, _check_same_arity, _check_work, pack_bits, unpack_bits
-from .geometry import FaceMask, coordinate_masks, dual_face, face_indicator, weight_masks
+from .core import BooleanFunction, _check_work, pack_bits, unpack_bits
+from .geometry import coordinate_masks, dual_face, face_indicator, weight_masks
 
 IntegerVector = list[int]
 
@@ -164,20 +164,20 @@ def convolve_pm(f: BooleanFunction, g: Sequence[int]) -> IntegerVector:
     return out.tolist()
 
 
-def check_restriction_identity(f: BooleanFunction, gamma: FaceMask) -> bool:
-    """Exact check that convolving (-1)^f with the dual-face indicator equals
-    the doubly-transformed, face-masked spectrum divided by 2^dim.
+def check_restriction_identity(f: BooleanFunction, mask: int) -> bool:
+    """Exact check, for the face Gamma(mask), that convolving (-1)^f with the
+    dual-face indicator equals the doubly-transformed, face-masked spectrum
+    divided by 2^dim.
 
     The left side goes through convolve_pm, the right side through walsh_fast
     and one hadamard_transform of the masked spectrum; both are exact integers.
     """
-    _check_same_arity(f.n, gamma.n, "mask")
     size = f.size
-    lhs = convolve_pm(f, unpack_bits(face_indicator(dual_face(gamma)), size).tolist())
+    lhs = convolve_pm(f, unpack_bits(face_indicator(f.n, dual_face(f.n, mask)), size).tolist())
 
     spectrum = np.array(walsh_fast(f), dtype=np.int64)
-    inside = unpack_bits(face_indicator(gamma), size)
+    inside = unpack_bits(face_indicator(f.n, mask), size)
     doubled = hadamard_transform((spectrum * inside).tolist())
     # |doubled| <= 2^(2n) <= 2^52 for n <= MAX_ARITY, so int64 is exact
-    rhs, rem = np.divmod(np.array(doubled, dtype=np.int64), 1 << gamma.dim)
+    rhs, rem = np.divmod(np.array(doubled, dtype=np.int64), 1 << mask.bit_count())
     return not rem.any() and lhs == rhs.tolist()

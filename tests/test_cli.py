@@ -23,7 +23,7 @@ from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_su
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, format_bf, pack_bits, parse_bf, random_function
-from bentkit.geometry import FaceMask, ball_points, coset_spectrum
+from bentkit.geometry import ball_points, coset_spectrum
 from bentkit.reconstruct import BallAssignment, reconstruct_from_ball
 from bentkit.suites import suite_lemma1
 from bentkit.transforms import degree, moebius, walsh_fast
@@ -105,7 +105,7 @@ def test_bent_affine_rejects_non_bent(capsys):
 
 def test_coset_spectrum_matches_library(capsys):
     f = parse_bf("bf:2:8")
-    expected = coset_spectrum(f, FaceMask(2, 1))
+    expected = coset_spectrum(f, 1)
     code, payload, _ = run_json(capsys, "coset-spectrum", "--f", "bf:2:8", "--mask", "0x1")
     assert code == 0
     assert payload["sums"] == {str(k): v for k, v in expected.items()}

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import bentkit.cli as cli
 from bentkit import core
 from bentkit.bent import AffineMap, apply_affine
 from bentkit.census import enumerate_bent_by_degree, enumerate_bent_naive
@@ -23,11 +24,13 @@ from bentkit.core import (
     weight,
 )
 from bentkit.geometry import (
-    FaceMask,
     ball_points,
     coset_spectrum,
     coset_value_class_sizes,
     covering_coset_count,
+    dual_face,
+    face_indicator,
+    subcube_points,
 )
 from bentkit.reconstruct import BallAssignment, check_lemma1
 from bentkit.transforms import check_restriction_identity, walsh_naive
@@ -127,7 +130,7 @@ def test_radius_must_be_an_int():
     cases = [
         lambda: ball_points(4, 1.5),
         lambda: BallAssignment(4, 1.5, (0,) * 5),
-        lambda: covering_coset_count(4, 1.0, FaceMask(4, 1)),
+        lambda: covering_coset_count(4, 1.0, 1),
         lambda: ball_points(4, True),
     ]
     for call in cases:
@@ -211,15 +214,36 @@ def test_bounded_read_refuses_one_byte_past_the_limit(tmp_path):
 
 
 def test_arity_mismatch_has_one_wording():
-    mask3 = FaceMask(3, 1)
     cases = [
-        (lambda: coset_spectrum(AND, mask3), "mask"),
-        (lambda: covering_coset_count(2, 1, mask3), "mask"),
-        (lambda: check_restriction_identity(AND, mask3), "mask"),
-        (lambda: check_lemma1(AND, BooleanFunction(3, 0), FaceMask(2, 1)), "second function"),
-        (lambda: check_lemma1(AND, AND, mask3), "mask"),
+        (lambda: check_lemma1(AND, BooleanFunction(3, 0), 1), "second function"),
         (lambda: apply_affine(AND, [AffineMap(3, (1, 2, 4), 0, 0, 0)]), "map"),
     ]
     for call, what in cases:
         with pytest.raises(ValueError, match=f"^arity mismatch: function n=2, {what} n=3$"):
             call()
+
+
+MASK_TAKERS = {
+    "subcube_points": lambda mask: subcube_points(2, mask),
+    "dual_face": lambda mask: dual_face(2, mask),
+    "face_indicator": lambda mask: face_indicator(2, mask),
+    "coset_spectrum": lambda mask: coset_spectrum(AND, mask),
+    "covering_coset_count": lambda mask: covering_coset_count(2, 1, mask),
+    "check_lemma1": lambda mask: check_lemma1(AND, AND, mask),
+    "check_restriction_identity": lambda mask: check_restriction_identity(AND, mask),
+}
+
+
+@pytest.mark.parametrize("mask", [-1, 1 << 2, True, 1.0], ids=repr)
+@pytest.mark.parametrize("entry", [*MASK_TAKERS, "cli"])
+def test_bad_masks_are_refused_everywhere(entry, mask, capsys):
+    # -1 also guards the submask walk, whose (s - mask) & mask never returns to 0
+    if entry != "cli":
+        with pytest.raises(ValueError, match="^mask "):
+            MASK_TAKERS[entry](mask)
+        return
+    text = f"{mask:#x}" if type(mask) is int else str(mask)
+    assert cli.main(["coset-spectrum", "--f", format_bf(AND), f"--mask={text}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, weight
 from bentkit.geometry import (
-    FaceMask,
     ball_points,
     ball_size,
     coset_spectrum,
@@ -26,55 +25,49 @@ AND = parse_bf("bf:2:8")
 
 
 def test_face_mask_basics():
-    m = FaceMask(3, 0b101)
-    assert m.dim == 2 and m.size == 4
-    assert subcube_points(m) == [0, 1, 4, 5]
-    assert subcube_points(FaceMask(3, 0)) == [0]
-    assert subcube_points(FaceMask(2, 0b11)) == [0, 1, 2, 3]
+    assert subcube_points(3, 0b101) == [0, 1, 4, 5]
+    assert subcube_points(3, 0) == [0]
+    assert subcube_points(2, 0b11) == [0, 1, 2, 3]
 
 
 def test_face_mask_validation():
-    with pytest.raises(ValueError):
-        FaceMask(2, 4)
-    with pytest.raises(ValueError):
-        FaceMask(2, -1)
-    with pytest.raises(ValueError):
-        FaceMask(2, 1.0)
+    for n, mask in ((2, 4), (2, -1), (2, 1.0), (2, True), (0, 0), (True, 1), (2.0, 1)):
+        with pytest.raises(ValueError):
+            subcube_points(n, mask)
+        with pytest.raises(ValueError):
+            dual_face(n, mask)
 
 
 def test_face_mask_is_not_arity_capped():
     # a mask is an O(1) value; the cap applies to the truth tables it meets
-    m = FaceMask(40, 0b11 << 38)
-    assert m.dim == 2 and len(subcube_points(m)) == 4
-    assert covering_coset_count(40, 20, m) == sum(comb(38, i) for i in range(21))
+    assert len(subcube_points(40, 0b11 << 38)) == 4
+    assert dual_face(40, 0b11 << 38) == (1 << 38) - 1
+    assert covering_coset_count(40, 20, 0b11 << 38) == sum(comb(38, i) for i in range(21))
 
 
 def test_dual_face():
-    m = FaceMask(4, 0b0011)
-    assert dual_face(m).mask == 0b1100
-    assert dual_face(dual_face(m)) == m
-    assert dual_face(FaceMask(3, 0)).mask == 0b111
+    assert dual_face(4, 0b0011) == 0b1100
+    assert dual_face(4, dual_face(4, 0b0011)) == 0b0011
+    assert dual_face(3, 0) == 0b111
 
 
 def test_coset_representative():
     # coset_spectrum keys each coset by its minimum index, the point with
     # every free coordinate cleared
-    assert list(coset_spectrum(AND, FaceMask(2, 0b01))) == [0, 2]
+    assert list(coset_spectrum(AND, 0b01)) == [0, 2]
     for mask in range(8):
-        fm = FaceMask(3, mask)
-        for rep in coset_spectrum(BooleanFunction(3, 0), fm):
-            assert min(rep ^ s for s in subcube_points(fm)) == rep
+        for rep in coset_spectrum(BooleanFunction(3, 0), mask):
+            assert min(rep ^ s for s in subcube_points(3, mask)) == rep
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 7, 8])
 def test_cosets_partition_cube(n):
     for mask in range(1 << n):
-        fm = FaceMask(n, mask)
-        reps = {z & ~fm.mask for z in range(1 << n)}
-        assert len(reps) == 1 << (n - fm.dim)
+        reps = {z & ~mask for z in range(1 << n)}
+        assert len(reps) == 1 << (n - mask.bit_count())
         seen = set()
         for rep in reps:
-            coset = {rep ^ s for s in subcube_points(fm)}
+            coset = {rep ^ s for s in subcube_points(n, mask)}
             assert not (coset & seen)
             seen |= coset
         assert seen == set(range(1 << n))
@@ -82,32 +75,33 @@ def test_cosets_partition_cube(n):
 
 def test_coset_sum_oracle():
     # the sum on the coset of z is the spectrum entry at z's representative
-    m = FaceMask(2, 0b01)
-    sums = coset_spectrum(AND, m)
-    assert sums[0 & ~m.mask] == 2
-    assert sums[2 & ~m.mask] == 0
-    assert sums[3 & ~m.mask] == 0  # same coset as 2
+    mask = 0b01
+    sums = coset_spectrum(AND, mask)
+    assert sums[0 & ~mask] == 2
+    assert sums[2 & ~mask] == 0
+    assert sums[3 & ~mask] == 0  # same coset as 2
     with pytest.raises(ValueError):
-        coset_spectrum(AND, FaceMask(3, 1))
+        coset_spectrum(AND, 0b100)
 
 
 def test_coset_spectrum_oracle():
-    assert coset_spectrum(AND, FaceMask(2, 0b01)) == {0: 2, 2: 0}
+    assert coset_spectrum(AND, 0b01) == {0: 2, 2: 0}
     # full-cube face: single coset summing the whole sign vector
-    assert coset_spectrum(AND, FaceMask(2, 0b11)) == {0: 2}
+    assert coset_spectrum(AND, 0b11) == {0: 2}
     # point face: one coset per point, signs individually
-    assert coset_spectrum(AND, FaceMask(2, 0)) == {0: 1, 1: 1, 2: 1, 3: -1}
+    assert coset_spectrum(AND, 0) == {0: 1, 1: 1, 2: 1, 3: -1}
 
 
 @given(st.integers(1, 6), st.data())
 @settings(max_examples=60)
 def test_coset_spectrum_totals(n, data):
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
-    m = FaceMask(n, data.draw(st.integers(0, (1 << n) - 1)))
-    spectrum = coset_spectrum(f, m)
-    assert len(spectrum) == 1 << (n - m.dim)
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    spectrum = coset_spectrum(f, mask)
+    size = 1 << mask.bit_count()
+    assert len(spectrum) == 1 << (n - mask.bit_count())
     assert sum(spectrum.values()) == (1 << n) - 2 * weight(f)
-    assert all(abs(v) <= m.size and (v - m.size) % 2 == 0 for v in spectrum.values())
+    assert all(abs(v) <= size and (v - size) % 2 == 0 for v in spectrum.values())
 
 
 @given(st.integers(1, 6), st.data())
@@ -115,12 +109,11 @@ def test_coset_spectrum_totals(n, data):
 def test_coset_spectrum_matches_point_sums(n, data):
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     for mask in range(1 << n):
-        m = FaceMask(n, mask)
         expected = {}
         for z in range(1 << n):
             rep = z & ~mask
             expected[rep] = expected.get(rep, 0) + 1 - 2 * f.bit(z)
-        assert list(coset_spectrum(f, m).items()) == sorted(expected.items())
+        assert list(coset_spectrum(f, mask).items()) == sorted(expected.items())
 
 
 @pytest.mark.parametrize("n", [1, 2, 5])
@@ -137,7 +130,7 @@ def test_masks_match_their_point_sets(n):
         indicator(x for x in points if x.bit_count() == w) for w in range(n + 1)
     )
     for mask in range(1 << n):
-        assert face_indicator(FaceMask(n, mask)) == indicator(subcube_points(FaceMask(n, mask)))
+        assert face_indicator(n, mask) == indicator(subcube_points(n, mask))
 
 
 def test_ball_points_oracle():
@@ -188,19 +181,19 @@ def test_ball_size_counts_ball_points():
 
 
 def test_covering_coset_count_oracles():
-    assert covering_coset_count(4, 2, FaceMask(4, 0b1100)) == 4
-    assert covering_coset_count(6, 3, FaceMask(6, 0b110000)) == 15
-    assert covering_coset_count(4, 4, FaceMask(4, 0b0011)) == 4  # every coset hits
-    assert covering_coset_count(4, 2, FaceMask(4, 0b1111)) == 1
+    assert covering_coset_count(4, 2, 0b1100) == 4
+    assert covering_coset_count(6, 3, 0b110000) == 15
+    assert covering_coset_count(4, 4, 0b0011) == 4  # every coset hits
+    assert covering_coset_count(4, 2, 0b1111) == 1
     # point face: cosets are singletons, count is the ball volume
-    assert covering_coset_count(4, 2, FaceMask(4, 0)) == len(ball_points(4, 2))
+    assert covering_coset_count(4, 2, 0) == len(ball_points(4, 2))
 
 
 def test_covering_coset_count_large_path():
     # point face: each of the 2^18 cosets is one point, so the count is the
     # ball volume
     n, r = 18, 2
-    got = covering_coset_count(n, r, FaceMask(n, 0))
+    got = covering_coset_count(n, r, 0)
     assert got == sum(comb(n, i) for i in range(r + 1))
 
 
@@ -208,9 +201,9 @@ def test_covering_coset_count_large_path():
 @settings(max_examples=60)
 def test_covering_coset_count_brute(n, data):
     r = data.draw(st.integers(0, n))
-    m = FaceMask(n, data.draw(st.integers(0, (1 << n) - 1)))
-    expected = len({z & ~m.mask for z in range(1 << n) if z.bit_count() <= r})
-    assert covering_coset_count(n, r, m) == expected
+    mask = data.draw(st.integers(0, (1 << n) - 1))
+    expected = len({z & ~mask for z in range(1 << n) if z.bit_count() <= r})
+    assert covering_coset_count(n, r, mask) == expected
 
 
 def test_gaussian_binomial():

@@ -11,7 +11,6 @@ from bentkit import bent, suites
 from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, ResourceCapError, format_bf, pack_bits
-from bentkit.geometry import FaceMask
 from bentkit.reconstruct import check_lemma1
 from bentkit.transforms import walsh_naive
 from bentkit.suites import (
@@ -303,15 +302,15 @@ def _lemma1_per_pair(n, check):
     details = {"premise_true": 0}
 
     def problems():
-        for gamma in (FaceMask(n, 1 << i) for i in range(n)):
+        for mask in (1 << i for i in range(n)):
             for f in funcs:
                 for g in funcs:
-                    result = check(f, g, gamma)
+                    result = check(f, g, mask)
                     details["premise_true"] += result["premise"]
                     yield None if result["holds"] else {
                         "f": format_bf(f),
                         "g": format_bf(g),
-                        "mask": f"{gamma.mask:#x}",
+                        "mask": f"{mask:#x}",
                         **result,
                     }
 
@@ -322,9 +321,9 @@ def _lemma1_per_pair(n, check):
 def test_lemma1_stream_matches_the_per_pair_route(monkeypatch):
     calls = []
 
-    def counting(f, g, gamma):
-        calls.append((f, g, gamma))
-        return check_lemma1(f, g, gamma)
+    def counting(f, g, mask):
+        calls.append((f, g, mask))
+        return check_lemma1(f, g, mask)
 
     monkeypatch.setattr(suites, "check_lemma1", counting)
     assert suite_lemma1(n=2) == _lemma1_per_pair(2, check_lemma1)
@@ -333,8 +332,8 @@ def test_lemma1_stream_matches_the_per_pair_route(monkeypatch):
 
 
 def test_lemma1_counterexample_order_matches_the_per_pair_route(monkeypatch):
-    def fail_on_odd_tables(f, g, gamma):
-        result = check_lemma1(f, g, gamma)
+    def fail_on_odd_tables(f, g, mask):
+        result = check_lemma1(f, g, mask)
         if result["premise"] and f.table & 1:
             result = {**result, "conclusion": False, "holds": False}
         return result
@@ -363,7 +362,7 @@ def test_lemma2_refuses_a_ball_over_the_budget_before_listing_it(monkeypatch):
 
 
 def test_convolution_failing_path_reports_counterexamples(monkeypatch):
-    monkeypatch.setattr(suites, "check_restriction_identity", lambda f, gamma: gamma.mask != 1)
+    monkeypatch.setattr(suites, "check_restriction_identity", lambda f, mask: mask != 1)
     report = suite_convolution(samples=0)
     check_shape(report, "convolution")
     assert report["checks"] == 64
