@@ -22,7 +22,12 @@ from .core import MAX_ARITY, BooleanFunction, _check_arity, _check_mask, _check_
 def subcube_points(n: int, mask: int) -> list[int]:
     """All points of Gamma(mask), ascending by index."""
     _check_mask(n, mask)
-    # every s with s AND NOT mask = 0, ascending: (s - mask) & mask follows s
+    return _subcube_points(mask)
+
+
+def _subcube_points(mask: int) -> list[int]:
+    # every s with s AND NOT mask = 0, ascending: (s - mask) & mask follows s;
+    # the caller has checked the mask (a negative one never returns to 0)
     points = [0]
     while s := (points[-1] - mask) & mask:
         points.append(s)
@@ -61,6 +66,10 @@ def weight_masks(n: int) -> tuple[int, ...]:
 def face_indicator(n: int, mask: int) -> int:
     """Indicator of Gamma(mask): the AND of the coordinate masks of its fixed coordinates."""
     _check_mask(n, mask)
+    return _face_indicator(n, mask)
+
+
+def _face_indicator(n: int, mask: int) -> int:
     indicator = (1 << (1 << n)) - 1
     for i, line in enumerate(coordinate_masks(n)):
         if not (mask >> i) & 1:
@@ -70,8 +79,9 @@ def face_indicator(n: int, mask: int) -> int:
 
 def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
     """Coset sums of every coset of Gamma(mask), keyed by minimal-index representative."""
-    indicator, size = face_indicator(f.n, mask), 1 << mask.bit_count()
-    reps = subcube_points(f.n, dual_face(f.n, mask))
+    _check_mask(f.n, mask)
+    indicator, size = _face_indicator(f.n, mask), 1 << mask.bit_count()
+    reps = _subcube_points(mask ^ ((1 << f.n) - 1))
     return {rep: size - 2 * ((f.table >> rep) & indicator).bit_count() for rep in reps}
 
 

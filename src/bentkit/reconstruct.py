@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    BooleanFunction, _check_arity, _check_int, _check_radius, _check_same_arity, pack_bits,
-    unpack_bits,
+    BooleanFunction, _check_arity, _check_int, _check_mask, _check_radius, _check_same_arity,
+    pack_bits, unpack_bits,
 )
-from .geometry import (
-    ball_points, ball_size, coset_spectrum, dual_face, subcube_points, weight_masks
-)
+from .geometry import _subcube_points, ball_points, ball_size, coset_spectrum, weight_masks
 from .transforms import _moebius_table, _walsh_by_arity, degree
 
 
@@ -78,10 +76,10 @@ def check_lemma1(f: BooleanFunction, g: BooleanFunction, mask: int) -> dict[str,
     (``walsh_naive``) up to n=7, where it is faster, and from the butterfly
     (``walsh_fast``) above it."""
     _check_same_arity(f.n, g.n, "second function")
-    points = subcube_points(f.n, mask)
+    _check_mask(f.n, mask)
     wf, wg = _walsh_by_arity(f), _walsh_by_arity(g)
-    premise = all(wf[y] == wg[y] for y in points)
-    dual = dual_face(f.n, mask)
+    premise = all(wf[y] == wg[y] for y in _subcube_points(mask))
+    dual = mask ^ ((1 << f.n) - 1)
     conclusion = coset_spectrum(f, dual) == coset_spectrum(g, dual)
     return {
         "premise": premise,

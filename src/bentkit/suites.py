@@ -24,7 +24,7 @@ from .core import BooleanFunction, _check_arity, _check_work, format_bf, pack_bi
 from .core import pack_rows, unpack_bits, unpack_rows, weight
 from .geometry import ball_points, ball_size, coset_value_class_sizes, subcube_points
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
-from .transforms import _moebius_table, moebius, walsh_fast, walsh_naive
+from .transforms import _moebius_table, _peak, _spectrum, moebius, walsh_naive, walsh_truth_rows
 from .transforms import check_restriction_identity, truth_rows_from_anf
 
 _MAX_REPORTED = 10
@@ -82,7 +82,8 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
     """Spectra equal on a face implies equal coset sums on the dual face.
 
     Exhaustive over all function pairs and dimension-1 coordinate faces for
-    n <= 3: each function's spectrum is computed once, a pair whose spectra
+    n <= 3: all 2^(2^n) spectra are computed once, as one block of
+    truth-table rows through ``walsh_truth_rows``; a pair whose spectra
     differ on the face passes by its premise alone, and ``check_lemma1``
     evaluates both sides for every other pair.  Randomized triples above that,
     each through ``check_lemma1``.
@@ -98,11 +99,11 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
         return {"f": format_bf(f), "g": format_bf(g), "mask": f"{mask:#x}", **result}
 
     def exhaustive() -> Iterator[Optional[dict]]:
-        funcs = [BooleanFunction(n, t) for t in range(1 << (1 << n))]
-        spectra = [walsh_fast(f) for f in funcs]
+        total = 1 << (1 << n)
+        funcs = [BooleanFunction(n, t) for t in range(total)]
+        spectra = walsh_truth_rows(unpack_rows(np.arange(total, dtype=np.uint64), 1 << n))
         for mask in (1 << i for i in range(n)):
-            points = subcube_points(n, mask)
-            keys = [tuple(values[y] for y in points) for values in spectra]
+            keys = list(map(tuple, spectra[:, subcube_points(n, mask)].tolist()))
             groups: dict[tuple[int, ...], list[BooleanFunction]] = {}
             for g, key in zip(funcs, keys):
                 groups.setdefault(key, []).append(g)
@@ -234,18 +235,25 @@ def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> di
     )
 
 
+def _sum_of_squares(values: np.ndarray) -> int:
+    # int64 squares wrap silently: past 2^63 the dot product runs on exact ints
+    peak = _peak(values)
+    wide = values if peak * peak * len(values) < 1 << 63 else values.astype(object)
+    return int(wide @ wide)
+
+
 def _spectrum_problems(f: BooleanFunction) -> Optional[dict]:
     """The spectrum invariants f breaks, as a counterexample, or None."""
-    spectrum = walsh_fast(f)
+    spectrum = _spectrum(f)
     failed = []
-    if sum(v * v for v in spectrum) != 1 << (2 * f.n):
+    if _sum_of_squares(spectrum) != 1 << (2 * f.n):
         failed.append("parseval")
     parity = (1 << f.n) & 1
-    if any((v & 1) != parity for v in spectrum):
+    if ((spectrum & 1) != parity).any():
         failed.append("parity")
     if spectrum[0] != (1 << f.n) - 2 * weight(f):
         failed.append("w0")
-    if f.n <= _NAIVE_CHECK_MAX_N and walsh_naive(f) != spectrum:
+    if f.n <= _NAIVE_CHECK_MAX_N and walsh_naive(f) != spectrum.tolist():
         failed.append("naive-disagrees")
     return {"f": format_bf(f), "problems": failed} if failed else None
 

@@ -11,7 +11,11 @@ Walsh butterfly exists.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
-Spectra and vectors are returned as plain ``list[int]`` of Python ints.
+Inside the library spectra and vectors stay numpy integer arrays: ``_spectrum``
+is one function's spectrum as an int64 row, and ``hadamard_transform`` and
+``convolve_pm`` take an integer array as it is, with no per-entry pass, as
+well as any sequence of ints.  Lists appear only at the public boundary: every
+public function returns plain ``list[int]`` of Python ints.
 ``walsh_fast`` (the spectrum of a function) and ``hadamard_transform`` (of an
 integer vector) each run one butterfly, O(n 2^n); ``walsh_naive``, the
 independent oracle, reads each W(y) = 2^n - 2 wt(f + <., y>) as a popcount,
@@ -20,7 +24,7 @@ with no butterfly and no numpy; it is the faster of the two at small n, where
 ``convolve_pm`` is likewise the direct sum over the support of its vector, in
 int64 or else on exact ints in an object array, and never reaches a
 butterfly, so ``check_restriction_identity``, whose right side runs two
-(``walsh_fast`` of f, ``hadamard_transform`` of the masked spectrum), really
+(``_spectrum`` of f, ``hadamard_transform`` of the masked spectrum), really
 compares two different computations.
 """
 
@@ -31,8 +35,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import BooleanFunction, _check_work, pack_bits, unpack_bits
-from .geometry import coordinate_masks, dual_face, face_indicator, weight_masks
+from .core import BooleanFunction, _check_mask, _check_work, pack_bits, unpack_bits
+from .geometry import _face_indicator, coordinate_masks, weight_masks
 
 IntegerVector = list[int]
 
@@ -66,12 +70,22 @@ def walsh_truth_rows(truth: np.ndarray) -> np.ndarray:
     return walsh_rows(1 - 2 * truth.astype(np.int32))
 
 
+def _peak(a: np.ndarray) -> int:
+    """Largest magnitude in a non-empty integer array, as an exact int:
+    ``np.abs`` wraps at -2^63, and uint64 passes int64."""
+    return max(int(a.max()), -int(a.min()))
+
+
 def _integer_array(values: Sequence[int]) -> np.ndarray:
-    try:
-        vec = [operator.index(v) for v in values]
-    except TypeError as exc:
-        raise ValueError(f"vector entries must be integers: {exc}") from None
-    peak = max(map(abs, vec), default=0)
+    # always a new array, since walsh_rows transforms it in place
+    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
+        vec, peak = values, _peak(values)  # integral entry by entry already
+    else:
+        try:
+            vec = [operator.index(v) for v in values]
+        except TypeError as exc:
+            raise ValueError(f"vector entries must be integers: {exc}") from None
+        peak = max(map(abs, vec), default=0)
     return np.array(vec, dtype=np.int64 if peak < (1 << 62) // len(vec) else object)
 
 
@@ -90,6 +104,12 @@ def walsh_fast(f: BooleanFunction) -> IntegerVector:
     """Walsh-Hadamard spectrum, values[y] = sum_x (-1)^(f(x) + <x,y>), via one
     ``walsh_truth_rows`` butterfly at every arity, O(n 2^n)."""
     return walsh_truth_rows(unpack_bits(f.table, f.size)).tolist()
+
+
+def _spectrum(f: BooleanFunction) -> np.ndarray:
+    """The spectrum ``walsh_fast`` lists, widened from the butterfly's int32
+    to int64 so that callers' products and sums of it (|W| <= 2^n) stay exact."""
+    return walsh_truth_rows(unpack_bits(f.table, f.size)).astype(np.int64)
 
 
 def walsh_naive(f: BooleanFunction) -> IntegerVector:
@@ -169,15 +189,14 @@ def check_restriction_identity(f: BooleanFunction, mask: int) -> bool:
     dual-face indicator equals the doubly-transformed, face-masked spectrum
     divided by 2^dim.
 
-    The left side goes through convolve_pm, the right side through walsh_fast
-    and one hadamard_transform of the masked spectrum; both are exact integers.
+    The left side goes through convolve_pm, the right side through the
+    butterfly spectrum of f and one hadamard_transform of its masked copy;
+    both are exact integers.
     """
+    _check_mask(f.n, mask)
     size = f.size
-    lhs = convolve_pm(f, unpack_bits(face_indicator(f.n, dual_face(f.n, mask)), size).tolist())
-
-    spectrum = np.array(walsh_fast(f), dtype=np.int64)
-    inside = unpack_bits(face_indicator(f.n, mask), size)
-    doubled = hadamard_transform((spectrum * inside).tolist())
-    # |doubled| <= 2^(2n) <= 2^52 for n <= MAX_ARITY, so int64 is exact
-    rhs, rem = np.divmod(np.array(doubled, dtype=np.int64), 1 << mask.bit_count())
-    return not rem.any() and lhs == rhs.tolist()
+    lhs = convolve_pm(f, unpack_bits(_face_indicator(f.n, mask ^ ((1 << f.n) - 1)), size))
+    doubled = hadamard_transform(_spectrum(f) * unpack_bits(_face_indicator(f.n, mask), size))
+    # lhs * 2^dim == doubled: doubled is divisible by 2^dim with quotient lhs
+    dim = mask.bit_count()
+    return [v << dim for v in lhs] == doubled

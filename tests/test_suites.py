@@ -378,15 +378,15 @@ def test_convolution_failing_path_reports_counterexamples(monkeypatch):
     "perturb,names",
     [
         # W(0) + 1: the sum of squares, the parity, W(0) and the oracle all break
-        (lambda w: [w[0] + 1] + w[1:], ["parseval", "parity", "w0", "naive-disagrees"]),
+        (lambda w: np.concatenate([w[:1] + 1, w[1:]]), ["parseval", "parity", "w0", "naive-disagrees"]),
         # every value but W(0) in reverse order: only the oracle can tell
-        (lambda w: w[:1] + w[:0:-1], ["naive-disagrees"]),
+        (lambda w: np.concatenate([w[:1], w[:0:-1]]), ["naive-disagrees"]),
     ],
     ids=["w0-plus-one", "reversed"],
 )
 def test_parseval_failing_path_names_each_broken_invariant(monkeypatch, perturb, names):
-    real = suites.walsh_fast
-    monkeypatch.setattr(suites, "walsh_fast", lambda f: perturb(real(f)))
+    real = suites._spectrum
+    monkeypatch.setattr(suites, "_spectrum", lambda f: perturb(real(f)))
     report = suite_parseval(samples=0)
     check_shape(report, "parseval")
     assert report["checks"] == 4 + 16 + 256
@@ -394,6 +394,16 @@ def test_parseval_failing_path_names_each_broken_invariant(monkeypatch, perturb,
     assert all(set(c) == {"f", "problems"} for c in report["counterexamples"])
     assert all(c["problems"] == names for c in report["counterexamples"])
     assert report["passed"] is False
+
+
+def test_parseval_is_exact_where_int64_squares_wrap(monkeypatch):
+    # (8 - 2^63)^2 is 64 modulo 2^64, so an int64 dot product reads 2^(2n) at n=3
+    wrapped = np.zeros(8, dtype=np.int64)
+    wrapped[0] = 8 - 2**63
+    assert wrapped @ wrapped == 64
+    monkeypatch.setattr(suites, "_spectrum", lambda f: wrapped.copy())
+    problems = suites._spectrum_problems(BooleanFunction(3, 0))
+    assert "parseval" in problems["problems"]
 
 
 def test_flats_failing_path_reports_a_member_off_the_common_distribution(monkeypatch):
