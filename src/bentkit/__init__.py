@@ -30,7 +30,6 @@ from .bounds import (
 )
 from .census import (
     CensusResult,
-    bent_count,
     enumerate_bent_by_degree,
     enumerate_bent_naive,
 )
@@ -50,7 +49,6 @@ from .geometry import (
     coset_spectrum,
     coset_value_class_sizes,
     covering_coset_count,
-    dual_face,
     gaussian_binomial,
     subcube_points,
 )
@@ -86,7 +84,6 @@ __all__ = [
     "apply_affine",
     "ball_points",
     "ball_size",
-    "bent_count",
     "bound_report",
     "check_lemma1",
     "check_restriction_identity",
@@ -96,7 +93,6 @@ __all__ = [
     "covering_coset_count",
     "degree",
     "dual_bent",
-    "dual_face",
     "enumerate_bent_by_degree",
     "enumerate_bent_naive",
     "format_bf",

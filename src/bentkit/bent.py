@@ -1,10 +1,11 @@
 """Bent-ness testing, dual functions, affine equivalence, 2-flat statistics.
 
 A function is bent when its arity is even and every Walsh value is +-2^(n/2).
-``_flat_rows`` alone states this test, on int32 spectra.  ``bent_rows`` runs
-one ``walsh_truth_rows`` butterfly on (rows, 2^n) truth tables and applies it;
-``is_bent``, the census and ``_bent_images`` (``prop1``, ``bent affine``)
-call it.  ``dual_bent`` runs one butterfly and reads the test and signs from it.
+``_flat_rows`` alone states this test, on one int32 spectrum or a block of
+them.  ``bent_rows`` applies it to the ``walsh_truth_rows`` butterfly of
+(rows, 2^n) truth tables, for the census and ``_bent_images`` (``prop1``,
+``bent affine``); ``is_bent`` and ``dual_bent`` apply it to ``_spectrum``, the
+one single-function butterfly, and ``dual_bent`` reads the signs from it too.
 Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
 with M invertible.  ``apply_affine`` builds the images under a batch of maps:
 it doubles each map's index permutation x -> Mx + translation and its affine
@@ -12,7 +13,8 @@ term over the input bits in numpy, then gathers all the images from one
 unpacked table as (maps, 2^n) bit rows.  ``_bent_images`` draws, builds and
 tests them one chunk of maps at a time and yields (row, bent) pairs, so
 ``prop1``, which packs only failing rows, holds one chunk at most; ``bent
-affine`` prints every image, so its output still grows with the count.
+affine`` prints every image, so its output grows with the count, which the
+work budget caps at 2^MAX_WORK_LOG2 truth-table points.
 ``two_flat_sum_distribution`` is a closed form in n, W(0) and sum_y W(y)^4
 from one spectrum (``transforms._walsh_by_arity``); ``two_flats`` lists the
 flats for direct counts.
@@ -26,19 +28,18 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
-from .core import (
-    BooleanFunction, _check_arity, _check_int, _check_same_arity, pack_bits, unpack_bits
-)
+from .core import BooleanFunction, _check_arity, _check_int, _check_same_arity, _check_work
+from .core import pack_bits, unpack_bits
 from .geometry import gaussian_binomial
-from .transforms import _walsh_by_arity, walsh_truth_rows
+from .transforms import _spectrum, _walsh_by_arity, walsh_truth_rows
 
 # builds and bent-tests at most this many truth-table points (images x 2^n) at once
 _IMAGE_CHUNK_POINTS = 1 << 18
 
 
 def _flat_rows(spectra: np.ndarray, n: int) -> np.ndarray:
-    # all False for odd n (squares summing to 2^(2n-1) break Parseval)
-    return np.all(np.abs(spectra) == (1 << (n // 2)), axis=1)
+    # last axis, one row or a block; odd n fails Parseval (squares sum to 2^(2n-1))
+    return np.all(np.abs(spectra) == (1 << (n // 2)), axis=-1)
 
 
 def bent_rows(truth: np.ndarray, n: int) -> np.ndarray:
@@ -48,13 +49,13 @@ def bent_rows(truth: np.ndarray, n: int) -> np.ndarray:
 
 def is_bent(f: BooleanFunction) -> bool:
     """True iff n is even and the whole spectrum is +-2^(n/2)."""
-    return bool(bent_rows(unpack_bits(f.table, f.size)[None], f.n)[0])
+    return bool(_flat_rows(_spectrum(f), f.n))
 
 
 def dual_bent(b: BooleanFunction) -> BooleanFunction:
     """The bent function g with W_b(y) = 2^(n/2) * (-1)^g(y)."""
-    spectrum = walsh_truth_rows(unpack_bits(b.table, b.size)[None])
-    if not _flat_rows(spectrum, b.n)[0]:
+    spectrum = _spectrum(b)
+    if not _flat_rows(spectrum, b.n):
         raise ValueError("not bent")
     return BooleanFunction(b.n, pack_bits(spectrum < 0))
 
@@ -141,7 +142,10 @@ def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> A
 def _bent_images(f: BooleanFunction, count: int, rng: random.Random) -> Iterator[tuple]:
     """(bit row, bent) for ``count`` random affine images of f, maps drawn from
     rng in order, one chunk of at most ``_IMAGE_CHUNK_POINTS >> n`` maps drawn,
-    built and bent-tested at a time: a caller keeping no row holds one chunk."""
+    built and bent-tested at a time: a caller keeping no row holds one chunk.
+    Refuses, before drawing a map, more than 2^MAX_WORK_LOG2 points (count x 2^n)."""
+    points = count << f.n
+    _check_work((points - 1).bit_length(), f"truth-table points for {count} images at n={f.n}")
     step = max(1, _IMAGE_CHUNK_POINTS >> f.n)
     for start in range(0, count, step):
         maps = [random_invertible(f.n, rng) for _ in range(min(step, count - start))]

@@ -14,6 +14,7 @@ import math
 from math import comb
 from typing import Optional, Sequence
 
+from .census import enumerate_bent_by_degree
 from .core import _check_even, _check_int, _read_bounded
 from .geometry import ball_size, covering_coset_count
 
@@ -61,6 +62,7 @@ def q_n(n: int) -> int:
 def a_n_log2(n: int) -> float:
     """log2 of the affine-orbit size |GL(n,2)| * 2^n * 2^(n+1): matrix,
     translation, affine term."""
+    _check_int(n, "arity")
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     # |GL(n,2)| = prod_i (2^n - 2^i) = prod_{i=1..n} (2^i - 1) * 2^(n(n-1)/2),
@@ -168,11 +170,10 @@ def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> dict:
         report["known_source"] = str(entry["source"])
         report["known_provenance"] = "external"
     elif n <= 4:
-        from .census import bent_count
-
         # the degree census is exhaustive too, and counts without listing
         # the 2^(2^n) truth tables that the brute-force scan visits
-        report["known_count_log2"] = math.log2(bent_count(n, "degree"))
+        count = enumerate_bent_by_degree(n, include_functions=False).count
+        report["known_count_log2"] = math.log2(count)
         report["known_source"] = "exhaustive census at this arity"
         report["known_provenance"] = "census"
 

@@ -20,7 +20,6 @@ from __future__ import annotations
 import os
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -106,13 +105,3 @@ def enumerate_bent_by_degree(
     return _census(
         "degree", _bent_tables_from_anf_range, n, 1 << exponent, jobs, include_functions
     )
-
-
-@lru_cache(maxsize=None, typed=True)  # so 4.0 never hits the entry for 4
-def bent_count(n: int, method: str = "naive") -> int:
-    """Cached census count for (n, method); method is 'naive' or 'degree'."""
-    if method == "naive":
-        return enumerate_bent_naive(n, include_functions=False).count
-    if method == "degree":
-        return enumerate_bent_by_degree(n, include_functions=False).count
-    raise ValueError(f"unknown census method {method!r}")

@@ -6,8 +6,10 @@ as the int ``mask`` with n or with a function of arity n: the set bits of
 a face are keyed by their minimal-index member, which is the point with all
 free coordinates cleared; a coset is its face shifted by that representative.
 The point-set masks on truth tables, ``coordinate_masks``, ``weight_masks``
-and ``face_indicator``, are built here and nowhere else.  A Hamming ball is
-the plain tuple of its points that ``ball_points`` returns.
+and ``_face_indicator``, are built here and nowhere else, and no butterfly
+runs here (``transforms._spectrum`` is the one single-function butterfly).
+The dual face, orthogonal to all of Gamma(mask), is ``mask ^ ((1 << n) - 1)``.
+A Hamming ball is the plain tuple of its points that ``ball_points`` returns.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import MAX_ARITY, BooleanFunction, _check_arity, _check_mask, _check_radius, _check_work
+from .core import MAX_ARITY, BooleanFunction, _check_arity, _check_int, _check_mask, _check_radius
+from .core import _check_work
 
 
 def subcube_points(n: int, mask: int) -> list[int]:
@@ -32,12 +35,6 @@ def _subcube_points(mask: int) -> list[int]:
     while s := (points[-1] - mask) & mask:
         points.append(s)
     return points
-
-
-def dual_face(n: int, mask: int) -> int:
-    """The face whose points are orthogonal to every point of Gamma(mask)."""
-    _check_mask(n, mask)
-    return ~mask & ((1 << n) - 1)
 
 
 @lru_cache(maxsize=16)
@@ -63,13 +60,8 @@ def weight_masks(n: int) -> tuple[int, ...]:
     return tuple(masks)
 
 
-def face_indicator(n: int, mask: int) -> int:
-    """Indicator of Gamma(mask): the AND of the coordinate masks of its fixed coordinates."""
-    _check_mask(n, mask)
-    return _face_indicator(n, mask)
-
-
 def _face_indicator(n: int, mask: int) -> int:
+    # Gamma(mask), mask checked by the caller: AND of its fixed coordinates' masks
     indicator = (1 << (1 << n)) - 1
     for i, line in enumerate(coordinate_masks(n)):
         if not (mask >> i) & 1:
@@ -118,6 +110,8 @@ def gaussian_binomial(n: int, k: int) -> int:
     Follows the math.comb convention: k outside [0, n] gives 0,
     negative n is rejected.
     """
+    _check_int(n, "n")
+    _check_int(k, "k")
     if n < 0 or k < 0:
         raise ValueError(f"need n >= 0 and k >= 0, got k={k}, n={n}")
     if k > n:
@@ -139,6 +133,7 @@ def coset_value_class_sizes(dim: int) -> dict[int, int]:
     Brute force over all bit patterns, within the work budget (dim <= 4);
     sums range over {-2^dim, ..., 2^dim} in steps of 2.
     """
+    _check_int(dim, "dimension")
     if not 0 <= dim <= MAX_ARITY:
         raise ValueError(f"a face has dimension 0..{MAX_ARITY}, got {dim}")
     _check_work(1 << dim, f"sign patterns on a {dim}-flat")

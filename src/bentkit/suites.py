@@ -191,8 +191,12 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
 
 
 def suite_prop1(n: int = 4, maps: int = 10, seed: int = 1) -> dict:
-    """Random invertible affine maps preserve bent-ness across the census."""
+    """Random invertible affine maps preserve bent-ness across the census,
+    within the work budget on truth-table points (census size x maps x 2^n)."""
     members = enumerate_bent_by_degree(n).functions or ()
+    points = len(members) * maps << n
+    what = f"truth-table points for {maps} maps of {len(members)} functions at n={n}"
+    _check_work((points - 1).bit_length(), what)
     rng = random.Random(seed)
 
     def checks(f: BooleanFunction) -> Iterator[Optional[dict]]:
@@ -236,9 +240,9 @@ def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> di
 
 
 def _sum_of_squares(values: np.ndarray) -> int:
-    # int64 squares wrap silently: past 2^63 the dot product runs on exact ints
+    # int32 squares wrap silently: the dot product runs in int64, or past 2^63 on ints
     peak = _peak(values)
-    wide = values if peak * peak * len(values) < 1 << 63 else values.astype(object)
+    wide = values.astype(np.int64 if peak * peak * len(values) < 1 << 63 else object)
     return int(wide @ wide)
 
 

@@ -6,13 +6,13 @@ proves wide enough; ``hadamard_transform`` runs it at every length, in int64
 or, for values too large for it (2^n * max|v| >= 2^62), on exact ints in an
 object array.  A non-integral vector entry is a ``ValueError``.
 ``walsh_truth_rows`` runs ``walsh_rows`` on the int32 signs of truth-table
-rows, for ``walsh_fast`` at every arity and for the bent tests; no other
-Walsh butterfly exists.
+rows; ``_spectrum``, its one single-function call, serves ``walsh_fast`` at
+every arity and the bent tests; no other Walsh butterfly exists.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
 Inside the library spectra and vectors stay numpy integer arrays: ``_spectrum``
-is one function's spectrum as an int64 row, and ``hadamard_transform`` and
+is one function's spectrum as an int32 row, and ``hadamard_transform`` and
 ``convolve_pm`` take an integer array as it is, with no per-entry pass, as
 well as any sequence of ints.  Lists appear only at the public boundary: every
 public function returns plain ``list[int]`` of Python ints.
@@ -100,16 +100,16 @@ def hadamard_transform(values: Sequence[int]) -> IntegerVector:
     return walsh_rows(_integer_array(values)).tolist()
 
 
+def _spectrum(f: BooleanFunction) -> np.ndarray:
+    """Walsh spectrum of f as the butterfly's int32 row, |W| <= 2^n: the one
+    single-function butterfly.  A caller that squares it widens it first."""
+    return walsh_truth_rows(unpack_bits(f.table, f.size))
+
+
 def walsh_fast(f: BooleanFunction) -> IntegerVector:
     """Walsh-Hadamard spectrum, values[y] = sum_x (-1)^(f(x) + <x,y>), via one
-    ``walsh_truth_rows`` butterfly at every arity, O(n 2^n)."""
-    return walsh_truth_rows(unpack_bits(f.table, f.size)).tolist()
-
-
-def _spectrum(f: BooleanFunction) -> np.ndarray:
-    """The spectrum ``walsh_fast`` lists, widened from the butterfly's int32
-    to int64 so that callers' products and sums of it (|W| <= 2^n) stay exact."""
-    return walsh_truth_rows(unpack_bits(f.table, f.size)).astype(np.int64)
+    ``_spectrum`` butterfly at every arity, O(n 2^n)."""
+    return _spectrum(f).tolist()
 
 
 def walsh_naive(f: BooleanFunction) -> IntegerVector:

@@ -19,7 +19,7 @@ from bentkit.bent import (
     two_flat_sum_distribution,
     two_flats,
 )
-from bentkit.core import BooleanFunction, parse_bf, random_function, weight
+from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
 from bentkit.core import pack_bits, unpack_bits
 from bentkit.geometry import gaussian_binomial
 from bentkit.transforms import walsh_fast, walsh_naive
@@ -124,6 +124,33 @@ def test_dual_runs_one_butterfly_per_call(monkeypatch):
     with pytest.raises(ValueError, match="not bent"):
         dual_bent(parse_bf("bf:4:7889"))
     assert len(calls) == 2
+
+
+def test_single_function_entry_points_run_one_spectrum(monkeypatch):
+    calls = []
+    real = transforms._spectrum
+
+    def counting(f):
+        calls.append(f)
+        return real(f)
+
+    # bent binds the name on import, so patch it there as well
+    for module in (transforms, bent):
+        monkeypatch.setattr(module, "_spectrum", counting, raising=False)
+    for run in (transforms.walsh_fast, is_bent, dual_bent):
+        calls.clear()
+        run(QUAD)
+        assert calls == [QUAD], run.__name__
+
+
+def test_bent_images_refuse_past_the_work_budget_before_drawing_a_map(monkeypatch):
+    def refuse(n, rng):
+        raise AssertionError("a map was drawn")
+
+    monkeypatch.setattr(bent, "random_invertible", refuse)
+    # (2^20 + 1) x 2^4 points round up to 2^25
+    with pytest.raises(ResourceCapError, match=r"needs 2\^25 truth-table points .* n=4"):
+        next(bent._bent_images(QUAD, (1 << 20) + 1, random.Random(1)))
 
 
 def test_dual_involution_n2():

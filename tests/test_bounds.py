@@ -226,7 +226,6 @@ def test_bound_report_takes_the_small_known_count_from_the_degree_census(monkeyp
         raise AssertionError("the brute-force census ran")
 
     monkeypatch.setattr(census, "enumerate_bent_naive", refuse)
-    census.bent_count.cache_clear()
     assert bound_report(2)["known_count_log2"] == 3.0
     assert bound_report(4)["known_count_log2"] == math.log2(896)
     assert bound_report(4)["known_source"] == "exhaustive census at this arity"

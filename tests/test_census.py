@@ -10,7 +10,6 @@ from bentkit import census, core
 from bentkit.bent import bent_rows, is_bent
 from bentkit.census import (
     CensusResult,
-    bent_count,
     enumerate_bent_by_degree,
     enumerate_bent_naive,
 )
@@ -212,24 +211,8 @@ def test_cap_messages_name_the_refused_work():
 
 
 def test_float_arity_rejected():
-    # a cached answer for the int must not answer for the float
-    assert bent_count(4) == bent_count(4, "naive") == 896
     with pytest.raises(ValueError, match="must be an int"):
         enumerate_bent_naive(4.0)
-    with pytest.raises(ValueError, match="must be an int"):
-        bent_count(4.0)
-    with pytest.raises(ValueError, match="must be an int"):
-        bent_count(4.0, "naive")
-
-
-def test_bent_count_dispatch():
-    assert bent_count(2, "naive") == 8
-    assert bent_count(2, "degree") == 8
-    assert bent_count(4, "naive") == bent_count(4, "degree") == 896
-    with pytest.raises(ValueError):
-        bent_count(4, "magic")
-    with pytest.raises(ResourceCapError):
-        bent_count(6, "naive")
 
 
 def test_elapsed_is_recorded():

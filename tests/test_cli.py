@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bentkit.cli as cli
-from bentkit import bounds, suites
+from bentkit import bent, bounds, suites
 from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_sum_distribution
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
@@ -281,6 +281,26 @@ def test_verify_lemma2_refuses_the_n26_ball_before_listing_it(capsys, monkeypatc
     assert out == ""
     assert err.startswith("resource cap: ") and err.count("\n") == 1
     assert "38754732" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv,needs",
+    [
+        (("bent", "affine", "--f", "bf:4:0356", "--count", str((1 << 20) + 1)), "2^25"),
+        (("verify", "--suite", "prop1", "--maps", "2000"), "2^25"),
+    ],
+    ids=["affine-count", "prop1-maps"],
+)
+def test_affine_image_work_is_capped_before_any_map_is_drawn(capsys, monkeypatch, argv, needs):
+    def refuse(n, rng):
+        raise AssertionError("a map was drawn")
+
+    monkeypatch.setattr(bent, "random_invertible", refuse)
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert f"needs {needs} truth-table points" in err and "Traceback" not in err
 
 
 def test_census_disagreement_exits_3(capsys, monkeypatch):

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 import bentkit.cli as cli
 from bentkit import core
 from bentkit.bent import AffineMap, apply_affine
+from bentkit.bounds import a_n_log2
 from bentkit.census import enumerate_bent_by_degree, enumerate_bent_naive
 from bentkit.core import (
     BooleanFunction,
@@ -28,8 +29,7 @@ from bentkit.geometry import (
     coset_spectrum,
     coset_value_class_sizes,
     covering_coset_count,
-    dual_face,
-    face_indicator,
+    gaussian_binomial,
     subcube_points,
 )
 from bentkit.reconstruct import BallAssignment, check_lemma1
@@ -138,6 +138,24 @@ def test_radius_must_be_an_int():
             call()
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: a_n_log2(True),
+        lambda: a_n_log2(2.5),
+        lambda: gaussian_binomial(True, 1),
+        lambda: gaussian_binomial(4.0, 2),
+        lambda: coset_value_class_sizes(True),
+        lambda: coset_value_class_sizes(2.0),
+    ],
+    ids=["a_n-bool", "a_n-float", "gaussian-bool", "gaussian-float", "classes-bool", "classes-float"],
+)
+def test_int_inputs_refuse_bools_and_floats(call):
+    # True does not answer for 1, and a float is not a TypeError from range() or <<
+    with pytest.raises(ValueError, match=" must be an int, got "):
+        call()
+
+
 def test_bit_bounds():
     with pytest.raises(ValueError):
         AND.bit(4)
@@ -225,8 +243,6 @@ def test_arity_mismatch_has_one_wording():
 
 MASK_TAKERS = {
     "subcube_points": lambda mask: subcube_points(2, mask),
-    "dual_face": lambda mask: dual_face(2, mask),
-    "face_indicator": lambda mask: face_indicator(2, mask),
     "coset_spectrum": lambda mask: coset_spectrum(AND, mask),
     "covering_coset_count": lambda mask: covering_coset_count(2, 1, mask),
     "check_lemma1": lambda mask: check_lemma1(AND, AND, mask),

@@ -8,14 +8,13 @@ from hypothesis import given, settings, strategies as st
 
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, weight
 from bentkit.geometry import (
+    _face_indicator,
     ball_points,
     ball_size,
     coset_spectrum,
     coset_value_class_sizes,
     covering_coset_count,
     coordinate_masks,
-    dual_face,
-    face_indicator,
     gaussian_binomial,
     subcube_points,
     weight_masks,
@@ -34,21 +33,12 @@ def test_face_mask_validation():
     for n, mask in ((2, 4), (2, -1), (2, 1.0), (2, True), (0, 0), (True, 1), (2.0, 1)):
         with pytest.raises(ValueError):
             subcube_points(n, mask)
-        with pytest.raises(ValueError):
-            dual_face(n, mask)
 
 
 def test_face_mask_is_not_arity_capped():
     # a mask is an O(1) value; the cap applies to the truth tables it meets
     assert len(subcube_points(40, 0b11 << 38)) == 4
-    assert dual_face(40, 0b11 << 38) == (1 << 38) - 1
     assert covering_coset_count(40, 20, 0b11 << 38) == sum(comb(38, i) for i in range(21))
-
-
-def test_dual_face():
-    assert dual_face(4, 0b0011) == 0b1100
-    assert dual_face(4, dual_face(4, 0b0011)) == 0b0011
-    assert dual_face(3, 0) == 0b111
 
 
 def test_coset_representative():
@@ -130,7 +120,7 @@ def test_masks_match_their_point_sets(n):
         indicator(x for x in points if x.bit_count() == w) for w in range(n + 1)
     )
     for mask in range(1 << n):
-        assert face_indicator(n, mask) == indicator(subcube_points(n, mask))
+        assert _face_indicator(n, mask) == indicator(subcube_points(n, mask))
 
 
 def test_ball_points_oracle():

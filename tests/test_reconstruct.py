@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from bentkit import transforms
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
-from bentkit.geometry import ball_points, coset_spectrum, dual_face, subcube_points
+from bentkit.geometry import ball_points, coset_spectrum, subcube_points
 from bentkit.reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
 from bentkit.transforms import degree, moebius, walsh_fast
 
@@ -153,7 +153,7 @@ def test_lemma1_premise_oracles():
 
 
 def test_lemma1_conclusion_full_mask_is_pointwise():
-    assert dual_face(2, 0b11) == 0
+    # the dual face of the full mask is {0}: the conclusion compares f and g pointwise
     for table in range(16):
         g = BooleanFunction(2, table)
         assert check_lemma1(AND, g, 0b11)["conclusion"] == (g == AND)
@@ -191,7 +191,7 @@ def test_lemma1_premise_true_by_construction(n, data):
     # face, so the premise holds non-vacuously and the conclusion must follow
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     mask = data.draw(st.integers(0, (1 << n) - 1))
-    shift = data.draw(st.sampled_from(subcube_points(n, dual_face(n, mask))))
+    shift = data.draw(st.sampled_from(subcube_points(n, mask ^ ((1 << n) - 1))))
     report = check_lemma1(f, _shifted(f, shift), mask)
     assert report["premise"]
     assert report["conclusion"]
@@ -200,7 +200,7 @@ def test_lemma1_premise_true_by_construction(n, data):
 def _lemma1_from_fast(f, g, mask):
     wf, wg = walsh_fast(f), walsh_fast(g)
     premise = all(wf[y] == wg[y] for y in subcube_points(f.n, mask))
-    dual = dual_face(f.n, mask)
+    dual = mask ^ ((1 << f.n) - 1)
     conclusion = coset_spectrum(f, dual) == coset_spectrum(g, dual)
     return {"premise": premise, "conclusion": conclusion, "holds": not premise or conclusion}
 
@@ -214,7 +214,7 @@ def test_check_lemma1_matches_a_premise_from_walsh_fast(n, monkeypatch):
         mask = rng.randrange(1 << n)
         # odd k: g is f shifted by a dual-face vector, so the premise holds
         if k % 2:
-            g = _shifted(f, rng.choice(subcube_points(n, dual_face(n, mask))))
+            g = _shifted(f, rng.choice(subcube_points(n, mask ^ ((1 << n) - 1))))
         else:
             g = random_function(n, rng)
         triples.append((f, g, mask))

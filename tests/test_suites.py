@@ -406,6 +406,15 @@ def test_parseval_is_exact_where_int64_squares_wrap(monkeypatch):
     assert "parseval" in problems["problems"]
 
 
+def test_parseval_widens_an_int32_spectrum(monkeypatch):
+    # 8^2 + (2^16)^2 is 64 modulo 2^32, so an int32 dot product reads 2^(2n) at n=3
+    wrapped = np.array([8, 2**16, 0, 0, 0, 0, 0, 0], dtype=np.int32)
+    assert wrapped @ wrapped == 64
+    monkeypatch.setattr(suites, "_spectrum", lambda f: wrapped.copy())
+    problems = suites._spectrum_problems(BooleanFunction(3, 0x96))  # bf:3:96
+    assert problems["problems"] == ["parseval", "w0", "naive-disagrees"]
+
+
 def test_flats_failing_path_reports_a_member_off_the_common_distribution(monkeypatch):
     real = suites.two_flat_sum_distribution
     last = enumerate_bent_by_degree(4).functions[-1]

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 from bentkit import transforms
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
 from bentkit.core import pack_bits, unpack_bits, unpack_rows
-from bentkit.geometry import ball_points, ball_size, face_indicator
+from bentkit.geometry import _face_indicator, ball_points, ball_size
 from bentkit.transforms import (
     check_restriction_identity,
     convolve_pm,
@@ -292,7 +292,7 @@ def test_convolve_pm_matches_the_double_sum(n):
         sparse,
         [0] * size,
     ] + [
-        unpack_bits(face_indicator(n, mask), size).tolist()
+        unpack_bits(_face_indicator(n, mask), size).tolist()
         for mask in (0, 1, size - 1, rng.randrange(size))
     ]
     for _ in range(3):
