@@ -5,6 +5,8 @@ only logarithms of the affine group size and of 6 are floating point
 (relative error < 1e-12).  Upper-bound formulas that come from asymptotic
 arguments can dip below actual counts at small n; the report flags those
 instead of suppressing them, and never ships literature counts of its own.
+Each report row is its own formula of n, listed once in ``_ROWS``; the
+theorem row evaluates a_n, T_n and Q itself.
 """
 
 from __future__ import annotations
@@ -66,25 +68,20 @@ def a_n_log2(n: int) -> float:
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     # |GL(n,2)| = prod_i (2^n - 2^i) = prod_{i=1..n} (2^i - 1) * 2^(n(n-1)/2),
-    # the same exact int without multiplying out the trailing zeros
-    odd = 1
-    for i in range(1, n + 1):
-        odd *= (1 << i) - 1
-    return math.log2(odd << (n * (n - 1) // 2 + 2 * n + 1))
+    # the same exact int without multiplying out the trailing zeros; the odd
+    # factors are multiplied pairwise, so large operands meet large operands
+    factors = [(1 << i) - 1 for i in range(1, n + 1)]
+    while len(factors) > 1:
+        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
+    return math.log2(factors[0] << (n * (n - 1) // 2 + 2 * n + 1))
 
 
-def theorem_upper_log2(n: int, terms: Optional[dict] = None) -> float:
-    """a_n + T_n + 4^(Q/2) + 6^(3Q/8) combined in log2.
-
-    ``terms`` may hold the "a_n_log2", "t_n_log2" and "q_n" rows already
-    computed at n, which are then not evaluated again.
-    """
+def theorem_upper_log2(n: int) -> float:
+    """a_n + T_n + 4^(Q/2) + 6^(3Q/8) combined in log2."""
     _check_even(n, 4)
-    if terms is None:
-        terms = {"a_n_log2": a_n_log2(n), "t_n_log2": t_n_log2(n), "q_n": q_n(n)}
-    q = terms["q_n"]
+    q = q_n(n)
     # 3q/8 before the float factor: 3q * log2(6) overflows a float at n=1024
-    return terms["a_n_log2"] + terms["t_n_log2"] + q + 3 * q / 8 * _LOG2_6
+    return a_n_log2(n) + t_n_log2(n) + q + 3 * q / 8 * _LOG2_6
 
 
 def headline_log2(n: int) -> float:
@@ -160,9 +157,7 @@ def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> dict:
     report: dict = {"n": n}
     for name, formula, least, _ in _ROWS:
         if n >= least:
-            # the theorem row sums the term rows before it instead of
-            # evaluating them again
-            report[name] = formula(n, report) if formula is theorem_upper_log2 else formula(n)
+            report[name] = formula(n)
 
     entry = next((e for e in known or () if e.get("n") == n), None)
     if entry is not None:

@@ -9,6 +9,8 @@ The point-set masks on truth tables, ``coordinate_masks``, ``weight_masks``
 and ``_face_indicator``, are built here and nowhere else, and no butterfly
 runs here (``transforms._spectrum`` is the one single-function butterfly).
 The dual face, orthogonal to all of Gamma(mask), is ``mask ^ ((1 << n) - 1)``.
+Coset sums popcount the whole table once per coset, so ``coset_spectrum``
+shares the work budget: at most 2^MAX_WORK_LOG2 truth-table points.
 A Hamming ball is the plain tuple of its points that ``ball_points`` returns.
 """
 
@@ -18,8 +20,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import MAX_ARITY, BooleanFunction, _check_arity, _check_int, _check_mask, _check_radius
-from .core import _check_work
+from .core import MAX_ARITY, MAX_WORK_LOG2, BooleanFunction, _check_arity, _check_int, _check_mask
+from .core import _check_radius, _check_work
 
 
 def subcube_points(n: int, mask: int) -> list[int]:
@@ -70,9 +72,16 @@ def _face_indicator(n: int, mask: int) -> int:
 
 
 def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
-    """Coset sums of every coset of Gamma(mask), keyed by minimal-index representative."""
+    """Coset sums of every coset of Gamma(mask), keyed by minimal-index representative.
+
+    Each sum popcounts the whole table, so more than 2^MAX_WORK_LOG2
+    truth-table points (cosets x 2^n) are refused before a coset is listed.
+    """
     _check_mask(f.n, mask)
-    indicator, size = _face_indicator(f.n, mask), 1 << mask.bit_count()
+    dim = mask.bit_count()
+    if 2 * f.n - dim > MAX_WORK_LOG2:  # compared first: check_lemma1 calls this in bulk
+        _check_work(2 * f.n - dim, f"truth-table points for 2^{f.n - dim} coset sums at n={f.n}")
+    indicator, size = _face_indicator(f.n, mask), 1 << dim
     reps = _subcube_points(mask ^ ((1 << f.n) - 1))
     return {rep: size - 2 * ((f.table >> rep) & indicator).bit_count() for rep in reps}
 

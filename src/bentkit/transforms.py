@@ -170,12 +170,16 @@ def convolve_pm(f: BooleanFunction, g: Sequence[int]) -> IntegerVector:
 
     Computed as the direct sum out[z] = sum_w g[w] (-1)^f(z^w) over the
     support of g (a term with g[w] = 0 adds nothing), one shifted add of the
-    sign vector per nonzero g[w]; never through the transform.
+    sign vector per nonzero g[w]; never through the transform.  More than
+    2^MAX_WORK_LOG2 truth-table points (support size x 2^n) are refused.
     """
     size = f.size
     if len(g) != size:
         raise ValueError(f"arity mismatch: function size {size}, vector length {len(g)}")
     arr = _integer_array(g)
+    support = int(np.count_nonzero(arr))
+    what = f"truth-table points for {support} nonzero entries of g at n={f.n}"
+    _check_work(((support << f.n) - 1).bit_length(), what)
     signs = 1 - 2 * unpack_bits(f.table, size).astype(arr.dtype)
     idx = np.arange(size)
     out = np.zeros(size, dtype=arr.dtype)

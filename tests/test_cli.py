@@ -283,6 +283,22 @@ def test_verify_lemma2_refuses_the_n26_ball_before_listing_it(capsys, monkeypatc
     assert "38754732" in err and "Traceback" not in err
 
 
+def test_coset_spectrum_past_the_work_budget_exits_4(capsys):
+    literal = format_bf(BooleanFunction(16, 0))
+    code, out, err = run(capsys, "coset-spectrum", "--f", literal, "--mask", "0")
+    assert code == 4
+    assert out == ""
+    assert err.startswith("resource cap: ") and err.count("\n") == 1
+    assert "needs 2^32 truth-table points" in err and "Traceback" not in err
+
+
+def test_verify_lemma1_with_no_premise_true_triple_exits_3(capsys):
+    code, payload, _ = run_json(capsys, "verify", "--suite", "lemma1", "--n", "10")
+    assert code == 3
+    assert payload["passed"] is False
+    assert payload["details"]["premise_true"] == 0
+
+
 @pytest.mark.parametrize(
     "argv,needs",
     [

@@ -6,6 +6,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bentkit import geometry
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, weight
 from bentkit.geometry import (
     _face_indicator,
@@ -80,6 +81,23 @@ def test_coset_spectrum_oracle():
     assert coset_spectrum(AND, 0b11) == {0: 2}
     # point face: one coset per point, signs individually
     assert coset_spectrum(AND, 0) == {0: 1, 1: 1, 2: 1, 3: -1}
+
+
+def test_coset_spectrum_refuses_past_the_work_budget_before_listing_a_coset(monkeypatch):
+    def refuse(mask):
+        raise AssertionError("a coset was listed")
+
+    monkeypatch.setattr(geometry, "_subcube_points", refuse)
+    needs = r"needs 2\^32 truth-table points for 2\^16 coset sums at n=16"
+    with pytest.raises(ResourceCapError, match=needs):
+        coset_spectrum(BooleanFunction(16, 0), 0)
+
+
+def test_coset_spectrum_admits_the_work_budget_boundary():
+    # 2^8 cosets of a dim-8 face at n=16 are exactly 2^24 points; on <x, y>
+    # with x the free low byte, the coset of y sums to 256 at y = 0, else 0
+    f = BooleanFunction(16, sum((k & (k >> 8)).bit_count() % 2 << k for k in range(1 << 16)))
+    assert coset_spectrum(f, 0xff) == {y << 8: 256 * (y == 0) for y in range(256)}
 
 
 @given(st.integers(1, 6), st.data())

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bentkit import transforms
+from bentkit import reconstruct, transforms
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
 from bentkit.geometry import ball_points, coset_spectrum, subcube_points
 from bentkit.reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
@@ -227,3 +227,14 @@ def test_check_lemma1_matches_a_premise_from_walsh_fast(n, monkeypatch):
     # up to n=7 both spectra come from the defining sum, above it from the butterfly
     monkeypatch.setattr(transforms, "walsh_rows" if n <= 7 else "walsh_naive", refuse)
     assert [check_lemma1(*triple) for triple in triples] == expected
+
+
+def test_check_lemma1_refuses_past_the_work_budget_before_either_spectrum(monkeypatch):
+    def refuse(f):
+        raise AssertionError("a spectrum was built")
+
+    monkeypatch.setattr(reconstruct, "_walsh_by_arity", refuse)
+    zero = BooleanFunction(16, 0)
+    # the full face's dual is the point face: 2^16 cosets of the 2^16-point table
+    with pytest.raises(ResourceCapError, match=r"needs 2\^32 truth-table points"):
+        check_lemma1(zero, zero, 0xffff)

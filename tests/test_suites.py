@@ -74,6 +74,15 @@ def test_lemma1_randomized():
     assert report == suite_lemma1(n=5, samples=60, seed=4)
 
 
+@pytest.mark.parametrize("n,seed", [(10, 1), (8, 2)])
+def test_lemma1_with_no_premise_true_triple_does_not_pass(n, seed):
+    report = suite_lemma1(n=n, seed=seed)
+    assert report["passed"] is False
+    assert report["failures"] == 0
+    assert report["details"]["premise_true"] == 0
+    assert report["checks"] == report["params"]["samples"]
+
+
 def test_lemma2_exhaustive_small():
     report = suite_lemma2(n=2)
     check_shape(report, "lemma2")

@@ -258,6 +258,15 @@ def test_convolve_pm_oracles():
         convolve_pm(AND, [1, 0])
 
 
+def test_convolve_pm_caps_support_times_table_points():
+    zero = BooleanFunction(16, 0)
+    needs = r"needs 2\^32 truth-table points for 65536 nonzero entries of g at n=16"
+    with pytest.raises(ResourceCapError, match=needs):
+        convolve_pm(zero, [1] * (1 << 16))
+    # 256 support points at n=16 are exactly 2^24 points, admitted
+    assert convolve_pm(zero, [1] * 256 + [0] * ((1 << 16) - 256)) == [256] * (1 << 16)
+
+
 def test_convolve_pm_rejects_non_integral_entries():
     with pytest.raises(ValueError, match="integers"):
         convolve_pm(BooleanFunction(1, 0), [0.5, 1.7])
