@@ -1,0 +1,166 @@
+#!/usr/bin/env bash
+# Console checks of the bentkit command line. CI runs them on the installed
+# console script after the tier-1 tests:
+#   bash -e ci/console_checks.sh
+# $BENTKIT names the command (default: bentkit), so on a source checkout
+#   PYTHONPATH=src BENTKIT="python -m bentkit.cli" bash -e ci/console_checks.sh
+# runs the same checks. Scratch files go to $RUNNER_TEMP, or to a fresh
+# temporary directory when that is unset. The closed-stdout check reads
+# PIPESTATUS itself, so the script runs without pipefail.
+#
+# The command runs on an n=16 Maiorana-McFarland function;
+# bent affine --count 9 builds and tests its images in nine chunks of one
+# map, and --count 40000 at n=4 in chunks of 2,048 maps; prop1 streams the
+# images of the whole census the same way, five chunks at n=4; lemma1 reads its premise from
+# the popcount oracle walsh_naive once per function and face at n=3 (768
+# calls, one per member of each spectrum group);
+# involution checks every table up to n=4 through
+# the packed row codec (np.unpackbits count=, packbits); parseval checks
+# the int64 butterfly spectrum against the popcount oracle walsh_naive;
+# convolution hands numpy integer arrays (the dual-face indicator, the
+# masked spectrum) to convolve_pm and hadamard_transform, so the array
+# path runs on the numpy floor job too; the census at
+# n=6 is refused by the work budget with exit 4 and a message naming
+# its cost, also under python -O,
+# which strips assert statements; census-agreement prints the same
+# stdout twice (no timings on stdout); bounds runs at n=1024, its
+# largest arity, and prints strict JSON there (no Infinity or NaN);
+# wht and anf at n=16 print exactly json.dumps(..., indent=2) of their
+# 65,536-int lists, and wht exits 2 with one error line, no traceback,
+# when its reader closes stdout after one byte; census at n=4 with two
+# spawned workers, each scanning its shard as one block, prints 896/896
+# and the same stdout as one in-process worker; coset-spectrum takes a
+# face as a plain int mask, its coset sums add up to 2^n - 2 wt(f), and
+# a mask past n's bits exits 2 with one error line and no traceback,
+# also under python -O; bent affine --count 2000000 at n=4 needs 2^25
+# truth-table points and is refused with exit 4, empty stdout and one
+# resource-cap line; coset-spectrum at n=16 on the point face (mask 0)
+# needs 2^32 truth-table points (2^16 cosets x 2^16) and is refused the
+# same way, while the dim-8 face (mask 0xff) sits exactly on the 2^24
+# budget and prints its 256 sums; lemma1 at n=10 meets no premise-true
+# triple in its default samples and exits 3 instead of passing on
+# nothing; lemma1 at n=16, whose all-ones mask would need 2^32 points, is
+# refused before its first triple with exit 4 and one resource-cap line,
+# whatever the seed; bounds at n=4 takes its known count from the degree
+# census, log2(896)
+BENTKIT="${BENTKIT:-bentkit}"
+if [ -z "${RUNNER_TEMP:-}" ]; then
+  RUNNER_TEMP="$(mktemp -d)"
+  trap 'rm -rf "$RUNNER_TEMP"' EXIT
+fi
+f="$RUNNER_TEMP/mm16.txt"
+python -c 'from bentkit.core import BooleanFunction as B, format_bf; print(format_bf(B(16, sum((k & (k >> 8) & 255).bit_count() % 2 << k for k in range(1 << 16)))))' > "$f"
+code=0
+$BENTKIT wht --f "@$f" > "$RUNNER_TEMP/wht.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; t = open(sys.argv[1]).read(); d = json.loads(t); sys.exit(not (t == json.dumps(d, indent=2) + "\n" and len(d["values"]) == 65536 and all(abs(v) == 256 for v in d["values"])))' "$RUNNER_TEMP/wht.json"
+code=0
+$BENTKIT anf --f "@$f" > "$RUNNER_TEMP/anf.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; t = open(sys.argv[1]).read(); sys.exit(t != json.dumps(json.loads(t), indent=2) + "\n")' "$RUNNER_TEMP/anf.json"
+$BENTKIT wht --f "@$f" 2> "$RUNNER_TEMP/pipe.err" | head -c 1 > /dev/null
+test "${PIPESTATUS[0]}" -eq 2
+test "$(grep -c '^error: ' "$RUNNER_TEMP/pipe.err")" -eq 1
+if grep -F Traceback "$RUNNER_TEMP/pipe.err"; then exit 1; fi
+code=0
+$BENTKIT bent flats --f "@$f" > "$RUNNER_TEMP/flats.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(sum(d["counts"].values()) != d["total"])' "$RUNNER_TEMP/flats.json"
+code=0
+$BENTKIT bent affine --f "@$f" --count 9 --seed 1 > "$RUNNER_TEMP/affine.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (len(d["images"]) == 9 and d["all_bent"] is True))' "$RUNNER_TEMP/affine.json"
+code=0
+$BENTKIT bent affine --f bf:4:0356 --count 40000 --seed 1 > "$RUNNER_TEMP/affine4.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (len(d["images"]) == 40000 and d["all_bent"] is True))' "$RUNNER_TEMP/affine4.json"
+code=0
+$BENTKIT verify --suite prop1 > "$RUNNER_TEMP/prop1.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 8960))' "$RUNNER_TEMP/prop1.json"
+code=0
+$BENTKIT verify --suite lemma1 > "$RUNNER_TEMP/lemma1.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 196608 and d["details"]["premise_true"] == 14700))' "$RUNNER_TEMP/lemma1.json"
+code=0
+$BENTKIT verify --suite involution > "$RUNNER_TEMP/involution.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 66812))' "$RUNNER_TEMP/involution.json"
+code=0
+$BENTKIT verify --suite parseval > "$RUNNER_TEMP/parseval.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 1276))' "$RUNNER_TEMP/parseval.json"
+code=0
+$BENTKIT verify --suite convolution > "$RUNNER_TEMP/convolution.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 1064))' "$RUNNER_TEMP/convolution.json"
+code=0
+$BENTKIT census --n 6 --method degree 2> "$RUNNER_TEMP/cap.err" || code=$?
+test "$code" -eq 4
+grep -F '2^42' "$RUNNER_TEMP/cap.err"
+code=0
+python -O -m bentkit.cli census --n 6 --method naive 2> "$RUNNER_TEMP/cap.err" || code=$?
+test "$code" -eq 4
+grep -F '2^64' "$RUNNER_TEMP/cap.err"
+$BENTKIT verify --suite census-agreement > "$RUNNER_TEMP/agree1.json"
+$BENTKIT verify --suite census-agreement > "$RUNNER_TEMP/agree2.json"
+cmp "$RUNNER_TEMP/agree1.json" "$RUNNER_TEMP/agree2.json"
+code=0
+$BENTKIT census --n 4 --jobs 2 > "$RUNNER_TEMP/census2.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["counts"] == {"naive": 896, "degree": 896} and d["agreement"] is True))' "$RUNNER_TEMP/census2.json"
+$BENTKIT census --n 4 --jobs 1 > "$RUNNER_TEMP/census1.json"
+cmp "$RUNNER_TEMP/census1.json" "$RUNNER_TEMP/census2.json"
+code=0
+$BENTKIT bounds --n 1024 > "$RUNNER_TEMP/bounds.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; sys.exit("a_n_log2" not in json.load(open(sys.argv[1]), parse_constant=lambda c: sys.exit(f"{c} is not JSON")))' "$RUNNER_TEMP/bounds.json"
+code=0
+$BENTKIT coset-spectrum --f bf:4:0356 --mask 0x3 > "$RUNNER_TEMP/coset.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; from bentkit.core import parse_bf, weight; d = json.load(open(sys.argv[1])); f = parse_bf(d["function"]); sys.exit(not (d["dim"] == 2 and sum(d["sums"].values()) == (1 << f.n) - 2 * weight(f)))' "$RUNNER_TEMP/coset.json"
+for run in "$BENTKIT" "python -O -m bentkit.cli"; do
+  code=0
+  $run coset-spectrum --f bf:4:0356 --mask 0x10 > "$RUNNER_TEMP/mask.out" 2> "$RUNNER_TEMP/mask.err" || code=$?
+  test "$code" -eq 2
+  test ! -s "$RUNNER_TEMP/mask.out"
+  test "$(wc -l < "$RUNNER_TEMP/mask.err")" -eq 1
+  test "$(grep -c '^error: ' "$RUNNER_TEMP/mask.err")" -eq 1
+  if grep -F Traceback "$RUNNER_TEMP/mask.err"; then exit 1; fi
+done
+code=0
+$BENTKIT bent affine --f bf:4:0356 --count 2000000 > "$RUNNER_TEMP/affcap.out" 2> "$RUNNER_TEMP/affcap.err" || code=$?
+test "$code" -eq 4
+test ! -s "$RUNNER_TEMP/affcap.out"
+test "$(wc -l < "$RUNNER_TEMP/affcap.err")" -eq 1
+test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/affcap.err")" -eq 1
+grep -F '2^25' "$RUNNER_TEMP/affcap.err"
+if grep -F Traceback "$RUNNER_TEMP/affcap.err"; then exit 1; fi
+code=0
+$BENTKIT coset-spectrum --f "@$f" --mask 0 > "$RUNNER_TEMP/cosetcap.out" 2> "$RUNNER_TEMP/cosetcap.err" || code=$?
+test "$code" -eq 4
+test ! -s "$RUNNER_TEMP/cosetcap.out"
+test "$(wc -l < "$RUNNER_TEMP/cosetcap.err")" -eq 1
+test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/cosetcap.err")" -eq 1
+grep -F '2^32' "$RUNNER_TEMP/cosetcap.err"
+if grep -F Traceback "$RUNNER_TEMP/cosetcap.err"; then exit 1; fi
+code=0
+$BENTKIT coset-spectrum --f "@$f" --mask 0xff > "$RUNNER_TEMP/coset16.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, sys; sys.exit(len(json.load(open(sys.argv[1]))["sums"]) != 256)' "$RUNNER_TEMP/coset16.json"
+code=0
+$BENTKIT verify --suite lemma1 --n 10 > "$RUNNER_TEMP/lemma1n10.json" || code=$?
+test "$code" -eq 3
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is False and d["details"]["premise_true"] == 0))' "$RUNNER_TEMP/lemma1n10.json"
+code=0
+$BENTKIT verify --suite lemma1 --n 16 > "$RUNNER_TEMP/lemma1cap.out" 2> "$RUNNER_TEMP/lemma1cap.err" || code=$?
+test "$code" -eq 4
+test ! -s "$RUNNER_TEMP/lemma1cap.out"
+test "$(wc -l < "$RUNNER_TEMP/lemma1cap.err")" -eq 1
+test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/lemma1cap.err")" -eq 1
+grep -F '2^32' "$RUNNER_TEMP/lemma1cap.err"
+if grep -F Traceback "$RUNNER_TEMP/lemma1cap.err"; then exit 1; fi
+code=0
+$BENTKIT bounds --n 4 > "$RUNNER_TEMP/bounds4.json" || code=$?
+test "$code" -eq 0
+python -c 'import json, math, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["known_provenance"] == "census" and d["known_count_log2"] == math.log2(896)))' "$RUNNER_TEMP/bounds4.json"

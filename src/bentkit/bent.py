@@ -10,11 +10,15 @@ Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
 with M invertible.  ``apply_affine`` builds the images under a batch of maps:
 it doubles each map's index permutation x -> Mx + translation and its affine
 term over the input bits in numpy, then gathers all the images from one
-unpacked table as (maps, 2^n) bit rows.  ``_bent_images`` draws, builds and
-tests them one chunk of maps at a time and yields (row, bent) pairs, so
-``prop1``, which packs only failing rows, holds one chunk at most; ``bent
-affine`` prints every image, so its output grows with the count, which the
-work budget caps at 2^MAX_WORK_LOG2 truth-table points.
+unpacked table as (maps, 2^n) bit rows.  ``_bent_images`` takes a sequence
+of functions of one arity, draws their maps function by function, and builds
+and tests the images one chunk of maps at a time, with one ``apply_affine``
+per function in the chunk and one ``bent_rows`` over the whole chunk; it
+yields (function, row, bent) triples.  ``prop1`` passes the whole census, so
+its images are tested across members, and packs only failing rows, holding
+one chunk at most; ``bent affine`` passes its one function and prints every
+image, so its output grows with the count, which the work budget caps at
+2^MAX_WORK_LOG2 truth-table points.
 ``two_flat_sum_distribution`` is a closed form in n, W(0) and sum_y W(y)^4
 from one spectrum (``transforms._walsh_by_arity``); ``two_flats`` lists the
 flats for direct counts.
@@ -33,8 +37,10 @@ from .core import pack_bits, unpack_bits
 from .geometry import gaussian_binomial
 from .transforms import _spectrum, _walsh_by_arity, walsh_truth_rows
 
-# builds and bent-tests at most this many truth-table points (images x 2^n) at once
-_IMAGE_CHUNK_POINTS = 1 << 18
+# builds and bent-tests at most this many truth-table points (images x 2^n) at
+# once; prop1 fills whole chunks across the census, and at 2^15 its n=4 chunk
+# (2,048 maps) peaks no higher than one member's images did
+_IMAGE_CHUNK_POINTS = 1 << 15
 
 
 def _flat_rows(spectra: np.ndarray, n: int) -> np.ndarray:
@@ -139,18 +145,42 @@ def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> A
     )
 
 
-def _bent_images(f: BooleanFunction, count: int, rng: random.Random) -> Iterator[tuple]:
-    """(bit row, bent) for ``count`` random affine images of f, maps drawn from
-    rng in order, one chunk of at most ``_IMAGE_CHUNK_POINTS >> n`` maps drawn,
-    built and bent-tested at a time: a caller keeping no row holds one chunk.
-    Refuses, before drawing a map, more than 2^MAX_WORK_LOG2 points (count x 2^n)."""
-    points = count << f.n
-    _check_work((points - 1).bit_length(), f"truth-table points for {count} images at n={f.n}")
-    step = max(1, _IMAGE_CHUNK_POINTS >> f.n)
-    for start in range(0, count, step):
-        maps = [random_invertible(f.n, rng) for _ in range(min(step, count - start))]
-        rows = apply_affine(f, maps)
-        yield from zip(rows, bent_rows(rows, f.n).tolist())
+def _test_chunk(owners: list, blocks: list, n: int) -> Iterator[tuple]:
+    # one bent_rows call over the chunk's image blocks, each row with its owner
+    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
+    return zip(owners, rows, bent_rows(rows, n).tolist())
+
+
+def _bent_images(
+    functions: Sequence[BooleanFunction], count: int, rng: random.Random
+) -> Iterator[tuple]:
+    """(f, bit row, bent) for ``count`` random affine images of each f, all of
+    one arity, maps drawn from rng function by function.  Maps are drawn,
+    built and bent-tested one chunk of at most ``_IMAGE_CHUNK_POINTS >> n``
+    maps at a time, with one ``apply_affine`` per function in the chunk and
+    one ``bent_rows`` over their rows; a chunk may split one function's maps,
+    and a caller keeping no row holds one chunk.  Refuses, before drawing a
+    map, more than 2^MAX_WORK_LOG2 points (functions x count x 2^n)."""
+    if not functions:
+        return
+    n = functions[0].n
+    total = len(functions) * count
+    _check_work(((total << n) - 1).bit_length(), f"truth-table points for {total} images at n={n}")
+    step = max(1, _IMAGE_CHUNK_POINTS >> n)
+    owners: list[BooleanFunction] = []
+    blocks: list[np.ndarray] = []
+    for f in functions:
+        left = count
+        while left:
+            take = min(left, step - len(owners))
+            blocks.append(apply_affine(f, [random_invertible(n, rng) for _ in range(take)]))
+            owners += [f] * take
+            left -= take
+            if len(owners) == step:
+                yield from _test_chunk(owners, blocks, n)
+                owners, blocks = [], []
+    if owners:
+        yield from _test_chunk(owners, blocks, n)
 
 
 def two_flats(n: int) -> Iterator[tuple[int, int, int, int]]:

@@ -120,7 +120,7 @@ def _cmd_bent_affine(args: argparse.Namespace):
         raise ValueError(f"{format_bf(f)} is not bent; affine images would not be")
     images = [
         {"function": format_bf(BooleanFunction(f.n, pack_bits(row))), "bent": ok}
-        for row, ok in _bent_images(f, args.count, random.Random(args.seed))
+        for _, row, ok in _bent_images([f], args.count, random.Random(args.seed))
     ]
     all_bent = all(image["bent"] for image in images)
     payload = {

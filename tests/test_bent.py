@@ -19,6 +19,7 @@ from bentkit.bent import (
     two_flat_sum_distribution,
     two_flats,
 )
+from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
 from bentkit.core import pack_bits, unpack_bits
 from bentkit.geometry import gaussian_binomial
@@ -150,7 +151,7 @@ def test_bent_images_refuse_past_the_work_budget_before_drawing_a_map(monkeypatc
     monkeypatch.setattr(bent, "random_invertible", refuse)
     # (2^20 + 1) x 2^4 points round up to 2^25
     with pytest.raises(ResourceCapError, match=r"needs 2\^25 truth-table points .* n=4"):
-        next(bent._bent_images(QUAD, (1 << 20) + 1, random.Random(1)))
+        next(bent._bent_images([QUAD], (1 << 20) + 1, random.Random(1)))
 
 
 def test_dual_involution_n2():
@@ -308,7 +309,7 @@ def test_random_invertible_determinism():
 
 def _bent_flags(f, count, seed):
     """The bent flags of ``_bent_images``, keeping no row."""
-    return [ok for _, ok in bent._bent_images(f, count, random.Random(seed))]
+    return [ok for _, _, ok in bent._bent_images([f], count, random.Random(seed))]
 
 
 def test_bent_images_memory_does_not_grow_with_the_count():
@@ -324,7 +325,7 @@ def test_bent_images_memory_does_not_grow_with_the_count():
 
 
 def test_bent_images_peak_is_one_chunk():
-    # n=6 takes 4,096 maps per chunk; four chunks' worth must not hold more
+    # n=6 takes 512 maps per chunk; four chunks' worth must not hold more
     # than the one chunk being built
     f = _maiorana_mcfarland(6, random.Random(6))[0]
     step = bent._IMAGE_CHUNK_POINTS >> 6
@@ -350,7 +351,7 @@ def test_first_image_draws_at_most_one_chunk(monkeypatch):
     monkeypatch.setattr(bent, "random_invertible", counting)
     f = _maiorana_mcfarland(8, random.Random(8))[0]
     step = bent._IMAGE_CHUNK_POINTS >> 8
-    row, ok = next(iter(bent._bent_images(f, 3 * step + 1, random.Random(1))))
+    _, row, ok = next(iter(bent._bent_images([f], 3 * step + 1, random.Random(1))))
     assert 0 < len(calls) <= step
     assert row.shape == (f.size,) and ok
 
@@ -365,9 +366,9 @@ def test_bent_images_in_one_row_chunks_match_one_batch(monkeypatch):
         return bent_rows(truth, n) & (truth[:, 0] == 0)
 
     monkeypatch.setattr(bent, "bent_rows", marked)
-    images = [(row.tolist(), ok) for row, ok in bent._bent_images(QUAD, 40, random.Random(3))]
+    images = [(row.tolist(), ok) for _, row, ok in bent._bent_images([QUAD], 40, random.Random(3))]
     monkeypatch.setattr(bent, "_IMAGE_CHUNK_POINTS", QUAD.size)
-    per_row = [(row.tolist(), ok) for row, ok in bent._bent_images(QUAD, 40, random.Random(3))]
+    per_row = [(row.tolist(), ok) for _, row, ok in bent._bent_images([QUAD], 40, random.Random(3))]
     assert calls == [40] + [1] * 40
     assert per_row == images
     mask = [ok for _, ok in images]
@@ -375,13 +376,39 @@ def test_bent_images_in_one_row_chunks_match_one_batch(monkeypatch):
     assert 0 < sum(mask) < 40
 
 
+def test_bent_images_across_members_keep_each_image_with_its_member(monkeypatch):
+    members = enumerate_bent_by_degree(4).functions[:5]
+    rng = random.Random(2)
+    expected = [
+        (f, apply_affine(f, [random_invertible(4, rng)])[0].tolist())
+        for f in members
+        for _ in range(2)
+    ]
+    calls = []
+
+    def marked(truth, n):
+        calls.append(len(truth))
+        return bent_rows(truth, n) & (truth[:, 0] == 0)
+
+    monkeypatch.setattr(bent, "bent_rows", marked)
+    # chunks of three maps split the second and the fifth member's two maps
+    monkeypatch.setattr(bent, "_IMAGE_CHUNK_POINTS", 3 << 4)
+    stream = bent._bent_images(members, 2, random.Random(2))
+    images = [(f, row.tolist(), ok) for f, row, ok in stream]
+    assert calls == [3, 3, 3, 1]
+    assert [(f, row) for f, row, _ in images] == expected
+    flags = [ok for _, _, ok in images]
+    assert flags == [row[0] == 0 for _, row in expected]
+    assert 0 < sum(flags) < len(flags)
+
+
 @pytest.mark.parametrize("n", [6, 8, 10])
 def test_affine_images_of_bent_functions_are_bent_by_the_naive_spectrum(n):
     # the naive oracle, not bent_rows, judges every image
     f = _maiorana_mcfarland(n, random.Random(n))[0]
-    images = list(bent._bent_images(f, 12, random.Random(n + 1)))
+    images = list(bent._bent_images([f], 12, random.Random(n + 1)))
     assert len(images) == 12
-    for row, ok in images:
+    for _, row, ok in images:
         assert ok and _naive_bent(BooleanFunction(n, pack_bits(row)))
 
 

@@ -460,7 +460,7 @@ GOLDEN_ARGVS += [
         format_bf(random_function(10, 10)),
     )
 ]
-# count 9 at n=16 tests the images in three chunks of 4
+# count 9 at n=16 tests the images in nine chunks of 1
 GOLDEN_ARGVS += [
     ["bent", "affine", "--f", "bf:2:8", "--count", "5"],
     ["bent", "affine", "--f", MM16, "--count", "9"],

@@ -281,6 +281,41 @@ def test_prop1_batch_reports_what_a_per_image_test_would(monkeypatch, n, maps, s
     assert report["counterexamples"] == expected[:10]
 
 
+@pytest.mark.parametrize("n,maps,seed", [(2, 2, 7), (4, 1, 1)])
+def test_prop1_chunks_that_split_members_match_the_per_member_route(monkeypatch, n, maps, seed):
+    members = enumerate_bent_by_degree(n).functions
+
+    def per_member():
+        rng = random.Random(seed)
+        for f in members:
+            for _ in range(maps):
+                row = apply_affine(f, [random_invertible(n, rng)])[0]
+                image = BooleanFunction(n, pack_bits(row))
+                ok = is_bent(image) and image.table % 2 == 0
+                yield None if ok else {"function": format_bf(f), "image": format_bf(image)}
+
+    params = {"n": n, "maps": maps, "seed": seed}
+    details = {"census_size": len(members)}
+    expected = suites._report("prop1", "census x random maps", params, per_member(), details)
+    real = bent.bent_rows
+    sizes = []
+
+    def marked(truth, k):
+        # fails every image that is 1 at the origin
+        sizes.append(len(truth))
+        return real(truth, k) & (truth[:, 0] == 0)
+
+    monkeypatch.setattr(bent, "bent_rows", marked)
+    # chunks of three maps: at n=2 (two maps a member) every third member's
+    # maps are split between two chunks; at n=4 (one map) a chunk holds three
+    monkeypatch.setattr(bent, "_IMAGE_CHUNK_POINTS", 3 << n)
+    report = suite_prop1(n=n, maps=maps, seed=seed)
+    images = len(members) * maps
+    assert sizes == [3] * (images // 3) + [images % 3] * (images % 3 > 0)
+    assert 0 < report["failures"] < report["checks"] == images
+    assert report == expected
+
+
 def test_lemma1_failing_path_keeps_counting_premises(monkeypatch):
     real = suites.check_lemma1
 
@@ -336,8 +371,57 @@ def test_lemma1_stream_matches_the_per_pair_route(monkeypatch):
 
     monkeypatch.setattr(suites, "check_lemma1", counting)
     assert suite_lemma1(n=2) == _lemma1_per_pair(2, check_lemma1)
-    assert len(calls) == 72  # only the premise-true pairs
+    assert len(calls) == 2 * 16  # one per member of each face's spectrum groups
     assert all(check_lemma1(*call)["premise"] for call in calls)
+
+
+def test_lemma1_group_with_a_disagreeing_member_goes_pair_by_pair(monkeypatch):
+    # as a butterfly/oracle disagreement would: the oracle's spectrum of bf:2:9
+    # differs on the face from the rest of its group ({3, 6, 9, 12} on face
+    # 0x1, {5, 6, 9, 10} on 0x2), in which 9 is not the first member
+    calls = []
+
+    def disagreeing(f, g, mask):
+        calls.append((f.table, g.table, mask))
+        result = check_lemma1(f, g, mask)
+        if (f.table == 9) != (g.table == 9):
+            result = {**result, "premise": False, "holds": True}
+        return result
+
+    expected = _lemma1_per_pair(2, disagreeing)
+    calls.clear()
+    monkeypatch.setattr(suites, "check_lemma1", disagreeing)
+    report = suite_lemma1(n=2)
+    assert report == expected
+    assert report["details"]["premise_true"] == 72 - 2 * 6
+    # a group's checks stop at 9, its third member; then the two groups
+    # holding 9 are checked pair by pair, and no other group is
+    assert len(calls) == 2 * (16 - 1) + 2 * 4 * 4
+
+
+def test_lemma1_checks_each_default_group_member_once(monkeypatch):
+    calls = []
+
+    def counting(f, g, mask):
+        calls.append(mask)
+        return check_lemma1(f, g, mask)
+
+    monkeypatch.setattr(suites, "check_lemma1", counting)
+    report = suite_lemma1()
+    assert report["passed"] and report["checks"] == 196_608
+    assert report["details"]["premise_true"] == 14_700
+    assert len(calls) == 3 * 256
+
+
+def test_lemma1_above_n12_is_refused_before_any_triple(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a triple was drawn or checked")
+
+    monkeypatch.setattr(suites, "check_lemma1", refuse)
+    monkeypatch.setattr(suites, "random_function", refuse)
+    needs = r"needs 2\^26 truth-table points for 2\^13 coset sums at n=13"
+    with pytest.raises(ResourceCapError, match=needs):
+        suite_lemma1(n=13)
 
 
 def test_lemma1_counterexample_order_matches_the_per_pair_route(monkeypatch):
