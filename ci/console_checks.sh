@@ -16,10 +16,14 @@
 # calls, one per member of each spectrum group);
 # involution checks every table up to n=4 through
 # the packed row codec (np.unpackbits count=, packbits); parseval checks
-# the int64 butterfly spectrum against the popcount oracle walsh_naive;
-# convolution hands numpy integer arrays (the dual-face indicator, the
-# masked spectrum) to convolve_pm and hadamard_transform, so the array
-# path runs on the numpy floor job too; the census at
+# the int32 butterfly spectra, one walsh_truth_rows block per arity in each
+# chunk of at most 2^15 truth-table points, against the popcount oracle
+# walsh_naive; convolution hands the dual-face indicator to convolve_pm as a
+# numpy integer array, gathered over its support, and the masked spectra of
+# each chunk's same-arity pairs to hadamard_transform as one 2-D block, so
+# both array paths run on the numpy floor job too; both suites at
+# --samples 3000 span many chunks, and their stdout matches pinned sha256
+# digests (3,064 and 3,276 checks); the census at
 # n=6 is refused by the work budget with exit 4 and a message naming
 # its cost, also under python -O,
 # which strips assert statements; census-agreement prints the same
@@ -94,6 +98,14 @@ code=0
 $BENTKIT verify --suite convolution > "$RUNNER_TEMP/convolution.json" || code=$?
 test "$code" -eq 0
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 1064))' "$RUNNER_TEMP/convolution.json"
+for pinned in convolution:3064:2b005c2131d4000cb3440469e867837c947b4eac0afa2285f8b5f416b50aa731 \
+    parseval:3276:6cbc68c7e3c185e33eb5ab78acf693816bdce10062f8a631ee450a753b18713f; do
+  suite="${pinned%%:*}"
+  code=0
+  $BENTKIT verify --suite "$suite" --samples 3000 > "$RUNNER_TEMP/$suite-3000.json" || code=$?
+  test "$code" -eq 0
+  python -c 'import hashlib, json, sys; t = open(sys.argv[1], "rb").read(); _, checks, digest = sys.argv[2].split(":"); sys.exit(not (json.loads(t)["checks"] == int(checks) and hashlib.sha256(t).hexdigest() == digest))' "$RUNNER_TEMP/$suite-3000.json" "$pinned"
+done
 code=0
 $BENTKIT census --n 6 --method degree 2> "$RUNNER_TEMP/cap.err" || code=$?
 test "$code" -eq 4

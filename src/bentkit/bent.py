@@ -32,15 +32,11 @@ from typing import Iterator, Sequence, Union
 
 import numpy as np
 
+from . import core
 from .core import BooleanFunction, _check_arity, _check_int, _check_same_arity, _check_work
 from .core import pack_bits, unpack_bits
 from .geometry import gaussian_binomial
 from .transforms import _spectrum, _walsh_by_arity, walsh_truth_rows
-
-# builds and bent-tests at most this many truth-table points (images x 2^n) at
-# once; prop1 fills whole chunks across the census, and at 2^15 its n=4 chunk
-# (2,048 maps) peaks no higher than one member's images did
-_IMAGE_CHUNK_POINTS = 1 << 15
 
 
 def _flat_rows(spectra: np.ndarray, n: int) -> np.ndarray:
@@ -156,17 +152,18 @@ def _bent_images(
 ) -> Iterator[tuple]:
     """(f, bit row, bent) for ``count`` random affine images of each f, all of
     one arity, maps drawn from rng function by function.  Maps are drawn,
-    built and bent-tested one chunk of at most ``_IMAGE_CHUNK_POINTS >> n``
-    maps at a time, with one ``apply_affine`` per function in the chunk and
-    one ``bent_rows`` over their rows; a chunk may split one function's maps,
-    and a caller keeping no row holds one chunk.  Refuses, before drawing a
-    map, more than 2^MAX_WORK_LOG2 points (functions x count x 2^n)."""
+    built and bent-tested one chunk of at most ``core.CHUNK_POINTS >> n``
+    maps at a time (2,048 at n=4), with one ``apply_affine`` per function in
+    the chunk and one ``bent_rows`` over their rows; a chunk may split one
+    function's maps, and a caller keeping no row holds one chunk.  Refuses,
+    before drawing a map, more than 2^MAX_WORK_LOG2 points (functions x
+    count x 2^n)."""
     if not functions:
         return
     n = functions[0].n
     total = len(functions) * count
     _check_work(((total << n) - 1).bit_length(), f"truth-table points for {total} images at n={n}")
-    step = max(1, _IMAGE_CHUNK_POINTS >> n)
+    step = max(1, core.CHUNK_POINTS >> n)
     owners: list[BooleanFunction] = []
     blocks: list[np.ndarray] = []
     for f in functions:

@@ -4,8 +4,8 @@ A function f: F_2^n -> F_2 is stored as its truth table packed into a single
 Python int: bit k of ``table`` is f at the point with index k.  A point
 (x_1, ..., x_n) has index sum(x_i * 2**(i-1)), i.e. x_1 is the least
 significant bit.  All arithmetic on tables is exact integer arithmetic.
-``unpack_bits``/``pack_bits`` (and the row forms for arrays of tables of at
-most 64 bits) are the one codec between tables and numpy bit arrays.
+``unpack_bits``/``pack_bits`` (and the row forms for blocks of tables) are
+the one codec between tables and numpy bit arrays.
 """
 
 from __future__ import annotations
@@ -13,13 +13,19 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Sequence, Union
 
 import numpy as np
 
 MAX_ARITY = 26
 # the one work budget: an enumeration may visit at most 2^MAX_WORK_LOG2 items
 MAX_WORK_LOG2 = 24
+# the one block size: a batched step holds at most this many truth-table points
+# at once (the images bent-tested together, the spectra of a suite block, the
+# terms of one convolve_pm gather); read at call time, as core.CHUNK_POINTS.
+# At 2^15, prop1's n=4 chunk (2,048 maps) peaks no higher than one member's
+# images did when each member was tested alone
+CHUNK_POINTS = 1 << 15
 _LITERAL = re.compile(r"bf:([0-9]+):([0-9a-fA-F]+)")
 
 
@@ -131,9 +137,15 @@ def pack_bits(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def unpack_rows(values: np.ndarray, width: int) -> np.ndarray:
-    """Bits 0..width-1 (width <= 64) of each entry of an unsigned int array, as rows."""
-    raw = np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+def unpack_rows(values: Union[np.ndarray, Sequence[int]], width: int) -> np.ndarray:
+    """Bits 0..width-1 of each entry, as rows: of an unsigned int array for
+    width <= 64, or of a sequence of non-negative ints of any width."""
+    if isinstance(values, np.ndarray):
+        raw = np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
+    else:
+        nbytes = (width + 7) // 8
+        data = b"".join(v.to_bytes(nbytes, "little") for v in values)
+        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
     return np.unpackbits(raw, axis=1, count=width, bitorder="little")
 
 

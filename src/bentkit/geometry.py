@@ -11,7 +11,8 @@ runs here (``transforms._spectrum`` is the one single-function butterfly).
 The dual face, orthogonal to all of Gamma(mask), is ``mask ^ ((1 << n) - 1)``.
 Coset sums popcount the whole table once per coset, so ``coset_spectrum``
 shares the work budget: at most 2^MAX_WORK_LOG2 truth-table points.
-A Hamming ball is the plain tuple of its points that ``ball_points`` returns.
+A Hamming ball is the plain tuple of its points that ``ball_points`` returns,
+cached like the masks.
 """
 
 from __future__ import annotations
@@ -86,8 +87,15 @@ def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
     return {rep: size - 2 * ((f.table >> rep) & indicator).bit_count() for rep in reps}
 
 
+@lru_cache(maxsize=16, typed=True)
 def ball_points(n: int, r: int) -> tuple[int, ...]:
-    """Hamming ball B_r: all points of weight <= r, sorted by (weight, index)."""
+    """Hamming ball B_r: all points of weight <= r, sorted by (weight, index).
+
+    Cached, so a suite that reads one ball per round trip builds it once;
+    ``typed`` keeps a bool radius from hitting an int's entry and passing the
+    check.  The largest ball a run can list, 2^24 points (``verify --suite
+    lemma2 --n 25``), stays cached for the life of the process.
+    """
     _check_arity(n)
     _check_radius(n, r)
     # combinations of descending bits are descending: list weights r..0, reverse

@@ -6,7 +6,10 @@ and a JSON-ready counterexample for each that fails, and fills its
 stream, counts checks and failures, keeps the first ten counterexamples and
 builds the report {"suite", "mode", "params", "checks", "failures",
 "counterexamples", "passed", "details"}.  Randomized suites are deterministic
-for a fixed seed.
+for a fixed seed.  ``parseval`` and ``convolution`` run their butterflies
+through ``_in_blocks``: one call per arity in each chunk of at most
+``core.CHUNK_POINTS`` truth-table points of their stream, the results read
+back in stream order.
 """
 
 from __future__ import annotations
@@ -14,23 +17,26 @@ from __future__ import annotations
 import random
 from itertools import chain, repeat, starmap
 from math import comb
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
 
 import numpy as np
 
+from . import core
 from .bent import _bent_images, two_flat_sum_distribution, two_flats
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import BooleanFunction, _check_arity, _check_work, format_bf, pack_bits, random_function
 from .core import pack_rows, unpack_bits, unpack_rows, weight
 from .geometry import ball_points, ball_size, coset_value_class_sizes, subcube_points
 from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
-from .transforms import _moebius_table, _peak, _spectrum, moebius, walsh_naive, walsh_truth_rows
+from .transforms import _moebius_table, _peak, moebius, walsh_naive, walsh_truth_rows
 from .transforms import check_restriction_identity, truth_rows_from_anf
 
 _MAX_REPORTED = 10
 # parseval meets the O(4^n) walsh_naive only up to this arity: checking n = 11
 # and 12 too took the default suite from 0.22-0.29 s to 0.59-0.82 s (2-core Xeon)
 _NAIVE_CHECK_MAX_N = 10
+
+Item = TypeVar("Item")
 
 
 def _report(
@@ -76,6 +82,37 @@ def _functions(exhaustive_n: int, samples: int, seed: int, max_n: int) -> Iterat
     rng = random.Random(seed)
     for _ in range(samples):
         yield random_function(rng.randint(1, max_n), rng)
+
+
+def _in_blocks(
+    items: Iterable[Item], arity: Callable[[Item], int], run: Callable[[list[Item]], Sequence]
+) -> Iterator[tuple[Item, object]]:
+    """(item, result) in stream order, where ``run`` maps a list of items of
+    one arity to one result each.  The stream is cut into chunks of at most
+    ``core.CHUNK_POINTS`` truth-table points (an item larger than that is a
+    chunk by itself), and ``run`` is called once per arity in each chunk."""
+
+    def flush(chunk: list) -> Iterator[tuple[Item, object]]:
+        groups: dict[int, list[int]] = {}
+        for i, item in enumerate(chunk):
+            groups.setdefault(arity(item), []).append(i)
+        results: list = [None] * len(chunk)
+        for where in groups.values():
+            for i, result in zip(where, run([chunk[i] for i in where])):
+                results[i] = result
+        return zip(chunk, results)
+
+    chunk: list = []
+    points = 0
+    for item in items:
+        size = 1 << arity(item)
+        if chunk and points + size > core.CHUNK_POINTS:
+            yield from flush(chunk)
+            chunk, points = [], 0
+        chunk.append(item)
+        points += size
+    if chunk:
+        yield from flush(chunk)
 
 
 def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
@@ -235,7 +272,8 @@ def suite_prop1(n: int = 4, maps: int = 10, seed: int = 1) -> dict:
 def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> dict:
     """Both routes of the face-restriction identity agree exactly.
 
-    Exhaustive at n=2 over every function and mask, then random pairs.
+    Exhaustive at n=2 over every function and mask, then random pairs, each
+    block of same-arity pairs checked by one ``check_restriction_identity``.
     """
 
     def pairs() -> Iterator[tuple[BooleanFunction, int]]:
@@ -252,11 +290,14 @@ def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> di
         "exhaustive n=2 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
         (
-            None if check_restriction_identity(f, mask)
-            else {"f": format_bf(f), "mask": f"{mask:#x}"}
-            for f, mask in pairs()
+            None if same else {"f": format_bf(f), "mask": f"{mask:#x}"}
+            for (f, mask), same in _in_blocks(pairs(), lambda pair: pair[0].n, _restriction_block)
         ),
     )
+
+
+def _restriction_block(pairs: list[tuple[BooleanFunction, int]]) -> list[bool]:
+    return check_restriction_identity([f for f, _ in pairs], [mask for _, mask in pairs])
 
 
 def _sum_of_squares(values: np.ndarray) -> int:
@@ -266,9 +307,13 @@ def _sum_of_squares(values: np.ndarray) -> int:
     return int(wide @ wide)
 
 
-def _spectrum_problems(f: BooleanFunction) -> Optional[dict]:
-    """The spectrum invariants f breaks, as a counterexample, or None."""
-    spectrum = _spectrum(f)
+def _spectrum_block(functions: list[BooleanFunction]) -> np.ndarray:
+    return walsh_truth_rows(unpack_rows([f.table for f in functions], functions[0].size))
+
+
+def _spectrum_problems(f: BooleanFunction, spectrum: np.ndarray) -> Optional[dict]:
+    """The spectrum invariants f breaks, given its butterfly row, as a
+    counterexample, or None."""
     failed = []
     if _sum_of_squares(spectrum) != 1 << (2 * f.n):
         failed.append("parseval")
@@ -284,12 +329,15 @@ def _spectrum_problems(f: BooleanFunction) -> Optional[dict]:
 
 def suite_parseval(samples: int = 1000, seed: int = 1, max_n: int = 12) -> dict:
     """Spectrum invariants: Parseval, parity, W(0), and fast/naive agreement
-    up to n = ``_NAIVE_CHECK_MAX_N``."""
+    up to n = ``_NAIVE_CHECK_MAX_N``.  The butterfly spectra come one
+    ``walsh_truth_rows`` block per arity and chunk; every invariant is then
+    checked function by function, the oracle included."""
+    functions = _functions(3, samples, seed, max_n)
     return _report(
         "parseval",
         "exhaustive n<=3 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
-        map(_spectrum_problems, _functions(3, samples, seed, max_n)),
+        starmap(_spectrum_problems, _in_blocks(functions, lambda f: f.n, _spectrum_block)),
     )
 
 

@@ -2,12 +2,14 @@
 
 All arithmetic is exact.  There is one kernel per transform.  ``walsh_rows``
 is the in-place numpy butterfly on (rows, 2^n) arrays of a dtype the caller
-proves wide enough; ``hadamard_transform`` runs it at every length, in int64
-or, for values too large for it (2^n * max|v| >= 2^62), on exact ints in an
-object array.  A non-integral vector entry is a ``ValueError``.
-``walsh_truth_rows`` runs ``walsh_rows`` on the int32 signs of truth-table
-rows; ``_spectrum``, its one single-function call, serves ``walsh_fast`` at
-every arity and the bent tests; no other Walsh butterfly exists.
+proves wide enough; ``hadamard_transform`` runs it at every length, on one
+vector or on a (rows, 2^n) integer block at once, in int64 or, for values too
+large for it (2^n * max|v| >= 2^62), on exact ints in an object array.  A
+non-integral vector entry is a ``ValueError``.  ``walsh_truth_rows`` runs
+``walsh_rows`` on the int32 signs of truth-table rows; ``_spectrum``, its one
+single-function call, serves ``walsh_fast`` at every arity and the bent
+tests, while ``check_restriction_identity`` and the ``parseval`` suite run it
+on blocks of same-arity rows; no other Walsh butterfly exists.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
@@ -15,27 +17,30 @@ Inside the library spectra and vectors stay numpy integer arrays: ``_spectrum``
 is one function's spectrum as an int32 row, and ``hadamard_transform`` and
 ``convolve_pm`` take an integer array as it is, with no per-entry pass, as
 well as any sequence of ints.  Lists appear only at the public boundary: every
-public function returns plain ``list[int]`` of Python ints.
+public function returns plain lists of Python ints.
 ``walsh_fast`` (the spectrum of a function) and ``hadamard_transform`` (of an
 integer vector) each run one butterfly, O(n 2^n); ``walsh_naive``, the
 independent oracle, reads each W(y) = 2^n - 2 wt(f + <., y>) as a popcount,
 with no butterfly and no numpy; it is the faster of the two at small n, where
 ``_walsh_by_arity`` (for ``check_lemma1`` and the 2-flat closed form) takes it.
-``convolve_pm`` is likewise the direct sum over the support of its vector, in
-int64 or else on exact ints in an object array, and never reaches a
-butterfly, so ``check_restriction_identity``, whose right side runs two
-(``_spectrum`` of f, ``hadamard_transform`` of the masked spectrum), really
-compares two different computations.
+``convolve_pm`` is likewise the direct sum over the support of its vector,
+gathered a slice of the support at a time, in int64 or else on exact ints in
+an object array, and never reaches a butterfly, so
+``check_restriction_identity``, whose right side runs two butterflies
+(``walsh_truth_rows`` of f, ``hadamard_transform`` of the masked spectrum),
+each once per block of pairs, really compares two different computations.
 """
 
 from __future__ import annotations
 
 import operator
-from typing import Sequence
+from typing import Sequence, Union
 
 import numpy as np
 
-from .core import BooleanFunction, _check_mask, _check_work, pack_bits, unpack_bits
+from . import core
+from .core import BooleanFunction, _check_mask, _check_same_arity, _check_work, pack_bits
+from .core import unpack_bits, unpack_rows
 from .geometry import _face_indicator, coordinate_masks, weight_masks
 
 IntegerVector = list[int]
@@ -76,28 +81,32 @@ def _peak(a: np.ndarray) -> int:
     return max(int(a.max()), -int(a.min()))
 
 
-def _integer_array(values: Sequence[int]) -> np.ndarray:
-    # always a new array, since walsh_rows transforms it in place
-    if isinstance(values, np.ndarray) and values.ndim == 1 and values.dtype.kind in "iu":
-        vec, peak = values, _peak(values)  # integral entry by entry already
+def _integer_array(values: Sequence[int], ndim: int = 1) -> np.ndarray:
+    # always a new array, since walsh_rows transforms it in place; vectors run
+    # along the last axis, and a 2-D block takes one dtype for all its rows
+    if isinstance(values, np.ndarray) and values.ndim == ndim and values.dtype.kind in "iu":
+        vec, peak = values, _peak(values) if values.size else 0  # integral already
     else:
         try:
             vec = [operator.index(v) for v in values]
         except TypeError as exc:
             raise ValueError(f"vector entries must be integers: {exc}") from None
         peak = max(map(abs, vec), default=0)
-    return np.array(vec, dtype=np.int64 if peak < (1 << 62) // len(vec) else object)
+    return np.array(vec, dtype=np.int64 if peak < (1 << 62) // np.shape(vec)[-1] else object)
 
 
-def hadamard_transform(values: Sequence[int]) -> IntegerVector:
-    """Integer Hadamard transform of a vector of length 2^n (exact).
+def hadamard_transform(values: Sequence[int]) -> Union[IntegerVector, list[IntegerVector]]:
+    """Integer Hadamard transform of a vector of length 2^n (exact), or of
+    every row of a 2-D (rows, 2^n) integer array in one butterfly, returned
+    as a list of rows.
 
     Applying it twice returns 2^n times the input.
     """
-    size = len(values)
+    ndim = 2 if isinstance(values, np.ndarray) and values.ndim == 2 else 1
+    size = values.shape[1] if ndim == 2 else len(values)
     if size == 0 or size & (size - 1):
         raise ValueError(f"vector length must be a power of two, got {size}")
-    return walsh_rows(_integer_array(values)).tolist()
+    return walsh_rows(_integer_array(values, ndim)).tolist()
 
 
 def _spectrum(f: BooleanFunction) -> np.ndarray:
@@ -169,38 +178,59 @@ def convolve_pm(f: BooleanFunction, g: Sequence[int]) -> IntegerVector:
     """Convolution of the sign vector of f with g: out[z] = sum_x (-1)^f(x) g[z^x].
 
     Computed as the direct sum out[z] = sum_w g[w] (-1)^f(z^w) over the
-    support of g (a term with g[w] = 0 adds nothing), one shifted add of the
-    sign vector per nonzero g[w]; never through the transform.  More than
-    2^MAX_WORK_LOG2 truth-table points (support size x 2^n) are refused.
+    support of g (a term with g[w] = 0 adds nothing), gathered as one
+    (slice, 2^n) block of shifted sign vectors per slice of at most
+    ``core.CHUNK_POINTS >> n`` support points; never through the transform.
+    More than 2^MAX_WORK_LOG2 truth-table points (support size x 2^n) are
+    refused.
     """
     size = f.size
     if len(g) != size:
         raise ValueError(f"arity mismatch: function size {size}, vector length {len(g)}")
     arr = _integer_array(g)
-    support = int(np.count_nonzero(arr))
-    what = f"truth-table points for {support} nonzero entries of g at n={f.n}"
-    _check_work(((support << f.n) - 1).bit_length(), what)
+    support = np.flatnonzero(arr)
+    what = f"truth-table points for {len(support)} nonzero entries of g at n={f.n}"
+    _check_work(((len(support) << f.n) - 1).bit_length(), what)
     signs = 1 - 2 * unpack_bits(f.table, size).astype(arr.dtype)
     idx = np.arange(size)
     out = np.zeros(size, dtype=arr.dtype)
-    for w in np.flatnonzero(arr):
-        out += arr[w] * signs[idx ^ w]
+    step = max(1, core.CHUNK_POINTS >> f.n)
+    for start in range(0, len(support), step):
+        w = support[start : start + step]
+        out += (arr[w, None] * signs[idx ^ w[:, None]]).sum(axis=0)
     return out.tolist()
 
 
-def check_restriction_identity(f: BooleanFunction, mask: int) -> bool:
+def check_restriction_identity(
+    f: Union[BooleanFunction, Sequence[BooleanFunction]], mask: Union[int, Sequence[int]]
+) -> Union[bool, list[bool]]:
     """Exact check, for the face Gamma(mask), that convolving (-1)^f with the
     dual-face indicator equals the doubly-transformed, face-masked spectrum
     divided by 2^dim.
 
     The left side goes through convolve_pm, the right side through the
     butterfly spectrum of f and one hadamard_transform of its masked copy;
-    both are exact integers.
+    both are exact integers.  ``f`` and ``mask`` may also be parallel
+    sequences of functions of one arity and their masks, checked pair by
+    pair into one bool each: the right side is then one block, one
+    ``walsh_truth_rows`` of all the functions, masked row by row by the face
+    indicators, and one ``hadamard_transform`` of it; the left side stays one
+    convolve_pm per pair, whose work cap refuses before any butterfly runs.
     """
-    _check_mask(f.n, mask)
-    size = f.size
-    lhs = convolve_pm(f, unpack_bits(_face_indicator(f.n, mask ^ ((1 << f.n) - 1)), size))
-    doubled = hadamard_transform(_spectrum(f) * unpack_bits(_face_indicator(f.n, mask), size))
+    single = isinstance(f, BooleanFunction)
+    pairs = [(f, mask)] if single else list(zip(f, mask, strict=True))
+    if not pairs:
+        return []
+    n = pairs[0][0].n
+    for g, m in pairs:
+        _check_same_arity(n, g.n, "other function")
+        _check_mask(n, m)
+    size, full = 1 << n, (1 << n) - 1
+    lhs = [convolve_pm(g, unpack_bits(_face_indicator(n, m ^ full), size)) for g, m in pairs]
+    truth = unpack_rows([g.table for g, _ in pairs], size)
+    faces = unpack_rows([_face_indicator(n, m) for _, m in pairs], size)
+    doubled = hadamard_transform(walsh_truth_rows(truth) * faces)
     # lhs * 2^dim == doubled: doubled is divisible by 2^dim with quotient lhs
-    dim = mask.bit_count()
-    return [v << dim for v in lhs] == doubled
+    checks = zip(pairs, lhs, doubled)
+    same = [[v << m.bit_count() for v in left] == right for (_, m), left, right in checks]
+    return same[0] if single else same

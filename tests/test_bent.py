@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bentkit import bent, transforms
+from bentkit import bent, core, transforms
 from bentkit.bent import (
     AffineMap,
     apply_affine,
@@ -328,7 +328,7 @@ def test_bent_images_peak_is_one_chunk():
     # n=6 takes 512 maps per chunk; four chunks' worth must not hold more
     # than the one chunk being built
     f = _maiorana_mcfarland(6, random.Random(6))[0]
-    step = bent._IMAGE_CHUNK_POINTS >> 6
+    step = core.CHUNK_POINTS >> 6
     peaks = []
     for count in (step, 4 * step):
         tracemalloc.start()
@@ -350,7 +350,7 @@ def test_first_image_draws_at_most_one_chunk(monkeypatch):
 
     monkeypatch.setattr(bent, "random_invertible", counting)
     f = _maiorana_mcfarland(8, random.Random(8))[0]
-    step = bent._IMAGE_CHUNK_POINTS >> 8
+    step = core.CHUNK_POINTS >> 8
     _, row, ok = next(iter(bent._bent_images([f], 3 * step + 1, random.Random(1))))
     assert 0 < len(calls) <= step
     assert row.shape == (f.size,) and ok
@@ -367,7 +367,7 @@ def test_bent_images_in_one_row_chunks_match_one_batch(monkeypatch):
 
     monkeypatch.setattr(bent, "bent_rows", marked)
     images = [(row.tolist(), ok) for _, row, ok in bent._bent_images([QUAD], 40, random.Random(3))]
-    monkeypatch.setattr(bent, "_IMAGE_CHUNK_POINTS", QUAD.size)
+    monkeypatch.setattr(core, "CHUNK_POINTS", QUAD.size)
     per_row = [(row.tolist(), ok) for _, row, ok in bent._bent_images([QUAD], 40, random.Random(3))]
     assert calls == [40] + [1] * 40
     assert per_row == images
@@ -392,7 +392,7 @@ def test_bent_images_across_members_keep_each_image_with_its_member(monkeypatch)
 
     monkeypatch.setattr(bent, "bent_rows", marked)
     # chunks of three maps split the second and the fifth member's two maps
-    monkeypatch.setattr(bent, "_IMAGE_CHUNK_POINTS", 3 << 4)
+    monkeypatch.setattr(core, "CHUNK_POINTS", 3 << 4)
     stream = bent._bent_images(members, 2, random.Random(2))
     images = [(f, row.tolist(), ok) for f, row, ok in stream]
     assert calls == [3, 3, 3, 1]

@@ -193,6 +193,18 @@ def test_pack_rows_matches_shift_and_sum(width):
     assert pack_rows(rows[:0]) == []
 
 
+@pytest.mark.parametrize("width", [1, 2, 8, 9, 64, 100, 1024])
+def test_unpack_rows_reads_int_sequences_of_any_width(width):
+    rng = random.Random(width)
+    tables = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(5)]
+    rows = unpack_rows(tables, width)
+    assert rows.shape == (7, width) and rows.dtype == np.uint8
+    assert rows.tolist() == [unpack_bits(t, width).tolist() for t in tables]
+    if width <= 64:
+        assert rows.tolist() == unpack_rows(np.array(tables, dtype=np.uint64), width).tolist()
+    assert unpack_rows([], width).shape == (0, width)
+
+
 @given(functions(10))
 def test_codec_matches_shifts(f):
     assert f.bits() == [(f.table >> k) & 1 for k in range(f.size)]

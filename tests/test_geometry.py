@@ -166,6 +166,15 @@ def test_ball_points_match_sorted_scan():
             assert ball_points(n, r) == tuple(scan)
 
 
+def test_ball_points_are_cached_and_still_checked():
+    assert ball_points(4, 1) is ball_points(4, 1)
+    # a cached int radius must not admit the bool that equals it
+    with pytest.raises(ValueError, match="radius must be an int"):
+        ball_points(4, True)
+    with pytest.raises(ValueError, match="arity must be an int"):
+        ball_points(4.0, 1)
+
+
 def test_ball_points_cost_follows_the_ball():
     started = time.perf_counter()
     ball = ball_points(26, 1)

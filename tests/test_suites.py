@@ -7,10 +7,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bentkit import bent, suites
+from bentkit import bent, core, suites, transforms
 from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
-from bentkit.core import BooleanFunction, ResourceCapError, format_bf, pack_bits
+from bentkit.core import BooleanFunction, ResourceCapError, format_bf, pack_bits, parse_bf
 from bentkit.reconstruct import check_lemma1
 from bentkit.transforms import walsh_naive
 from bentkit.suites import (
@@ -308,7 +308,7 @@ def test_prop1_chunks_that_split_members_match_the_per_member_route(monkeypatch,
     monkeypatch.setattr(bent, "bent_rows", marked)
     # chunks of three maps: at n=2 (two maps a member) every third member's
     # maps are split between two chunks; at n=4 (one map) a chunk holds three
-    monkeypatch.setattr(bent, "_IMAGE_CHUNK_POINTS", 3 << n)
+    monkeypatch.setattr(core, "CHUNK_POINTS", 3 << n)
     report = suite_prop1(n=n, maps=maps, seed=seed)
     images = len(members) * maps
     assert sizes == [3] * (images // 3) + [images % 3] * (images % 3 > 0)
@@ -455,7 +455,9 @@ def test_lemma2_refuses_a_ball_over_the_budget_before_listing_it(monkeypatch):
 
 
 def test_convolution_failing_path_reports_counterexamples(monkeypatch):
-    monkeypatch.setattr(suites, "check_restriction_identity", lambda f, mask: mask != 1)
+    monkeypatch.setattr(
+        suites, "check_restriction_identity", lambda fs, masks: [mask != 1 for mask in masks]
+    )
     report = suite_convolution(samples=0)
     check_shape(report, "convolution")
     assert report["checks"] == 64
@@ -478,8 +480,13 @@ def test_convolution_failing_path_reports_counterexamples(monkeypatch):
     ids=["w0-plus-one", "reversed"],
 )
 def test_parseval_failing_path_names_each_broken_invariant(monkeypatch, perturb, names):
-    real = suites._spectrum
-    monkeypatch.setattr(suites, "_spectrum", lambda f: perturb(real(f)))
+    real = suites.walsh_truth_rows
+
+    def perturbed(truth):
+        # every row of each butterfly block, as the one row of each call was
+        return np.stack([perturb(row) for row in real(truth)])
+
+    monkeypatch.setattr(suites, "walsh_truth_rows", perturbed)
     report = suite_parseval(samples=0)
     check_shape(report, "parseval")
     assert report["checks"] == 4 + 16 + 256
@@ -489,23 +496,75 @@ def test_parseval_failing_path_names_each_broken_invariant(monkeypatch, perturb,
     assert report["passed"] is False
 
 
-def test_parseval_is_exact_where_int64_squares_wrap(monkeypatch):
+def test_parseval_is_exact_where_int64_squares_wrap():
     # (8 - 2^63)^2 is 64 modulo 2^64, so an int64 dot product reads 2^(2n) at n=3
     wrapped = np.zeros(8, dtype=np.int64)
     wrapped[0] = 8 - 2**63
     assert wrapped @ wrapped == 64
-    monkeypatch.setattr(suites, "_spectrum", lambda f: wrapped.copy())
-    problems = suites._spectrum_problems(BooleanFunction(3, 0))
+    problems = suites._spectrum_problems(BooleanFunction(3, 0), wrapped.copy())
     assert "parseval" in problems["problems"]
 
 
-def test_parseval_widens_an_int32_spectrum(monkeypatch):
+def test_parseval_widens_an_int32_spectrum():
     # 8^2 + (2^16)^2 is 64 modulo 2^32, so an int32 dot product reads 2^(2n) at n=3
     wrapped = np.array([8, 2**16, 0, 0, 0, 0, 0, 0], dtype=np.int32)
     assert wrapped @ wrapped == 64
-    monkeypatch.setattr(suites, "_spectrum", lambda f: wrapped.copy())
-    problems = suites._spectrum_problems(BooleanFunction(3, 0x96))  # bf:3:96
+    problems = suites._spectrum_problems(BooleanFunction(3, 0x96), wrapped.copy())  # bf:3:96
     assert problems["problems"] == ["parseval", "w0", "naive-disagrees"]
+
+
+def test_blocks_cut_the_stream_at_the_point_bound(monkeypatch):
+    monkeypatch.setattr(core, "CHUNK_POINTS", 16)
+    calls = []
+
+    def run(arities):
+        calls.append(arities)
+        return [-n for n in arities]
+
+    arities = [1, 3, 2, 3, 5, 1, 1, 4, 4]  # 2, 8, 4, 8, 32, 2, 2, 16, 16 points
+    assert list(suites._in_blocks(arities, lambda n: n, run)) == [(n, -n) for n in arities]
+    # chunks [1, 3, 2] (14 points), [3], [5] (32, alone), [1, 1], [4], [4]
+    assert calls == [[1], [3], [2], [3], [5], [1, 1], [4], [4]]
+
+
+@pytest.mark.parametrize("points", [1, 4, 48, 1 << 15])
+def test_block_suites_in_small_chunks_match_one_chunk(monkeypatch, points):
+    real_rows, real_convolve = suites.walsh_truth_rows, transforms.convolve_pm
+    blocks = []
+
+    def rows_off(truth):
+        # W(0) + 1 for every function of n >= 4 that is 1 at the origin
+        blocks.append(len(truth))
+        spectra = real_rows(truth)
+        if truth.shape[1] >= 16:
+            spectra[:, 0] += truth[:, 0]
+        return spectra
+
+    def convolve_off(f, g):
+        out = real_convolve(f, g)
+        out[0] += f.n >= 4 and f.table & 1
+        return out
+
+    monkeypatch.setattr(suites, "walsh_truth_rows", rows_off)
+    monkeypatch.setattr(transforms, "convolve_pm", convolve_off)
+    runs = {
+        "parseval": lambda: suite_parseval(samples=60, seed=4),
+        "convolution": lambda: suite_convolution(samples=60, seed=4),
+    }
+    monkeypatch.setattr(core, "CHUNK_POINTS", 1 << 40)
+    whole = {name: run() for name, run in runs.items()}
+    assert len(blocks) == 12  # one parseval block per arity, n = 1..12
+    monkeypatch.setattr(core, "CHUNK_POINTS", points)
+    for name, run in runs.items():
+        blocks.clear()
+        report = run()
+        assert report == whole[name]
+        assert 0 < report["failures"] < report["checks"]
+        # the failures interleave arities: stream order is not block order
+        arities = [parse_bf(c["f"]).n for c in report["counterexamples"]]
+        assert len(arities) == 10 and arities != sorted(arities)
+        if name == "parseval" and points == 1:
+            assert blocks == [1] * report["checks"]  # every function a chunk by itself
 
 
 def test_flats_failing_path_reports_a_member_off_the_common_distribution(monkeypatch):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bentkit import transforms
+from bentkit import core, transforms
 from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
 from bentkit.core import pack_bits, unpack_bits, unpack_rows
 from bentkit.geometry import _face_indicator, ball_points, ball_size
@@ -182,6 +182,34 @@ def test_hadamard_transform_is_the_double_sum_at_every_length(n):
     assert all(type(v) is int for values in got for v in values)
 
 
+@pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
+@pytest.mark.parametrize("n", [0, 1, 3, 6])
+def test_block_hadamard_transform_matches_its_rows(n, dtype):
+    rng = np.random.default_rng(n)
+    info = np.iinfo(dtype)
+    small = rng.integers(max(int(info.min), -100), 101, size=(5, 1 << n), dtype=dtype)
+    blocks = [small]
+    if info.bits == 64:
+        # one row of 2^62 (or 2^64 - 1) sends the whole block to exact ints:
+        # its W(0) passes 2^63 from n = 1, where int64 would wrap
+        wide = small.copy()
+        wide[2] = 1 << 62 if dtype is np.int64 else info.max
+        blocks.append(wide)
+    for block in blocks:
+        got = hadamard_transform(block)
+        assert got == [hadamard_transform(row) for row in block]
+        assert all(type(v) is int for row in got for v in row)
+        assert got == [_hadamard_literal(row.tolist()) for row in block]
+    assert hadamard_transform(np.zeros((0, 4), dtype=dtype)) == []
+
+
+def test_block_hadamard_transform_rejects_bad_blocks():
+    with pytest.raises(ValueError, match="power of two"):
+        hadamard_transform(np.zeros((2, 3), dtype=np.int64))
+    with pytest.raises(ValueError, match="integers"):
+        hadamard_transform(np.zeros((2, 4)))
+
+
 def test_hadamard_big_integers_exact():
     # magnitudes way past int64 must stay exact (object-array route)
     values = [(-3) ** 41 + i for i in range(128)]
@@ -310,6 +338,26 @@ def test_convolve_pm_matches_the_double_sum(n):
             assert convolve_pm(f, g) == _convolve_literal(f, g)
 
 
+@pytest.mark.parametrize("n", [1, 3, 6])
+def test_convolve_pm_gathers_match_the_double_sum_at_chunk_edges(monkeypatch, n):
+    # slices of three support points: supports of 1..7 points end a slice
+    # early, exactly at its edge, and one past it
+    monkeypatch.setattr(core, "CHUNK_POINTS", 3 << n)
+    rng = random.Random(n)
+    size = 1 << n
+    for support in range(1, min(7, size) + 1):
+        g = [0] * size
+        for w in rng.sample(range(size), support):
+            g[w] = rng.choice([-7, -2, 3, 5])
+        f = random_function(n, rng)
+        assert convolve_pm(f, g) == _convolve_literal(f, g)
+        assert convolve_pm(f, [v << 70 for v in g]) == [v << 70 for v in _convolve_literal(f, g)]
+    # a chunk below one row still gathers one support point at a time
+    monkeypatch.setattr(core, "CHUNK_POINTS", 1)
+    g = [rng.randrange(-9, 10) for _ in range(size)]
+    assert convolve_pm(f, g) == _convolve_literal(f, g)
+
+
 def _walsh_literal(f):
     return [
         sum((-1) ** (f.bit(x) + (x & y).bit_count()) for x in range(f.size))
@@ -322,7 +370,8 @@ def test_naive_oracles_never_reach_the_butterfly(monkeypatch, oracle):
     def refuse(*args):
         raise AssertionError(f"{oracle} called the transform")
 
-    monkeypatch.setattr(transforms, "walsh_rows", refuse)
+    for name in ("walsh_rows", "walsh_truth_rows", "hadamard_transform"):
+        monkeypatch.setattr(transforms, name, refuse)
     rng = random.Random(5)
     for n in (2, 7, 9):
         f = random_function(n, rng)
@@ -353,10 +402,11 @@ def test_restriction_identity_fails_on_an_indivisible_transform(monkeypatch):
     calls = []
 
     def indivisible(values):
-        # the transform of the masked spectrum gains 1, which 2^dim (dim >= 1) cannot divide
+        # the transform of the masked spectra gains 1 in its first row, which
+        # 2^dim (dim >= 1) cannot divide
         out = real(values)
         calls.append(None)
-        out[0] += 1
+        out[0][0] += 1
         return out
 
     monkeypatch.setattr(transforms, "hadamard_transform", indivisible)
@@ -377,12 +427,45 @@ def test_restriction_identity_runs_one_fast_and_one_hadamard_transform(monkeypat
 
         return wrapper
 
-    for name in ("_spectrum", "hadamard_transform"):
+    for name in ("walsh_truth_rows", "hadamard_transform"):
         monkeypatch.setattr(transforms, name, counting(name))
-    for f, mask in ((AND, 0b01), (random_function(8, 3), 0x5A)):
+    rng = random.Random(8)
+    block = [random_function(8, rng) for _ in range(5)], [rng.randrange(256) for _ in range(5)]
+    for f, mask in ((AND, 0b01), (random_function(8, 3), 0x5A), block):
         calls.clear()
-        assert check_restriction_identity(f, mask)
-        assert sorted(calls) == ["_spectrum", "hadamard_transform"]
+        assert check_restriction_identity(f, mask) in (True, [True] * 5)
+        assert sorted(calls) == ["hadamard_transform", "walsh_truth_rows"]
+
+
+@pytest.mark.parametrize("n", range(1, 11))
+def test_block_restriction_identity_matches_per_pair_calls(monkeypatch, n):
+    rng = random.Random(n)
+    functions = [random_function(n, rng) for _ in range(6)]
+    masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(4)]
+    per_pair = [check_restriction_identity(f, m) for f, m in zip(functions, masks)]
+    assert check_restriction_identity(functions, masks) == per_pair == [True] * 6
+    # a direct sum off for one function fails its pair alone, in its place
+    real = transforms.convolve_pm
+
+    def off_for_the_third(f, g):
+        out = real(f, g)
+        out[0] += f is functions[2]
+        return out
+
+    monkeypatch.setattr(transforms, "convolve_pm", off_for_the_third)
+    per_pair = [check_restriction_identity(f, m) for f, m in zip(functions, masks)]
+    assert check_restriction_identity(functions, masks) == per_pair
+    assert per_pair == [True, True, False, True, True, True]
+
+
+def test_block_restriction_identity_rejects_mixed_blocks():
+    assert check_restriction_identity([], []) == []
+    with pytest.raises(ValueError, match="arity mismatch"):
+        check_restriction_identity([AND, random_function(3, 1)], [0, 0])
+    with pytest.raises(ValueError):
+        check_restriction_identity([AND, XOR], [0])
+    with pytest.raises(ValueError, match="out of range"):
+        check_restriction_identity([AND, XOR], [0, 0b100])
 
 
 def test_restriction_identity_oracle():
