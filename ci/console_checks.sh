@@ -31,10 +31,12 @@
 # largest arity, and prints strict JSON there (no Infinity or NaN);
 # wht and anf at n=16 print exactly json.dumps(..., indent=2) of their
 # 65,536-int lists, and wht exits 2 with one error line, no traceback,
-# when its reader closes stdout after one byte; census at n=4 with two
-# spawned workers, each scanning its shard as one block, prints 896/896
-# and the same stdout as one in-process worker; coset-spectrum takes a
-# face as a plain int mask, its coset sums add up to 2^n - 2 wt(f), and
+# when its reader closes stdout after one byte; census runs in one
+# process, so --jobs 2 exits 1 with one usage-error line and empty stdout,
+# while --jobs 1 prints 896/896 and the same stdout as no --jobs; lemma2
+# at n=18 needs 256 round trips over a ball of 155,382 points, 2^26 in
+# all, and is refused with exit 4 and one resource-cap line;
+# coset-spectrum takes a face as a plain int mask, its coset sums add up to 2^n - 2 wt(f), and
 # a mask past n's bits exits 2 with one error line and no traceback,
 # also under python -O; bent affine --count 2000000 at n=4 needs 2^25
 # truth-table points and is refused with exit 4, empty stdout and one
@@ -118,11 +120,25 @@ $BENTKIT verify --suite census-agreement > "$RUNNER_TEMP/agree1.json"
 $BENTKIT verify --suite census-agreement > "$RUNNER_TEMP/agree2.json"
 cmp "$RUNNER_TEMP/agree1.json" "$RUNNER_TEMP/agree2.json"
 code=0
-$BENTKIT census --n 4 --jobs 2 > "$RUNNER_TEMP/census2.json" || code=$?
+$BENTKIT census --n 4 --jobs 2 > "$RUNNER_TEMP/census2.out" 2> "$RUNNER_TEMP/census2.err" || code=$?
+test "$code" -eq 1
+test ! -s "$RUNNER_TEMP/census2.out"
+test "$(wc -l < "$RUNNER_TEMP/census2.err")" -eq 1
+test "$(grep -c '^usage error: ' "$RUNNER_TEMP/census2.err")" -eq 1
+code=0
+$BENTKIT census --n 4 --jobs 1 > "$RUNNER_TEMP/census1.json" || code=$?
 test "$code" -eq 0
-python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["counts"] == {"naive": 896, "degree": 896} and d["agreement"] is True))' "$RUNNER_TEMP/census2.json"
-$BENTKIT census --n 4 --jobs 1 > "$RUNNER_TEMP/census1.json"
-cmp "$RUNNER_TEMP/census1.json" "$RUNNER_TEMP/census2.json"
+python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["counts"] == {"naive": 896, "degree": 896} and d["agreement"] is True))' "$RUNNER_TEMP/census1.json"
+$BENTKIT census --n 4 > "$RUNNER_TEMP/census.json"
+cmp "$RUNNER_TEMP/census.json" "$RUNNER_TEMP/census1.json"
+code=0
+$BENTKIT verify --suite lemma2 --n 18 > "$RUNNER_TEMP/lemma2cap.out" 2> "$RUNNER_TEMP/lemma2cap.err" || code=$?
+test "$code" -eq 4
+test ! -s "$RUNNER_TEMP/lemma2cap.out"
+test "$(wc -l < "$RUNNER_TEMP/lemma2cap.err")" -eq 1
+test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/lemma2cap.err")" -eq 1
+grep -F '2^26' "$RUNNER_TEMP/lemma2cap.err"
+if grep -F Traceback "$RUNNER_TEMP/lemma2cap.err"; then exit 1; fi
 code=0
 $BENTKIT bounds --n 1024 > "$RUNNER_TEMP/bounds.json" || code=$?
 test "$code" -eq 0

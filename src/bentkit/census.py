@@ -2,22 +2,19 @@
 
 Two independent methods: brute force over every truth table, and search over
 normal forms supported on the ball B_d, d = max(2, n/2): a bent function has
-degree <= n/2 for n >= 4, and all 8 at n=2 have degree 2.  Both stream
-results in ascending truth-table order for any job count: min(jobs, cores)
-spawned workers each take one contiguous shard of the candidates.
-Each shard is scanned as one (rows, 2^n) bit block: the degree method turns
-its normal forms into truth tables with the packed Moebius kernel, and both
-filter the block with one call of ``bent.bent_rows``, the one bent test.
+degree <= n/2 for n >= 4, and all 8 at n=2 have degree 2.  Each runs in this
+process as one scan of one (rows, 2^n) bit block and returns its functions
+in ascending truth-table order: the degree method turns its normal forms
+into truth tables with the packed Moebius kernel, and both filter the block
+with one call of ``bent.bent_rows``, the one bent test.
 Both refuse a space of more than 2^24 candidates, the one work budget
 ``core.MAX_WORK_LOG2``: the brute-force space is 2^(2^n), 2^64 at n=6, and
 the degree-restricted space is 2^42 at n=6.  So the largest census the
-budget admits is the brute-force scan at n=4, 65,536 tables, and no shard
-holds more.
+budget admits is the brute-force scan at n=4, one block of 65,536 tables.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass
 from typing import Optional
@@ -44,64 +41,45 @@ class CensusResult:
     functions: Optional[tuple[BooleanFunction, ...]]
 
 
-def _bent_tables_in_range(n: int, lo: int, hi: int) -> list[int]:
-    """Truth-table ints of the bent functions with lo <= table < hi, ascending."""
-    tables = np.arange(lo, hi, dtype=np.uint64)
+def _bent_tables(n: int, total: int) -> list[int]:
+    """Truth-table ints of the bent functions among all ``total`` = 2^(2^n)."""
+    tables = np.arange(total, dtype=np.uint64)
     return tables[bent_rows(unpack_rows(tables, 1 << n), n)].tolist()
 
 
-def _bent_tables_from_anf_range(n: int, lo: int, hi: int) -> list[int]:
-    """Truth-table ints of bent functions among candidates lo..hi (unsorted).
+def _bent_tables_from_anf(n: int, total: int) -> list[int]:
+    """Truth-table ints of the bent functions among the ``total`` normal
+    forms on the ball B_d, d = ``_degree_bound(n)`` (unsorted).
 
-    Candidate k sets the normal-form coefficient at point j of the ball B_d,
-    d = ``_degree_bound(n)``, wherever bit j of k is set.
+    Candidate k sets the normal-form coefficient at point j of the ball
+    wherever bit j of k is set.
     """
     points = ball_points(n, _degree_bound(n))
-    candidates = np.arange(lo, hi, dtype=np.uint64)
+    candidates = np.arange(total, dtype=np.uint64)
     truth = truth_rows_from_anf(n, points, unpack_rows(candidates, len(points)))
     return pack_rows(truth[bent_rows(truth, n)])
 
 
-def _census(method: str, worker, n: int, total: int, jobs: int, keep: bool) -> CensusResult:
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+def _census(method: str, scan, n: int, total: int, keep: bool) -> CensusResult:
     started = time.perf_counter()
-    workers = min(jobs, os.cpu_count() or 1)
-    if workers == 1:
-        tables = worker(n, 0, total)
-    else:
-        # imported here, so that only a pool run pays for importing the pool
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        bounds = [total * k // workers for k in range(workers + 1)]
-        # spawn, not fork: numpy has already started threads in this process
-        spawn = multiprocessing.get_context("spawn")
-        with ProcessPoolExecutor(max_workers=workers, mp_context=spawn) as pool:
-            parts = pool.map(worker, [n] * workers, bounds[:-1], bounds[1:])
-            tables = [t for part in parts for t in part]
-    tables.sort()
+    tables = sorted(scan(n, total))
     elapsed = time.perf_counter() - started
     functions = tuple(BooleanFunction(n, t) for t in tables) if keep else None
     return CensusResult(n, method, len(tables), elapsed, functions)
 
 
-def enumerate_bent_naive(n: int, *, jobs: int = 1, include_functions: bool = True) -> CensusResult:
+def enumerate_bent_naive(n: int, *, include_functions: bool = True) -> CensusResult:
     """Filter all 2^(2^n) truth tables through the bent test."""
     _check_even(n)
     _check_arity(n)  # before 1 << n
     _check_work(1 << n, f"truth tables for the brute-force census at n={n}")
-    return _census("naive", _bent_tables_in_range, n, 1 << (1 << n), jobs, include_functions)
+    return _census("naive", _bent_tables, n, 1 << (1 << n), include_functions)
 
 
-def enumerate_bent_by_degree(
-    n: int, *, jobs: int = 1, include_functions: bool = True
-) -> CensusResult:
+def enumerate_bent_by_degree(n: int, *, include_functions: bool = True) -> CensusResult:
     """Search normal forms of degree <= max(2, n/2) and filter by the bent test."""
     _check_even(n)
     _check_arity(n)  # before the exponent, a sum of n/2 big binomials
     exponent = ball_size(n, _degree_bound(n))  # log2 of the normal forms of that degree
     _check_work(exponent, f"normal forms for the degree-restricted census at n={n}")
-    return _census(
-        "degree", _bent_tables_from_anf_range, n, 1 << exponent, jobs, include_functions
-    )
+    return _census("degree", _bent_tables_from_anf, n, 1 << exponent, include_functions)

@@ -26,8 +26,11 @@ from .core import _check_radius, _check_work
 
 
 def subcube_points(n: int, mask: int) -> list[int]:
-    """All points of Gamma(mask), ascending by index."""
+    """All points of Gamma(mask), ascending by index: 2^dim of them, at most
+    2^MAX_WORK_LOG2."""
     _check_mask(n, mask)
+    dim = mask.bit_count()
+    _check_work(dim, f"points in the face of mask {mask:#x} (dim {dim})")
     return _subcube_points(mask)
 
 

@@ -190,13 +190,20 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     For n <= 4 and every radius: all degree-<=r functions have pairwise
     distinct restrictions to B_r, and round-trips through reconstruction are
     exact (exhaustive when the space has at most 2048 members, sampled
-    otherwise).  For larger n: sampled round-trips at radius n/2, whose ball
-    must hold at most 2^MAX_WORK_LOG2 points (n <= 25).
+    otherwise).  For larger n: sampled round-trips at radius n/2, each of
+    which builds and checks a ball assignment of |B_{n/2}| entries, so both
+    the ball and samples x |B_{n/2}| must be at most 2^MAX_WORK_LOG2 points
+    (the default 256 samples run up to n=17).
     """
     _check_arity(n)
     if n > 4:
         size = ball_size(n, n // 2)
         _check_work((size - 1).bit_length(), f"points in the ball B_{n // 2} at n={n} ({size})")
+        work = samples * size
+        _check_work(
+            (work - 1).bit_length(),
+            f"ball points over {samples} round trips in B_{n // 2} at n={n} ({work})",
+        )
     rng = random.Random(seed)
     per_radius: dict[str, int] = {}
 

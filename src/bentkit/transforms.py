@@ -87,12 +87,15 @@ def _integer_array(values: Sequence[int], ndim: int = 1) -> np.ndarray:
     if isinstance(values, np.ndarray) and values.ndim == ndim and values.dtype.kind in "iu":
         vec, peak = values, _peak(values) if values.size else 0  # integral already
     else:
+        # exact ints entry by entry, a 2-D block (an object array past int64) flattened
         try:
-            vec = [operator.index(v) for v in values]
+            vec = [operator.index(v) for v in (values.ravel() if ndim == 2 else values)]
         except TypeError as exc:
             raise ValueError(f"vector entries must be integers: {exc}") from None
         peak = max(map(abs, vec), default=0)
-    return np.array(vec, dtype=np.int64 if peak < (1 << 62) // np.shape(vec)[-1] else object)
+    shape = values.shape if ndim == 2 else (len(values),)
+    dtype = np.int64 if peak < (1 << 62) // shape[-1] else object
+    return np.array(vec, dtype=dtype).reshape(shape)
 
 
 def hadamard_transform(values: Sequence[int]) -> Union[IntegerVector, list[IntegerVector]]:

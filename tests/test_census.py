@@ -1,12 +1,13 @@
 """Exhaustive bent enumeration and its two independent methods."""
 
-import concurrent.futures
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from bentkit import census, core
+from bentkit import census, cli, core
 from bentkit.bent import bent_rows, is_bent
 from bentkit.census import (
     CensusResult,
@@ -71,52 +72,6 @@ def test_count_only_mode():
 
 
 @pytest.fixture
-def serial_pool(monkeypatch):
-    """Swap the process pool for an in-process map on a 16-core machine;
-    returns the max_workers of every pool started."""
-    started = []
-
-    class SerialPool:
-        def __init__(self, max_workers, mp_context):
-            assert mp_context.get_start_method() == "spawn"
-            started.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 16)
-    return started
-
-
-@pytest.mark.parametrize("jobs", [1, 4, 16])
-def test_sharding_is_invisible(jobs, serial_pool):
-    # jobs workers, one shard each, merged back into ascending order
-    base = enumerate_bent_naive(4).functions
-    assert enumerate_bent_naive(4, jobs=jobs).functions == base
-    assert enumerate_bent_by_degree(4, jobs=jobs).functions == base
-    assert serial_pool == ([jobs, jobs] if jobs > 1 else [])
-
-
-def test_jobs_are_capped_at_cpu_count(serial_pool, monkeypatch):
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-    assert enumerate_bent_naive(2, jobs=64).count == 8
-    assert serial_pool == [2]
-    # an unknown core count runs in-process, starting no pool
-    monkeypatch.setattr(census.os, "cpu_count", lambda: None)
-    assert enumerate_bent_by_degree(2, jobs=64).count == 8
-    assert serial_pool == [2]
-    with pytest.raises(ValueError):
-        enumerate_bent_naive(2, jobs=0)
-
-
-@pytest.fixture
 def bent_rows_calls(monkeypatch):
     """Count the census's calls of the bent test."""
     calls = []
@@ -130,23 +85,36 @@ def bent_rows_calls(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 4])
-def test_each_shard_is_one_block(jobs, serial_pool, bent_rows_calls):
-    # one bent_rows call per shard, over the whole shard
-    enumerate_bent_naive(4, jobs=jobs)
-    assert bent_rows_calls == [(1 << 16) // jobs] * jobs
-    bent_rows_calls.clear()
-    enumerate_bent_by_degree(4, jobs=jobs)
-    assert bent_rows_calls == [(1 << 11) // jobs] * jobs
+def test_each_shard_is_one_block(jobs, bent_rows_calls, capsys):
+    # the census is one bent_rows block per method: --jobs 1 scans all 2^16
+    # tables (naive) and all 2^11 degree-bounded ones (degree), and any other
+    # --jobs is refused before a single candidate is scanned
+    code = cli.main(["census", "--n", "4", "--jobs", str(jobs)])
+    if jobs == 1:
+        assert code == 0
+        assert bent_rows_calls == [1 << 16, 1 << 11]
+    else:
+        assert code == 1
+        assert bent_rows_calls == []
+        assert capsys.readouterr().out == ""
 
 
-def test_empty_shards_change_nothing(serial_pool, monkeypatch, bent_rows_calls):
-    # 64 workers share 16 candidates, so most shards are empty
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
-    for enumerate_bent in (enumerate_bent_naive, enumerate_bent_by_degree):
-        bent_rows_calls.clear()
-        assert [f.table for f in enumerate_bent(2, jobs=64).functions] == N2_TABLES
-        assert len(bent_rows_calls) == 64 and sum(bent_rows_calls) == 16
-    assert serial_pool == [64, 64]
+def test_jobs_is_gone():
+    with pytest.raises(TypeError):
+        enumerate_bent_naive(4, jobs=2)
+    with pytest.raises(TypeError):
+        enumerate_bent_by_degree(4, jobs=1)
+
+
+def test_census_imports_no_process_machinery():
+    # the census is one in-process scan: no os and no pool module is imported,
+    # at module level or inside a function
+    tree = ast.parse(Path(census.__file__).read_text())
+    modules = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names]
+    modules += [node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)]
+    roots = {name.split(".")[0] for name in modules}
+    assert not roots & {"os", "multiprocessing", "concurrent"}
 
 
 def _largest_admitted_scan_log2():
@@ -164,7 +132,7 @@ def _largest_admitted_scan_log2():
 
 
 def test_the_budget_keeps_every_shard_one_small_block(monkeypatch):
-    # each worker scans its shard as one (rows, 2^n) block, which is only
+    # each census scans its candidates as one (rows, 2^n) block, which is only
     # sound while the largest admitted census is the n=4 brute-force scan
     assert _largest_admitted_scan_log2() <= 16
     # the tripwire fires for a budget that admits the n=6 degree scan
@@ -173,19 +141,13 @@ def test_the_budget_keeps_every_shard_one_small_block(monkeypatch):
 
 
 def test_importing_the_cli_loads_no_process_pool():
-    # only a census with jobs > 1 imports the pool modules
+    # the census runs in-process, so no command imports the pool modules
     code = (
         "import sys, bentkit.cli; "
         "print(sorted({'multiprocessing', 'concurrent.futures.process'} & set(sys.modules)))"
     )
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "[]"
-
-
-def test_parallel_jobs_match_serial():
-    base = enumerate_bent_naive(4).functions
-    assert enumerate_bent_naive(4, jobs=2).functions == base
-    assert enumerate_bent_by_degree(4, jobs=2).functions == base
 
 
 def test_odd_arity_rejected():

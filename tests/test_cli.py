@@ -319,11 +319,20 @@ def test_affine_image_work_is_capped_before_any_map_is_drawn(capsys, monkeypatch
     assert f"needs {needs} truth-table points" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("method", ["naive", "degree", "both"])
+def test_census_jobs_1_prints_what_no_jobs_prints(capsys, method):
+    # --jobs stays for scripts that pass it; the census runs in one process
+    plain = run(capsys, "census", "--n", "2", "--method", method)
+    jobs = run(capsys, "census", "--n", "2", "--method", method, "--jobs", "1")
+    assert plain[0] == jobs[0] == 0
+    assert plain[1] == jobs[1]
+
+
 def test_census_disagreement_exits_3(capsys, monkeypatch):
     real = cli.enumerate_bent_naive
 
-    def one_short(n, jobs):
-        result = real(n, jobs=jobs)
+    def one_short(n):
+        result = real(n)
         return dataclasses.replace(result, count=result.count - 1, functions=result.functions[1:])
 
     monkeypatch.setattr(cli, "enumerate_bent_naive", one_short)
@@ -400,6 +409,8 @@ def test_output_is_stable(capsys):
         # the parser refuses the count before the literal is read
         (["bent", "affine", "--f", "bf:2:zz", "--count", "0"], 1),
         (["census", "--n", "2", "--jobs", "x"], 1),
+        # the census runs in one process, so --jobs takes only 1
+        (["census", "--n", "2", "--jobs", "2"], 1),
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, expected):
@@ -688,7 +699,6 @@ VALUES = {
     "maps": SMALL,
     "count": SMALL,
     "seed": st.integers(0, 9).map(str),
-    "jobs": st.integers(-1, 1).map(str),  # <= 1: no process pool
     "known": st.sampled_from(["/nonexistent/known.json", "."]),
 }
 

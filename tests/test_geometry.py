@@ -42,6 +42,20 @@ def test_face_mask_is_not_arity_capped():
     assert covering_coset_count(40, 20, 0b11 << 38) == sum(comb(38, i) for i in range(21))
 
 
+def test_subcube_points_refuses_a_face_over_the_budget_before_listing_it(monkeypatch):
+    def refuse(mask):
+        raise AssertionError(f"listed the face of mask {mask:#x}")
+
+    monkeypatch.setattr(geometry, "_subcube_points", refuse)
+    with pytest.raises(ResourceCapError, match=r"needs 2\^40 points in the face of mask 0x"):
+        subcube_points(40, 2**40 - 1)
+    with pytest.raises(ResourceCapError, match=r"needs 2\^25 points"):
+        subcube_points(26, (1 << 25) - 1)
+    # a dim-24 face sits exactly on the budget: it is listed
+    with pytest.raises(AssertionError, match="listed the face"):
+        subcube_points(26, (1 << 24) - 1)
+
+
 def test_coset_representative():
     # coset_spectrum keys each coset by its minimum index, the point with
     # every free coordinate cleared

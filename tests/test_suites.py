@@ -449,9 +449,26 @@ def test_lemma2_refuses_a_ball_over_the_budget_before_listing_it(monkeypatch):
     finally:
         tracemalloc.stop()
     assert peak < 1 << 16
-    # n=25's ball holds exactly 2^24 points, within the budget: it is listed
+    # n=25's ball holds exactly 2^24 points, within the budget: one round
+    # trip over it is listed
     with pytest.raises(AssertionError, match=r"ball_points\(25, 12\)"):
-        suite_lemma2(n=25)
+        suite_lemma2(n=25, samples=1)
+
+
+def test_lemma2_refuses_round_trips_over_the_budget_before_listing_the_ball(monkeypatch):
+    def refuse(n, r):
+        raise AssertionError(f"ball_points({n}, {r}) listed the ball")
+
+    monkeypatch.setattr(suites, "ball_points", refuse)
+    # 256 round trips over |B_9| = 155,382 points at n=18
+    refused = r"2\^26 ball points over 256 round trips in B_9 at n=18 \(39777792\)"
+    with pytest.raises(ResourceCapError, match=refused):
+        suite_lemma2(n=18)
+    with pytest.raises(ResourceCapError, match=r"2\^25 ball points over 2 round trips in B_12"):
+        suite_lemma2(n=25, samples=2)
+    # the default 256 samples at n=17 are exactly 2^24 ball points
+    with pytest.raises(AssertionError, match=r"ball_points\(17, 8\)"):
+        suite_lemma2(n=17)
 
 
 def test_convolution_failing_path_reports_counterexamples(monkeypatch):

@@ -210,6 +210,15 @@ def test_block_hadamard_transform_rejects_bad_blocks():
         hadamard_transform(np.zeros((2, 4)))
 
 
+def test_block_hadamard_transform_takes_exact_int_rows():
+    # an object block is the one way to pass rows with entries past int64
+    block = np.array([[1 << 70, 0], [3, 4]], dtype=object)
+    assert hadamard_transform(block) == [[1 << 70, 1 << 70], [7, -1]]
+    assert hadamard_transform(np.array([[1, 2], [3, 4]], dtype=object)) == [[3, -1], [7, -1]]
+    with pytest.raises(ValueError, match="integers"):
+        hadamard_transform(np.array([[1, 2.0], [3, 4]], dtype=object))
+
+
 def test_hadamard_big_integers_exact():
     # magnitudes way past int64 must stay exact (object-array route)
     values = [(-3) ** 41 + i for i in range(128)]
