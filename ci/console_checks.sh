@@ -10,8 +10,13 @@
 #
 # The command runs on an n=16 Maiorana-McFarland function;
 # bent affine --count 9 builds and tests its images in nine chunks of one
-# map, and --count 40000 at n=4 in chunks of 2,048 maps; prop1 streams the
-# images of the whole census the same way, five chunks at n=4; lemma1 reads its premise from
+# map, and --count 40000 at n=4 in 20 chunks of up to 2,048 maps; prop1
+# streams the images of the whole census the same way, five chunks at n=4,
+# and 44 at --maps 100. Each chunk's maps are one random_invertible block,
+# read from blocks of Mersenne Twister words and rank-tested at once, so
+# the stdout of bent affine --count 40000 --seed 1 and of prop1 --maps 100
+# matches sha256 digests pinned from the map-by-map rejection loop the
+# block draw replaced (one getrandbits call per column); lemma1 reads its premise from
 # the popcount oracle walsh_naive once per function and face at n=3 (768
 # calls, one per member of each spectrum group);
 # involution checks every table up to n=4 through
@@ -80,10 +85,15 @@ code=0
 $BENTKIT bent affine --f bf:4:0356 --count 40000 --seed 1 > "$RUNNER_TEMP/affine4.json" || code=$?
 test "$code" -eq 0
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (len(d["images"]) == 40000 and d["all_bent"] is True))' "$RUNNER_TEMP/affine4.json"
+python -c 'import hashlib, sys; sys.exit(hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest() != sys.argv[2])' "$RUNNER_TEMP/affine4.json" 5da8d6c1de53328a4f1aefe5de9aac8a6314203708f3186756ed7c4f58245737
 code=0
 $BENTKIT verify --suite prop1 > "$RUNNER_TEMP/prop1.json" || code=$?
 test "$code" -eq 0
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 8960))' "$RUNNER_TEMP/prop1.json"
+code=0
+$BENTKIT verify --suite prop1 --maps 100 > "$RUNNER_TEMP/prop1-100.json" || code=$?
+test "$code" -eq 0
+python -c 'import hashlib, json, sys; t = open(sys.argv[1], "rb").read(); d = json.loads(t); sys.exit(not (d["passed"] is True and d["checks"] == 89600 and hashlib.sha256(t).hexdigest() == sys.argv[2]))' "$RUNNER_TEMP/prop1-100.json" 6fbb1c171fafd2b4d397b5d40d6131df8616ad33f9a11ae9035111511c789be0
 code=0
 $BENTKIT verify --suite lemma1 > "$RUNNER_TEMP/lemma1.json" || code=$?
 test "$code" -eq 0

@@ -7,18 +7,22 @@ them.  ``bent_rows`` applies it to the ``walsh_truth_rows`` butterfly of
 ``bent affine``); ``is_bent`` and ``dual_bent`` apply it to ``_spectrum``, the
 one single-function butterfly, and ``dual_bent`` reads the signs from it too.
 Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
-with M invertible.  ``apply_affine`` builds the images under a batch of maps:
-it doubles each map's index permutation x -> Mx + translation and its affine
-term over the input bits in numpy, then gathers all the images from one
-unpacked table as (maps, 2^n) bit rows.  ``_bent_images`` takes a sequence
-of functions of one arity, draws their maps function by function, and builds
-and tests the images one chunk of maps at a time, with one ``apply_affine``
-per function in the chunk and one ``bent_rows`` over the whole chunk; it
-yields (function, row, bent) triples.  ``prop1`` passes the whole census, so
-its images are tested across members, and packs only failing rows, holding
-one chunk at most; ``bent affine`` passes its one function and prints every
-image, so its output grows with the count, which the work budget caps at
-2^MAX_WORK_LOG2 truth-table points.
+with M invertible.  ``random_invertible`` draws them from a seeded rng: one
+``AffineMap``, or with ``count`` a (count, n + 3) int block whose rows hold
+M's columns, translation, functional and constant.  The block is the stream
+of a map-by-map rejection loop, read from blocks of Mersenne Twister words
+whose windows ``_full_rank`` rank-tests all at once.  ``apply_affine`` builds
+the images under a block or a list of maps: it doubles each map's index
+permutation x -> Mx + translation and its affine term over the input bits in
+numpy, then gathers every image from the unpacked tables, of one function or
+of one per map, as (maps, 2^n) bit rows.  ``_bent_images`` takes a sequence
+of functions of one arity, draws their maps function by function, and per
+chunk of maps draws one block, builds it with one ``apply_affine`` and tests
+it with one ``bent_rows``; it yields (function, row, bent) triples.
+``prop1`` passes the whole census, so its images are tested across members,
+and packs only failing rows, holding one chunk at most; ``bent affine``
+passes its one function and prints every image, so its output grows with
+the count, which the work budget caps at 2^MAX_WORK_LOG2 truth-table points.
 ``two_flat_sum_distribution`` is a closed form in n, W(0) and sum_y W(y)^4
 from one spectrum (``transforms._walsh_by_arity``); ``two_flats`` lists the
 flats for direct counts.
@@ -28,13 +32,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from . import core
 from .core import BooleanFunction, _check_arity, _check_int, _check_same_arity, _check_work
-from .core import pack_bits, unpack_bits
+from .core import pack_bits, unpack_bits, unpack_rows
 from .geometry import gaussian_binomial
 from .transforms import _spectrum, _walsh_by_arity, walsh_truth_rows
 
@@ -76,6 +80,19 @@ def matrix_rank(cols: Sequence[int]) -> int:
     return len(basis)
 
 
+def _full_rank(cols: np.ndarray) -> np.ndarray:
+    """True where the n columns cols[0], ..., cols[n-1] of an (n, ...) int
+    array are independent over F_2, one flag per trailing index; reduces
+    cols in place."""
+    # each column is reduced against the reduced columns before it in turn:
+    # min(v, v ^ b) clears b's leading bit from v, no later reduced column
+    # has that bit set, so a column in the span of the earlier ones ends at 0
+    for i in range(len(cols) - 1):
+        rest = cols[i + 1 :]
+        np.minimum(rest, rest ^ cols[i], out=rest)
+    return cols.all(axis=0)
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """Invertible affine substitution plus an affine output term.
@@ -105,46 +122,135 @@ class AffineMap:
             raise ValueError("matrix is singular")
 
 
-def apply_affine(f: BooleanFunction, maps: Sequence[AffineMap]) -> np.ndarray:
-    """Images g(x) = f(Mx + translation) + <functional, x> + constant of f, one
-    per map, as the rows of a (len(maps), 2^n) uint8 bit block."""
-    for t in maps:
-        _check_same_arity(f.n, t.n, "map")
-    n = f.n
+def _check_block(maps: np.ndarray, n: int) -> np.ndarray:
+    # the AffineMap checks, on every row of a (maps, n + 3) block at once
+    if maps.dtype.kind not in "iu":
+        raise ValueError(f"a map block must hold ints, got dtype {maps.dtype}")
+    if maps.ndim != 2 or maps.shape[1] != n + 3:
+        raise ValueError(f"a map block at n={n} has shape (maps, {n + 3}), got {maps.shape}")
+    # a negative entry makes its column's OR negative, one past 2^n sets bit n
+    *entries, constant = np.bitwise_or.reduce(maps, axis=0).tolist()
+    if any(v < 0 or v >> n for v in entries):
+        raise ValueError(f"map entry out of range for n={n}")
+    if constant not in (0, 1):
+        raise ValueError(f"constant must be 0 or 1, got a column OR of {constant}")
+    return maps.astype(np.int64, copy=False)
+
+
+def apply_affine(
+    f: Union[BooleanFunction, Sequence[BooleanFunction]],
+    maps: Union[Sequence[AffineMap], np.ndarray],
+) -> np.ndarray:
+    """Images g(x) = f(Mx + translation) + <functional, x> + constant, one
+    per map, as the rows of a (maps, 2^n) uint8 bit block.
+
+    ``maps`` is a sequence of ``AffineMap`` or a (maps, n + 3) int block as
+    ``random_invertible(n, rng, count)`` returns it, each row the n matrix
+    columns, then translation, functional and constant; a block is checked
+    as ``AffineMap`` checks one map.  ``f`` is one function, or one per map,
+    all of one arity, and every image is gathered from the unpacked tables
+    at once."""
+    per_row = not isinstance(f, BooleanFunction)
+    functions = list(f) if per_row else [f]
+    if not functions:
+        raise ValueError("need one function per map, got none")
+    n = functions[0].n
+    for arity in {g.n for g in functions}:
+        _check_same_arity(n, arity, "function")
+    if isinstance(maps, np.ndarray):
+        block = _check_block(maps, n)
+    else:
+        for t in maps:
+            _check_same_arity(n, t.n, "map")
+        rows = [(*t.cols, t.translation, t.functional, t.constant) for t in maps]
+        block = np.array(rows, dtype=np.int64).reshape(len(rows), n + 3)
+    if per_row and len(functions) != len(block):
+        raise ValueError(f"need one function per map, got {len(functions)} for {len(block)}")
+    size = 1 << n
     # word bits 0..n-1 hold Mx + translation and bit n the affine term, so one
     # doubling word[x | 2^i] = word[x] ^ step_i builds both; words < 2^27 fit int32
-    steps = np.array(
-        [[c | ((t.functional >> i) & 1) << n for i, c in enumerate(t.cols)] for t in maps],
-        dtype=np.int32,
-    ).reshape(len(maps), n)
-    words = np.empty((len(maps), f.size), dtype=np.int32)
-    words[:, 0] = [t.translation | t.constant << n for t in maps]
+    steps = (block[:, :n] | ((block[:, n + 1, None] >> np.arange(n)) & 1) << n).astype(np.int32)
+    words = np.empty((len(block), size), dtype=np.int32)
+    words[:, 0] = block[:, n] | block[:, n + 2] << n
     for i in range(n):
-        words[:, 1 << i : 2 << i] = words[:, : 1 << i] ^ steps[:, i, None]
-    return unpack_bits(f.table, f.size)[words & (f.size - 1)] ^ (words >> n).astype(np.uint8)
+        np.bitwise_xor(words[:, : 1 << i], steps[:, i, None], out=words[:, 1 << i : 2 << i])
+    points = words & (size - 1)
+    # Mx + translation is translation at x = 0 alone iff M has no kernel
+    if np.count_nonzero(points == points[:, :1]) != len(points):
+        raise ValueError("matrix is singular")
+    if per_row:  # row r of the flattened tables starts at r 2^n
+        points = points + (np.arange(len(block), dtype=np.intp) << n)[:, None]
+        table = unpack_rows([g.table for g in functions], size).ravel()
+    else:
+        table = unpack_bits(f.table, size)
+    images = table[points]
+    # the affine term is 0 or 1, so it fits the uint8 images as it is
+    return np.bitwise_xor(images, np.right_shift(words, n, out=words), out=images, casting="unsafe")
 
 
-def random_invertible(n: int, seed: Union[int, random.Random, None] = None) -> AffineMap:
-    """Uniform invertible map for a fixed seed; rejection-samples the matrix."""
+def _words_to_draw(n: int, maps: int) -> int:
+    # a map reads n words a try and 3 after, at most 3.47 tries on average
+    # (1 / prod(1 - 2^-i) < 3.47), so 4n + 3 words a map, two maps to spare
+    return (maps + 2) * (4 * n + 3)
+
+
+def random_invertible(
+    n: int, seed: Union[int, random.Random, None] = None, count: Optional[int] = None
+) -> Union[AffineMap, np.ndarray]:
+    """Uniform invertible affine map for a fixed seed; with ``count``, the
+    next ``count`` maps of the same stream as a (count, n + 3) int64 block,
+    each row the n matrix columns, then translation, functional and constant
+    (``count=0`` gives an empty block and reads no word; a count that is not
+    an int, a bool included, or is negative is a ValueError).
+
+    The stream is a rejection loop: n columns ``getrandbits(n)``, drawn again
+    while they are dependent, then ``getrandbits(n)`` twice and
+    ``getrandbits(1)``.  Each such call reads the top bits of one 32-bit
+    Mersenne Twister word, so the maps are read from a block of words drawn
+    by one ``getrandbits(32 k)`` call: every window of n consecutive words is
+    rank-tested at once (``_full_rank``), then the windows are walked as the
+    loop would try them.  The block holds more words than the maps read on
+    average (``_words_to_draw``), and another is drawn if the walk runs out;
+    rng is then set back to its state before the call and advanced by the
+    words the maps read, so it ends where the loop leaves it."""
     _check_arity(n)
+    if count is not None:
+        _check_int(count, "count")
+        if count < 0:
+            raise ValueError(f"count must be >= 0, got {count}")
+        if not count:
+            return np.empty((0, n + 3), dtype=np.int64)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    while True:
-        cols = tuple(rng.getrandbits(n) for _ in range(n))
-        if matrix_rank(cols) == n:
-            break
-    return AffineMap(
-        n,
-        cols,
-        rng.getrandbits(n),
-        rng.getrandbits(n),
-        rng.getrandbits(1),
-    )
-
-
-def _test_chunk(owners: list, blocks: list, n: int) -> Iterator[tuple]:
-    # one bent_rows call over the chunk's image blocks, each row with its owner
-    rows = blocks[0] if len(blocks) == 1 else np.concatenate(blocks)
-    return zip(owners, rows, bent_rows(rows, n).tolist())
+    wanted = 1 if count is None else count
+    width = n + 3
+    state = rng.getstate()
+    data = b""  # every word drawn, in order, little-endian
+    ok: list[bool] = []  # ok[s]: the n columns from word s on are independent
+    starts: list[int] = []  # the first word of each accepted map
+    pos = 0  # the first word of the next try
+    while len(starts) < wanted:
+        more = _words_to_draw(n, wanted - len(starts))
+        data += rng.getrandbits(32 * more).to_bytes(4 * more, "little")
+        # window s, column j is word s + j as getrandbits(n) reads it
+        fresh = len(data) // 4 - n + 1 - len(ok)
+        ok += _full_rank(np.ndarray((n, fresh), "<u4", data, 4 * len(ok), (4, 4)) >> (32 - n)).tolist()
+        while len(starts) < wanted and pos < len(ok):
+            if not ok[pos]:
+                pos += n
+            elif 4 * (pos + width) <= len(data):
+                starts.append(pos)
+                pos += width
+            else:
+                break
+    rng.setstate(state)
+    rng.getrandbits(32 * pos)
+    maps = np.ndarray((len(data) // 4 - width + 1, width), "<u4", data, 0, (4, 4))[starts]
+    # getrandbits(n) keeps a word's top n bits, getrandbits(1) its top bit
+    block = maps >> np.array([32 - n] * (n + 2) + [31], dtype=np.int64)
+    if count is not None:
+        return block
+    row = block[0].tolist()
+    return AffineMap(n, tuple(row[:n]), *row[n:])
 
 
 def _bent_images(
@@ -153,8 +259,9 @@ def _bent_images(
     """(f, bit row, bent) for ``count`` random affine images of each f, all of
     one arity, maps drawn from rng function by function.  Maps are drawn,
     built and bent-tested one chunk of at most ``core.CHUNK_POINTS >> n``
-    maps at a time (2,048 at n=4), with one ``apply_affine`` per function in
-    the chunk and one ``bent_rows`` over their rows; a chunk may split one
+    maps at a time (2,048 at n=4): one ``random_invertible`` block, one
+    ``apply_affine`` gather from the chunk's functions, one per map (or from
+    the one function there is), and one ``bent_rows``; a chunk may split one
     function's maps, and a caller keeping no row holds one chunk.  Refuses,
     before drawing a map, more than 2^MAX_WORK_LOG2 points (functions x
     count x 2^n)."""
@@ -164,20 +271,11 @@ def _bent_images(
     total = len(functions) * count
     _check_work(((total << n) - 1).bit_length(), f"truth-table points for {total} images at n={n}")
     step = max(1, core.CHUNK_POINTS >> n)
-    owners: list[BooleanFunction] = []
-    blocks: list[np.ndarray] = []
-    for f in functions:
-        left = count
-        while left:
-            take = min(left, step - len(owners))
-            blocks.append(apply_affine(f, [random_invertible(n, rng) for _ in range(take)]))
-            owners += [f] * take
-            left -= take
-            if len(owners) == step:
-                yield from _test_chunk(owners, blocks, n)
-                owners, blocks = [], []
-    if owners:
-        yield from _test_chunk(owners, blocks, n)
+    for first in range(0, total, step):
+        owners = [functions[i // count] for i in range(first, min(first + step, total))]
+        maps = random_invertible(n, rng, len(owners))
+        rows = apply_affine(owners if len(functions) > 1 else functions[0], maps)
+        yield from zip(owners, rows, bent_rows(rows, n).tolist())
 
 
 def two_flats(n: int) -> Iterator[tuple[int, int, int, int]]:

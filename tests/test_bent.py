@@ -145,13 +145,16 @@ def test_single_function_entry_points_run_one_spectrum(monkeypatch):
 
 
 def test_bent_images_refuse_past_the_work_budget_before_drawing_a_map(monkeypatch):
-    def refuse(n, rng):
+    def refuse(n, rng, count=None):
         raise AssertionError("a map was drawn")
 
     monkeypatch.setattr(bent, "random_invertible", refuse)
     # (2^20 + 1) x 2^4 points round up to 2^25
     with pytest.raises(ResourceCapError, match=r"needs 2\^25 truth-table points .* n=4"):
         next(bent._bent_images([QUAD], (1 << 20) + 1, random.Random(1)))
+    # within the budget the patched name is what draws the maps
+    with pytest.raises(AssertionError, match="a map was drawn"):
+        next(bent._bent_images([QUAD], 1, random.Random(1)))
 
 
 def test_dual_involution_n2():
@@ -307,6 +310,181 @@ def test_random_invertible_determinism():
     assert len(set(maps)) > 1
 
 
+def _reference_maps(n, rng, count):
+    """The rejection loop the block draw replaces, one map at a time: per
+    try, getrandbits(n) for each column and a rank test; after acceptance,
+    getrandbits(n), getrandbits(n) and getrandbits(1)."""
+    rows = []
+    for _ in range(count):
+        while True:
+            cols = [rng.getrandbits(n) for _ in range(n)]
+            if matrix_rank(cols) == n:
+                break
+        rows.append([*cols, rng.getrandbits(n), rng.getrandbits(n), rng.getrandbits(1)])
+    return rows
+
+
+class _RecordingRandom(random.Random):
+    """A Random that records the width of every getrandbits call."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.widths = []
+
+    def getrandbits(self, k):
+        self.widths.append(k)
+        return super().getrandbits(k)
+
+
+def test_getrandbits_reads_whole_32_bit_words():
+    # the block draw reads getrandbits(k <= 32) as the top k bits of one
+    # Mersenne Twister word and getrandbits(32 m) as m words, least
+    # significant first; a Python that changes either fails here by name
+    for k in range(1, 33):
+        one, word = random.Random(k), random.Random(k)
+        assert one.getrandbits(k) == word.getrandbits(32) >> (32 - k)
+        assert one.getstate() == word.getstate()
+    for m in (1, 2, 7, 64):
+        block, words = random.Random(m), random.Random(m)
+        assert block.getrandbits(32 * m) == sum(words.getrandbits(32) << (32 * i) for i in range(m))
+        assert block.getstate() == words.getstate()
+
+
+def _chunk(n):
+    return max(1, core.CHUNK_POINTS >> n)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 26])
+@pytest.mark.parametrize("count", ["1", "2", "chunk", "chunk+1"])
+def test_block_draw_is_the_rejection_loop_stream(n, count):
+    count = {"1": 1, "2": 2, "chunk": _chunk(n), "chunk+1": _chunk(n) + 1}[count]
+    block_rng, loop_rng = random.Random(n * 1000 + count), random.Random(n * 1000 + count)
+    block = random_invertible(n, block_rng, count)
+    assert block.dtype == np.int64 and block.shape == (count, n + 3)
+    assert block.tolist() == _reference_maps(n, loop_rng, count)
+    assert block_rng.getstate() == loop_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [4, 8, 16, 26])
+def test_block_draw_that_refills_keeps_the_stream(n):
+    # the first block of words holds more than the maps read on average;
+    # search for a seed whose two maps read past it, so a second block is drawn
+    for seed in range(5000):
+        rng = _RecordingRandom(seed)
+        block = random_invertible(n, rng, 2)
+        if sum(k > 32 for k in rng.widths) > 2:  # two blocks, then the advance
+            break
+    else:
+        pytest.fail("no seed below 5000 made the draw refill")
+    loop_rng = random.Random(seed)
+    assert block.tolist() == _reference_maps(n, loop_rng, 2)
+    assert rng.getstate() == loop_rng.getstate()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 8, 16, 26])
+def test_block_draw_in_blocks_of_one_try_keeps_the_stream(monkeypatch, n):
+    # blocks of n + 3 words make nearly every try a refill
+    monkeypatch.setattr(bent, "_words_to_draw", lambda n, maps: n + 3)
+    for count in (1, 2, _chunk(n) + 1):
+        rng, loop_rng = _RecordingRandom(count), random.Random(count)
+        block = random_invertible(n, rng, count)
+        assert sum(k > 32 for k in rng.widths) > count
+        assert block.tolist() == _reference_maps(n, loop_rng, count)
+        assert rng.getstate() == loop_rng.getstate()
+
+
+def _split(row, n):
+    row = row.tolist()
+    return tuple(row[:n]), *row[n:]
+
+
+@pytest.mark.parametrize("n", [1, 4, 8, 26])
+def test_one_map_is_the_first_row_of_the_block(n):
+    one_rng, loop_rng = random.Random(n), random.Random(n)
+    t = random_invertible(n, one_rng)
+    assert [*t.cols, t.translation, t.functional, t.constant] == _reference_maps(n, loop_rng, 1)[0]
+    assert one_rng.getstate() == loop_rng.getstate()
+    assert random_invertible(n, 5) == AffineMap(n, *_split(random_invertible(n, 5, 1)[0], n))
+
+
+def test_block_draw_count_edges():
+    rng = random.Random(3)
+    state = rng.getstate()
+    empty = random_invertible(4, rng, 0)
+    assert empty.shape == (0, 7) and empty.dtype == np.int64
+    assert rng.getstate() == state  # no word read
+    for bad in (True, 1.0, "2"):
+        with pytest.raises(ValueError, match="count must be an int"):
+            random_invertible(4, rng, bad)
+    with pytest.raises(ValueError, match=">= 0"):
+        random_invertible(4, rng, -1)
+    assert rng.getstate() == state
+
+
+def test_full_rank_matches_matrix_rank_on_every_4x4_matrix():
+    idx = np.arange(1 << 16)
+    cols = np.array([(idx >> (4 * j)) & 15 for j in range(4)])
+    flags = bent._full_rank(cols.copy())
+    expected = [matrix_rank([(m >> (4 * j)) & 15 for j in range(4)]) == 4 for m in range(1 << 16)]
+    assert flags.tolist() == expected
+    assert sum(expected) == 20160  # |GL(4, 2)|
+
+
+def test_full_rank_matches_matrix_rank_on_random_26x26_matrices():
+    rng = random.Random(26)
+    matrices = [[rng.getrandbits(26) for _ in range(26)] for _ in range(300)]
+    # dependent on purpose: a repeated column, and a column the XOR of two others
+    matrices += [m[:25] + [m[3]] for m in matrices[:20]]
+    matrices += [m[:25] + [m[0] ^ m[7]] for m in matrices[:20]]
+    flags = bent._full_rank(np.array(matrices, dtype=np.int64).T.copy())
+    expected = [matrix_rank(m) == 26 for m in matrices]
+    assert flags.tolist() == expected
+    assert 0 < sum(expected) < 300
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 6])
+def test_apply_affine_on_a_block_matches_the_maps_one_by_one(n):
+    rng = random.Random(n)
+    block = random_invertible(n, rng, 30)
+    maps = [AffineMap(n, *_split(row, n)) for row in block]
+    f = random_function(n, rng)
+    assert apply_affine(f, block).tolist() == apply_affine(f, maps).tolist()
+    # one function per row gathers each image from its own table
+    functions = [random_function(n, rng) for _ in range(30)]
+    per_row = apply_affine(functions, block)
+    assert per_row.tolist() == apply_affine(functions, maps).tolist()
+    assert per_row.tolist() == [apply_affine(g, [t])[0].tolist() for g, t in zip(functions, maps)]
+    assert apply_affine(f, block.astype(np.uint16)).tolist() == apply_affine(f, maps).tolist()
+
+
+def test_apply_affine_refuses_a_bad_block():
+    good = np.array([[1, 2, 4, 0, 0, 0], [2, 4, 1, 7, 5, 1]])
+    f = random_function(3, 1)
+    apply_affine(f, good)
+    # each bad row follows two good ones, so a check must look at every row
+    bad_rows = [
+        ([1, 2, 3, 0, 0, 0], "singular"),
+        ([1, 2, 8, 0, 0, 0], "out of range"),  # a column past 2^n
+        ([1, 2, 4, 8, 0, 0], "out of range"),  # the translation past 2^n
+        ([1, 2, 4, 0, -1, 0], "out of range"),  # a negative functional
+        ([1, 2, 4, 0, 0, 2], "constant"),
+        ([1, 2, 4, 0, 0, -1], "constant"),
+    ]
+    for row, match in bad_rows:
+        with pytest.raises(ValueError, match=match):
+            apply_affine(f, np.vstack([good, row]))
+    for dtype in (bool, float):
+        with pytest.raises(ValueError, match="ints"):
+            apply_affine(f, good.astype(dtype))
+    for wrong in (good[:, :5], good[0]):  # a wrong width, one row as 1-D
+        with pytest.raises(ValueError, match="shape"):
+            apply_affine(f, wrong)
+    with pytest.raises(ValueError, match="one function per map"):
+        apply_affine([f], good)
+    with pytest.raises(ValueError, match="function n=2"):
+        apply_affine([f, random_function(2, 1)], good)
+
+
 def _bent_flags(f, count, seed):
     """The bent flags of ``_bent_images``, keeping no row."""
     return [ok for _, _, ok in bent._bent_images([f], count, random.Random(seed))]
@@ -342,17 +520,17 @@ def test_bent_images_peak_is_one_chunk():
 
 
 def test_first_image_draws_at_most_one_chunk(monkeypatch):
-    calls = []
+    drawn = []  # the maps each random_invertible call draws
 
-    def counting(n, rng):
-        calls.append(n)
-        return random_invertible(n, rng)
+    def counting(n, rng, count=None):
+        drawn.append(1 if count is None else count)
+        return random_invertible(n, rng, count)
 
     monkeypatch.setattr(bent, "random_invertible", counting)
     f = _maiorana_mcfarland(8, random.Random(8))[0]
     step = core.CHUNK_POINTS >> 8
     _, row, ok = next(iter(bent._bent_images([f], 3 * step + 1, random.Random(1))))
-    assert 0 < len(calls) <= step
+    assert 0 < sum(drawn) <= step
     assert row.shape == (f.size,) and ok
 
 

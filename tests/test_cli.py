@@ -308,7 +308,7 @@ def test_verify_lemma1_with_no_premise_true_triple_exits_3(capsys):
     ids=["affine-count", "prop1-maps"],
 )
 def test_affine_image_work_is_capped_before_any_map_is_drawn(capsys, monkeypatch, argv, needs):
-    def refuse(n, rng):
+    def refuse(n, rng, count=None):
         raise AssertionError("a map was drawn")
 
     monkeypatch.setattr(bent, "random_invertible", refuse)
@@ -317,6 +317,9 @@ def test_affine_image_work_is_capped_before_any_map_is_drawn(capsys, monkeypatch
     assert out == ""
     assert err.startswith("resource cap: ") and err.count("\n") == 1
     assert f"needs {needs} truth-table points" in err and "Traceback" not in err
+    # within the budget the patched name is what draws the maps
+    with pytest.raises(AssertionError, match="a map was drawn"):
+        run(capsys, *argv[:-1], "1")
 
 
 @pytest.mark.parametrize("method", ["naive", "degree", "both"])
