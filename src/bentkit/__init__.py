@@ -5,7 +5,6 @@ first); every transform and statistic here is exact integer arithmetic.
 """
 
 from .bent import (
-    AffineMap,
     FlatSumDistribution,
     apply_affine,
     dual_bent,
@@ -71,7 +70,6 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineMap",
     "BallAssignment",
     "BooleanFunction",
     "CensusResult",

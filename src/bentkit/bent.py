@@ -7,15 +7,16 @@ them.  ``bent_rows`` applies it to the ``walsh_truth_rows`` butterfly of
 ``bent affine``); ``is_bent`` and ``dual_bent`` apply it to ``_spectrum``, the
 one single-function butterfly, and ``dual_bent`` reads the signs from it too.
 Affine maps act by g(x) = f(Mx + translation) + <functional, x> + constant
-with M invertible.  ``random_invertible`` draws them from a seeded rng: one
-``AffineMap``, or with ``count`` a (count, n + 3) int block whose rows hold
-M's columns, translation, functional and constant.  The block is the stream
-of a map-by-map rejection loop, read from blocks of Mersenne Twister words
-whose windows ``_full_rank`` rank-tests all at once.  ``apply_affine`` builds
-the images under a block or a list of maps: it doubles each map's index
-permutation x -> Mx + translation and its affine term over the input bits in
-numpy, then gathers every image from the unpacked tables, of one function or
-of one per map, as (maps, 2^n) bit rows.  ``_bent_images`` takes a sequence
+with M invertible.  A map has one form, a row of a (maps, n + 3) int block:
+M's columns, translation, functional and constant.  ``random_invertible``
+draws such a block from a seeded rng, the stream of a map-by-map rejection
+loop, read from blocks of Mersenne Twister words whose windows
+``_full_rank`` rank-tests all at once (``matrix_rank`` is the independent
+oracle).  ``apply_affine`` builds the images of one function per row: it
+checks the block (``_check_block``), doubles each map's index permutation
+x -> Mx + translation and its affine term over the input bits in numpy,
+refusing a singular matrix there, then gathers every image from the
+unpacked tables as (maps, 2^n) bit rows.  ``_bent_images`` takes a sequence
 of functions of one arity, draws their maps function by function, and per
 chunk of maps draws one block, builds it with one ``apply_affine`` and tests
 it with one ``bent_rows``; it yields (function, row, bent) triples.
@@ -32,13 +33,13 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
 from . import core
 from .core import BooleanFunction, _check_arity, _check_int, _check_same_arity, _check_work
-from .core import pack_bits, unpack_bits, unpack_rows
+from .core import pack_bits, unpack_rows
 from .geometry import gaussian_binomial
 from .transforms import _spectrum, _walsh_by_arity, walsh_truth_rows
 
@@ -93,41 +94,15 @@ def _full_rank(cols: np.ndarray) -> np.ndarray:
     return cols.all(axis=0)
 
 
-@dataclass(frozen=True)
-class AffineMap:
-    """Invertible affine substitution plus an affine output term.
-
-    ``cols[i]`` is the matrix column multiplying input bit i, packed as an
-    n-bit int over the output bits.
-    """
-
-    n: int
-    cols: tuple[int, ...]
-    translation: int
-    functional: int
-    constant: int
-
-    def __post_init__(self) -> None:
-        _check_arity(self.n)
-        if len(self.cols) != self.n:
-            raise ValueError(f"need {self.n} matrix columns, got {len(self.cols)}")
-        for v in (*self.cols, self.translation, self.functional):
-            if type(v) is not int or v < 0 or v >> self.n:  # inline: a call per entry is slow
-                _check_int(v, "a matrix column, translation or functional")
-                raise ValueError(f"map entry {v} out of range for n={self.n}")
-        _check_int(self.constant, "constant")
-        if self.constant not in (0, 1):
-            raise ValueError(f"constant must be 0 or 1, got {self.constant}")
-        if matrix_rank(self.cols) != self.n:
-            raise ValueError("matrix is singular")
-
-
 def _check_block(maps: np.ndarray, n: int) -> np.ndarray:
-    # the AffineMap checks, on every row of a (maps, n + 3) block at once
-    if maps.dtype.kind not in "iu":
-        raise ValueError(f"a map block must hold ints, got dtype {maps.dtype}")
-    if maps.ndim != 2 or maps.shape[1] != n + 3:
+    # every row of a (maps, n + 3) block at once; the singular test needs the
+    # index permutations, so apply_affine makes it as it builds them
+    if not isinstance(maps, np.ndarray) or maps.dtype.kind not in "iu":
+        got = getattr(maps, "dtype", type(maps).__name__)
+        raise ValueError(f"a map block must be an ndarray of ints, got {got}")
+    if maps.ndim != 2:
         raise ValueError(f"a map block at n={n} has shape (maps, {n + 3}), got {maps.shape}")
+    _check_same_arity(n, maps.shape[1] - 3, "map")
     # a negative entry makes its column's OR negative, one past 2^n sets bit n
     *entries, constant = np.bitwise_or.reduce(maps, axis=0).tolist()
     if any(v < 0 or v >> n for v in entries):
@@ -137,34 +112,24 @@ def _check_block(maps: np.ndarray, n: int) -> np.ndarray:
     return maps.astype(np.int64, copy=False)
 
 
-def apply_affine(
-    f: Union[BooleanFunction, Sequence[BooleanFunction]],
-    maps: Union[Sequence[AffineMap], np.ndarray],
-) -> np.ndarray:
+def apply_affine(functions: Sequence[BooleanFunction], maps: np.ndarray) -> np.ndarray:
     """Images g(x) = f(Mx + translation) + <functional, x> + constant, one
-    per map, as the rows of a (maps, 2^n) uint8 bit block.
+    per row of the (maps, n + 3) int block ``maps``, as the rows of a
+    (maps, 2^n) uint8 bit block.
 
-    ``maps`` is a sequence of ``AffineMap`` or a (maps, n + 3) int block as
-    ``random_invertible(n, rng, count)`` returns it, each row the n matrix
-    columns, then translation, functional and constant; a block is checked
-    as ``AffineMap`` checks one map.  ``f`` is one function, or one per map,
-    all of one arity, and every image is gathered from the unpacked tables
-    at once."""
-    per_row = not isinstance(f, BooleanFunction)
-    functions = list(f) if per_row else [f]
+    Each block row holds the n matrix columns, then translation, functional
+    and constant, as ``random_invertible(n, rng, count)`` returns them; a
+    singular matrix, an entry outside 0..2^n - 1, a constant outside {0, 1},
+    a block that is not an int ndarray or has the wrong width is a
+    ValueError.  ``functions`` holds one function per row, all of one arity,
+    and every image is gathered from their unpacked tables at once."""
     if not functions:
         raise ValueError("need one function per map, got none")
     n = functions[0].n
     for arity in {g.n for g in functions}:
         _check_same_arity(n, arity, "function")
-    if isinstance(maps, np.ndarray):
-        block = _check_block(maps, n)
-    else:
-        for t in maps:
-            _check_same_arity(n, t.n, "map")
-        rows = [(*t.cols, t.translation, t.functional, t.constant) for t in maps]
-        block = np.array(rows, dtype=np.int64).reshape(len(rows), n + 3)
-    if per_row and len(functions) != len(block):
+    block = _check_block(maps, n)
+    if len(functions) != len(block):
         raise ValueError(f"need one function per map, got {len(functions)} for {len(block)}")
     size = 1 << n
     # word bits 0..n-1 hold Mx + translation and bit n the affine term, so one
@@ -178,12 +143,9 @@ def apply_affine(
     # Mx + translation is translation at x = 0 alone iff M has no kernel
     if np.count_nonzero(points == points[:, :1]) != len(points):
         raise ValueError("matrix is singular")
-    if per_row:  # row r of the flattened tables starts at r 2^n
-        points = points + (np.arange(len(block), dtype=np.intp) << n)[:, None]
-        table = unpack_rows([g.table for g in functions], size).ravel()
-    else:
-        table = unpack_bits(f.table, size)
-    images = table[points]
+    # row r of the flattened tables starts at r 2^n, in intp: an int32 r << n wraps
+    points = points + (np.arange(len(block), dtype=np.intp) << n)[:, None]
+    images = unpack_rows([g.table for g in functions], size).ravel()[points]
     # the affine term is 0 or 1, so it fits the uint8 images as it is
     return np.bitwise_xor(images, np.right_shift(words, n, out=words), out=images, casting="unsafe")
 
@@ -194,14 +156,12 @@ def _words_to_draw(n: int, maps: int) -> int:
     return (maps + 2) * (4 * n + 3)
 
 
-def random_invertible(
-    n: int, seed: Union[int, random.Random, None] = None, count: Optional[int] = None
-) -> Union[AffineMap, np.ndarray]:
-    """Uniform invertible affine map for a fixed seed; with ``count``, the
-    next ``count`` maps of the same stream as a (count, n + 3) int64 block,
-    each row the n matrix columns, then translation, functional and constant
-    (``count=0`` gives an empty block and reads no word; a count that is not
-    an int, a bool included, or is negative is a ValueError).
+def random_invertible(n: int, seed: Union[int, random.Random, None], count: int) -> np.ndarray:
+    """The next ``count`` uniform invertible affine maps of a seeded stream,
+    as a (count, n + 3) int64 block, each row the n matrix columns, then
+    translation, functional and constant (``count=0`` gives an empty block
+    and reads no word; a count that is not an int, a bool included, or is
+    negative is a ValueError).
 
     The stream is a rejection loop: n columns ``getrandbits(n)``, drawn again
     while they are dependent, then ``getrandbits(n)`` twice and
@@ -214,27 +174,25 @@ def random_invertible(
     rng is then set back to its state before the call and advanced by the
     words the maps read, so it ends where the loop leaves it."""
     _check_arity(n)
-    if count is not None:
-        _check_int(count, "count")
-        if count < 0:
-            raise ValueError(f"count must be >= 0, got {count}")
-        if not count:
-            return np.empty((0, n + 3), dtype=np.int64)
+    _check_int(count, "count")
+    if count < 0:
+        raise ValueError(f"count must be >= 0, got {count}")
+    if not count:
+        return np.empty((0, n + 3), dtype=np.int64)
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
-    wanted = 1 if count is None else count
     width = n + 3
     state = rng.getstate()
     data = b""  # every word drawn, in order, little-endian
     ok: list[bool] = []  # ok[s]: the n columns from word s on are independent
     starts: list[int] = []  # the first word of each accepted map
     pos = 0  # the first word of the next try
-    while len(starts) < wanted:
-        more = _words_to_draw(n, wanted - len(starts))
+    while len(starts) < count:
+        more = _words_to_draw(n, count - len(starts))
         data += rng.getrandbits(32 * more).to_bytes(4 * more, "little")
         # window s, column j is word s + j as getrandbits(n) reads it
         fresh = len(data) // 4 - n + 1 - len(ok)
         ok += _full_rank(np.ndarray((n, fresh), "<u4", data, 4 * len(ok), (4, 4)) >> (32 - n)).tolist()
-        while len(starts) < wanted and pos < len(ok):
+        while len(starts) < count and pos < len(ok):
             if not ok[pos]:
                 pos += n
             elif 4 * (pos + width) <= len(data):
@@ -246,11 +204,7 @@ def random_invertible(
     rng.getrandbits(32 * pos)
     maps = np.ndarray((len(data) // 4 - width + 1, width), "<u4", data, 0, (4, 4))[starts]
     # getrandbits(n) keeps a word's top n bits, getrandbits(1) its top bit
-    block = maps >> np.array([32 - n] * (n + 2) + [31], dtype=np.int64)
-    if count is not None:
-        return block
-    row = block[0].tolist()
-    return AffineMap(n, tuple(row[:n]), *row[n:])
+    return maps >> np.array([32 - n] * (n + 2) + [31], dtype=np.int64)
 
 
 def _bent_images(
@@ -260,8 +214,8 @@ def _bent_images(
     one arity, maps drawn from rng function by function.  Maps are drawn,
     built and bent-tested one chunk of at most ``core.CHUNK_POINTS >> n``
     maps at a time (2,048 at n=4): one ``random_invertible`` block, one
-    ``apply_affine`` gather from the chunk's functions, one per map (or from
-    the one function there is), and one ``bent_rows``; a chunk may split one
+    ``apply_affine`` gather from the chunk's functions, one per map, and one
+    ``bent_rows``; a chunk may split one
     function's maps, and a caller keeping no row holds one chunk.  Refuses,
     before drawing a map, more than 2^MAX_WORK_LOG2 points (functions x
     count x 2^n)."""
@@ -274,7 +228,7 @@ def _bent_images(
     for first in range(0, total, step):
         owners = [functions[i // count] for i in range(first, min(first + step, total))]
         maps = random_invertible(n, rng, len(owners))
-        rows = apply_affine(owners if len(functions) > 1 else functions[0], maps)
+        rows = apply_affine(owners, maps)
         yield from zip(owners, rows, bent_rows(rows, n).tolist())
 
 

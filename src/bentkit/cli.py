@@ -17,6 +17,7 @@ import inspect
 import json
 import os
 import random
+import re
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -136,7 +137,10 @@ def _cmd_bent_affine(args: argparse.Namespace):
 
 def _cmd_coset_spectrum(args: argparse.Namespace):
     f = args.f
-    mask = int(args.mask, 0)
+    # exactly the forms --help names: int(text, 0) would also take 1_0, +3, 0b11
+    if not re.fullmatch(r"0[xX][0-9a-fA-F]+|[0-9]+", args.mask):
+        raise ValueError(f"mask must be decimal digits or 0x hex, got {args.mask!r}")
+    mask = int(args.mask, 16 if args.mask[:2] in ("0x", "0X") else 10)
     return {
         "n": f.n,
         "function": format_bf(f),

@@ -298,13 +298,11 @@ def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> di
         {"samples": samples, "seed": seed, "max_n": max_n},
         (
             None if same else {"f": format_bf(f), "mask": f"{mask:#x}"}
-            for (f, mask), same in _in_blocks(pairs(), lambda pair: pair[0].n, _restriction_block)
+            for (f, mask), same in _in_blocks(
+                pairs(), lambda pair: pair[0].n, check_restriction_identity
+            )
         ),
     )
-
-
-def _restriction_block(pairs: list[tuple[BooleanFunction, int]]) -> list[bool]:
-    return check_restriction_identity([f for f, _ in pairs], [mask for _, mask in pairs])
 
 
 def _sum_of_squares(values: np.ndarray) -> int:

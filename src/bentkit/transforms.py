@@ -26,9 +26,11 @@ with no butterfly and no numpy; it is the faster of the two at small n, where
 ``convolve_pm`` is likewise the direct sum over the support of its vector,
 gathered a slice of the support at a time, in int64 or else on exact ints in
 an object array, and never reaches a butterfly, so
-``check_restriction_identity``, whose right side runs two butterflies
-(``walsh_truth_rows`` of f, ``hadamard_transform`` of the masked spectrum),
-each once per block of pairs, really compares two different computations.
+``check_restriction_identity``, which takes a sequence of (function, mask)
+pairs of one arity and whose right side runs two butterflies
+(``walsh_truth_rows`` of the functions, ``hadamard_transform`` of their
+masked spectra), each once per call, really compares two different
+computations.
 """
 
 from __future__ import annotations
@@ -204,24 +206,18 @@ def convolve_pm(f: BooleanFunction, g: Sequence[int]) -> IntegerVector:
     return out.tolist()
 
 
-def check_restriction_identity(
-    f: Union[BooleanFunction, Sequence[BooleanFunction]], mask: Union[int, Sequence[int]]
-) -> Union[bool, list[bool]]:
-    """Exact check, for the face Gamma(mask), that convolving (-1)^f with the
-    dual-face indicator equals the doubly-transformed, face-masked spectrum
-    divided by 2^dim.
+def check_restriction_identity(pairs: Sequence[tuple[BooleanFunction, int]]) -> list[bool]:
+    """Exact check, for each (f, mask) pair and the face Gamma(mask), that
+    convolving (-1)^f with the dual-face indicator equals the
+    doubly-transformed, face-masked spectrum divided by 2^dim; one bool per
+    pair, every function of one arity.
 
-    The left side goes through convolve_pm, the right side through the
-    butterfly spectrum of f and one hadamard_transform of its masked copy;
-    both are exact integers.  ``f`` and ``mask`` may also be parallel
-    sequences of functions of one arity and their masks, checked pair by
-    pair into one bool each: the right side is then one block, one
+    The left side is one convolve_pm per pair, whose work cap refuses before
+    any butterfly runs.  The right side is one block: one
     ``walsh_truth_rows`` of all the functions, masked row by row by the face
-    indicators, and one ``hadamard_transform`` of it; the left side stays one
-    convolve_pm per pair, whose work cap refuses before any butterfly runs.
+    indicators, and one ``hadamard_transform`` of it.  Both are exact
+    integers.
     """
-    single = isinstance(f, BooleanFunction)
-    pairs = [(f, mask)] if single else list(zip(f, mask, strict=True))
     if not pairs:
         return []
     n = pairs[0][0].n
@@ -235,5 +231,4 @@ def check_restriction_identity(
     doubled = hadamard_transform(walsh_truth_rows(truth) * faces)
     # lhs * 2^dim == doubled: doubled is divisible by 2^dim with quotient lhs
     checks = zip(pairs, lhs, doubled)
-    same = [[v << m.bit_count() for v in left] == right for (_, m), left, right in checks]
-    return same[0] if single else same
+    return [[v << m.bit_count() for v in left] == right for (_, m), left, right in checks]

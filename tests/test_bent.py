@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from bentkit import bent, core, transforms
 from bentkit.bent import (
-    AffineMap,
     apply_affine,
     bent_rows,
     dual_bent,
@@ -145,7 +144,7 @@ def test_single_function_entry_points_run_one_spectrum(monkeypatch):
 
 
 def test_bent_images_refuse_past_the_work_budget_before_drawing_a_map(monkeypatch):
-    def refuse(n, rng, count=None):
+    def refuse(n, rng, count):
         raise AssertionError("a map was drawn")
 
     monkeypatch.setattr(bent, "random_invertible", refuse)
@@ -199,46 +198,30 @@ def test_matrix_rank():
     assert matrix_rank([3, 5, 6, 7]) == 3
 
 
-def test_affine_map_validation():
-    AffineMap(3, (1, 2, 4), 0, 0, 0)
-    with pytest.raises(ValueError, match="singular"):
-        AffineMap(2, (3, 3), 0, 0, 0)
-    with pytest.raises(ValueError, match="singular"):
-        AffineMap(3, (6, 5, 3), 0, 0, 0)
-    with pytest.raises(ValueError):
-        AffineMap(2, (1,), 0, 0, 0)
-    with pytest.raises(ValueError):
-        AffineMap(2, (1, 2), 4, 0, 0)
-    with pytest.raises(ValueError):
-        AffineMap(2, (1, 2), 0, 0, 2)
-    # a float column has full rank through int(), so it used to construct and
-    # fail later inside apply_affine; True used to be applied as the constant 1
-    not_ints = [((1.5, 2), 0, 0, 0), ((1, 2), 1.0, 0, 0), ((1, 2), 0, 0, 1.0), ((1, 2), 0, 0, True)]
-    for fields in not_ints:
-        with pytest.raises(ValueError, match="int"):
-            AffineMap(2, *fields)
+def _image(f, row):
+    """The image of f under the one map row [*cols, translation,
+    functional, constant], as a function."""
+    return BooleanFunction(f.n, pack_bits(apply_affine([f], np.array([row]))[0]))
 
 
-def _image(f, t):
-    """The image of f under the one map t, as a function."""
-    return BooleanFunction(f.n, pack_bits(apply_affine(f, [t])[0]))
+IDENT2 = [1, 2, 0, 0, 0]  # the identity map at n=2
 
 
 def test_apply_affine_identity_and_translation():
-    ident = AffineMap(2, (1, 2), 0, 0, 0)
-    assert apply_affine(AND, [ident])[0].tolist() == AND.bits()
+    assert apply_affine([AND], np.array([IDENT2]))[0].tolist() == AND.bits()
     x1 = parse_bf("bf:2:a")
-    shift = AffineMap(2, (1, 2), 1, 0, 0)
+    shift = [1, 2, 1, 0, 0]
     assert _image(x1, shift) == parse_bf("bf:2:5")  # x1 + 1
-    flip = AffineMap(2, (1, 2), 0, 0, 1)
+    flip = [1, 2, 0, 0, 1]
     assert _image(x1, flip) == parse_bf("bf:2:5")
-    add_x2 = AffineMap(2, (1, 2), 0, 2, 0)
+    add_x2 = [1, 2, 0, 2, 0]
     assert _image(x1, add_x2) == parse_bf("bf:2:6")  # x1 + x2
-    assert apply_affine(x1, []).shape == (0, 4)
+    with pytest.raises(ValueError, match="got none"):
+        apply_affine([], np.empty((0, 5), dtype=np.int64))
 
 
 def test_apply_affine_swap():
-    swap = AffineMap(2, (2, 1), 0, 0, 0)  # exchanges the two inputs
+    swap = [2, 1, 0, 0, 0]  # exchanges the two inputs
     x1 = parse_bf("bf:2:a")
     x2 = parse_bf("bf:2:c")
     assert _image(x1, swap) == x2
@@ -247,38 +230,38 @@ def test_apply_affine_swap():
 
 @pytest.mark.parametrize("n", [1, 2, 4, 6, 8, 10])
 def test_apply_affine_matches_pointwise_definition(n):
+    # a function of its own on each row checks the per-row offsets of the gather
     rng = random.Random(n)
-    f = random_function(n, rng)
-    maps = [random_invertible(n, rng) for _ in range(20)]
-    rows = apply_affine(f, maps)
+    functions = [random_function(n, rng) for _ in range(20)]
+    block = random_invertible(n, rng, 20)
+    rows = apply_affine(functions, block)
     assert rows.shape == (20, 1 << n) and rows.dtype == np.uint8
-    for t, row in zip(maps, rows):
+    for f, fields, row in zip(functions, block.tolist(), rows):
+        *cols, translation, functional, constant = fields
         expected = []
         for x in range(1 << n):
-            y = t.translation
-            for i, col in enumerate(t.cols):
+            y = translation
+            for i, col in enumerate(cols):
                 if (x >> i) & 1:
                     y ^= col
-            expected.append(f.bit(y) ^ ((t.functional & x).bit_count() & 1) ^ t.constant)
+            expected.append(f.bit(y) ^ ((functional & x).bit_count() & 1) ^ constant)
         assert row.tolist() == expected
 
 
 def test_apply_affine_arity_mismatch():
-    with pytest.raises(ValueError):
-        apply_affine(AND, [AffineMap(3, (1, 2, 4), 0, 0, 0)])
-    # one map of the wrong arity fails the whole batch
-    ident = AffineMap(2, (1, 2), 0, 0, 0)
-    with pytest.raises(ValueError, match="map n=3"):
-        apply_affine(AND, [ident, AffineMap(3, (1, 2, 4), 0, 0, 0), ident])
+    with pytest.raises(ValueError, match="^arity mismatch: function n=2, map n=3$"):
+        apply_affine([AND], np.array([[1, 2, 4, 0, 0, 0]]))
+    # one function of the wrong arity fails the whole batch
+    with pytest.raises(ValueError, match="function n=3"):
+        apply_affine([AND, random_function(3, 1), AND], np.array([IDENT2] * 3))
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32), st.data())
 @settings(max_examples=100)
 def test_linear_part_permutes_spectrum(n, seed, data):
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
-    t = random_invertible(n, seed)
-    linear = AffineMap(n, t.cols, 0, 0, 0)
-    image = _image(f, linear)
+    cols = random_invertible(n, seed, 1)[0, :n].tolist()
+    image = _image(f, cols + [0, 0, 0])
     assert sorted(walsh_fast(image)) == sorted(walsh_fast(f))
 
 
@@ -288,8 +271,7 @@ def test_affine_preserves_absolute_spectrum(n, seed, data):
     # signed values are not preserved in general: translating x1 by e1
     # negates its whole spectrum
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
-    t = random_invertible(n, seed)
-    image = _image(f, t)
+    image = _image(f, random_invertible(n, seed, 1)[0])
     assert sorted(abs(v) for v in walsh_fast(image)) == sorted(
         abs(v) for v in walsh_fast(f)
     )
@@ -297,16 +279,16 @@ def test_affine_preserves_absolute_spectrum(n, seed, data):
 
 def test_translation_flips_signed_spectrum():
     x1 = parse_bf("bf:2:a")
-    shifted = _image(x1, AffineMap(2, (1, 2), 1, 0, 0))
+    shifted = _image(x1, [1, 2, 1, 0, 0])
     assert walsh_fast(x1) == [0, 4, 0, 0]
     assert walsh_fast(shifted) == [0, -4, 0, 0]
 
 
 def test_random_invertible_determinism():
-    assert random_invertible(5, 42) == random_invertible(5, 42)
+    assert random_invertible(5, 42, 1).tolist() == random_invertible(5, 42, 1).tolist()
     rng = random.Random(7)
-    maps = [random_invertible(4, rng) for _ in range(50)]
-    assert all(matrix_rank(t.cols) == 4 for t in maps)
+    maps = [tuple(random_invertible(4, rng, 1)[0].tolist()) for _ in range(50)]
+    assert all(matrix_rank(t[:4]) == 4 for t in maps)
     assert len(set(maps)) > 1
 
 
@@ -393,18 +375,14 @@ def test_block_draw_in_blocks_of_one_try_keeps_the_stream(monkeypatch, n):
         assert rng.getstate() == loop_rng.getstate()
 
 
-def _split(row, n):
-    row = row.tolist()
-    return tuple(row[:n]), *row[n:]
-
-
 @pytest.mark.parametrize("n", [1, 4, 8, 26])
 def test_one_map_is_the_first_row_of_the_block(n):
-    one_rng, loop_rng = random.Random(n), random.Random(n)
-    t = random_invertible(n, one_rng)
-    assert [*t.cols, t.translation, t.functional, t.constant] == _reference_maps(n, loop_rng, 1)[0]
-    assert one_rng.getstate() == loop_rng.getstate()
-    assert random_invertible(n, 5) == AffineMap(n, *_split(random_invertible(n, 5, 1)[0], n))
+    # one map at a time reads the maps a longer draw reads, in order
+    one_rng, block_rng = random.Random(n), random.Random(n)
+    one = random_invertible(n, one_rng, 1)
+    block = random_invertible(n, block_rng, _chunk(n) + 1)
+    assert one.shape == (1, n + 3) and one.tolist() == block[:1].tolist()
+    assert random_invertible(n, one_rng, 1).tolist() == block[1:2].tolist()
 
 
 def test_block_draw_count_edges():
@@ -446,21 +424,21 @@ def test_full_rank_matches_matrix_rank_on_random_26x26_matrices():
 def test_apply_affine_on_a_block_matches_the_maps_one_by_one(n):
     rng = random.Random(n)
     block = random_invertible(n, rng, 30)
-    maps = [AffineMap(n, *_split(row, n)) for row in block]
-    f = random_function(n, rng)
-    assert apply_affine(f, block).tolist() == apply_affine(f, maps).tolist()
-    # one function per row gathers each image from its own table
     functions = [random_function(n, rng) for _ in range(30)]
-    per_row = apply_affine(functions, block)
-    assert per_row.tolist() == apply_affine(functions, maps).tolist()
-    assert per_row.tolist() == [apply_affine(g, [t])[0].tolist() for g, t in zip(functions, maps)]
-    assert apply_affine(f, block.astype(np.uint16)).tolist() == apply_affine(f, maps).tolist()
+    one_by_one = [apply_affine([g], block[i : i + 1])[0].tolist() for i, g in enumerate(functions)]
+    # one function per row gathers each image from its own table
+    assert apply_affine(functions, block).tolist() == one_by_one
+    assert apply_affine(functions, block.astype(np.uint16)).tolist() == one_by_one
+    # one function on every row, as bent affine passes it
+    f = functions[0]
+    rows = [apply_affine([f], block[i : i + 1])[0].tolist() for i in range(30)]
+    assert apply_affine([f] * 30, block).tolist() == rows
 
 
 def test_apply_affine_refuses_a_bad_block():
     good = np.array([[1, 2, 4, 0, 0, 0], [2, 4, 1, 7, 5, 1]])
     f = random_function(3, 1)
-    apply_affine(f, good)
+    apply_affine([f] * 2, good)
     # each bad row follows two good ones, so a check must look at every row
     bad_rows = [
         ([1, 2, 3, 0, 0, 0], "singular"),
@@ -472,13 +450,17 @@ def test_apply_affine_refuses_a_bad_block():
     ]
     for row, match in bad_rows:
         with pytest.raises(ValueError, match=match):
-            apply_affine(f, np.vstack([good, row]))
+            apply_affine([f] * 3, np.vstack([good, row]))
     for dtype in (bool, float):
         with pytest.raises(ValueError, match="ints"):
-            apply_affine(f, good.astype(dtype))
-    for wrong in (good[:, :5], good[0]):  # a wrong width, one row as 1-D
-        with pytest.raises(ValueError, match="shape"):
-            apply_affine(f, wrong)
+            apply_affine([f] * 2, good.astype(dtype))
+    # a plain list is not a block, even when it holds a block's ints
+    with pytest.raises(ValueError, match="ndarray of ints, got list"):
+        apply_affine([f] * 2, good.tolist())
+    with pytest.raises(ValueError, match="map n=2"):  # a width of n + 2
+        apply_affine([f] * 2, good[:, :5])
+    with pytest.raises(ValueError, match="shape"):  # one row as 1-D
+        apply_affine([f] * 6, good[0])
     with pytest.raises(ValueError, match="one function per map"):
         apply_affine([f], good)
     with pytest.raises(ValueError, match="function n=2"):
@@ -522,8 +504,8 @@ def test_bent_images_peak_is_one_chunk():
 def test_first_image_draws_at_most_one_chunk(monkeypatch):
     drawn = []  # the maps each random_invertible call draws
 
-    def counting(n, rng, count=None):
-        drawn.append(1 if count is None else count)
+    def counting(n, rng, count):
+        drawn.append(count)
         return random_invertible(n, rng, count)
 
     monkeypatch.setattr(bent, "random_invertible", counting)
@@ -558,7 +540,7 @@ def test_bent_images_across_members_keep_each_image_with_its_member(monkeypatch)
     members = enumerate_bent_by_degree(4).functions[:5]
     rng = random.Random(2)
     expected = [
-        (f, apply_affine(f, [random_invertible(4, rng)])[0].tolist())
+        (f, apply_affine([f], random_invertible(4, rng, 1))[0].tolist())
         for f in members
         for _ in range(2)
     ]

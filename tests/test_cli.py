@@ -85,7 +85,7 @@ def test_bent_affine_matches_library_replay(capsys):
     f = parse_bf("bf:4:7888")
     rng = random.Random(3)
     expected = [
-        format_bf(BooleanFunction(4, pack_bits(apply_affine(f, [random_invertible(4, rng)])[0])))
+        format_bf(BooleanFunction(4, pack_bits(apply_affine([f], random_invertible(4, rng, 1))[0])))
         for _ in range(4)
     ]
     code, payload, _ = run_json(
@@ -308,7 +308,7 @@ def test_verify_lemma1_with_no_premise_true_triple_exits_3(capsys):
     ids=["affine-count", "prop1-maps"],
 )
 def test_affine_image_work_is_capped_before_any_map_is_drawn(capsys, monkeypatch, argv, needs):
-    def refuse(n, rng, count=None):
+    def refuse(n, rng, count):
         raise AssertionError("a map was drawn")
 
     monkeypatch.setattr(bent, "random_invertible", refuse)

@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 
 import bentkit.cli as cli
 from bentkit import core
-from bentkit.bent import AffineMap, apply_affine
+from bentkit.bent import apply_affine
 from bentkit.bounds import a_n_log2
 from bentkit.census import enumerate_bent_by_degree, enumerate_bent_naive
 from bentkit.core import (
@@ -246,7 +246,7 @@ def test_bounded_read_refuses_one_byte_past_the_limit(tmp_path):
 def test_arity_mismatch_has_one_wording():
     cases = [
         (lambda: check_lemma1(AND, BooleanFunction(3, 0), 1), "second function"),
-        (lambda: apply_affine(AND, [AffineMap(3, (1, 2, 4), 0, 0, 0)]), "map"),
+        (lambda: apply_affine([AND], np.array([[1, 2, 4, 0, 0, 0]])), "map"),
     ]
     for call, what in cases:
         with pytest.raises(ValueError, match=f"^arity mismatch: function n=2, {what} n=3$"):
@@ -258,11 +258,12 @@ MASK_TAKERS = {
     "coset_spectrum": lambda mask: coset_spectrum(AND, mask),
     "covering_coset_count": lambda mask: covering_coset_count(2, 1, mask),
     "check_lemma1": lambda mask: check_lemma1(AND, AND, mask),
-    "check_restriction_identity": lambda mask: check_restriction_identity(AND, mask),
+    "check_restriction_identity": lambda mask: check_restriction_identity([(AND, mask)]),
 }
 
 
-@pytest.mark.parametrize("mask", [-1, 1 << 2, True, 1.0], ids=repr)
+# the strings are forms int(text, 0) takes that --help does not name
+@pytest.mark.parametrize("mask", [-1, 1 << 2, True, 1.0, "1_0", "0x1_0", "+3", " 3"], ids=repr)
 @pytest.mark.parametrize("entry", [*MASK_TAKERS, "cli"])
 def test_bad_masks_are_refused_everywhere(entry, mask, capsys):
     # -1 also guards the submask walk, whose (s - mask) & mask never returns to 0

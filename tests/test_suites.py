@@ -268,7 +268,7 @@ def test_prop1_batch_reports_what_a_per_image_test_would(monkeypatch, n, maps, s
     expected = []
     for f in enumerate_bent_by_degree(n).functions:
         for _ in range(maps):
-            image = BooleanFunction(n, pack_bits(apply_affine(f, [random_invertible(n, rng)])[0]))
+            image = BooleanFunction(n, pack_bits(apply_affine([f], random_invertible(n, rng, 1))[0]))
             if not (is_bent(image) and image.table % 2 == 0):
                 expected.append({"function": format_bf(f), "image": format_bf(image)})
     real = bent.bent_rows
@@ -289,7 +289,7 @@ def test_prop1_chunks_that_split_members_match_the_per_member_route(monkeypatch,
         rng = random.Random(seed)
         for f in members:
             for _ in range(maps):
-                row = apply_affine(f, [random_invertible(n, rng)])[0]
+                row = apply_affine([f], random_invertible(n, rng, 1))[0]
                 image = BooleanFunction(n, pack_bits(row))
                 ok = is_bent(image) and image.table % 2 == 0
                 yield None if ok else {"function": format_bf(f), "image": format_bf(image)}
@@ -473,7 +473,7 @@ def test_lemma2_refuses_round_trips_over_the_budget_before_listing_the_ball(monk
 
 def test_convolution_failing_path_reports_counterexamples(monkeypatch):
     monkeypatch.setattr(
-        suites, "check_restriction_identity", lambda fs, masks: [mask != 1 for mask in masks]
+        suites, "check_restriction_identity", lambda pairs: [mask != 1 for _, mask in pairs]
     )
     report = suite_convolution(samples=0)
     check_shape(report, "convolution")

@@ -402,8 +402,8 @@ def test_restriction_identity_fails_when_the_direct_sum_is_off(monkeypatch):
         return out
 
     monkeypatch.setattr(transforms, "convolve_pm", off_by_one)
-    assert not check_restriction_identity(AND, 0b01)
-    assert not check_restriction_identity(random_function(8, 3), 0x5A)
+    assert check_restriction_identity([(AND, 0b01)]) == [False]
+    assert check_restriction_identity([(random_function(8, 3), 0x5A)]) == [False]
 
 
 def test_restriction_identity_fails_on_an_indivisible_transform(monkeypatch):
@@ -419,8 +419,8 @@ def test_restriction_identity_fails_on_an_indivisible_transform(monkeypatch):
         return out
 
     monkeypatch.setattr(transforms, "hadamard_transform", indivisible)
-    assert not check_restriction_identity(AND, 0b01)
-    assert not check_restriction_identity(random_function(8, 3), 0x5A)
+    assert check_restriction_identity([(AND, 0b01)]) == [False]
+    assert check_restriction_identity([(random_function(8, 3), 0x5A)]) == [False]
     assert len(calls) == 2
 
 
@@ -439,10 +439,10 @@ def test_restriction_identity_runs_one_fast_and_one_hadamard_transform(monkeypat
     for name in ("walsh_truth_rows", "hadamard_transform"):
         monkeypatch.setattr(transforms, name, counting(name))
     rng = random.Random(8)
-    block = [random_function(8, rng) for _ in range(5)], [rng.randrange(256) for _ in range(5)]
-    for f, mask in ((AND, 0b01), (random_function(8, 3), 0x5A), block):
+    block = [(random_function(8, rng), rng.randrange(256)) for _ in range(5)]
+    for pairs in ([(AND, 0b01)], [(random_function(8, 3), 0x5A)], block):
         calls.clear()
-        assert check_restriction_identity(f, mask) in (True, [True] * 5)
+        assert check_restriction_identity(pairs) == [True] * len(pairs)
         assert sorted(calls) == ["hadamard_transform", "walsh_truth_rows"]
 
 
@@ -451,8 +451,9 @@ def test_block_restriction_identity_matches_per_pair_calls(monkeypatch, n):
     rng = random.Random(n)
     functions = [random_function(n, rng) for _ in range(6)]
     masks = [0, (1 << n) - 1] + [rng.randrange(1 << n) for _ in range(4)]
-    per_pair = [check_restriction_identity(f, m) for f, m in zip(functions, masks)]
-    assert check_restriction_identity(functions, masks) == per_pair == [True] * 6
+    pairs = list(zip(functions, masks))
+    per_pair = [check_restriction_identity([pair])[0] for pair in pairs]
+    assert check_restriction_identity(pairs) == per_pair == [True] * 6
     # a direct sum off for one function fails its pair alone, in its place
     real = transforms.convolve_pm
 
@@ -462,25 +463,21 @@ def test_block_restriction_identity_matches_per_pair_calls(monkeypatch, n):
         return out
 
     monkeypatch.setattr(transforms, "convolve_pm", off_for_the_third)
-    per_pair = [check_restriction_identity(f, m) for f, m in zip(functions, masks)]
-    assert check_restriction_identity(functions, masks) == per_pair
+    per_pair = [check_restriction_identity([pair])[0] for pair in pairs]
+    assert check_restriction_identity(pairs) == per_pair
     assert per_pair == [True, True, False, True, True, True]
 
 
 def test_block_restriction_identity_rejects_mixed_blocks():
-    assert check_restriction_identity([], []) == []
+    assert check_restriction_identity([]) == []
     with pytest.raises(ValueError, match="arity mismatch"):
-        check_restriction_identity([AND, random_function(3, 1)], [0, 0])
-    with pytest.raises(ValueError):
-        check_restriction_identity([AND, XOR], [0])
+        check_restriction_identity([(AND, 0), (random_function(3, 1), 0)])
     with pytest.raises(ValueError, match="out of range"):
-        check_restriction_identity([AND, XOR], [0, 0b100])
+        check_restriction_identity([(AND, 0), (XOR, 0b100)])
 
 
 def test_restriction_identity_oracle():
-    assert check_restriction_identity(AND, 0b01)
-    assert check_restriction_identity(AND, 0b11)
-    assert check_restriction_identity(XOR, 0)
+    assert check_restriction_identity([(AND, 0b01), (AND, 0b11), (XOR, 0)]) == [True] * 3
 
 
 @given(st.integers(1, 8), st.data())
@@ -488,10 +485,10 @@ def test_restriction_identity_oracle():
 def test_restriction_identity_random(n, data):
     f = BooleanFunction(n, data.draw(st.integers(0, (1 << (1 << n)) - 1)))
     mask = data.draw(st.integers(0, (1 << n) - 1))
-    assert check_restriction_identity(f, mask)
+    assert check_restriction_identity([(f, mask)]) == [True]
 
 
 def test_restriction_identity_arity_mismatch():
     with pytest.raises(ValueError):
         # a face of n=3 is out of range for a function of n=2
-        check_restriction_identity(AND, 0b100)
+        check_restriction_identity([(AND, 0b100)])
