@@ -39,6 +39,11 @@
 # when its reader closes stdout after one byte; census runs in one
 # process, so --jobs 2 exits 1 with one usage-error line and empty stdout,
 # while --jobs 1 prints 896/896 and the same stdout as no --jobs; lemma2
+# rebuilds its candidates a block of up to 2^15 truth-table points at a
+# time, and its stdout at the defaults, at --n 8 and at --n 12 --samples 64
+# matches sha256 digests pinned from the one-function round trips the
+# blocks replaced (102,980, 256 and 64 checks), so the randomized draws
+# keep their rng stream; lemma2
 # at n=18 needs 256 round trips over a ball of 155,382 points, 2^26 in
 # all, and is refused with exit 4 and one resource-cap line;
 # coset-spectrum takes a face as a plain int mask, its coset sums add up to 2^n - 2 wt(f), and
@@ -141,6 +146,15 @@ test "$code" -eq 0
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["counts"] == {"naive": 896, "degree": 896} and d["agreement"] is True))' "$RUNNER_TEMP/census1.json"
 $BENTKIT census --n 4 > "$RUNNER_TEMP/census.json"
 cmp "$RUNNER_TEMP/census.json" "$RUNNER_TEMP/census1.json"
+for pinned in ":102980:3784b9b792c5d06777ebec53e4d1b8ddc935772b1eeaefeeea2f41401a15bf11" \
+    "--n 8:256:eb62978b7611a7a7b23b4b0e35fd9d824d8723e7853d6e36ef3a1bc1e9833f9f" \
+    "--n 12 --samples 64:64:7d9a732d8ac7e9745ddd3ca8fd92cd9e06e2fa351ccfa9d13506a0c09f8d41e3"; do
+  code=0
+  # unquoted: the flags before the first colon split into words
+  $BENTKIT verify --suite lemma2 ${pinned%%:*} > "$RUNNER_TEMP/lemma2.json" || code=$?
+  test "$code" -eq 0
+  python -c 'import hashlib, json, sys; t = open(sys.argv[1], "rb").read(); _, checks, digest = sys.argv[2].rsplit(":", 2); sys.exit(not (json.loads(t)["checks"] == int(checks) and hashlib.sha256(t).hexdigest() == digest))' "$RUNNER_TEMP/lemma2.json" "$pinned"
+done
 code=0
 $BENTKIT verify --suite lemma2 --n 18 > "$RUNNER_TEMP/lemma2cap.out" 2> "$RUNNER_TEMP/lemma2cap.err" || code=$?
 test "$code" -eq 4

@@ -52,7 +52,6 @@ from .geometry import (
     subcube_points,
 )
 from .reconstruct import (
-    BallAssignment,
     check_lemma1,
     reconstruct_from_ball,
 )
@@ -70,7 +69,6 @@ from .transforms import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BallAssignment",
     "BooleanFunction",
     "CensusResult",
     "FlatSumDistribution",

@@ -22,13 +22,15 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
+import numpy as np
+
 from .bent import _bent_images, dual_bent, is_bent, two_flat_sum_distribution
 from .bounds import bound_report, format_report_table, load_known_counts
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import MAX_ARITY, BooleanFunction, ParseError, ResourceCapError, format_bf, pack_bits
-from .core import _read_bounded, parse_bf
+from .core import _check_int, _read_bounded, parse_bf
 from .geometry import coset_spectrum
-from .reconstruct import BallAssignment, reconstruct_from_ball
+from .reconstruct import reconstruct_from_ball
 from .suites import SUITES
 from .transforms import degree, moebius, walsh_fast
 
@@ -161,14 +163,16 @@ def _cmd_reconstruct(args: argparse.Namespace):
     if not (isinstance(data, dict) and isinstance(data.get("values"), list)
             and all(type(data.get(key)) is int for key in ("n", "r"))):
         raise ValueError('ball must be a JSON object {"n": int, "r": int, "values": [bits]}')
-    assignment = BallAssignment(data["n"], data["r"], tuple(data["values"]))
-    f = reconstruct_from_ball(assignment)
-    return {
-        "n": assignment.n,
-        "r": assignment.r,
-        "function": format_bf(f),
-        "degree": degree(f),
-    }, EXIT_OK
+    n, r, values = data["n"], data["r"], data["values"]
+    if set(map(type, values)) - {int}:  # bytes() would take true and false as bits
+        _check_int(next(v for v in values if type(v) is not int), "assignment entries")
+    try:
+        block = np.frombuffer(bytes(values), dtype=np.uint8)[None]
+    except ValueError:  # an entry outside 0..255
+        bad = next(v for v in values if v not in (0, 1))
+        raise ValueError(f"assignment entries must be bits, got {bad}") from None
+    f = BooleanFunction(n, pack_bits(reconstruct_from_ball(n, r, block)))
+    return {"n": n, "r": r, "function": format_bf(f), "degree": degree(f)}, EXIT_OK
 
 
 def _cmd_census(args: argparse.Namespace):

@@ -8,64 +8,50 @@ reads values inside the set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .core import (
-    BooleanFunction, _check_arity, _check_int, _check_mask, _check_radius, _check_same_arity,
-    pack_bits, unpack_bits,
-)
+from .core import BooleanFunction, _check_arity, _check_mask, _check_radius, _check_same_arity
+from .core import pack_bits, unpack_bits
 from .geometry import _subcube_points, ball_points, ball_size, coset_spectrum, weight_masks
-from .transforms import _moebius_table, _walsh_by_arity, degree
+from .transforms import _moebius_table, _walsh_by_arity
 
 
-@dataclass(frozen=True)
-class BallAssignment:
-    """Bits assigned on the ball B_r, listed in (weight, index) point order."""
-
-    n: int
-    r: int
-    values: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        _check_arity(self.n)
-        _check_radius(self.n, self.r)
-        expected = ball_size(self.n, self.r)
-        if len(self.values) != expected:
-            raise ValueError(
-                f"ball of radius {self.r} in n={self.n} has {expected} points, "
-                f"got {len(self.values)} values"
-            )
-        for v in self.values:
-            if type(v) is not int or v not in (0, 1):  # inline: a call per entry is slow
-                _check_int(v, "assignment entries")
-                raise ValueError(f"assignment entries must be bits, got {v}")
-
-    @classmethod
-    def from_function(cls, f: BooleanFunction, r: int) -> "BallAssignment":
-        """Restriction of f to the ball B_r, gathered from one unpacked table."""
-        bits = unpack_bits(f.table, f.size)[list(ball_points(f.n, r))]
-        return cls(f.n, r, tuple(bits.tolist()))
-
-
-def reconstruct_from_ball(a: BallAssignment) -> BooleanFunction:
-    """The unique function of degree <= r extending the ball assignment.
-
-    With t the assignment extended by zeros, the result is
-    moebius(moebius(t) AND ball): B_r is a down-set, so the normal-form
-    coefficients of t on the ball only read values on the ball.
+def reconstruct_from_ball(n: int, r: int, values: np.ndarray) -> np.ndarray:
+    """The functions of degree <= r extending the rows of the (rows, |B_r|)
+    int bit block ``values`` (``ball_points`` order), as (rows, 2^n) uint8
+    truth rows: moebius(moebius(t) AND ball) for t a row extended by zeros,
+    since on the down-set B_r the normal form only reads values on the ball.
+    All rows run through one Moebius pair, packed end to end.  A bad block is
+    a ValueError before the ball is listed; a result of degree above r, or not
+    equal to its row on the ball, is an ArithmeticError naming the first one.
     """
-    ball = sum(weight_masks(a.n)[: a.r + 1])  # disjoint classes: the sum is the union
-    bits = np.zeros(1 << a.n, dtype=np.uint8)
-    bits[list(ball_points(a.n, a.r))] = a.values
+    _check_arity(n)
+    _check_radius(n, r)
+    expected = ball_size(n, r)
+    if not isinstance(values, np.ndarray) or values.dtype.kind not in "iu":
+        got = getattr(values, "dtype", type(values).__name__)
+        raise ValueError(f"assignment entries must be an int, got a block of {got}")
+    if values.ndim != 2:
+        raise ValueError(f"a ball block has shape (rows, {expected}), got {values.shape}")
+    if (got := values.shape[1]) != expected:
+        raise ValueError(f"ball of radius {r} in n={n} has {expected} points, got {got} values")
+    if (bad := values[(values != 0) & (values != 1)]).size:
+        raise ValueError(f"assignment entries must be bits, got {bad[0]}")
+    rows, size = len(values), 1 << n
+    bits = np.zeros((rows, size), dtype=np.uint8)
+    bits[:, list(ball_points(n, r))] = values
+    # weight classes are disjoint: their sum is the ball, tiled once per row
+    ball = pack_bits(np.tile(unpack_bits(sum(weight_masks(n)[: r + 1]), size), rows))
     assigned = pack_bits(bits)
-    result = BooleanFunction(a.n, _moebius_table(_moebius_table(assigned, a.n) & ball, a.n))
-    if degree(result) > a.r:
-        raise ArithmeticError(f"reconstruction has degree above {a.r}")
-    if result.table & ball != assigned:
-        raise ArithmeticError("reconstruction disagrees with the assignment on the ball")
-    return result
+    result = _moebius_table(_moebius_table(assigned, n, rows) & ball, n, rows)
+    # the first failing row holds the lowest set bit b: it is row b >> n
+    if high := _moebius_table(result, n, rows) & ~ball:
+        row = (high & -high).bit_length() - 1 >> n
+        raise ArithmeticError(f"reconstruction of row {row} has degree above {r}")
+    if wrong := (result & ball) ^ assigned:
+        row = (wrong & -wrong).bit_length() - 1 >> n
+        raise ArithmeticError(f"reconstruction of row {row} disagrees on the ball")
+    return unpack_bits(result, rows * size).reshape(rows, size)
 
 
 def check_lemma1(f: BooleanFunction, g: BooleanFunction, mask: int) -> dict[str, bool]:

@@ -9,7 +9,8 @@ builds the report {"suite", "mode", "params", "checks", "failures",
 for a fixed seed.  ``parseval`` and ``convolution`` run their butterflies
 through ``_in_blocks``: one call per arity in each chunk of at most
 ``core.CHUNK_POINTS`` truth-table points of their stream, the results read
-back in stream order.
+back in stream order.  They and ``involution`` draw n uniform on 1..max_n and
+refuse up front a stream of over 2^MAX_WORK_LOG2 expected truth-table points.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import BooleanFunction, _check_arity, _check_work, format_bf, pack_bits, random_function
 from .core import pack_rows, unpack_bits, unpack_rows, weight
 from .geometry import ball_points, ball_size, coset_value_class_sizes, subcube_points
-from .reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
+from .reconstruct import check_lemma1, reconstruct_from_ball
 from .transforms import _moebius_table, _peak, moebius, walsh_naive, walsh_truth_rows
 from .transforms import check_restriction_identity, truth_rows_from_anf
 
@@ -82,6 +83,13 @@ def _functions(exhaustive_n: int, samples: int, seed: int, max_n: int) -> Iterat
     rng = random.Random(seed)
     for _ in range(samples):
         yield random_function(rng.randint(1, max_n), rng)
+
+
+def _check_stream(samples: int, max_n: int) -> None:
+    _check_arity(max_n)
+    points = -(-samples * ((2 << max_n) - 2) // max_n)  # samples x mean 2^n, rounded up
+    what = f"expected truth-table points for {samples} samples at n <= {max_n} ({points})"
+    _check_work((points - 1).bit_length(), what)
 
 
 def _in_blocks(
@@ -190,29 +198,33 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     For n <= 4 and every radius: all degree-<=r functions have pairwise
     distinct restrictions to B_r, and round-trips through reconstruction are
     exact (exhaustive when the space has at most 2048 members, sampled
-    otherwise).  For larger n: sampled round-trips at radius n/2, each of
-    which builds and checks a ball assignment of |B_{n/2}| entries, so both
+    otherwise).  For larger n: sampled round-trips at radius n/2, so both
     the ball and samples x |B_{n/2}| must be at most 2^MAX_WORK_LOG2 points
-    (the default 256 samples run up to n=17).
+    (the default 256 samples run up to n=17).  ``reconstruct_from_ball``
+    rebuilds the candidates ``core.CHUNK_POINTS >> n`` at a time from their
+    ``truth_rows_from_anf`` tables' ball values, checked against those tables.
     """
     _check_arity(n)
     if n > 4:
         size = ball_size(n, n // 2)
         _check_work((size - 1).bit_length(), f"points in the ball B_{n // 2} at n={n} ({size})")
         work = samples * size
-        _check_work(
-            (work - 1).bit_length(),
-            f"ball points over {samples} round trips in B_{n // 2} at n={n} ({work})",
-        )
+        what = f"ball points over {samples} round trips in B_{n // 2} at n={n} ({work})"
+        _check_work((work - 1).bit_length(), what)
     rng = random.Random(seed)
     per_radius: dict[str, int] = {}
+    step = max(1, core.CHUNK_POINTS >> n)
 
-    def round_trip(truth: np.ndarray, radius: int) -> Optional[dict]:
-        f = BooleanFunction(n, pack_bits(truth))
-        back = reconstruct_from_ball(BallAssignment.from_function(f, radius))
-        if back == f:
-            return None
-        return {"r": radius, "function": format_bf(f), "rebuilt": format_bf(back)}
+    def round_trips(truth: np.ndarray, radius: int) -> Iterator[Optional[dict]]:
+        # each row rebuilt from its restriction to the ball, step rows a call
+        points = list(ball_points(n, radius))
+        for start in range(0, len(truth), step):
+            want = truth[start : start + step]
+            back = reconstruct_from_ball(n, radius, want[:, points])
+            yield from (
+                {"r": radius, "function": _render(n, f), "rebuilt": _render(n, g)} if bad else None
+                for f, g, bad in zip(want, back, (back != want).any(axis=1).tolist())
+            )
 
     def exhaustive() -> Iterator[Optional[dict]]:
         for radius in range(n + 1):
@@ -228,24 +240,19 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
             earlier = first[inverse]
             collide = np.flatnonzero(earlier != np.arange(total))
             for k in collide:
-                yield {
-                    "r": radius,
-                    "first": _render(n, truth[earlier[k]]),
-                    "second": _render(n, truth[k]),
-                    "reason": "restrictions collide",
-                }
+                pair = {"first": _render(n, truth[earlier[k]]), "second": _render(n, truth[k])}
+                yield {"r": radius, **pair, "reason": "restrictions collide"}
             yield from repeat(None, total - len(collide))
             picks = range(total) if total <= 2048 else rng.sample(range(total), min(samples, total))
-            for candidate in picks:
-                yield round_trip(truth[candidate], radius)
+            yield from round_trips(truth[list(picks)], radius)
 
     def randomized() -> Iterator[Optional[dict]]:
-        radius = n // 2
-        points = ball_points(n, radius)
+        radius, points = n // 2, ball_points(n, n // 2)
         per_radius[str(radius)] = samples
-        for _ in range(samples):
-            coeffs = unpack_bits(rng.getrandbits(len(points)), len(points))
-            yield round_trip(truth_rows_from_anf(n, points, coeffs[None])[0], radius)
+        for start in range(0, samples, step):
+            draws = [rng.getrandbits(len(points)) for _ in range(min(step, samples - start))]
+            coeffs = unpack_rows(draws, len(points))
+            yield from round_trips(truth_rows_from_anf(n, points, coeffs), radius)
 
     return _report(
         "lemma2",
@@ -281,7 +288,9 @@ def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> di
 
     Exhaustive at n=2 over every function and mask, then random pairs, each
     block of same-arity pairs checked by one ``check_restriction_identity``.
+    The up-front stream check counts points; ``convolve_pm`` caps its terms.
     """
+    _check_stream(samples, max_n)
 
     def pairs() -> Iterator[tuple[BooleanFunction, int]]:
         for table in range(16):
@@ -337,6 +346,7 @@ def suite_parseval(samples: int = 1000, seed: int = 1, max_n: int = 12) -> dict:
     up to n = ``_NAIVE_CHECK_MAX_N``.  The butterfly spectra come one
     ``walsh_truth_rows`` block per arity and chunk; every invariant is then
     checked function by function, the oracle included."""
+    _check_stream(samples, max_n)
     functions = _functions(3, samples, seed, max_n)
     return _report(
         "parseval",
@@ -353,6 +363,7 @@ def suite_involution(samples: int = 1000, seed: int = 1, max_n: int = 16) -> dic
     in index order, put through the packed Moebius kernel twice.  Then
     ``samples`` random functions, each through ``moebius`` twice.
     """
+    _check_stream(samples, max_n)
 
     def exhaustive() -> Iterator[Optional[dict]]:
         for n in range(1, 5):

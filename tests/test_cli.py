@@ -24,7 +24,7 @@ from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, format_bf, pack_bits, parse_bf, random_function
 from bentkit.geometry import ball_points, coset_spectrum
-from bentkit.reconstruct import BallAssignment, reconstruct_from_ball
+from bentkit.reconstruct import reconstruct_from_ball
 from bentkit.suites import suite_lemma1
 from bentkit.transforms import degree, moebius, walsh_fast
 
@@ -124,8 +124,30 @@ def test_reconstruct_inline_and_file(capsys, tmp_path):
     path.write_text(doc)
     code, payload2, _ = run_json(capsys, "reconstruct", "--ball", f"@{path}")
     assert payload2 == payload
-    expected = reconstruct_from_ball(BallAssignment(2, 1, (0, 1, 1)))
-    assert payload["function"] == format_bf(expected)
+    expected = reconstruct_from_ball(2, 1, np.array([[0, 1, 1]]))[0]
+    assert payload["function"] == format_bf(BooleanFunction(2, pack_bits(expected)))
+
+
+@pytest.mark.parametrize(
+    "ball, code, message",
+    [
+        ('{"n": 2, "r": 1, "values": [0, 1]}', 2, "ball of radius 1 in n=2 has 3 points, got 2 values"),
+        ('{"n": 2, "r": 1, "values": [0, 1, 2]}', 2, "assignment entries must be bits, got 2"),
+        ('{"n": 2, "r": 1, "values": [1.0, 0, 0]}', 2, "assignment entries must be an int, got 1.0"),
+        ('{"n": 2, "r": 1, "values": [0, false, 0]}', 2, "assignment entries must be an int, got False"),
+        ('{"n": 2, "r": 3, "values": [0, 0, 0, 0]}', 2, "radius must satisfy 0 <= r <= 2, got 3"),
+        ('{"n": 27, "r": 1, "values": [0]}', 4, "arity 27 exceeds the cap of 26"),
+        ('{"n": 26, "r": 13, "values": [0]}', 2, "has 38754732 points, got 1 values"),
+        ('{"n": 2, "r": 1, "values": [0, 0, 18446744073709551616]}', 2,
+         "assignment entries must be bits, got 18446744073709551616"),
+        ('{"n": 2, "r": 1, "values": [0, -1, 0]}', 2, "assignment entries must be bits, got -1"),
+    ],
+)
+def test_reconstruct_refusals_keep_their_messages(capsys, ball, code, message):
+    got, out, err = run(capsys, "reconstruct", "--ball", ball)
+    assert (got, out) == (code, "")
+    assert err.count("\n") == 1 and err.rstrip().endswith(message)
+    assert "Traceback" not in err
 
 
 def test_function_from_file(capsys, tmp_path):
@@ -292,6 +314,18 @@ def test_coset_spectrum_past_the_work_budget_exits_4(capsys):
     assert "needs 2^32 truth-table points" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "suite, refused",
+    [("parseval", "2^38"), ("involution", "2^42"), ("convolution", "2^36"), ("involution", "2^25")],
+)
+def test_verify_sampled_streams_refuse_their_expected_cost(capsys, suite, refused):
+    samples = "2049" if refused == "2^25" else "300000000"
+    code, out, err = run(capsys, "verify", "--suite", suite, "--samples", samples)
+    assert (code, out) == (4, "")
+    assert err.startswith(f"resource cap: needs {refused} expected truth-table points for {samples}")
+    assert err.count("\n") == 1
+
+
 def test_verify_lemma1_with_no_premise_true_triple_exits_3(capsys):
     code, payload, _ = run_json(capsys, "verify", "--suite", "lemma1", "--n", "10")
     assert code == 3
@@ -414,6 +448,10 @@ def test_output_is_stable(capsys):
         (["census", "--n", "2", "--jobs", "x"], 1),
         # the census runs in one process, so --jobs takes only 1
         (["census", "--n", "2", "--jobs", "2"], 1),
+        # past int64, and the 2 after a bit
+        (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [0, 0, 1' + "0" * 30 + "]}"], 2),
+        (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [0, 0, -1' + "0" * 30 + "]}"], 2),
+        (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [0, 1, 2]}'], 2),
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, expected):

@@ -32,7 +32,7 @@ from bentkit.geometry import (
     gaussian_binomial,
     subcube_points,
 )
-from bentkit.reconstruct import BallAssignment, check_lemma1
+from bentkit.reconstruct import check_lemma1, reconstruct_from_ball
 from bentkit.transforms import check_restriction_identity, walsh_naive
 
 AND = BooleanFunction(2, 0b1000)  # f(x1,x2) = x1 & x2, true only at index 3
@@ -129,7 +129,7 @@ def test_radius_must_be_an_int():
     # not a TypeError from range() or comb(), and True is not the radius 1
     cases = [
         lambda: ball_points(4, 1.5),
-        lambda: BallAssignment(4, 1.5, (0,) * 5),
+        lambda: reconstruct_from_ball(4, 1.5, np.zeros((1, 5), dtype=np.uint8)),
         lambda: covering_coset_count(4, 1.0, 1),
         lambda: ball_points(4, True),
     ]

@@ -2,13 +2,15 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from bentkit import reconstruct, transforms
-from bentkit.core import BooleanFunction, ResourceCapError, parse_bf, random_function, weight
+from bentkit.core import BooleanFunction, ResourceCapError, pack_bits, parse_bf, random_function
+from bentkit.core import unpack_bits
 from bentkit.geometry import ball_points, coset_spectrum, subcube_points
-from bentkit.reconstruct import BallAssignment, check_lemma1, reconstruct_from_ball
+from bentkit.reconstruct import check_lemma1, reconstruct_from_ball
 from bentkit.transforms import degree, moebius, walsh_fast
 
 AND = parse_bf("bf:2:8")
@@ -31,70 +33,93 @@ def anf_on_ball(n, r, candidate):
     return moebius(BooleanFunction(n, table))
 
 
+def rebuild(n, r, values):
+    """reconstruct_from_ball of one row of ball values, as a BooleanFunction."""
+    row = reconstruct_from_ball(n, r, np.array([values], dtype=np.uint8))[0]
+    return BooleanFunction(n, pack_bits(row))
+
+
+def restriction(f, r):
+    """f's values on B_r, in ball_points order, gathered from its unpacked table."""
+    return unpack_bits(f.table, f.size)[list(ball_points(f.n, r))]
+
+
 def test_ball_assignment_validation():
-    BallAssignment(2, 1, (0, 1, 1))
-    with pytest.raises(ValueError):
-        BallAssignment(2, 1, (0, 1))
+    good = np.array([[0, 1, 1]])
+    assert reconstruct_from_ball(2, 1, good).shape == (1, 4)
+    with pytest.raises(ValueError, match="has 3 points, got 2 values$"):
+        reconstruct_from_ball(2, 1, np.array([[0, 1]]))
     with pytest.raises(ValueError, match="must be bits, got 2$"):
-        BallAssignment(2, 1, (0, 1, 2))
+        reconstruct_from_ball(2, 1, np.array([[0, 1, 1], [0, 1, 2]]))
+    with pytest.raises(ValueError, match="must be bits, got -1$"):
+        reconstruct_from_ball(2, 1, np.array([[0, -1, 0]]))
     with pytest.raises(ValueError):
-        BallAssignment(2, 3, (0,) * 4)
+        reconstruct_from_ball(2, 3, np.zeros((1, 4), dtype=np.uint8))
     with pytest.raises(ResourceCapError):
-        BallAssignment(27, 1, (0,))
-    # bits are plain ints: floats and bools compare equal to 0/1 but are refused
-    for bad in (1.0, True, False):
+        reconstruct_from_ball(27, 1, np.zeros((1, 1), dtype=np.uint8))
+    # bits are ints: a float or bool block compares equal to 0/1 but is refused,
+    # and so is a list, or a block that is not 2-D
+    for bad in (good.astype(float), good.astype(bool), good.tolist()):
         with pytest.raises(ValueError, match="^assignment entries must be an int, got "):
-            BallAssignment(2, 1, (bad, 0, 0))
+            reconstruct_from_ball(2, 1, bad)
+    with pytest.raises(ValueError, match=r"shape \(rows, 3\), got \(3,\)$"):
+        reconstruct_from_ball(2, 1, good[0])
 
 
 def test_ball_assignment_counts_the_ball_without_listing_it(monkeypatch):
-    import bentkit.reconstruct as reconstruct
-
     def refuse(n, r):
         raise AssertionError(f"ball_points({n}, {r}) listed the ball")
 
     monkeypatch.setattr(reconstruct, "ball_points", refuse)
     with pytest.raises(ValueError, match="has 38754732 points, got 1 values"):
-        BallAssignment(26, 13, (0,))
+        reconstruct_from_ball(26, 13, np.zeros((1, 1), dtype=np.uint8))
 
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_ball_assignment_from_function_reads_every_ball_point(n, monkeypatch):
+    # the restriction recipe and the rebuilt rows agree with f on every ball point
     f = random_function(n, n)
-    expected = {r: tuple(f.bit(p) for p in ball_points(n, r)) for r in range(n + 1)}
+    expected = {r: [f.bit(p) for p in ball_points(n, r)] for r in range(n + 1)}
 
     def refuse(self, index):
-        raise AssertionError("from_function read a point with BooleanFunction.bit")
+        raise AssertionError("the round trip read a point with BooleanFunction.bit")
 
     monkeypatch.setattr(BooleanFunction, "bit", refuse)
     for r in range(n + 1):
-        assert BallAssignment.from_function(f, r).values == expected[r]
+        values = restriction(f, r)
+        assert values.tolist() == expected[r]
+        rebuilt = reconstruct_from_ball(n, r, values[None])
+        assert rebuilt[0, list(ball_points(n, r))].tolist() == expected[r]
 
 
 def test_ball_assignment_round_trip_helpers():
-    a = BallAssignment.from_function(AND, 1)
-    assert a.values == (0, 0, 0)
-    b = BallAssignment.from_function(parse_bf("bf:4:7888"), 2)
-    assert ball_points(b.n, b.r) == ball_points(4, 2)
-    assert len(b.values) == 11
+    assert restriction(AND, 1).tolist() == [0, 0, 0]
+    values = restriction(parse_bf("bf:4:7888"), 2)
+    assert len(values) == 11 == len(ball_points(4, 2))
+    assert degree(rebuild(4, 2, values)) <= 2
 
 
 def test_reconstruct_oracle():
     # worked example: values at 00, 10, 01 force f(11) = 0 + 1 + 1 = 0
-    assert reconstruct_from_ball(BallAssignment(2, 1, (0, 1, 1))) == XOR
-    assert reconstruct_from_ball(BallAssignment(2, 1, (0, 0, 0))).table == 0
+    assert rebuild(2, 1, (0, 1, 1)) == XOR
+    assert rebuild(2, 1, (0, 0, 0)).table == 0
 
 
 def test_reconstruct_radius_n_is_verbatim():
     for table in range(16):
         f = BooleanFunction(2, table)
-        a = BallAssignment.from_function(f, 2)
-        assert reconstruct_from_ball(a) == f
+        assert rebuild(2, 2, restriction(f, 2)) == f
 
 
 def test_reconstruct_radius_0_is_constant():
-    assert reconstruct_from_ball(BallAssignment(3, 0, (0,))).table == 0
-    assert reconstruct_from_ball(BallAssignment(3, 0, (1,))).table == 0xFF
+    assert rebuild(3, 0, (0,)).table == 0
+    assert rebuild(3, 0, (1,)).table == 0xFF
+
+
+def test_reconstruct_an_empty_block():
+    for n, r in ((1, 0), (4, 2), (12, 6)):
+        out = reconstruct_from_ball(n, r, np.zeros((0, len(ball_points(n, r))), dtype=np.int64))
+        assert out.shape == (0, 1 << n) and out.dtype == np.uint8
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
@@ -105,10 +130,10 @@ def test_round_trip_and_distinctness_exhaustive(n):
         for candidate in range(1 << len(points)):
             f = anf_on_ball(n, r, candidate)
             assert degree(f) <= r
-            restriction = tuple(f.bit(p) for p in points)
-            assert restriction not in seen
-            seen.add(restriction)
-            assert reconstruct_from_ball(BallAssignment(n, r, restriction)) == f
+            values = tuple(f.bit(p) for p in points)
+            assert values not in seen
+            seen.add(values)
+            assert rebuild(n, r, values) == f
 
 
 @given(st.integers(0, (1 << 22) - 1))
@@ -116,15 +141,29 @@ def test_round_trip_and_distinctness_exhaustive(n):
 def test_round_trip_random_n6_r3(candidate):
     # 22 ANF coefficients live on the radius-3 ball at n=6
     f = anf_on_ball(6, 3, candidate)
-    a = BallAssignment.from_function(f, 3)
-    assert reconstruct_from_ball(a) == f
+    assert rebuild(6, 3, restriction(f, 3)) == f
+
+
+@given(st.data())
+@settings(max_examples=60, deadline=None)
+def test_block_equals_row_by_row_and_the_anf_oracle(data):
+    n = data.draw(st.integers(1, 8), label="n")
+    r = data.draw(st.integers(0, n), label="r")
+    width = len(ball_points(n, r))
+    candidates = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=40))
+    functions = [anf_on_ball(n, r, c) for c in candidates]
+    block = np.array([restriction(f, r) for f in functions])
+    rebuilt = reconstruct_from_ball(n, r, block)
+    assert rebuilt.shape == (len(functions), 1 << n)
+    for f, values, row in zip(functions, block, rebuilt):
+        assert BooleanFunction(n, pack_bits(row)) == f == rebuild(n, r, values)
 
 
 def test_reconstruct_n10_r5_returns_its_input():
     rng = random.Random(10)
-    for _ in range(5):
-        f = anf_on_ball(10, 5, rng.getrandbits(len(ball_points(10, 5))))
-        assert reconstruct_from_ball(BallAssignment.from_function(f, 5)) == f
+    functions = [anf_on_ball(10, 5, rng.getrandbits(len(ball_points(10, 5)))) for _ in range(5)]
+    rebuilt = reconstruct_from_ball(10, 5, np.array([restriction(f, 5) for f in functions]))
+    assert [BooleanFunction(10, pack_bits(row)) for row in rebuilt] == functions
 
 
 def test_reconstruction_clears_high_moebius_coefficients():
@@ -133,11 +172,33 @@ def test_reconstruction_clears_high_moebius_coefficients():
         n = rng.randint(2, 6)
         r = rng.randint(0, n)
         values = tuple(rng.getrandbits(1) for _ in ball_points(n, r))
-        result = reconstruct_from_ball(BallAssignment(n, r, values))
-        anf = moebius(result)
+        anf = moebius(rebuild(n, r, values))
         for y in range(1 << n):
             if y.bit_count() > r:
                 assert anf.bit(y) == 0
+
+
+@pytest.mark.parametrize(
+    "corrupt, message",
+    [
+        # a point outside the ball of row 2 set: the normal form gains degree n
+        (lambda n, rows: 1 << ((2 << n) + (1 << n) - 1), "row 2 has degree above 1"),
+        # row 1 complemented, a degree-0 change: it disagrees on the ball
+        (lambda n, rows: ((1 << (1 << n)) - 1) << (1 << n), "row 1 disagrees on the ball"),
+    ],
+    ids=["degree", "agreement"],
+)
+def test_a_wrong_kernel_result_names_the_first_bad_row(monkeypatch, corrupt, message):
+    kernel, calls = transforms._moebius_table, []
+
+    def second_call_corrupted(table, n, rows=1):
+        calls.append(rows)
+        out = kernel(table, n, rows)
+        return out ^ corrupt(n, rows) if len(calls) == 2 else out
+
+    monkeypatch.setattr(reconstruct, "_moebius_table", second_call_corrupted)
+    with pytest.raises(ArithmeticError, match=f"^reconstruction of {message}$"):
+        reconstruct_from_ball(3, 1, np.zeros((4, 4), dtype=np.uint8))
 
 
 def test_lemma1_premise_oracles():

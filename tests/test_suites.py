@@ -120,6 +120,83 @@ def test_lemma2_collisions_name_the_first_occurrence(monkeypatch):
     assert report["passed"] is False
 
 
+def _reconstruct_spy(monkeypatch, wrong_rows=()):
+    """Record each reconstruct_from_ball call's row count; flip the origin of
+    every result row whose running index is in ``wrong_rows``."""
+    real, calls = suites.reconstruct_from_ball, []
+
+    def spy(n, r, values):
+        out = real(n, r, values)
+        for k in range(len(out)):
+            out[k, 0] ^= int(sum(calls) + k in wrong_rows)
+        calls.append(len(out))
+        return out
+
+    monkeypatch.setattr(suites, "reconstruct_from_ball", spy)
+    return calls
+
+
+def test_lemma2_reconstructs_a_chunk_at_a_time(monkeypatch):
+    calls = _reconstruct_spy(monkeypatch)
+    report = suite_lemma2()
+    assert report["passed"] and report["checks"] == 102980
+    # radii 0..4 at n=4: 2, 32 and 2,048 candidates, then 256 sampled twice
+    assert calls == [2, 32, 2048, 256, 256]
+    calls.clear()
+    monkeypatch.setattr(core, "CHUNK_POINTS", 1 << 9)  # 32 rows of 2^4 points a call
+    assert suite_lemma2() == report
+    assert max(calls) == 32 and sum(calls) == 2594 and len(calls) == 1 + 1 + 64 + 8 + 8
+
+
+@pytest.mark.parametrize("n, samples, chunk", [(6, 20, 1 << 7), (8, 70, 1 << 15), (5, 9, 1)])
+def test_lemma2_randomized_chunks_keep_the_rng_stream(monkeypatch, n, samples, chunk):
+    whole = suite_lemma2(n=n, samples=samples, seed=3)
+    calls = _reconstruct_spy(monkeypatch)
+    monkeypatch.setattr(core, "CHUNK_POINTS", chunk)
+    assert suite_lemma2(n=n, samples=samples, seed=3) == whole
+    step = max(1, chunk >> n)
+    assert calls == [min(step, samples - start) for start in range(0, samples, step)]
+
+
+def test_lemma2_round_trip_failures_name_the_row_in_stream_order(monkeypatch):
+    # the default run's round trips 0 (radius 0), 5 (radius 1), 40 (radius 2), 2100 (radius 3)
+    _reconstruct_spy(monkeypatch, wrong_rows={0, 5, 40, 2100})
+    monkeypatch.setattr(core, "CHUNK_POINTS", 1 << 8)
+    report = suite_lemma2()
+    assert report["failures"] == 4 and report["passed"] is False
+    assert [c["r"] for c in report["counterexamples"]] == [0, 1, 2, 3]
+    for c in report["counterexamples"]:
+        assert set(c) == {"r", "function", "rebuilt"}
+        f, g = parse_bf(c["function"]), parse_bf(c["rebuilt"])
+        assert f.table ^ g.table == 1  # only the flipped origin differs
+
+
+def test_sampled_streams_refuse_their_expected_cost_before_a_draw(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a function was drawn")
+
+    monkeypatch.setattr(suites, "random_function", refuse)
+    for run, max_n, points in [
+        (suite_parseval, 12, 204750000000),
+        (suite_involution, 16, 2457562500000),
+        (suite_convolution, 10, 61380000000),
+    ]:
+        # samples x (2^(max_n + 1) - 2) / max_n expected points, rounded up
+        assert points == -(-300000000 * ((2 << max_n) - 2) // max_n)
+        refused = rf"needs 2\^{(points - 1).bit_length()} expected truth-table points for "
+        with pytest.raises(ResourceCapError, match=refused + rf"300000000 samples .*\({points}\)"):
+            run(samples=300000000)
+    # involution at max_n 16 admits 2,048 samples (16,776,960 points), not 2,049
+    suites._check_stream(2048, 16)
+    with pytest.raises(ResourceCapError, match=r"2\^25 .* \(16785152\)"):
+        suites._check_stream(2049, 16)
+    for max_n in (0, True, 1.5):
+        with pytest.raises(ValueError, match="^arity must be"):
+            suites._check_stream(10, max_n)
+    with pytest.raises(ResourceCapError, match="^arity 27 exceeds"):
+        suite_parseval(samples=1, max_n=27)
+
+
 def test_prop1_small():
     report = suite_prop1(n=2, maps=5, seed=1)
     check_shape(report, "prop1")
