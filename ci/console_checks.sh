@@ -57,8 +57,12 @@
 # triple in its default samples and exits 3 instead of passing on
 # nothing; lemma1 at n=16, whose all-ones mask would need 2^32 points, is
 # refused before its first triple with exit 4 and one resource-cap line,
-# whatever the seed; bounds at n=4 takes its known count from the degree
-# census, log2(896)
+# whatever the seed, and so is lemma1 --n 4 --samples 300000000, whose
+# triples would draw 2^34 truth-table points; every verify suite at its
+# defaults, and lemma1 at --n 4 and census-agreement at --n 2, prints the
+# stdout pinned by sha256 from the check streams that yielded one item per
+# check, before a block of passing checks came as one count; bounds at
+# n=4 takes its known count from the degree census, log2(896)
 BENTKIT="${BENTKIT:-bentkit}"
 if [ -z "${RUNNER_TEMP:-}" ]; then
   RUNNER_TEMP="$(mktemp -d)"
@@ -91,37 +95,26 @@ $BENTKIT bent affine --f bf:4:0356 --count 40000 --seed 1 > "$RUNNER_TEMP/affine
 test "$code" -eq 0
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (len(d["images"]) == 40000 and d["all_bent"] is True))' "$RUNNER_TEMP/affine4.json"
 python -c 'import hashlib, sys; sys.exit(hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest() != sys.argv[2])' "$RUNNER_TEMP/affine4.json" 5da8d6c1de53328a4f1aefe5de9aac8a6314203708f3186756ed7c4f58245737
-code=0
-$BENTKIT verify --suite prop1 > "$RUNNER_TEMP/prop1.json" || code=$?
-test "$code" -eq 0
-python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 8960))' "$RUNNER_TEMP/prop1.json"
-code=0
-$BENTKIT verify --suite prop1 --maps 100 > "$RUNNER_TEMP/prop1-100.json" || code=$?
-test "$code" -eq 0
-python -c 'import hashlib, json, sys; t = open(sys.argv[1], "rb").read(); d = json.loads(t); sys.exit(not (d["passed"] is True and d["checks"] == 89600 and hashlib.sha256(t).hexdigest() == sys.argv[2]))' "$RUNNER_TEMP/prop1-100.json" 6fbb1c171fafd2b4d397b5d40d6131df8616ad33f9a11ae9035111511c789be0
-code=0
-$BENTKIT verify --suite lemma1 > "$RUNNER_TEMP/lemma1.json" || code=$?
-test "$code" -eq 0
-python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 196608 and d["details"]["premise_true"] == 14700))' "$RUNNER_TEMP/lemma1.json"
-code=0
-$BENTKIT verify --suite involution > "$RUNNER_TEMP/involution.json" || code=$?
-test "$code" -eq 0
-python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 66812))' "$RUNNER_TEMP/involution.json"
-code=0
-$BENTKIT verify --suite parseval > "$RUNNER_TEMP/parseval.json" || code=$?
-test "$code" -eq 0
-python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 1276))' "$RUNNER_TEMP/parseval.json"
-code=0
-$BENTKIT verify --suite convolution > "$RUNNER_TEMP/convolution.json" || code=$?
-test "$code" -eq 0
-python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is True and d["checks"] == 1064))' "$RUNNER_TEMP/convolution.json"
-for pinned in convolution:3064:2b005c2131d4000cb3440469e867837c947b4eac0afa2285f8b5f416b50aa731 \
-    parseval:3276:6cbc68c7e3c185e33eb5ab78acf693816bdce10062f8a631ee450a753b18713f; do
-  suite="${pinned%%:*}"
+for pinned in "lemma1:196608:dd94e3e7d88e68f59521c8bcabd6572a4c4ae4aadc117ccdf49ba92473e81525" \
+    "lemma1 --n 4:1000:b64c8901087dbfd99150a28d39b6e64975900b61cde283b155ba6794b18d49bf" \
+    "lemma2:102980:3784b9b792c5d06777ebec53e4d1b8ddc935772b1eeaefeeea2f41401a15bf11" \
+    "lemma2 --n 8:256:eb62978b7611a7a7b23b4b0e35fd9d824d8723e7853d6e36ef3a1bc1e9833f9f" \
+    "lemma2 --n 12 --samples 64:64:7d9a732d8ac7e9745ddd3ca8fd92cd9e06e2fa351ccfa9d13506a0c09f8d41e3" \
+    "prop1:8960:7e24ce66a88216c40c2009d5a0b1a529d1949cb2df50e54527658f936cb82de7" \
+    "prop1 --maps 100:89600:6fbb1c171fafd2b4d397b5d40d6131df8616ad33f9a11ae9035111511c789be0" \
+    "parseval:1276:3fa658c9919b5210189789cb4e5212b45c2afe5cf761f03e2974bc6178c5d6f7" \
+    "parseval --samples 3000:3276:6cbc68c7e3c185e33eb5ab78acf693816bdce10062f8a631ee450a753b18713f" \
+    "convolution:1064:539d0928e731e66a9d2b8054327c5349b2b4520fc661ddb2ecd25e619404e34d" \
+    "convolution --samples 3000:3064:2b005c2131d4000cb3440469e867837c947b4eac0afa2285f8b5f416b50aa731" \
+    "involution:66812:1bf1b5b90c6d9b23272c643d64ce43d8dfd747ba83346283f57c48969b220a4d" \
+    "flats:1793:a20d50d9f55b094dbde870727c1e35feceaf27b8c63e0632d2b20924827fa5b4" \
+    "census-agreement:1:c8b7dd830100746982b403d4737f14459b0b99606e369a9eebadd4a2accd4449" \
+    "census-agreement --n 2:2:1a0b4498d1dadac744de23767c0cc01f68a7d6d799c0e6fa5f6ba2f3520c2cb4"; do
   code=0
-  $BENTKIT verify --suite "$suite" --samples 3000 > "$RUNNER_TEMP/$suite-3000.json" || code=$?
+  # unquoted: the suite and flags before the first colon split into words
+  $BENTKIT verify --suite ${pinned%%:*} > "$RUNNER_TEMP/verify.json" || code=$?
   test "$code" -eq 0
-  python -c 'import hashlib, json, sys; t = open(sys.argv[1], "rb").read(); _, checks, digest = sys.argv[2].split(":"); sys.exit(not (json.loads(t)["checks"] == int(checks) and hashlib.sha256(t).hexdigest() == digest))' "$RUNNER_TEMP/$suite-3000.json" "$pinned"
+  python -c 'import hashlib, json, sys; t = open(sys.argv[1], "rb").read(); d = json.loads(t); _, checks, digest = sys.argv[2].rsplit(":", 2); sys.exit(not (d["passed"] is True and d["checks"] == int(checks) and hashlib.sha256(t).hexdigest() == digest))' "$RUNNER_TEMP/verify.json" "$pinned"
 done
 code=0
 $BENTKIT census --n 6 --method degree 2> "$RUNNER_TEMP/cap.err" || code=$?
@@ -146,15 +139,6 @@ test "$code" -eq 0
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["counts"] == {"naive": 896, "degree": 896} and d["agreement"] is True))' "$RUNNER_TEMP/census1.json"
 $BENTKIT census --n 4 > "$RUNNER_TEMP/census.json"
 cmp "$RUNNER_TEMP/census.json" "$RUNNER_TEMP/census1.json"
-for pinned in ":102980:3784b9b792c5d06777ebec53e4d1b8ddc935772b1eeaefeeea2f41401a15bf11" \
-    "--n 8:256:eb62978b7611a7a7b23b4b0e35fd9d824d8723e7853d6e36ef3a1bc1e9833f9f" \
-    "--n 12 --samples 64:64:7d9a732d8ac7e9745ddd3ca8fd92cd9e06e2fa351ccfa9d13506a0c09f8d41e3"; do
-  code=0
-  # unquoted: the flags before the first colon split into words
-  $BENTKIT verify --suite lemma2 ${pinned%%:*} > "$RUNNER_TEMP/lemma2.json" || code=$?
-  test "$code" -eq 0
-  python -c 'import hashlib, json, sys; t = open(sys.argv[1], "rb").read(); _, checks, digest = sys.argv[2].rsplit(":", 2); sys.exit(not (json.loads(t)["checks"] == int(checks) and hashlib.sha256(t).hexdigest() == digest))' "$RUNNER_TEMP/lemma2.json" "$pinned"
-done
 code=0
 $BENTKIT verify --suite lemma2 --n 18 > "$RUNNER_TEMP/lemma2cap.out" 2> "$RUNNER_TEMP/lemma2cap.err" || code=$?
 test "$code" -eq 4
@@ -211,6 +195,14 @@ test ! -s "$RUNNER_TEMP/lemma1cap.out"
 test "$(wc -l < "$RUNNER_TEMP/lemma1cap.err")" -eq 1
 test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/lemma1cap.err")" -eq 1
 grep -F '2^32' "$RUNNER_TEMP/lemma1cap.err"
+if grep -F Traceback "$RUNNER_TEMP/lemma1cap.err"; then exit 1; fi
+code=0
+$BENTKIT verify --suite lemma1 --n 4 --samples 300000000 > "$RUNNER_TEMP/lemma1cap.out" 2> "$RUNNER_TEMP/lemma1cap.err" || code=$?
+test "$code" -eq 4
+test ! -s "$RUNNER_TEMP/lemma1cap.out"
+test "$(wc -l < "$RUNNER_TEMP/lemma1cap.err")" -eq 1
+test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/lemma1cap.err")" -eq 1
+grep -F '2^34' "$RUNNER_TEMP/lemma1cap.err"
 if grep -F Traceback "$RUNNER_TEMP/lemma1cap.err"; then exit 1; fi
 code=0
 $BENTKIT bounds --n 4 > "$RUNNER_TEMP/bounds4.json" || code=$?

@@ -1,7 +1,9 @@
 """Verification suites behind the CLI ``verify`` command.
 
-A suite is a stream of checks: it yields ``None`` for each check that passes
-and a JSON-ready counterexample for each that fails, and fills its
+A suite is a stream of checks: each item is either an ``int`` k >= 0, k
+checks that passed, or a ``dict``, the JSON-ready counterexample of one check
+that failed.  A suite that computes a block of checks as an array yields the
+block's counterexamples, then the count of the rest.  It fills its
 ``details`` dict while the stream runs.  ``_report`` alone consumes the
 stream, counts checks and failures, keeps the first ten counterexamples and
 builds the report {"suite", "mode", "params", "checks", "failures",
@@ -16,9 +18,9 @@ refuse up front a stream of over 2^MAX_WORK_LOG2 expected truth-table points.
 from __future__ import annotations
 
 import random
-from itertools import chain, repeat, starmap
+from itertools import chain, starmap
 from math import comb
-from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar
+from typing import Callable, Iterable, Iterator, Optional, Sequence, TypeVar, Union
 
 import numpy as np
 
@@ -38,27 +40,36 @@ _MAX_REPORTED = 10
 _NAIVE_CHECK_MAX_N = 10
 
 Item = TypeVar("Item")
+# one item of a check stream: a count of passing checks, or one counterexample
+Check = Union[int, dict]
 
 
 def _report(
     suite: str,
     mode: str,
     params: dict,
-    problems: Iterable[Optional[dict]],
+    problems: Iterable[Check],
     details: Optional[dict] = None,
 ) -> dict:
     """Run a check stream to its end and report on it.
 
-    Each item of ``problems`` is one check: ``None`` if it passed, else its
-    counterexample.  ``details`` is read only after the stream ends.
+    Each item of ``problems`` is a Python ``int`` k >= 0, that k more checks
+    passed, or a ``dict``, the counterexample of one check that failed.  Any
+    other item (``None``, a bool, a numpy integer, a negative int) is a
+    TypeError.  ``details`` is read only after the stream ends.
     """
     checks = failures = 0
     counterexamples: list[dict] = []
-    for checks, problem in enumerate(problems, 1):
-        if problem is not None:
+    for item in problems:
+        if type(item) is int and item >= 0:
+            checks += item
+        elif type(item) is dict:
+            checks += 1
             failures += 1
             if failures <= _MAX_REPORTED:
-                counterexamples.append(problem)
+                counterexamples.append(item)
+        else:
+            raise TypeError(f"a check stream item is an int >= 0 or a dict, got {item!r}")
     return {
         "suite": suite,
         "mode": mode,
@@ -135,20 +146,21 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
     conclusion, every pair of the group does, equality being transitive.  A
     group with any other result is checked pair by pair.  Randomized triples
     above that, each through ``check_lemma1``, for n <= 12, whose all-ones
-    mask needs 2^(2n) truth-table points; a run in which no triple meets the
-    premise does not pass.
+    mask needs 2^(2n) truth-table points, and for at most 2^24 drawn points,
+    samples x 2^(n+1); a run in which no triple meets the premise does not
+    pass.
     """
     _check_arity(n)
     details = {"premise_true": 0}
 
-    def check(f: BooleanFunction, g: BooleanFunction, mask: int) -> Optional[dict]:
+    def check(f: BooleanFunction, g: BooleanFunction, mask: int) -> Check:
         result = check_lemma1(f, g, mask)
         details["premise_true"] += result["premise"]
         if result["holds"]:
-            return None
+            return 1
         return {"f": format_bf(f), "g": format_bf(g), "mask": f"{mask:#x}", **result}
 
-    def exhaustive() -> Iterator[Optional[dict]]:
+    def exhaustive() -> Iterator[Check]:
         total = 1 << (1 << n)
         funcs = [BooleanFunction(n, t) for t in range(total)]
         spectra = walsh_truth_rows(unpack_rows(np.arange(total, dtype=np.uint64), 1 << n))
@@ -168,10 +180,10 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
                 group = groups[key]
                 if whole[key]:
                     details["premise_true"] += len(group)
-                    yield from repeat(None, len(funcs))
+                    yield len(funcs)
                 else:
                     yield from (check(f, g, mask) for g in group)
-                    yield from repeat(None, len(funcs) - len(group))
+                    yield len(funcs) - len(group)
 
     if n <= 3:
         mode, problems = "exhaustive", exhaustive()
@@ -179,6 +191,9 @@ def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
         mode = "randomized"
         # the all-ones mask leaves the dual face a point: 2^n cosets of 2^n points
         _check_work(2 * n, f"truth-table points for 2^{n} coset sums at n={n}")
+        points = samples << (n + 1)  # two drawn tables a triple
+        what = f"drawn truth-table points for {samples} samples at n={n} ({points})"
+        _check_work((points - 1).bit_length(), what)
         rng = random.Random(seed)
         triples = (
             (random_function(n, rng), random_function(n, rng), rng.randrange(1 << n))
@@ -215,18 +230,18 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     per_radius: dict[str, int] = {}
     step = max(1, core.CHUNK_POINTS >> n)
 
-    def round_trips(truth: np.ndarray, radius: int) -> Iterator[Optional[dict]]:
+    def round_trips(truth: np.ndarray, radius: int) -> Iterator[Check]:
         # each row rebuilt from its restriction to the ball, step rows a call
         points = list(ball_points(n, radius))
         for start in range(0, len(truth), step):
             want = truth[start : start + step]
             back = reconstruct_from_ball(n, radius, want[:, points])
-            yield from (
-                {"r": radius, "function": _render(n, f), "rebuilt": _render(n, g)} if bad else None
-                for f, g, bad in zip(want, back, (back != want).any(axis=1).tolist())
-            )
+            bad = np.flatnonzero((back != want).any(axis=1)).tolist()
+            for i in bad:
+                yield {"r": radius, "function": _render(n, want[i]), "rebuilt": _render(n, back[i])}
+            yield len(want) - len(bad)
 
-    def exhaustive() -> Iterator[Optional[dict]]:
+    def exhaustive() -> Iterator[Check]:
         for radius in range(n + 1):
             points = ball_points(n, radius)
             total = 1 << len(points)
@@ -242,11 +257,11 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
             for k in collide:
                 pair = {"first": _render(n, truth[earlier[k]]), "second": _render(n, truth[k])}
                 yield {"r": radius, **pair, "reason": "restrictions collide"}
-            yield from repeat(None, total - len(collide))
+            yield total - len(collide)
             picks = range(total) if total <= 2048 else rng.sample(range(total), min(samples, total))
             yield from round_trips(truth[list(picks)], radius)
 
-    def randomized() -> Iterator[Optional[dict]]:
+    def randomized() -> Iterator[Check]:
         radius, points = n // 2, ball_points(n, n // 2)
         per_radius[str(radius)] = samples
         for start in range(0, samples, step):
@@ -276,7 +291,7 @@ def suite_prop1(n: int = 4, maps: int = 10, seed: int = 1) -> dict:
         "census x random maps",
         {"n": n, "maps": maps, "seed": seed},
         (
-            None if ok else {"function": format_bf(f), "image": _render(n, row)}
+            1 if ok else {"function": format_bf(f), "image": _render(n, row)}
             for f, row, ok in _bent_images(members, maps, random.Random(seed))
         ),
         {"census_size": len(members)},
@@ -306,7 +321,7 @@ def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> di
         "exhaustive n=2 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
         (
-            None if same else {"f": format_bf(f), "mask": f"{mask:#x}"}
+            1 if same else {"f": format_bf(f), "mask": f"{mask:#x}"}
             for (f, mask), same in _in_blocks(
                 pairs(), lambda pair: pair[0].n, check_restriction_identity
             )
@@ -325,9 +340,9 @@ def _spectrum_block(functions: list[BooleanFunction]) -> np.ndarray:
     return walsh_truth_rows(unpack_rows([f.table for f in functions], functions[0].size))
 
 
-def _spectrum_problems(f: BooleanFunction, spectrum: np.ndarray) -> Optional[dict]:
+def _spectrum_problems(f: BooleanFunction, spectrum: np.ndarray) -> Check:
     """The spectrum invariants f breaks, given its butterfly row, as a
-    counterexample, or None."""
+    counterexample, or 1 if it breaks none."""
     failed = []
     if _sum_of_squares(spectrum) != 1 << (2 * f.n):
         failed.append("parseval")
@@ -338,7 +353,7 @@ def _spectrum_problems(f: BooleanFunction, spectrum: np.ndarray) -> Optional[dic
         failed.append("w0")
     if f.n <= _NAIVE_CHECK_MAX_N and walsh_naive(f) != spectrum.tolist():
         failed.append("naive-disagrees")
-    return {"f": format_bf(f), "problems": failed} if failed else None
+    return {"f": format_bf(f), "problems": failed} if failed else 1
 
 
 def suite_parseval(samples: int = 1000, seed: int = 1, max_n: int = 12) -> dict:
@@ -365,7 +380,7 @@ def suite_involution(samples: int = 1000, seed: int = 1, max_n: int = 16) -> dic
     """
     _check_stream(samples, max_n)
 
-    def exhaustive() -> Iterator[Optional[dict]]:
+    def exhaustive() -> Iterator[Check]:
         for n in range(1, 5):
             size = 1 << n
             total = 1 << size
@@ -375,10 +390,10 @@ def suite_involution(samples: int = 1000, seed: int = 1, max_n: int = 16) -> dic
             bad = np.flatnonzero(wrong).tolist()
             for table in bad:
                 yield {"f": format_bf(BooleanFunction(n, table))}
-            yield from repeat(None, total - len(bad))
+            yield total - len(bad)
 
     randomized = (
-        None if moebius(moebius(f)) == f else {"f": format_bf(f)}
+        1 if moebius(moebius(f)) == f else {"f": format_bf(f)}
         for f in _functions(0, samples, seed, max_n)
     )
     return _report(
@@ -401,10 +416,10 @@ def suite_flats(n: int = 4) -> dict:
     """
     details: dict = {}
 
-    def problems() -> Iterator[Optional[dict]]:
+    def problems() -> Iterator[Check]:
         sizes = coset_value_class_sizes(2)
         expected = {4 - 2 * k: comb(4, k) for k in range(5)}
-        yield None if sizes == expected else {"reason": "pattern classes", "got": sizes}
+        yield 1 if sizes == expected else {"reason": "pattern classes", "got": sizes}
 
         members = enumerate_bent_by_degree(n).functions or ()
         # ones[i, j] = ones of member i on flat j; column k of direct counts sum 4 - 2k
@@ -415,7 +430,7 @@ def suite_flats(n: int = 4) -> dict:
         for f, row in zip(members, direct):
             dist = two_flat_sum_distribution(f)
             counted = {4 - 2 * k: v for k, v in enumerate(row)}
-            yield None if dist.counts == counted else {
+            yield 1 if dist.counts == counted else {
                 "function": format_bf(f),
                 "reason": "closed form differs from the direct count",
                 "got": {str(k): v for k, v in sorted(dist.counts.items())},
@@ -426,7 +441,7 @@ def suite_flats(n: int = 4) -> dict:
                 abs_counts[magnitude] = dist.counts[magnitude] + dist.counts[-magnitude]
             if common is None:
                 common = abs_counts
-            yield None if abs_counts == common else {
+            yield 1 if abs_counts == common else {
                 "function": format_bf(f),
                 "reason": "absolute distribution differs across census",
                 "got": {str(k): v for k, v in abs_counts.items()},
@@ -450,7 +465,7 @@ def suite_census_agreement(n: int = 4) -> dict:
     naive = enumerate_bent_naive(n)
     by_degree = enumerate_bent_by_degree(n)
     details = {"count": naive.count}
-    problems: list[Optional[dict]] = [None]
+    problems: list[Check] = [1]
     if naive.functions != by_degree.functions:
         problems[0] = {
             "reason": "method outputs differ",
@@ -461,7 +476,7 @@ def suite_census_agreement(n: int = 4) -> dict:
         analytic = tuple(BooleanFunction(2, t) for t in range(16) if t.bit_count() % 2)
         details["analytic_odd_weight_count"] = len(analytic)
         problems.append(
-            None if naive.functions == analytic
+            1 if naive.functions == analytic
             else {"reason": "odd-weight analytic check failed"}
         )
     return _report("census-agreement", "cross-method", {"n": n}, problems, details)

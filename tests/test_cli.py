@@ -326,6 +326,13 @@ def test_verify_sampled_streams_refuse_their_expected_cost(capsys, suite, refuse
     assert err.count("\n") == 1
 
 
+def test_verify_lemma1_refuses_its_drawn_points(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "lemma1", "--n", "4", "--samples", "300000000")
+    assert (code, out) == (4, "")
+    needs = "needs 2^34 drawn truth-table points for 300000000 samples at n=4 (9600000000)"
+    assert err == f"resource cap: {needs}, over the cap of 2^24\n"
+
+
 def test_verify_lemma1_with_no_premise_true_triple_exits_3(capsys):
     code, payload, _ = run_json(capsys, "verify", "--suite", "lemma1", "--n", "10")
     assert code == 3

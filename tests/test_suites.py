@@ -308,6 +308,37 @@ def test_flats_suite_fails_when_the_closed_form_leaves_the_direct_count(monkeypa
     }
 
 
+def test_report_counts_ints_as_passing_checks_and_dicts_as_failures():
+    report = suites._report("s", "m", {}, [2, {"k": 1}, 0, {"k": 2}, 3])
+    assert (report["checks"], report["failures"]) == (7, 2)
+    assert report["counterexamples"] == [{"k": 1}, {"k": 2}]
+    assert report["passed"] is False
+
+
+@pytest.mark.parametrize("item", [None, True, False, -1, np.int64(1), 1.0, "1", [{"k": 1}]])
+def test_report_refuses_an_item_that_is_neither_a_count_nor_a_counterexample(item):
+    with pytest.raises(TypeError, match="check stream item"):
+        suites._report("s", "m", {}, [1, item])
+
+
+@pytest.mark.parametrize(
+    "run, items, checks",
+    [(suite_lemma1, 768, 196_608), (suite_lemma2, 10, 102_980), (suite_involution, 1_004, 66_812)],
+)
+def test_array_checks_reach_the_report_as_one_count_a_block(monkeypatch, run, items, checks):
+    # lemma1: one count per function and face; lemma2: per collision block
+    # and round-trip chunk; involution: per exhaustive arity, then its samples
+    real = suites._report
+    seen = []
+
+    def counting(suite, mode, params, problems, details=None):
+        return real(suite, mode, params, (seen.append(item) or item for item in problems), details)
+
+    monkeypatch.setattr(suites, "_report", counting)
+    assert run()["checks"] == checks
+    assert len(seen) == items
+
+
 def test_zero_checks_do_not_pass():
     assert suite_lemma1(n=8, samples=0)["passed"] is False
     assert suite_lemma2(n=6, samples=0)["passed"] is False
@@ -369,7 +400,7 @@ def test_prop1_chunks_that_split_members_match_the_per_member_route(monkeypatch,
                 row = apply_affine([f], random_invertible(n, rng, 1))[0]
                 image = BooleanFunction(n, pack_bits(row))
                 ok = is_bent(image) and image.table % 2 == 0
-                yield None if ok else {"function": format_bf(f), "image": format_bf(image)}
+                yield 1 if ok else {"function": format_bf(f), "image": format_bf(image)}
 
     params = {"n": n, "maps": maps, "seed": seed}
     details = {"census_size": len(members)}
@@ -428,7 +459,7 @@ def _lemma1_per_pair(n, check):
                 for g in funcs:
                     result = check(f, g, mask)
                     details["premise_true"] += result["premise"]
-                    yield None if result["holds"] else {
+                    yield 1 if result["holds"] else {
                         "f": format_bf(f),
                         "g": format_bf(g),
                         "mask": f"{mask:#x}",
@@ -499,6 +530,26 @@ def test_lemma1_above_n12_is_refused_before_any_triple(monkeypatch):
     needs = r"needs 2\^26 truth-table points for 2\^13 coset sums at n=13"
     with pytest.raises(ResourceCapError, match=needs):
         suite_lemma1(n=13)
+
+
+def test_lemma1_refuses_its_drawn_points_before_a_triple(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a function was drawn")
+
+    monkeypatch.setattr(suites, "random_function", refuse)
+    # two drawn tables of 2^n points a triple: samples << (n + 1)
+    for n, samples, points in [(4, 524289, 16777248), (12, 2049, 16785408)]:
+        assert points == samples << (n + 1)
+        needs = rf"needs 2\^25 drawn truth-table points for {samples} samples at n={n} \({points}\)"
+        with pytest.raises(ResourceCapError, match=needs):
+            suite_lemma1(n=n, samples=samples)
+    # exactly 2^24 points are admitted, so the first draw is reached
+    for n, samples in [(4, 524288), (12, 2048)]:
+        with pytest.raises(AssertionError, match="a function was drawn"):
+            suite_lemma1(n=n, samples=samples)
+    # the n > 12 refusal comes first and keeps its message
+    with pytest.raises(ResourceCapError, match=r"needs 2\^26 truth-table points for 2\^13 coset"):
+        suite_lemma1(n=13, samples=300000000)
 
 
 def test_lemma1_counterexample_order_matches_the_per_pair_route(monkeypatch):
