@@ -8,61 +8,49 @@
 # temporary directory when that is unset. The closed-stdout check reads
 # PIPESTATUS itself, so the script runs without pipefail.
 #
-# The command runs on an n=16 Maiorana-McFarland function;
-# bent affine --count 9 builds and tests its images in nine chunks of one
-# map, and --count 40000 at n=4 in 20 chunks of up to 2,048 maps; prop1
-# streams the images of the whole census the same way, five chunks at n=4,
-# and 44 at --maps 100. Each chunk's maps are one random_invertible block,
-# read from blocks of Mersenne Twister words and rank-tested at once, so
-# the stdout of bent affine --count 40000 --seed 1 and of prop1 --maps 100
-# matches sha256 digests pinned from the map-by-map rejection loop the
-# block draw replaced (one getrandbits call per column); lemma1 reads its premise from
-# the popcount oracle walsh_naive once per function and face at n=3 (768
-# calls, one per member of each spectrum group);
-# involution checks every table up to n=4 through
-# the packed row codec (np.unpackbits count=, packbits); parseval checks
-# the int32 butterfly spectra, one walsh_truth_rows block per arity in each
-# chunk of at most 2^15 truth-table points, against the popcount oracle
-# walsh_naive; convolution hands the dual-face indicator to convolve_pm as a
-# numpy integer array, gathered over its support, and the masked spectra of
-# each chunk's same-arity pairs to hadamard_transform as one 2-D block, so
-# both array paths run on the numpy floor job too; both suites at
-# --samples 3000 span many chunks, and their stdout matches pinned sha256
-# digests (3,064 and 3,276 checks); the census at
-# n=6 is refused by the work budget with exit 4 and a message naming
-# its cost, also under python -O,
-# which strips assert statements; census-agreement prints the same
-# stdout twice (no timings on stdout); bounds runs at n=1024, its
-# largest arity, and prints strict JSON there (no Infinity or NaN);
-# wht and anf at n=16 print exactly json.dumps(..., indent=2) of their
-# 65,536-int lists, and wht exits 2 with one error line, no traceback,
-# when its reader closes stdout after one byte; census runs in one
-# process, so --jobs 2 exits 1 with one usage-error line and empty stdout,
-# while --jobs 1 prints 896/896 and the same stdout as no --jobs; lemma2
-# rebuilds its candidates a block of up to 2^15 truth-table points at a
-# time, and its stdout at the defaults, at --n 8 and at --n 12 --samples 64
-# matches sha256 digests pinned from the one-function round trips the
-# blocks replaced (102,980, 256 and 64 checks), so the randomized draws
-# keep their rng stream; lemma2
-# at n=18 needs 256 round trips over a ball of 155,382 points, 2^26 in
-# all, and is refused with exit 4 and one resource-cap line;
-# coset-spectrum takes a face as a plain int mask, its coset sums add up to 2^n - 2 wt(f), and
-# a mask past n's bits exits 2 with one error line and no traceback,
-# also under python -O; bent affine --count 2000000 at n=4 needs 2^25
-# truth-table points and is refused with exit 4, empty stdout and one
-# resource-cap line; coset-spectrum at n=16 on the point face (mask 0)
-# needs 2^32 truth-table points (2^16 cosets x 2^16) and is refused the
-# same way, while the dim-8 face (mask 0xff) sits exactly on the 2^24
-# budget and prints its 256 sums; lemma1 at n=10 meets no premise-true
-# triple in its default samples and exits 3 instead of passing on
-# nothing; lemma1 at n=16, whose all-ones mask would need 2^32 points, is
-# refused before its first triple with exit 4 and one resource-cap line,
-# whatever the seed, and so is lemma1 --n 4 --samples 300000000, whose
-# triples would draw 2^34 truth-table points; every verify suite at its
-# defaults, and lemma1 at --n 4 and census-agreement at --n 2, prints the
-# stdout pinned by sha256 from the check streams that yielded one item per
-# check, before a block of passing checks came as one count; bounds at
-# n=4 takes its known count from the degree census, log2(896)
+# Outputs, on an n=16 Maiorana-McFarland function: wht and anf print exactly
+# json.dumps(..., indent=2) of their 65,536-int lists, and wht exits 2 with
+# one error line, no traceback, when its reader closes stdout after one
+# byte; bent flats' counts add up to its total; bent affine --count 9 builds
+# and tests its images in nine chunks of one map, and --count 40000 at n=4
+# in 20 chunks of up to 2,048 maps, each chunk's maps one random_invertible
+# block.
+#
+# Pinned reports: every verify suite at its defaults, and at the flags in
+# the loop below, prints the stdout pinned by sha256 and its check count, so
+# the rng streams and every report stay byte-identical. bent affine --count
+# 40000 is pinned the same way. The flags reach the paths the defaults miss:
+# prop1 --maps 100 streams the census images in 44 chunks; parseval and
+# convolution at --samples 3000 span many chunks of at most 2^15 truth-table
+# points; involution --samples 2048 is the most samples its stream cap
+# admits at its fixed range of n, 1..16; lemma1 --n 4 is the randomized
+# route; lemma2 at --n 8 and --n 12 --samples 64 rebuilds its random
+# candidates a block at a time; census-agreement --n 2 adds the analytic
+# odd-weight check. convolution's array paths (convolve_pm on a numpy
+# integer array, hadamard_transform on a 2-D block) and involution's packed
+# row codec (np.unpackbits count=, packbits) run on the numpy floor job too.
+#
+# Resource caps, each refused with exit 4 and a message naming its cost, and
+# after the census with empty stdout and one resource-cap line: the census
+# at n=6, also under python -O, which strips assert statements; involution
+# --samples 2049, whose expected 16,785,152 truth-table points pass 2^24;
+# lemma2 at n=18, 256 round trips over a ball of 155,382 points, 2^26 in
+# all; bent affine --count 2000000 at n=4, 2^25 points; coset-spectrum at
+# n=16 on the point face (mask 0), 2^32 points, while the dim-8 face (mask
+# 0xff) sits exactly on the 2^24 budget and prints its 256 sums; lemma1 at
+# n=16, whose all-ones mask needs 2^32 points, before its first triple
+# whatever the seed, and lemma1 --n 4 --samples 300000000, whose triples
+# would draw 2^34 points.
+#
+# Other checks: census-agreement prints the same stdout twice (no timings on
+# stdout); census runs in one process, so --jobs 2 exits 1 with one
+# usage-error line and empty stdout, while --jobs 1 prints 896/896 and the
+# same stdout as no --jobs; bounds at n=1024, its largest arity, prints
+# strict JSON (no Infinity or NaN), and at n=4 takes its known count from
+# the degree census, log2(896); coset-spectrum's coset sums add up to
+# 2^n - 2 wt(f), and a mask past n's bits exits 2 with one error line and no
+# traceback, also under python -O; lemma1 at n=10 meets no premise-true
+# triple in its default samples and exits 3 instead of passing on nothing.
 BENTKIT="${BENTKIT:-bentkit}"
 if [ -z "${RUNNER_TEMP:-}" ]; then
   RUNNER_TEMP="$(mktemp -d)"
@@ -107,6 +95,7 @@ for pinned in "lemma1:196608:dd94e3e7d88e68f59521c8bcabd6572a4c4ae4aadc117ccdf49
     "convolution:1064:539d0928e731e66a9d2b8054327c5349b2b4520fc661ddb2ecd25e619404e34d" \
     "convolution --samples 3000:3064:2b005c2131d4000cb3440469e867837c947b4eac0afa2285f8b5f416b50aa731" \
     "involution:66812:1bf1b5b90c6d9b23272c643d64ce43d8dfd747ba83346283f57c48969b220a4d" \
+    "involution --samples 2048:67860:7cda3697a7751b0419ce0ce81eb3e41fb17b7258cc3e611679eba301d8aafe71" \
     "flats:1793:a20d50d9f55b094dbde870727c1e35feceaf27b8c63e0632d2b20924827fa5b4" \
     "census-agreement:1:c8b7dd830100746982b403d4737f14459b0b99606e369a9eebadd4a2accd4449" \
     "census-agreement --n 2:2:1a0b4498d1dadac744de23767c0cc01f68a7d6d799c0e6fa5f6ba2f3520c2cb4"; do
@@ -139,6 +128,14 @@ test "$code" -eq 0
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["counts"] == {"naive": 896, "degree": 896} and d["agreement"] is True))' "$RUNNER_TEMP/census1.json"
 $BENTKIT census --n 4 > "$RUNNER_TEMP/census.json"
 cmp "$RUNNER_TEMP/census.json" "$RUNNER_TEMP/census1.json"
+code=0
+$BENTKIT verify --suite involution --samples 2049 > "$RUNNER_TEMP/invcap.out" 2> "$RUNNER_TEMP/invcap.err" || code=$?
+test "$code" -eq 4
+test ! -s "$RUNNER_TEMP/invcap.out"
+test "$(wc -l < "$RUNNER_TEMP/invcap.err")" -eq 1
+test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/invcap.err")" -eq 1
+grep -F '2^25' "$RUNNER_TEMP/invcap.err"
+grep -F '(16785152)' "$RUNNER_TEMP/invcap.err"
 code=0
 $BENTKIT verify --suite lemma2 --n 18 > "$RUNNER_TEMP/lemma2cap.out" 2> "$RUNNER_TEMP/lemma2cap.err" || code=$?
 test "$code" -eq 4

@@ -120,7 +120,8 @@ def load_known_counts(path: str) -> list[dict]:
             raise ValueError(f"known-count arity must be a positive int, got {n!r}")
         if type(count) is int:
             count = str(count)
-        if not isinstance(count, str) or not count.isdigit() or int(count) < 1:
+        # isdigit alone admits digits int() refuses, or reads, outside ASCII
+        if not (isinstance(count, str) and count.isascii() and count.isdigit()) or int(count) < 1:
             raise ValueError(f"count for n={n} must be a positive decimal string")
         if not isinstance(source, str) or not source:
             raise ValueError(f"entry for n={n} needs a nonempty source string")

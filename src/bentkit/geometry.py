@@ -21,7 +21,8 @@ from functools import lru_cache
 from itertools import combinations
 from math import comb
 
-from .core import MAX_ARITY, MAX_WORK_LOG2, BooleanFunction, _check_arity, _check_int, _check_mask
+from . import core
+from .core import MAX_ARITY, BooleanFunction, _check_arity, _check_int, _check_mask
 from .core import _check_radius, _check_work
 
 
@@ -83,7 +84,7 @@ def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
     """
     _check_mask(f.n, mask)
     dim = mask.bit_count()
-    if 2 * f.n - dim > MAX_WORK_LOG2:  # compared first: check_lemma1 calls this in bulk
+    if 2 * f.n - dim > core.MAX_WORK_LOG2:  # compared first: check_lemma1 calls this in bulk
         _check_work(2 * f.n - dim, f"truth-table points for 2^{f.n - dim} coset sums at n={f.n}")
     indicator, size = _face_indicator(f.n, mask), 1 << dim
     reps = _subcube_points(mask ^ ((1 << f.n) - 1))

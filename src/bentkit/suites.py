@@ -11,7 +11,8 @@ builds the report {"suite", "mode", "params", "checks", "failures",
 for a fixed seed.  ``parseval`` and ``convolution`` run their butterflies
 through ``_in_blocks``: one call per arity in each chunk of at most
 ``core.CHUNK_POINTS`` truth-table points of their stream, the results read
-back in stream order.  They and ``involution`` draw n uniform on 1..max_n and
+back in stream order.  They and ``involution`` draw n uniform on 1..max_n,
+a constant of each suite that its report names as ``params["max_n"]``, and
 refuse up front a stream of over 2^MAX_WORK_LOG2 expected truth-table points.
 """
 
@@ -97,7 +98,6 @@ def _functions(exhaustive_n: int, samples: int, seed: int, max_n: int) -> Iterat
 
 
 def _check_stream(samples: int, max_n: int) -> None:
-    _check_arity(max_n)
     points = -(-samples * ((2 << max_n) - 2) // max_n)  # samples x mean 2^n, rounded up
     what = f"expected truth-table points for {samples} samples at n <= {max_n} ({points})"
     _check_work((points - 1).bit_length(), what)
@@ -230,12 +230,11 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     per_radius: dict[str, int] = {}
     step = max(1, core.CHUNK_POINTS >> n)
 
-    def round_trips(truth: np.ndarray, radius: int) -> Iterator[Check]:
+    def round_trips(truth: np.ndarray, radius: int, ball: np.ndarray) -> Iterator[Check]:
         # each row rebuilt from its restriction to the ball, step rows a call
-        points = list(ball_points(n, radius))
         for start in range(0, len(truth), step):
             want = truth[start : start + step]
-            back = reconstruct_from_ball(n, radius, want[:, points])
+            back = reconstruct_from_ball(n, radius, want[:, ball])
             bad = np.flatnonzero((back != want).any(axis=1)).tolist()
             for i in bad:
                 yield {"r": radius, "function": _render(n, want[i]), "rebuilt": _render(n, back[i])}
@@ -243,13 +242,13 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
 
     def exhaustive() -> Iterator[Check]:
         for radius in range(n + 1):
-            points = ball_points(n, radius)
-            total = 1 << len(points)
+            ball = np.array(ball_points(n, radius))
+            total = 1 << len(ball)
             per_radius[str(radius)] = total
-            coeffs = unpack_rows(np.arange(total, dtype=np.uint64), len(points))
-            truth = truth_rows_from_anf(n, points, coeffs)
+            coeffs = unpack_rows(np.arange(total, dtype=np.uint64), len(ball))
+            truth = truth_rows_from_anf(n, ball, coeffs)
             # one key per row: its restriction to the ball, |B_r| <= 16 bits at n <= 4
-            keys = pack_rows(truth[:, list(points)])
+            keys = pack_rows(truth[:, ball])
             # first[inverse[k]] is the first candidate sharing k's restriction
             _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
             earlier = first[inverse]
@@ -259,15 +258,15 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
                 yield {"r": radius, **pair, "reason": "restrictions collide"}
             yield total - len(collide)
             picks = range(total) if total <= 2048 else rng.sample(range(total), min(samples, total))
-            yield from round_trips(truth[list(picks)], radius)
+            yield from round_trips(truth[list(picks)], radius, ball)
 
     def randomized() -> Iterator[Check]:
-        radius, points = n // 2, ball_points(n, n // 2)
+        radius, ball = n // 2, np.array(ball_points(n, n // 2))
         per_radius[str(radius)] = samples
         for start in range(0, samples, step):
-            draws = [rng.getrandbits(len(points)) for _ in range(min(step, samples - start))]
-            coeffs = unpack_rows(draws, len(points))
-            yield from round_trips(truth_rows_from_anf(n, points, coeffs), radius)
+            draws = [rng.getrandbits(len(ball)) for _ in range(min(step, samples - start))]
+            coeffs = unpack_rows(draws, len(ball))
+            yield from round_trips(truth_rows_from_anf(n, ball, coeffs), radius, ball)
 
     return _report(
         "lemma2",
@@ -298,13 +297,14 @@ def suite_prop1(n: int = 4, maps: int = 10, seed: int = 1) -> dict:
     )
 
 
-def suite_convolution(samples: int = 1000, seed: int = 1, max_n: int = 10) -> dict:
+def suite_convolution(samples: int = 1000, seed: int = 1) -> dict:
     """Both routes of the face-restriction identity agree exactly.
 
     Exhaustive at n=2 over every function and mask, then random pairs, each
     block of same-arity pairs checked by one ``check_restriction_identity``.
     The up-front stream check counts points; ``convolve_pm`` caps its terms.
     """
+    max_n = 10
     _check_stream(samples, max_n)
 
     def pairs() -> Iterator[tuple[BooleanFunction, int]]:
@@ -356,11 +356,12 @@ def _spectrum_problems(f: BooleanFunction, spectrum: np.ndarray) -> Check:
     return {"f": format_bf(f), "problems": failed} if failed else 1
 
 
-def suite_parseval(samples: int = 1000, seed: int = 1, max_n: int = 12) -> dict:
+def suite_parseval(samples: int = 1000, seed: int = 1) -> dict:
     """Spectrum invariants: Parseval, parity, W(0), and fast/naive agreement
     up to n = ``_NAIVE_CHECK_MAX_N``.  The butterfly spectra come one
     ``walsh_truth_rows`` block per arity and chunk; every invariant is then
     checked function by function, the oracle included."""
+    max_n = 12
     _check_stream(samples, max_n)
     functions = _functions(3, samples, seed, max_n)
     return _report(
@@ -371,13 +372,14 @@ def suite_parseval(samples: int = 1000, seed: int = 1, max_n: int = 12) -> dict:
     )
 
 
-def suite_involution(samples: int = 1000, seed: int = 1, max_n: int = 16) -> dict:
+def suite_involution(samples: int = 1000, seed: int = 1) -> dict:
     """The normal-form transform undoes itself on every table.
 
     Exhaustive for n <= 4 as one packed block per arity: all 2^(2^n) tables
     in index order, put through the packed Moebius kernel twice.  Then
     ``samples`` random functions, each through ``moebius`` twice.
     """
+    max_n = 16
     _check_stream(samples, max_n)
 
     def exhaustive() -> Iterator[Check]:

@@ -159,7 +159,7 @@ def truth_rows_from_anf(n: int, points: Sequence[int], coeffs: np.ndarray) -> np
     """Truth tables, as (R, 2^n) bit rows, of the R functions whose normal
     form has coefficient coeffs[k, j] at points[j] and 0 everywhere else."""
     anf = np.zeros((len(coeffs), 1 << n), dtype=np.uint8)
-    anf[:, list(points)] = coeffs
+    anf[:, np.asarray(points)] = coeffs  # an index array passes through unconverted
     packed = _moebius_table(pack_bits(anf), n, len(anf))
     return unpack_bits(packed, anf.size).reshape(anf.shape)
 

@@ -110,16 +110,16 @@ def test_criterion_06_affine_images():
 
 
 def test_criterion_07_convolution_identity():
-    report = suite_convolution(samples=1000, seed=1, max_n=10)
+    report = suite_convolution(samples=1000, seed=1)
     assert report["passed"]
     assert report["checks"] == 16 * 4 + 1000  # exhaustive n=2 plus random
     print("ACCEPTANCE 7: PASS restriction identity exact on every tested pair")
 
 
 def test_criterion_08_transform_properties():
-    involution = suite_involution(samples=1000, seed=1, max_n=12)
+    involution = suite_involution(samples=1000, seed=1)
     assert involution["passed"]
-    parseval = suite_parseval(samples=1000, seed=1, max_n=12)
+    parseval = suite_parseval(samples=1000, seed=1)
     assert parseval["passed"]
     f = random_function(20, 1)
     t0 = time.perf_counter()

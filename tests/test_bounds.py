@@ -198,6 +198,16 @@ def test_load_known_counts_rejects(tmp_path, payload):
         load_known_counts(str(path))
 
 
+@pytest.mark.parametrize("count", ["\u00b2", "\u0663"])
+def test_load_known_counts_takes_only_ascii_digits(tmp_path, count):
+    # str.isdigit admits a superscript two, which int() refuses, and an
+    # Arabic-Indic three, which int() reads as 3
+    path = tmp_path / "counts.json"
+    path.write_text(json.dumps([{"n": 4, "count": count, "source": "x"}]))
+    with pytest.raises(ValueError, match="^count for n=4 must be a positive decimal string$"):
+        load_known_counts(str(path))
+
+
 def test_known_count_file_is_read_up_to_its_bound(tmp_path):
     limit = bounds._KNOWN_FILE_BYTES
     assert limit == 512 * (4300 + 1024)

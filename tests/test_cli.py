@@ -268,6 +268,16 @@ def test_bounds_known_file(capsys, tmp_path):
     assert "headline_log2" in payload["asymptotic_only"]
 
 
+@pytest.mark.parametrize("count", ["\u00b2", "\u0663"])
+def test_bounds_known_count_of_non_ascii_digits_is_one_error_line(capsys, tmp_path, count):
+    path = tmp_path / "known.json"
+    path.write_text(json.dumps([{"n": 4, "count": count, "source": "x"}]))
+    code, out, err = run(capsys, "bounds", "--n", "4", "--known", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: count for n=4 must be a positive decimal string\n"
+
+
 def test_verify_success(capsys):
     code, payload, err = run_json(capsys, "verify", "--suite", "lemma1", "--n", "2")
     assert code == 0
@@ -324,6 +334,16 @@ def test_verify_sampled_streams_refuse_their_expected_cost(capsys, suite, refuse
     assert (code, out) == (4, "")
     assert err.startswith(f"resource cap: needs {refused} expected truth-table points for {samples}")
     assert err.count("\n") == 1
+
+
+def test_verify_involution_stream_cap_sits_between_2048_and_2049_samples(capsys):
+    # n uniform on 1..16: 2,048 samples expect 16,776,960 points, 2,049 expect 16,785,152;
+    # the refusal's form is checked with the other sampled streams above
+    code, payload, _ = run_json(capsys, "verify", "--suite", "involution", "--samples", "2048")
+    assert code == 0 and payload["passed"] is True
+    assert payload["checks"] == 4 + 16 + 256 + 65536 + 2048 == 67860
+    code, _, err = run(capsys, "verify", "--suite", "involution", "--samples", "2049")
+    assert code == 4 and "2^25" in err and "(16785152)" in err
 
 
 def test_verify_lemma1_refuses_its_drawn_points(capsys):

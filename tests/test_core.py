@@ -219,10 +219,12 @@ def test_one_work_budget_sets_every_enumeration_limit(monkeypatch):
         lambda: coset_value_class_sizes(5),
         lambda: enumerate_bent_naive(6),
         lambda: enumerate_bent_by_degree(6),
+        lambda: coset_spectrum(BooleanFunction(16, 0), 0x3F),  # 2^26 points
     ]
     for budget in (24, 25):
         monkeypatch.setattr(core, "MAX_WORK_LOG2", budget)
         walsh_naive(BooleanFunction(12, 0))
+        assert len(coset_spectrum(BooleanFunction(16, 0), 0xFF)) == 256  # 2^24 points
         coset_value_class_sizes(4)
         assert enumerate_bent_naive(4, include_functions=False).count == 896
         assert enumerate_bent_by_degree(4, include_functions=False).count == 896
@@ -232,6 +234,9 @@ def test_one_work_budget_sets_every_enumeration_limit(monkeypatch):
     monkeypatch.setattr(core, "MAX_WORK_LOG2", 23)
     with pytest.raises(ResourceCapError, match=r"needs 2\^24 terms of the defining sum"):
         walsh_naive(BooleanFunction(12, 0))
+    needs = r"needs 2\^24 truth-table points for 2\^8 coset sums at n=16"
+    with pytest.raises(ResourceCapError, match=needs):
+        coset_spectrum(BooleanFunction(16, 0), 0xFF)
 
 
 def test_bounded_read_refuses_one_byte_past_the_limit(tmp_path):

@@ -1,6 +1,7 @@
 """The verification suites themselves, at small parameters."""
 
 import dataclasses
+import inspect
 import random
 import tracemalloc
 
@@ -48,6 +49,12 @@ def test_registry_names():
         "flats",
         "census-agreement",
     }
+
+
+def test_suites_take_only_verify_flags():
+    # the library and the CLI share one parameter space
+    for name, run in SUITES.items():
+        assert set(inspect.signature(run).parameters) <= {"n", "samples", "seed", "maps"}, name
 
 
 def check_shape(report, suite_name):
@@ -190,11 +197,6 @@ def test_sampled_streams_refuse_their_expected_cost_before_a_draw(monkeypatch):
     suites._check_stream(2048, 16)
     with pytest.raises(ResourceCapError, match=r"2\^25 .* \(16785152\)"):
         suites._check_stream(2049, 16)
-    for max_n in (0, True, 1.5):
-        with pytest.raises(ValueError, match="^arity must be"):
-            suites._check_stream(10, max_n)
-    with pytest.raises(ResourceCapError, match="^arity 27 exceeds"):
-        suite_parseval(samples=1, max_n=27)
 
 
 def test_prop1_small():
@@ -206,14 +208,14 @@ def test_prop1_small():
 
 
 def test_convolution_suite():
-    report = suite_convolution(samples=40, seed=1, max_n=6)
+    report = suite_convolution(samples=40, seed=1)
     check_shape(report, "convolution")
     assert report["passed"]
     assert report["checks"] == 64 + 40  # 16 functions x 4 masks, then samples
 
 
 def test_parseval_suite():
-    report = suite_parseval(samples=40, seed=1, max_n=8)
+    report = suite_parseval(samples=40, seed=1)
     check_shape(report, "parseval")
     assert report["passed"]
     assert report["checks"] == 4 + 16 + 256 + 40
@@ -227,7 +229,7 @@ def test_parseval_meets_the_naive_oracle_up_to_the_cutoff(monkeypatch):
         return walsh_naive(f)
 
     monkeypatch.setattr(suites, "walsh_naive", recording)
-    report = suite_parseval(samples=60, seed=1, max_n=12)
+    report = suite_parseval(samples=60, seed=1)
     assert report["passed"] and report["checks"] == 4 + 16 + 256 + 60
     # the n <= 10 functions meet the oracle; the samples above the cutoff do not
     assert max(arities) == suites._NAIVE_CHECK_MAX_N == 10
@@ -235,7 +237,7 @@ def test_parseval_meets_the_naive_oracle_up_to_the_cutoff(monkeypatch):
 
 
 def test_involution_suite():
-    report = suite_involution(samples=30, seed=1, max_n=10)
+    report = suite_involution(samples=30, seed=1)
     check_shape(report, "involution")
     assert report["passed"]
     assert report["checks"] == 4 + 16 + 256 + 65536 + 30
@@ -251,7 +253,7 @@ def test_involution_reports_a_wrong_packed_row(monkeypatch):
         return out
 
     monkeypatch.setattr(suites, "_moebius_table", one_wrong)
-    report = suite_involution(samples=5, seed=1, max_n=6)
+    report = suite_involution(samples=5, seed=1)
     assert report["checks"] == 4 + 16 + 256 + 65536 + 5
     assert report["failures"] == 1
     assert report["counterexamples"] == [{"f": "bf:3:5a"}]
@@ -263,7 +265,7 @@ def test_involution_sends_only_its_samples_through_moebius(monkeypatch):
     real = suites.moebius
     monkeypatch.setattr(suites, "moebius", lambda f: calls.append(f.n) or real(f))
     samples = 7
-    assert suite_involution(samples=samples, seed=1, max_n=8)["passed"]
+    assert suite_involution(samples=samples, seed=1)["passed"]
     assert len(calls) == 2 * samples
 
 
