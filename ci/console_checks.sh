@@ -29,6 +29,13 @@
 # odd-weight check. convolution's array paths (convolve_pm on a numpy
 # integer array, hadamard_transform on a 2-D block) and involution's packed
 # row codec (np.unpackbits count=, packbits) run on the numpy floor job too.
+# The pins that run many-row butterfly blocks, and so check walsh_rows'
+# points-major (2^n, rows) layout on every numpy the jobs install:
+# census-agreement (all 65,536 truth tables at n=4 in one block), prop1
+# --maps 100 (chunks of 2,048 images at n=4), bent affine --count 40000
+# (chunks of up to 2,048 images), and parseval and convolution at --samples
+# 3000 (one block per arity in a chunk, and convolution's 2-D
+# hadamard_transform of the masked spectra).
 #
 # Resource caps, each refused with exit 4 and a message naming its cost, and
 # after the census with empty stdout and one resource-cap line: the census

@@ -1,15 +1,22 @@
 """Walsh-Hadamard and Moebius transforms, algebraic degree, convolution.
 
 All arithmetic is exact.  There is one kernel per transform.  ``walsh_rows``
-is the in-place numpy butterfly on (rows, 2^n) arrays of a dtype the caller
-proves wide enough; ``hadamard_transform`` runs it at every length, on one
-vector or on a (rows, 2^n) integer block at once, in int64 or, for values too
-large for it (2^n * max|v| >= 2^62), on exact ints in an object array.  A
-non-integral vector entry is a ``ValueError``.  ``walsh_truth_rows`` runs
-``walsh_rows`` on the int32 signs of truth-table rows; ``_spectrum``, its one
-single-function call, serves ``walsh_fast`` at every arity and the bent
-tests, while ``check_restriction_identity`` and the ``parseval`` suite run it
-on blocks of same-arity rows; no other Walsh butterfly exists.
+is the in-place numpy butterfly along axis 0 of a C-contiguous points-major
+array, one vector (2^n,) or a block (2^n, rows), of a dtype the caller proves
+wide enough: stage h pairs contiguous runs of h * rows entries, so many short
+rows cost about what one long vector does, and one row is the same array in
+either layout.  Blocks enter and leave the library as (rows, 2^n) arrays and
+are transposed only around this kernel.  ``hadamard_transform`` runs it at
+every length, on one vector or on a (rows, 2^n) integer block of any memory
+order, copied points-major, in int64 or, for values too large for it (2^n *
+max|v| >= 2^62), on exact ints in an object array.  A non-integral vector
+entry is a ``ValueError``.  ``walsh_truth_rows`` transposes uint8 truth-table
+rows, runs ``walsh_rows`` on their int32 signs and hands the spectra back as
+C-contiguous (rows, 2^n); ``_spectrum``, its one single-function call,
+serves ``walsh_fast`` at every arity and the bent tests, while
+``bent.bent_rows`` (the census, ``prop1``, ``bent affine``),
+``check_restriction_identity`` and the ``parseval`` suite run it on blocks of
+same-arity rows; no other Walsh butterfly exists.
 ``_moebius_table`` is the Moebius kernel: masked shifts, by the coordinate
 masks of ``geometry``, on one Python int that packs R truth tables back to
 back; ``degree`` reads the normal form against its weight-class masks.
@@ -56,25 +63,34 @@ _NAIVE_SPECTRUM_MAX_N = 7
 
 
 def walsh_rows(a: np.ndarray) -> np.ndarray:
-    """In-place Hadamard butterfly along the last axis (length 2^n) of a
-    C-contiguous integer array, e.g. (rows, 2^n); the caller's dtype must
-    hold 2^n times the largest input magnitude."""
-    size = a.shape[-1]
+    """In-place Hadamard butterfly along axis 0 (length 2^n) of a C-contiguous
+    integer array, one vector (2^n,) or a points-major block (2^n, rows):
+    stage h views it as (2^n / 2h, 2, h * rows), so each half it pairs is one
+    contiguous run.  The caller's dtype must hold 2^n times the largest input
+    magnitude; any other memory order is a ``ValueError``, since a reshape
+    would transform a copy."""
+    if not a.flags.c_contiguous:
+        raise ValueError("walsh_rows transforms in place and needs a C-contiguous array")
+    size = a.shape[0]
     h = 1
     while h < size:
-        view = a.reshape(-1, 2, h)
-        top = view[:, 0, :].copy()
-        view[:, 0, :] += view[:, 1, :]
-        view[:, 1, :] = top - view[:, 1, :]
+        view = a.reshape(size // (2 * h), 2, -1)
+        top = view[:, 0].copy()
+        view[:, 0] += view[:, 1]
+        np.subtract(top, view[:, 1], out=view[:, 1])
         h *= 2
     return a
 
 
 def walsh_truth_rows(truth: np.ndarray) -> np.ndarray:
-    """Walsh spectra of 0/1 truth-table rows (last axis 2^n), in int32: one
-    ``walsh_rows`` butterfly on the signs 1 - 2 * truth.  No butterfly stage
-    exceeds 2^n <= 2^MAX_ARITY = 2^26 in magnitude, so int32 is exact."""
-    return walsh_rows(1 - 2 * truth.astype(np.int32))
+    """Walsh spectra of 0/1 truth-table rows (rows, 2^n), or of one row
+    (2^n,), as a C-contiguous int32 array of the same shape: the uint8 rows
+    are transposed points-major and one ``walsh_rows`` butterfly runs on their
+    signs 1 - 2 * truth.  No butterfly stage exceeds 2^n <= 2^MAX_ARITY = 2^26
+    in magnitude, so int32 is exact.  A single row is the same array in both
+    layouts and is never copied for the transpose."""
+    signs = 1 - 2 * np.ascontiguousarray(truth.T).astype(np.int32)
+    return np.ascontiguousarray(walsh_rows(signs).T)
 
 
 def _peak(a: np.ndarray) -> int:
@@ -84,20 +100,21 @@ def _peak(a: np.ndarray) -> int:
 
 
 def _integer_array(values: Sequence[int], ndim: int = 1) -> np.ndarray:
-    # always a new array, since walsh_rows transforms it in place; vectors run
-    # along the last axis, and a 2-D block takes one dtype for all its rows
+    # always a new C-contiguous array, since walsh_rows transforms it in place;
+    # a 2-D (rows, 2^n) block comes back points-major, (2^n, rows), with one
+    # dtype for all its rows
     if isinstance(values, np.ndarray) and values.ndim == ndim and values.dtype.kind in "iu":
-        vec, peak = values, _peak(values) if values.size else 0  # integral already
+        vec, peak = values.T, _peak(values) if values.size else 0  # integral already
     else:
-        # exact ints entry by entry, a 2-D block (an object array past int64) flattened
+        # exact ints entry by entry, a 2-D block (an object array past int64) points-major
         try:
-            vec = [operator.index(v) for v in (values.ravel() if ndim == 2 else values)]
+            vec = [operator.index(v) for v in (values.T.ravel() if ndim == 2 else values)]
         except TypeError as exc:
             raise ValueError(f"vector entries must be integers: {exc}") from None
         peak = max(map(abs, vec), default=0)
-    shape = values.shape if ndim == 2 else (len(values),)
-    dtype = np.int64 if peak < (1 << 62) // shape[-1] else object
-    return np.array(vec, dtype=dtype).reshape(shape)
+    shape = values.shape[::-1] if ndim == 2 else (len(values),)
+    dtype = np.int64 if peak < (1 << 62) // shape[0] else object
+    return np.array(vec, dtype=dtype, order="C").reshape(shape)
 
 
 def hadamard_transform(values: Sequence[int]) -> Union[IntegerVector, list[IntegerVector]]:
@@ -111,7 +128,7 @@ def hadamard_transform(values: Sequence[int]) -> Union[IntegerVector, list[Integ
     size = values.shape[1] if ndim == 2 else len(values)
     if size == 0 or size & (size - 1):
         raise ValueError(f"vector length must be a power of two, got {size}")
-    return walsh_rows(_integer_array(values, ndim)).tolist()
+    return walsh_rows(_integer_array(values, ndim)).T.tolist()
 
 
 def _spectrum(f: BooleanFunction) -> np.ndarray:

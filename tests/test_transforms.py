@@ -182,6 +182,13 @@ def test_hadamard_transform_is_the_double_sum_at_every_length(n):
     assert all(type(v) is int for values in got for v in values)
 
 
+def _layouts(block):
+    # the same rows in C order, in Fortran order, as a transposed view of a C
+    # array and as a strided view of every other column of a wider one
+    wide = np.repeat(block, 2, axis=1)
+    return [block, np.asfortranarray(block), np.ascontiguousarray(block.T).T, wide[:, ::2]]
+
+
 @pytest.mark.parametrize("dtype", [np.int8, np.int32, np.int64, np.uint64])
 @pytest.mark.parametrize("n", [0, 1, 3, 6])
 def test_block_hadamard_transform_matches_its_rows(n, dtype):
@@ -196,11 +203,54 @@ def test_block_hadamard_transform_matches_its_rows(n, dtype):
         wide[2] = 1 << 62 if dtype is np.int64 else info.max
         blocks.append(wide)
     for block in blocks:
-        got = hadamard_transform(block)
-        assert got == [hadamard_transform(row) for row in block]
-        assert all(type(v) is int for row in got for v in row)
-        assert got == [_hadamard_literal(row.tolist()) for row in block]
+        expected = [_hadamard_literal(row.tolist()) for row in block]
+        assert [hadamard_transform(row) for row in block] == expected
+        for layout in _layouts(block):
+            got = hadamard_transform(layout)
+            assert got == expected
+            assert all(type(v) is int for row in got for v in row)
+            assert (layout == block).all()  # never transformed in place
     assert hadamard_transform(np.zeros((0, 4), dtype=dtype)) == []
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_block_hadamard_transform_reads_every_memory_order(dtype):
+    block = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [3, 1, 4, 1]], dtype=dtype)
+    for layout in _layouts(block):
+        assert hadamard_transform(layout) == [[1, 1, 1, 1], [1, -1, 1, -1], [9, 5, -1, -1]]
+
+
+@pytest.mark.parametrize("rows", [0, 1, 2, 5, 64])
+@pytest.mark.parametrize("n", range(1, 11))
+def test_walsh_truth_rows_runs_one_points_major_butterfly(n, rows, monkeypatch):
+    calls = []
+    real = transforms.walsh_rows
+
+    def recording(a):
+        calls.append((a.shape, a.flags.c_contiguous))
+        return real(a)
+
+    monkeypatch.setattr(transforms, "walsh_rows", recording)
+    rng = random.Random(n * 100 + rows)
+    functions = [random_function(n, rng) for _ in range(rows)]
+    truth = unpack_rows([f.table for f in functions], 1 << n)
+    expected = [walsh_naive(f) for f in functions]
+    for block in (truth, np.asfortranarray(truth)):
+        spectra = transforms.walsh_truth_rows(block)
+        assert spectra.shape == (rows, 1 << n) and spectra.dtype == np.int32
+        assert spectra.flags.c_contiguous
+        assert spectra.tolist() == expected
+    assert calls == [((1 << n, rows), True)] * 2
+
+
+def test_walsh_rows_refuses_an_array_it_cannot_transform_in_place():
+    block = np.arange(24, dtype=np.int64).reshape(8, 3)
+    for other in (np.asfortranarray(block), block[::2], block.T):
+        with pytest.raises(ValueError, match="C-contiguous"):
+            transforms.walsh_rows(other)
+    signs = np.array([[1, -1], [1, 1]], dtype=np.int64)  # two points-major rows
+    assert transforms.walsh_rows(signs) is signs
+    assert signs.tolist() == [[2, 0], [0, -2]]
 
 
 def test_block_hadamard_transform_rejects_bad_blocks():
@@ -214,6 +264,7 @@ def test_block_hadamard_transform_takes_exact_int_rows():
     # an object block is the one way to pass rows with entries past int64
     block = np.array([[1 << 70, 0], [3, 4]], dtype=object)
     assert hadamard_transform(block) == [[1 << 70, 1 << 70], [7, -1]]
+    assert hadamard_transform(np.asfortranarray(block)) == [[1 << 70, 1 << 70], [7, -1]]
     assert hadamard_transform(np.array([[1, 2], [3, 4]], dtype=object)) == [[3, -1], [7, -1]]
     with pytest.raises(ValueError, match="integers"):
         hadamard_transform(np.array([[1, 2.0], [3, 4]], dtype=object))
