@@ -19,8 +19,10 @@
 # Pinned reports: every verify suite at its defaults, and at the flags in
 # the loop below, prints the stdout pinned by sha256 and its check count, so
 # the rng streams and every report stay byte-identical. bent affine --count
-# 40000 is pinned the same way. The flags reach the paths the defaults miss:
-# prop1 --maps 100 streams the census images in 44 chunks; parseval and
+# 40000 is pinned the same way, and census --n 4 --emit FILE writes the 896
+# bent tables, one bf: line each, pinned by sha256 (the census's functions
+# property on the installed script). The flags reach the paths the defaults
+# miss: prop1 --maps 100 streams the census images in 44 chunks; parseval and
 # convolution at --samples 3000 span many chunks of at most 2^15 truth-table
 # points; involution --samples 2048 is the most samples its stream cap
 # admits at its fixed range of n, 1..16; lemma1 --n 4 is the randomized
@@ -37,32 +39,47 @@
 # 3000 (one block per arity in a chunk, and convolution's 2-D
 # hadamard_transform of the masked spectra).
 #
-# Resource caps, each refused with exit 4 and a message naming its cost, and
-# after the census with empty stdout and one resource-cap line: the census
-# at n=6, also under python -O, which strips assert statements; involution
-# --samples 2049, whose expected 16,785,152 truth-table points pass 2^24;
-# lemma2 at n=18, 256 round trips over a ball of 155,382 points, 2^26 in
-# all; bent affine --count 2000000 at n=4, 2^25 points; coset-spectrum at
-# n=16 on the point face (mask 0), 2^32 points, while the dim-8 face (mask
-# 0xff) sits exactly on the 2^24 budget and prints its 256 sums; lemma1 at
-# n=16, whose all-ones mask needs 2^32 points, before its first triple
-# whatever the seed, and lemma1 --n 4 --samples 300000000, whose triples
-# would draw 2^34 points.
+# Refusals, each checked by refuses: the exit code, empty stdout, and one
+# stderr line naming the cost, so no traceback. Resource caps, each refused
+# with exit 4 and one resource-cap line: the census at n=6, also under
+# python -O, which strips assert statements; involution --samples 2049,
+# whose expected 16,785,152 truth-table points pass 2^24; lemma2 at n=18,
+# 256 round trips over a ball of 155,382 points, 2^26 in all; bent affine
+# --count 2000000 at n=4, 2^25 points; coset-spectrum at n=16 on the point
+# face (mask 0), 2^32 points, while the dim-8 face (mask 0xff) sits exactly
+# on the 2^24 budget and prints its 256 sums; lemma1 at n=16, whose all-ones
+# mask needs 2^32 points, before its first triple whatever the seed, and
+# lemma1 --n 4 --samples 300000000, whose triples would draw 2^34 points.
 #
 # Other checks: census-agreement prints the same stdout twice (no timings on
 # stdout); census runs in one process, so --jobs 2 exits 1 with one
-# usage-error line and empty stdout, while --jobs 1 prints 896/896 and the
-# same stdout as no --jobs; bounds at n=1024, its largest arity, prints
-# strict JSON (no Infinity or NaN), and at n=4 takes its known count from
-# the degree census, log2(896); coset-spectrum's coset sums add up to
-# 2^n - 2 wt(f), and a mask past n's bits exits 2 with one error line and no
-# traceback, also under python -O; lemma1 at n=10 meets no premise-true
-# triple in its default samples and exits 3 instead of passing on nothing.
+# usage-error line, while --jobs 1 prints 896/896 and the same stdout as no
+# --jobs; bounds at n=1024, its largest arity, prints strict JSON (no
+# Infinity or NaN), and at n=4 takes its known count from the degree census,
+# log2(896); coset-spectrum's coset sums add up to 2^n - 2 wt(f), and a mask
+# past n's bits exits 2 with one error line, also under python -O; lemma1 at
+# n=10 meets no premise-true triple in its default samples and exits 3
+# instead of passing on nothing.
 BENTKIT="${BENTKIT:-bentkit}"
 if [ -z "${RUNNER_TEMP:-}" ]; then
   RUNNER_TEMP="$(mktemp -d)"
   trap 'rm -rf "$RUNNER_TEMP"' EXIT
 fi
+# refuses CODE PREFIX COST cmd...: cmd exits CODE with empty stdout and
+# exactly one stderr line, so no traceback, that starts with PREFIX and names
+# COST. Call it only as a plain statement: bash ignores -e under if, || and &&.
+refuses() {
+  local want="$1" prefix="$2" cost="$3" code=0
+  shift 3
+  "$@" > "$RUNNER_TEMP/refused.out" 2> "$RUNNER_TEMP/refused.err" || code=$?
+  test "$code" -eq "$want"
+  test ! -s "$RUNNER_TEMP/refused.out"
+  test "$(wc -l < "$RUNNER_TEMP/refused.err")" -eq 1
+  case "$(cat "$RUNNER_TEMP/refused.err")" in
+    "$prefix"*"$cost"*) ;;
+    *) exit 1 ;;
+  esac
+}
 f="$RUNNER_TEMP/mm16.txt"
 python -c 'from bentkit.core import BooleanFunction as B, format_bf; print(format_bf(B(16, sum((k & (k >> 8) & 255).bit_count() % 2 << k for k in range(1 << 16)))))' > "$f"
 code=0
@@ -112,45 +129,24 @@ for pinned in "lemma1:196608:dd94e3e7d88e68f59521c8bcabd6572a4c4ae4aadc117ccdf49
   test "$code" -eq 0
   python -c 'import hashlib, json, sys; t = open(sys.argv[1], "rb").read(); d = json.loads(t); _, checks, digest = sys.argv[2].rsplit(":", 2); sys.exit(not (d["passed"] is True and d["checks"] == int(checks) and hashlib.sha256(t).hexdigest() == digest))' "$RUNNER_TEMP/verify.json" "$pinned"
 done
-code=0
-$BENTKIT census --n 6 --method degree 2> "$RUNNER_TEMP/cap.err" || code=$?
-test "$code" -eq 4
-grep -F '2^42' "$RUNNER_TEMP/cap.err"
-code=0
-python -O -m bentkit.cli census --n 6 --method naive 2> "$RUNNER_TEMP/cap.err" || code=$?
-test "$code" -eq 4
-grep -F '2^64' "$RUNNER_TEMP/cap.err"
+refuses 4 'resource cap: ' '2^42' $BENTKIT census --n 6 --method degree
+refuses 4 'resource cap: ' '2^64' python -O -m bentkit.cli census --n 6 --method naive
 $BENTKIT verify --suite census-agreement > "$RUNNER_TEMP/agree1.json"
 $BENTKIT verify --suite census-agreement > "$RUNNER_TEMP/agree2.json"
 cmp "$RUNNER_TEMP/agree1.json" "$RUNNER_TEMP/agree2.json"
-code=0
-$BENTKIT census --n 4 --jobs 2 > "$RUNNER_TEMP/census2.out" 2> "$RUNNER_TEMP/census2.err" || code=$?
-test "$code" -eq 1
-test ! -s "$RUNNER_TEMP/census2.out"
-test "$(wc -l < "$RUNNER_TEMP/census2.err")" -eq 1
-test "$(grep -c '^usage error: ' "$RUNNER_TEMP/census2.err")" -eq 1
+refuses 1 'usage error: ' '--jobs' $BENTKIT census --n 4 --jobs 2
 code=0
 $BENTKIT census --n 4 --jobs 1 > "$RUNNER_TEMP/census1.json" || code=$?
 test "$code" -eq 0
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["counts"] == {"naive": 896, "degree": 896} and d["agreement"] is True))' "$RUNNER_TEMP/census1.json"
 $BENTKIT census --n 4 > "$RUNNER_TEMP/census.json"
 cmp "$RUNNER_TEMP/census.json" "$RUNNER_TEMP/census1.json"
-code=0
-$BENTKIT verify --suite involution --samples 2049 > "$RUNNER_TEMP/invcap.out" 2> "$RUNNER_TEMP/invcap.err" || code=$?
-test "$code" -eq 4
-test ! -s "$RUNNER_TEMP/invcap.out"
-test "$(wc -l < "$RUNNER_TEMP/invcap.err")" -eq 1
-test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/invcap.err")" -eq 1
-grep -F '2^25' "$RUNNER_TEMP/invcap.err"
-grep -F '(16785152)' "$RUNNER_TEMP/invcap.err"
-code=0
-$BENTKIT verify --suite lemma2 --n 18 > "$RUNNER_TEMP/lemma2cap.out" 2> "$RUNNER_TEMP/lemma2cap.err" || code=$?
-test "$code" -eq 4
-test ! -s "$RUNNER_TEMP/lemma2cap.out"
-test "$(wc -l < "$RUNNER_TEMP/lemma2cap.err")" -eq 1
-test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/lemma2cap.err")" -eq 1
-grep -F '2^26' "$RUNNER_TEMP/lemma2cap.err"
-if grep -F Traceback "$RUNNER_TEMP/lemma2cap.err"; then exit 1; fi
+$BENTKIT census --n 4 --emit "$RUNNER_TEMP/emit.txt" > /dev/null
+test "$(wc -l < "$RUNNER_TEMP/emit.txt")" -eq 896
+python -c 'import hashlib, sys; sys.exit(hashlib.sha256(open(sys.argv[1], "rb").read()).hexdigest() != sys.argv[2])' "$RUNNER_TEMP/emit.txt" 96439b71721b597661d1a2da08e2295ff2d118fcaef0263db82a0fe1305baf7c
+refuses 4 'resource cap: ' '(16785152)' $BENTKIT verify --suite involution --samples 2049
+grep -F '2^25' "$RUNNER_TEMP/refused.err"
+refuses 4 'resource cap: ' '2^26' $BENTKIT verify --suite lemma2 --n 18
 code=0
 $BENTKIT bounds --n 1024 > "$RUNNER_TEMP/bounds.json" || code=$?
 test "$code" -eq 0
@@ -160,30 +156,10 @@ $BENTKIT coset-spectrum --f bf:4:0356 --mask 0x3 > "$RUNNER_TEMP/coset.json" || 
 test "$code" -eq 0
 python -c 'import json, sys; from bentkit.core import parse_bf, weight; d = json.load(open(sys.argv[1])); f = parse_bf(d["function"]); sys.exit(not (d["dim"] == 2 and sum(d["sums"].values()) == (1 << f.n) - 2 * weight(f)))' "$RUNNER_TEMP/coset.json"
 for run in "$BENTKIT" "python -O -m bentkit.cli"; do
-  code=0
-  $run coset-spectrum --f bf:4:0356 --mask 0x10 > "$RUNNER_TEMP/mask.out" 2> "$RUNNER_TEMP/mask.err" || code=$?
-  test "$code" -eq 2
-  test ! -s "$RUNNER_TEMP/mask.out"
-  test "$(wc -l < "$RUNNER_TEMP/mask.err")" -eq 1
-  test "$(grep -c '^error: ' "$RUNNER_TEMP/mask.err")" -eq 1
-  if grep -F Traceback "$RUNNER_TEMP/mask.err"; then exit 1; fi
+  refuses 2 'error: ' 'mask 0x10' $run coset-spectrum --f bf:4:0356 --mask 0x10
 done
-code=0
-$BENTKIT bent affine --f bf:4:0356 --count 2000000 > "$RUNNER_TEMP/affcap.out" 2> "$RUNNER_TEMP/affcap.err" || code=$?
-test "$code" -eq 4
-test ! -s "$RUNNER_TEMP/affcap.out"
-test "$(wc -l < "$RUNNER_TEMP/affcap.err")" -eq 1
-test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/affcap.err")" -eq 1
-grep -F '2^25' "$RUNNER_TEMP/affcap.err"
-if grep -F Traceback "$RUNNER_TEMP/affcap.err"; then exit 1; fi
-code=0
-$BENTKIT coset-spectrum --f "@$f" --mask 0 > "$RUNNER_TEMP/cosetcap.out" 2> "$RUNNER_TEMP/cosetcap.err" || code=$?
-test "$code" -eq 4
-test ! -s "$RUNNER_TEMP/cosetcap.out"
-test "$(wc -l < "$RUNNER_TEMP/cosetcap.err")" -eq 1
-test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/cosetcap.err")" -eq 1
-grep -F '2^32' "$RUNNER_TEMP/cosetcap.err"
-if grep -F Traceback "$RUNNER_TEMP/cosetcap.err"; then exit 1; fi
+refuses 4 'resource cap: ' '2^25' $BENTKIT bent affine --f bf:4:0356 --count 2000000
+refuses 4 'resource cap: ' '2^32' $BENTKIT coset-spectrum --f "@$f" --mask 0
 code=0
 $BENTKIT coset-spectrum --f "@$f" --mask 0xff > "$RUNNER_TEMP/coset16.json" || code=$?
 test "$code" -eq 0
@@ -192,22 +168,8 @@ code=0
 $BENTKIT verify --suite lemma1 --n 10 > "$RUNNER_TEMP/lemma1n10.json" || code=$?
 test "$code" -eq 3
 python -c 'import json, sys; d = json.load(open(sys.argv[1])); sys.exit(not (d["passed"] is False and d["details"]["premise_true"] == 0))' "$RUNNER_TEMP/lemma1n10.json"
-code=0
-$BENTKIT verify --suite lemma1 --n 16 > "$RUNNER_TEMP/lemma1cap.out" 2> "$RUNNER_TEMP/lemma1cap.err" || code=$?
-test "$code" -eq 4
-test ! -s "$RUNNER_TEMP/lemma1cap.out"
-test "$(wc -l < "$RUNNER_TEMP/lemma1cap.err")" -eq 1
-test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/lemma1cap.err")" -eq 1
-grep -F '2^32' "$RUNNER_TEMP/lemma1cap.err"
-if grep -F Traceback "$RUNNER_TEMP/lemma1cap.err"; then exit 1; fi
-code=0
-$BENTKIT verify --suite lemma1 --n 4 --samples 300000000 > "$RUNNER_TEMP/lemma1cap.out" 2> "$RUNNER_TEMP/lemma1cap.err" || code=$?
-test "$code" -eq 4
-test ! -s "$RUNNER_TEMP/lemma1cap.out"
-test "$(wc -l < "$RUNNER_TEMP/lemma1cap.err")" -eq 1
-test "$(grep -c '^resource cap: ' "$RUNNER_TEMP/lemma1cap.err")" -eq 1
-grep -F '2^34' "$RUNNER_TEMP/lemma1cap.err"
-if grep -F Traceback "$RUNNER_TEMP/lemma1cap.err"; then exit 1; fi
+refuses 4 'resource cap: ' '2^32' $BENTKIT verify --suite lemma1 --n 16
+refuses 4 'resource cap: ' '2^34' $BENTKIT verify --suite lemma1 --n 4 --samples 300000000
 code=0
 $BENTKIT bounds --n 4 > "$RUNNER_TEMP/bounds4.json" || code=$?
 test "$code" -eq 0

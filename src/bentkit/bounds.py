@@ -68,12 +68,9 @@ def a_n_log2(n: int) -> float:
     if n < 1:
         raise ValueError(f"arity must be >= 1, got {n}")
     # |GL(n,2)| = prod_i (2^n - 2^i) = prod_{i=1..n} (2^i - 1) * 2^(n(n-1)/2),
-    # the same exact int without multiplying out the trailing zeros; the odd
-    # factors are multiplied pairwise, so large operands meet large operands
-    factors = [(1 << i) - 1 for i in range(1, n + 1)]
-    while len(factors) > 1:
-        factors = [math.prod(factors[i:i + 2]) for i in range(0, len(factors), 2)]
-    return math.log2(factors[0] << (n * (n - 1) // 2 + 2 * n + 1))
+    # the same exact int without multiplying out the trailing zeros
+    odd = math.prod((1 << i) - 1 for i in range(1, n + 1))
+    return math.log2(odd << (n * (n - 1) // 2 + 2 * n + 1))
 
 
 def theorem_upper_log2(n: int) -> float:
@@ -168,7 +165,7 @@ def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> dict:
     elif n <= 4:
         # the degree census is exhaustive too, and counts without listing
         # the 2^(2^n) truth tables that the brute-force scan visits
-        count = enumerate_bent_by_degree(n, include_functions=False).count
+        count = enumerate_bent_by_degree(n).count
         report["known_count_log2"] = math.log2(count)
         report["known_source"] = "exhaustive census at this arity"
         report["known_provenance"] = "census"

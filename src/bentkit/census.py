@@ -3,10 +3,11 @@
 Two independent methods: brute force over every truth table, and search over
 normal forms supported on the ball B_d, d = max(2, n/2): a bent function has
 degree <= n/2 for n >= 4, and all 8 at n=2 have degree 2.  Each runs in this
-process as one scan of one (rows, 2^n) bit block and returns its functions
-in ascending truth-table order: the degree method turns its normal forms
-into truth tables with the packed Moebius kernel, and both filter the block
-with one call of ``bent.bent_rows``, the one bent test.
+process as one scan of one (rows, 2^n) bit block and returns its bent
+truth tables as ascending ints, ``CensusResult.tables``; ``.functions``
+wraps them in ``BooleanFunction`` objects on each read.  The degree method
+turns its normal forms into truth tables with the packed Moebius kernel, and
+both filter the block with one call of ``bent.bent_rows``, the one bent test.
 Both refuse a space of more than 2^24 candidates, the one work budget
 ``core.MAX_WORK_LOG2``: the brute-force space is 2^(2^n), 2^64 at n=6, and
 the degree-restricted space is 2^42 at n=6.  So the largest census the
@@ -17,7 +18,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
@@ -38,7 +38,12 @@ class CensusResult:
     method: str
     count: int
     elapsed: float
-    functions: Optional[tuple[BooleanFunction, ...]]
+    tables: tuple[int, ...]
+
+    @property
+    def functions(self) -> tuple[BooleanFunction, ...]:
+        """The bent functions, in ascending truth-table order."""
+        return tuple(BooleanFunction(self.n, t) for t in self.tables)
 
 
 def _bent_tables(n: int, total: int) -> list[int]:
@@ -60,26 +65,25 @@ def _bent_tables_from_anf(n: int, total: int) -> list[int]:
     return pack_rows(truth[bent_rows(truth, n)])
 
 
-def _census(method: str, scan, n: int, total: int, keep: bool) -> CensusResult:
+def _census(method: str, scan, n: int, total: int) -> CensusResult:
     started = time.perf_counter()
-    tables = sorted(scan(n, total))
+    tables = tuple(sorted(scan(n, total)))
     elapsed = time.perf_counter() - started
-    functions = tuple(BooleanFunction(n, t) for t in tables) if keep else None
-    return CensusResult(n, method, len(tables), elapsed, functions)
+    return CensusResult(n, method, len(tables), elapsed, tables)
 
 
-def enumerate_bent_naive(n: int, *, include_functions: bool = True) -> CensusResult:
+def enumerate_bent_naive(n: int) -> CensusResult:
     """Filter all 2^(2^n) truth tables through the bent test."""
     _check_even(n)
     _check_arity(n)  # before 1 << n
     _check_work(1 << n, f"truth tables for the brute-force census at n={n}")
-    return _census("naive", _bent_tables, n, 1 << (1 << n), include_functions)
+    return _census("naive", _bent_tables, n, 1 << (1 << n))
 
 
-def enumerate_bent_by_degree(n: int, *, include_functions: bool = True) -> CensusResult:
+def enumerate_bent_by_degree(n: int) -> CensusResult:
     """Search normal forms of degree <= max(2, n/2) and filter by the bent test."""
     _check_even(n)
     _check_arity(n)  # before the exponent, a sum of n/2 big binomials
     exponent = ball_size(n, _degree_bound(n))  # log2 of the normal forms of that degree
     _check_work(exponent, f"normal forms for the degree-restricted census at n={n}")
-    return _census("degree", _bent_tables_from_anf, n, 1 << exponent, include_functions)
+    return _census("degree", _bent_tables_from_anf, n, 1 << exponent)

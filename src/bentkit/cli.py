@@ -191,7 +191,7 @@ def _cmd_census(args: argparse.Namespace):
     }
     code = EXIT_OK
     if args.method == "both":
-        agree = runs["naive"].functions == runs["degree"].functions
+        agree = runs["naive"].tables == runs["degree"].tables
         payload["agreement"] = agree
         if not agree:
             code = EXIT_FAILED

@@ -284,7 +284,7 @@ def suite_prop1(n: int = 4, maps: int = 10, seed: int = 1) -> dict:
     are bent-tested a chunk at a time across members, not member by member,
     within the work budget on truth-table points (census size x maps x 2^n),
     which the stream checks before it draws a map."""
-    members = enumerate_bent_by_degree(n).functions or ()
+    members = enumerate_bent_by_degree(n).functions
     return _report(
         "prop1",
         "census x random maps",
@@ -423,9 +423,10 @@ def suite_flats(n: int = 4) -> dict:
         expected = {4 - 2 * k: comb(4, k) for k in range(5)}
         yield 1 if sizes == expected else {"reason": "pattern classes", "got": sizes}
 
-        members = enumerate_bent_by_degree(n).functions or ()
+        census = enumerate_bent_by_degree(n)
+        members = census.functions
         # ones[i, j] = ones of member i on flat j; column k of direct counts sum 4 - 2k
-        truth = unpack_rows(np.array([f.table for f in members], np.uint64), 1 << n)
+        truth = unpack_rows(np.array(census.tables, np.uint64), 1 << n)
         ones = truth[:, np.array(list(two_flats(n)))].sum(axis=2)
         direct = np.stack([(ones == k).sum(axis=1) for k in range(5)], axis=1).tolist()
         common: Optional[dict[int, int]] = None
@@ -463,22 +464,22 @@ def suite_flats(n: int = 4) -> dict:
 
 
 def suite_census_agreement(n: int = 4) -> dict:
-    """Both census methods produce the identical ascending function stream."""
+    """Both census methods produce the identical ascending truth-table list."""
     naive = enumerate_bent_naive(n)
     by_degree = enumerate_bent_by_degree(n)
     details = {"count": naive.count}
     problems: list[Check] = [1]
-    if naive.functions != by_degree.functions:
+    if naive.tables != by_degree.tables:
         problems[0] = {
             "reason": "method outputs differ",
             "naive_count": naive.count,
             "degree_count": by_degree.count,
         }
     if n == 2:
-        analytic = tuple(BooleanFunction(2, t) for t in range(16) if t.bit_count() % 2)
+        analytic = tuple(t for t in range(16) if t.bit_count() % 2)
         details["analytic_odd_weight_count"] = len(analytic)
         problems.append(
-            1 if naive.functions == analytic
+            1 if naive.tables == analytic
             else {"reason": "odd-weight analytic check failed"}
         )
     return _report("census-agreement", "cross-method", {"n": n}, problems, details)

@@ -147,7 +147,7 @@ def test_criterion_10_flat_statistics():
 def test_criterion_11_bound_arithmetic():
     assert trivial_upper_log2(4) == 11
     assert tokareva_lower_log2(4) == 7
-    count_log = math.log2(enumerate_bent_naive(4, include_functions=False).count)
+    count_log = math.log2(enumerate_bent_naive(4).count)
     assert abs(count_log - 9.807354922057604) < 1e-9
     assert tokareva_lower_log2(4) <= count_log <= trivial_upper_log2(4)
     for n in range(6, 32, 2):

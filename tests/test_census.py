@@ -23,6 +23,7 @@ from bentkit.core import (
     weight,
 )
 from bentkit.geometry import ball_size
+from bentkit.suites import suite_census_agreement
 
 N2_TABLES = [1, 2, 4, 7, 8, 11, 13, 14]  # the eight odd-weight tables
 
@@ -62,13 +63,34 @@ def test_n4_stream_is_ascending_and_bent():
     assert format_bf(functions[0]) == "bf:4:0356"
 
 
-def test_count_only_mode():
-    result = enumerate_bent_naive(4, include_functions=False)
-    assert result.count == 896
-    assert result.functions is None
-    result = enumerate_bent_by_degree(4, include_functions=False)
-    assert result.count == 896
-    assert result.functions is None
+def test_tables_are_ascending_ints_and_functions_wrap_them():
+    for result in (enumerate_bent_naive(4), enumerate_bent_by_degree(4)):
+        assert all(type(t) is int for t in result.tables)
+        assert list(result.tables) == sorted(set(result.tables))
+        assert result.count == len(result.tables) == 896
+        assert result.functions == tuple(BooleanFunction(4, t) for t in result.tables)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: enumerate_bent_naive(4),
+        lambda: enumerate_bent_by_degree(4),
+        lambda: suite_census_agreement(4),
+    ],
+    ids=["naive", "degree", "census-agreement"],
+)
+def test_census_builds_no_function_objects(monkeypatch, run):
+    built = []
+    real = BooleanFunction.__post_init__
+
+    def counted(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(BooleanFunction, "__post_init__", counted)
+    run()
+    assert len(built) == 0
 
 
 @pytest.fixture

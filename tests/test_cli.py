@@ -397,7 +397,7 @@ def test_census_disagreement_exits_3(capsys, monkeypatch):
 
     def one_short(n):
         result = real(n)
-        return dataclasses.replace(result, count=result.count - 1, functions=result.functions[1:])
+        return dataclasses.replace(result, count=result.count - 1, tables=result.tables[1:])
 
     monkeypatch.setattr(cli, "enumerate_bent_naive", one_short)
     code, payload, _ = run_json(capsys, "census", "--n", "2")

@@ -226,8 +226,8 @@ def test_one_work_budget_sets_every_enumeration_limit(monkeypatch):
         walsh_naive(BooleanFunction(12, 0))
         assert len(coset_spectrum(BooleanFunction(16, 0), 0xFF)) == 256  # 2^24 points
         coset_value_class_sizes(4)
-        assert enumerate_bent_naive(4, include_functions=False).count == 896
-        assert enumerate_bent_by_degree(4, include_functions=False).count == 896
+        assert enumerate_bent_naive(4).count == 896
+        assert enumerate_bent_by_degree(4).count == 896
         for call in refused:
             with pytest.raises(ResourceCapError, match=rf"over the cap of 2\^{budget}$"):
                 call()

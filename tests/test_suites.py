@@ -740,7 +740,7 @@ def test_flats_failing_path_reports_a_member_off_the_common_distribution(monkeyp
 def test_flats_refuses_an_empty_census(monkeypatch):
     real = suites.enumerate_bent_by_degree
     monkeypatch.setattr(
-        suites, "enumerate_bent_by_degree", lambda n: dataclasses.replace(real(n), functions=())
+        suites, "enumerate_bent_by_degree", lambda n: dataclasses.replace(real(n), tables=())
     )
     with pytest.raises(ValueError, match="no bent functions at n=4"):
         suite_flats(4)
@@ -749,7 +749,7 @@ def test_flats_refuses_an_empty_census(monkeypatch):
 def _census_dropping_the_first(real):
     def census(n):
         result = real(n)
-        return dataclasses.replace(result, count=result.count - 1, functions=result.functions[1:])
+        return dataclasses.replace(result, count=result.count - 1, tables=result.tables[1:])
 
     return census
 
