@@ -95,9 +95,11 @@ def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
 def ball_points(n: int, r: int) -> tuple[int, ...]:
     """Hamming ball B_r: all points of weight <= r, sorted by (weight, index).
 
-    Cached, so a suite that reads one ball per round trip builds it once;
-    ``typed`` keeps a bool radius from hitting an int's entry and passing the
-    check.  The largest ball a run can list, 2^24 points (``verify --suite
+    Cached: ``reconstruct_from_ball`` reads the ball on every call, and
+    ``verify --suite lemma2`` calls it once per block of 2^15 / 2^n
+    candidates, so from n=15, where a block is one sample, each sample would
+    otherwise list the ball again.  ``typed`` keeps a bool radius from
+    hitting an int's entry and passing the check.  The largest ball a run can list, 2^24 points (``verify --suite
     lemma2 --n 25``), stays cached for the life of the process.
     """
     _check_arity(n)

@@ -154,6 +154,11 @@ def test_bent_images_refuse_past_the_work_budget_before_drawing_a_map(monkeypatc
     # within the budget the patched name is what draws the maps
     with pytest.raises(AssertionError, match="a map was drawn"):
         next(bent._bent_images([QUAD], 1, random.Random(1)))
+    # no functions, no images, and nothing drawn
+    rng = random.Random(1)
+    state = rng.getstate()
+    assert list(bent._bent_images([], 3, rng)) == []
+    assert rng.getstate() == state
 
 
 def test_dual_involution_n2():

@@ -75,6 +75,8 @@ def test_a_n_oracles():
     assert a_n_log2(1) == 3.0
     assert math.isclose(a_n_log2(2), math.log2(192))
     assert math.isclose(a_n_log2(4), math.log2(10321920))
+    with pytest.raises(ValueError):
+        a_n_log2(0)
 
 
 def test_a_n_equals_the_written_out_group_order():
@@ -189,6 +191,7 @@ def test_load_known_counts(tmp_path):
         '[[1, 2]]',
         # a JSON true is a Python bool, which is an int but not an arity
         '[{"n": true, "count": "10", "source": "x"}]',
+        '[{"n": 0, "count": "10", "source": "x"}]',
     ],
 )
 def test_load_known_counts_rejects(tmp_path, payload):

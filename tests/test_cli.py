@@ -479,6 +479,7 @@ def test_output_is_stable(capsys):
         (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [0, 0, 1' + "0" * 30 + "]}"], 2),
         (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [0, 0, -1' + "0" * 30 + "]}"], 2),
         (["reconstruct", "--ball", '{"n": 2, "r": 1, "values": [0, 1, 2]}'], 2),
+        (["verify", "--suite", "parseval", "--samples", "abc"], 1),
     ],
 )
 def test_exit_codes(capsys, tmp_path, argv, expected):

@@ -86,6 +86,8 @@ def test_parse_is_case_insensitive():
         "bf:4:-356",
         # one hex digit holds 4 bits, n=1 a 2-bit table
         "bf:1:4",
+        # not a string at all
+        5,
     ],
 )
 def test_parse_rejects(bad):

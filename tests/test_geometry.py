@@ -247,6 +247,8 @@ def test_gaussian_binomial():
     for n in range(1, 8):
         for k in range(n + 1):
             assert gaussian_binomial(n, k) == gaussian_binomial(n, n - k)
+    with pytest.raises(ValueError):
+        gaussian_binomial(-1, 2)
 
 
 def test_coset_value_class_sizes():

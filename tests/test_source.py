@@ -1,6 +1,7 @@
 """Source-level rules for the package."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -35,3 +36,11 @@ def test_all_names_exactly_the_imports():
     ]
     assert len(bentkit.__all__) == len(set(bentkit.__all__))
     assert sorted(bentkit.__all__) == sorted(imported)
+
+
+def test_console_checks_pin_no_output_that_golden_pins():
+    # an output is pinned in one place, so an intended change is re-pinned once
+    def digests(path):
+        return set(re.findall(r"\b[0-9a-f]{64}\b", (ROOT / path).read_text()))
+
+    assert digests("ci/console_checks.sh") & digests("tests/test_cli.py") == set()
