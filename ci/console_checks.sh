@@ -42,7 +42,10 @@
 # chunk's maps one random_invertible block. These many-row blocks check
 # walsh_rows' points-major (2^n, rows) layout, and convolution's array paths
 # and involution's packed row codec run, on every numpy the jobs install,
-# the numpy floor job's included.
+# the numpy floor job's included. The parseval --samples 3000 pin also
+# covers the naive oracle's block path, np.bitwise_count on packed uint64
+# words (new in numpy 2.0), on each of those numpy versions, the 2.0.* floor
+# job's included.
 #
 # Refusals, each checked by refuses: the exit code, empty stdout, and one
 # stderr line naming the cost, so no traceback. Exit 4 with one resource-cap

@@ -95,12 +95,14 @@ def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
 def ball_points(n: int, r: int) -> tuple[int, ...]:
     """Hamming ball B_r: all points of weight <= r, sorted by (weight, index).
 
-    Cached: ``reconstruct_from_ball`` reads the ball on every call, and
-    ``verify --suite lemma2`` calls it once per block of 2^15 / 2^n
-    candidates, so from n=15, where a block is one sample, each sample would
-    otherwise list the ball again.  ``typed`` keeps a bool radius from
-    hitting an int's entry and passing the check.  The largest ball a run can list, 2^24 points (``verify --suite
-    lemma2 --n 25``), stays cached for the life of the process.
+    Cached: ``verify --suite lemma2`` lists it once per radius and run, and
+    ``reconstruct_from_ball``, called once per block of 2^15 / 2^n
+    candidates, scatters through ``reconstruct._ball_index``, the ball as an
+    int32 index array built from this tuple once per (n, r).  ``typed``
+    keeps a bool radius from hitting an int's entry and passing the check.
+    The largest ball a run can list, 2^24 points (``verify --suite lemma2
+    --n 25``), stays cached for the life of the process, with its 64 MB
+    index array.
     """
     _check_arity(n)
     _check_radius(n, r)
@@ -130,8 +132,8 @@ def covering_coset_count(n: int, r: int, mask: int) -> int:
 def gaussian_binomial(n: int, k: int) -> int:
     """Number of k-dimensional linear subspaces of F_2^n.
 
-    Follows the math.comb convention: k outside [0, n] gives 0,
-    negative n is rejected.
+    Follows the math.comb convention: k > n gives 0, and a negative n or
+    k is a ValueError.
     """
     _check_int(n, "n")
     _check_int(k, "k")

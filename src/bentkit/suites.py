@@ -29,15 +29,16 @@ from . import core
 from .bent import _bent_images, two_flat_sum_distribution, two_flats
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import BooleanFunction, _check_arity, _check_work, format_bf, pack_bits, random_function
-from .core import pack_rows, unpack_bits, unpack_rows, weight
+from .core import pack_rows, unpack_bits, unpack_rows
 from .geometry import ball_points, ball_size, coset_value_class_sizes, subcube_points
 from .reconstruct import check_lemma1, reconstruct_from_ball
-from .transforms import _moebius_table, _peak, moebius, walsh_naive, walsh_truth_rows
+from .transforms import _moebius_table, _naive_spectra, _peak, moebius, walsh_truth_rows
 from .transforms import check_restriction_identity, truth_rows_from_anf
 
 _MAX_REPORTED = 10
-# parseval meets the O(4^n) walsh_naive only up to this arity: checking n = 11
-# and 12 too took the default suite from 0.22-0.29 s to 0.59-0.82 s (2-core Xeon)
+# parseval meets the O(4^n) naive oracle only up to this arity: checking n = 11
+# and 12 too takes the default suite from 36-38 ms to 88 ms in process CPU time
+# (2-core Xeon), past everything else it checks
 _NAIVE_CHECK_MAX_N = 10
 
 Item = TypeVar("Item")
@@ -329,38 +330,45 @@ def suite_convolution(samples: int = 1000, seed: int = 1) -> dict:
     )
 
 
-def _sum_of_squares(values: np.ndarray) -> int:
-    # int32 squares wrap silently: the dot product runs in int64, or past 2^63 on ints
-    peak = _peak(values)
-    wide = values.astype(np.int64 if peak * peak * len(values) < 1 << 63 else object)
-    return int(wide @ wide)
+def _sums_of_squares(block: np.ndarray) -> np.ndarray:
+    # int32 squares wrap silently: the row sums run in int64, or past 2^63 on ints
+    peak = _peak(block)
+    wide = block.astype(np.int64 if peak * peak * block.shape[1] < 1 << 63 else object)
+    return (wide * wide).sum(axis=1)
 
 
-def _spectrum_block(functions: list[BooleanFunction]) -> np.ndarray:
-    return walsh_truth_rows(unpack_rows([f.table for f in functions], functions[0].size))
+def _spectrum_problems(functions: list[BooleanFunction], spectra: np.ndarray) -> list[Check]:
+    """One check per function of one arity, given their butterfly spectra as
+    a (rows, 2^n) block: each invariant is one test of the whole block, and
+    a function that breaks any of them gets a counterexample naming them."""
+    n, tables = functions[0].n, [f.table for f in functions]
+    weights = np.array([t.bit_count() for t in tables], dtype=np.int64)
+    parity = (1 << n) & 1
+    broken = {
+        "parseval": _sums_of_squares(spectra) != 1 << (2 * n),
+        "parity": ((spectra & 1) != parity).any(axis=1),
+        "w0": spectra[:, 0] != (1 << n) - 2 * weights,
+    }
+    if n <= _NAIVE_CHECK_MAX_N:
+        broken["naive-disagrees"] = (_naive_spectra(n, tables) != spectra).any(axis=1)
+    failed = np.stack(list(broken.values()), axis=1)
+    checks: list[Check] = [1] * len(functions)
+    for i in np.flatnonzero(failed.any(axis=1)).tolist():
+        problems = [name for name, bad in zip(broken, failed[i]) if bad]
+        checks[i] = {"f": format_bf(functions[i]), "problems": problems}
+    return checks
 
 
-def _spectrum_problems(f: BooleanFunction, spectrum: np.ndarray) -> Check:
-    """The spectrum invariants f breaks, given its butterfly row, as a
-    counterexample, or 1 if it breaks none."""
-    failed = []
-    if _sum_of_squares(spectrum) != 1 << (2 * f.n):
-        failed.append("parseval")
-    parity = (1 << f.n) & 1
-    if ((spectrum & 1) != parity).any():
-        failed.append("parity")
-    if spectrum[0] != (1 << f.n) - 2 * weight(f):
-        failed.append("w0")
-    if f.n <= _NAIVE_CHECK_MAX_N and walsh_naive(f) != spectrum.tolist():
-        failed.append("naive-disagrees")
-    return {"f": format_bf(f), "problems": failed} if failed else 1
+def _spectrum_block(functions: list[BooleanFunction]) -> list[Check]:
+    truth = unpack_rows([f.table for f in functions], functions[0].size)
+    return _spectrum_problems(functions, walsh_truth_rows(truth))
 
 
 def suite_parseval(samples: int = 1000, seed: int = 1) -> dict:
-    """Spectrum invariants: Parseval, parity, W(0), and fast/naive agreement
-    up to n = ``_NAIVE_CHECK_MAX_N``.  The butterfly spectra come one
-    ``walsh_truth_rows`` block per arity and chunk; every invariant is then
-    checked function by function, the oracle included."""
+    """Spectrum invariants: Parseval, parity, W(0), and agreement with the
+    popcount oracle ``_naive_spectra`` up to n = ``_NAIVE_CHECK_MAX_N``.
+    Each chunk's spectra come as one ``walsh_truth_rows`` block per arity,
+    and every invariant, the oracle included, is checked on the whole block."""
     max_n = 12
     _check_stream(samples, max_n)
     functions = _functions(3, samples, seed, max_n)
@@ -368,7 +376,7 @@ def suite_parseval(samples: int = 1000, seed: int = 1) -> dict:
         "parseval",
         "exhaustive n<=3 + randomized",
         {"samples": samples, "seed": seed, "max_n": max_n},
-        starmap(_spectrum_problems, _in_blocks(functions, lambda f: f.n, _spectrum_block)),
+        (check for _, check in _in_blocks(functions, lambda f: f.n, _spectrum_block)),
     )
 
 

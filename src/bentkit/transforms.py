@@ -26,10 +26,14 @@ is one function's spectrum as an int32 row, and ``hadamard_transform`` and
 well as any sequence of ints.  Lists appear only at the public boundary: every
 public function returns plain lists of Python ints.
 ``walsh_fast`` (the spectrum of a function) and ``hadamard_transform`` (of an
-integer vector) each run one butterfly, O(n 2^n); ``walsh_naive``, the
-independent oracle, reads each W(y) = 2^n - 2 wt(f + <., y>) as a popcount,
-with no butterfly and no numpy; it is the faster of the two at small n, where
-``_walsh_by_arity`` (for ``check_lemma1`` and the 2-flat closed form) takes it.
+integer vector) each run one butterfly, O(n 2^n).  The independent oracle
+has one kernel too, ``_naive_spectra``: it reads each W(y) = 2^n - 2 wt(f +
+<., y>) of a block of truth tables as the popcounts (``np.bitwise_count``) of
+the tables, packed in uint64 words, XORed with the packed character tables
+of ``_characters``, and never reaches a butterfly.  ``walsh_naive`` is its
+one-row call, the faster route at small n, where ``_walsh_by_arity`` (for
+``check_lemma1`` and the 2-flat closed form) takes it; the ``parseval`` suite
+compares whole blocks of butterfly spectra with it.
 ``convolve_pm`` is likewise the direct sum over the support of its vector,
 gathered a slice of the support at a time, in int64 or else on exact ints in
 an object array, and never reaches a butterfly, so
@@ -43,6 +47,7 @@ computations.
 from __future__ import annotations
 
 import operator
+from functools import lru_cache
 from typing import Sequence, Union
 
 import numpy as np
@@ -57,9 +62,14 @@ IntegerVector = list[int]
 # _walsh_by_arity runs walsh_naive up to this arity and walsh_fast above it;
 # microseconds per call, best of 7 over 20 random functions (2-core Xeon):
 #   n      1     2     3     4     5     6     7     8     9    10
-#   naive  2.0   2.6   3.4   4.3   6.0  10.5  19.7  43.1   110   255
-#   fast  12.4  20.1  17.5  22.4  27.2  31.5  39.3  48.5  63.6  93.5
+#   naive  3.1   3.1   3.0   3.1   3.3   3.8  13.3  17.2  33.5  77.7
+#   fast   7.4  10.2  15.5  19.7  25.5  29.4  35.6  44.6  56.4  81.3
+# The oracle is faster up to n=9; the cutover stays at 7, which
+# tests/test_transforms.py pins
 _NAIVE_SPECTRUM_MAX_N = 7
+# _naive_spectra XORs a block of tables against 2^_SLICE_LOG2 characters at
+# once; at least 6, so that the 64 points of a word share x >> _SLICE_LOG2
+_SLICE_LOG2 = 8
 
 
 def walsh_rows(a: np.ndarray) -> np.ndarray:
@@ -143,19 +153,62 @@ def walsh_fast(f: BooleanFunction) -> IntegerVector:
     return _spectrum(f).tolist()
 
 
+@lru_cache(maxsize=16)
+def _characters(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """What ``_naive_spectra`` reads at arity n, (low, high, values).  With
+    s = min(n, ``_SLICE_LOG2``) (at least 6), the character table l_y of
+    <x, y>, packed in uint64 words of 64 points, is low[y mod 2^s] XOR
+    high[y >> s]: ``low`` (2^s, words) holds the first characters, XORs of
+    the coordinate lines of ``geometry`` tiled across the words, and ``high``
+    (2^(n - s), words), one zero row when s = n, is all ones in the words
+    whose points have <x >> s, y >> s> odd (a word's 64 points share x >> s).
+    values[k] = 2^n - 2k is W(y) where wt(f + l_y) = k.  Cached per arity: at
+    n=12 the three take 172 KB, for all of n = 1..12 334 KB, all read-only."""
+    lo, words = min(n, _SLICE_LOG2), max(1, (1 << n) >> 6)
+    full = (1 << (1 << lo)) - 1
+    chars = [0]
+    for mask in coordinate_masks(lo):
+        chars += [c ^ full ^ mask for c in chars]  # y with bit i set: XOR in the line x_i = 1
+    data = b"".join(c.to_bytes(max(8, (1 << lo) >> 3), "little") for c in chars)
+    low = np.frombuffer(data, dtype="<u8").reshape(len(chars), -1)
+    low = np.tile(low, (1, words // low.shape[1]))
+    high_x = (np.arange(words) << 6) >> lo
+    parity = np.bitwise_count(np.arange(1 << (n - lo))[:, None] & high_x) & 1
+    values = (1 << n) - 2 * np.arange((1 << n) + 1)
+    tables = (low, (-parity.astype(np.int64)).view(np.uint64), values)
+    for table in tables:  # shared by every caller through the cache
+        table.flags.writeable = False
+    return tables
+
+
+def _naive_spectra(n: int, tables: Sequence[int]) -> np.ndarray:
+    """Walsh spectra of the n-ary truth tables ``tables`` by the defining sum,
+    W(y) = 2^n - 2 wt(t XOR l_y), as a (rows, 2^n) int64 block: the tables,
+    packed in uint64 words, are XORed against the character tables of
+    ``_characters`` 2^min(n, _SLICE_LOG2) at a time, each slice's high part
+    XORed into the tables first, and popcounted with ``np.bitwise_count``;
+    a one-word table (n <= 6) takes one XOR against all its characters.
+    O(4^n / 64) word operations a row and no butterfly: the independent
+    oracle.  The caller checks the work."""
+    low, high, values = _characters(n)
+    words = low.shape[1]
+    if words == 1:
+        ones = np.bitwise_count(np.array(tables, dtype=np.uint64)[:, None] ^ low[:, 0])
+    else:
+        data = b"".join(t.to_bytes(8 * words, "little") for t in tables)
+        packed = np.frombuffer(data, dtype="<u8").reshape(-1, words)
+        slices = [np.bitwise_count((packed ^ h)[:, None] ^ low).sum(axis=2) for h in high]
+        ones = np.concatenate(slices, axis=1)
+    return values.take(ones)
+
+
 def walsh_naive(f: BooleanFunction) -> IntegerVector:
-    """Walsh-Hadamard spectrum by the defining sum: W(y) = 2^n - 2 wt(f + l_y),
-    with l_y the table of <x, y>, the XOR of the tables l_i of x_i over the bits
-    of y; y runs in Gray-code order, so each step XORs one l_i.  O(4^n) bit
+    """Walsh-Hadamard spectrum by the defining sum, W(y) = 2^n - 2 wt(f + l_y)
+    with l_y the table of <x, y>: one row of ``_naive_spectra``.  O(4^n) bit
     work, within the budget up to n=12; the independent oracle for walsh_fast."""
-    _check_work(2 * f.n, f"terms of the defining sum for the naive transform at n={f.n}")
-    size, t = f.size, f.table
-    lines = [((1 << size) - 1) ^ m for m in coordinate_masks(f.n)]  # mask i: x_i = 0
-    values = [size - 2 * t.bit_count()] * size  # W(0); the loop sets every other y
-    for k in range(1, size):
-        t ^= lines[(k & -k).bit_length() - 1]  # Gray codes k - 1 and k differ in bit ctz(k)
-        values[k ^ (k >> 1)] = size - 2 * t.bit_count()
-    return values
+    if 2 * f.n > core.MAX_WORK_LOG2:  # compared first: check_lemma1 calls this in bulk
+        _check_work(2 * f.n, f"terms of the defining sum for the naive transform at n={f.n}")
+    return _naive_spectra(f.n, [f.table])[0].tolist()
 
 
 def _walsh_by_arity(f: BooleanFunction) -> IntegerVector:

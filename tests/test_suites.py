@@ -13,7 +13,6 @@ from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, ResourceCapError, format_bf, pack_bits, parse_bf
 from bentkit.reconstruct import check_lemma1
-from bentkit.transforms import walsh_naive
 from bentkit.suites import (
     SUITES,
     suite_census_agreement,
@@ -223,12 +222,13 @@ def test_parseval_suite():
 
 def test_parseval_meets_the_naive_oracle_up_to_the_cutoff(monkeypatch):
     arities = []
+    real = suites._naive_spectra
 
-    def recording(f):
-        arities.append(f.n)
-        return walsh_naive(f)
+    def recording(n, tables):
+        arities.extend([n] * len(tables))  # one per row of the block
+        return real(n, tables)
 
-    monkeypatch.setattr(suites, "walsh_naive", recording)
+    monkeypatch.setattr(suites, "_naive_spectra", recording)
     report = suite_parseval(samples=60, seed=1)
     assert report["passed"] and report["checks"] == 4 + 16 + 256 + 60
     # the n <= 10 functions meet the oracle; the samples above the cutoff do not
@@ -648,7 +648,7 @@ def test_parseval_is_exact_where_int64_squares_wrap():
     wrapped = np.zeros(8, dtype=np.int64)
     wrapped[0] = 8 - 2**63
     assert wrapped @ wrapped == 64
-    problems = suites._spectrum_problems(BooleanFunction(3, 0), wrapped.copy())
+    [problems] = suites._spectrum_problems([BooleanFunction(3, 0)], wrapped[None].copy())
     assert "parseval" in problems["problems"]
 
 
@@ -656,8 +656,31 @@ def test_parseval_widens_an_int32_spectrum():
     # 8^2 + (2^16)^2 is 64 modulo 2^32, so an int32 dot product reads 2^(2n) at n=3
     wrapped = np.array([8, 2**16, 0, 0, 0, 0, 0, 0], dtype=np.int32)
     assert wrapped @ wrapped == 64
-    problems = suites._spectrum_problems(BooleanFunction(3, 0x96), wrapped.copy())  # bf:3:96
-    assert problems["problems"] == ["parseval", "w0", "naive-disagrees"]
+    [problems] = suites._spectrum_problems([BooleanFunction(3, 0x96)], wrapped[None].copy())
+    assert problems["problems"] == ["parseval", "w0", "naive-disagrees"]  # bf:3:96
+
+
+def test_parseval_reports_block_failures_in_stream_order(monkeypatch):
+    # one chunk: the n = 1 block, run first, holds the last failing function
+    stream = list(suites._functions(3, 10, 1, 12))
+    assert sum(f.size for f in stream) <= core.CHUNK_POINTS
+    last_n1 = max(i for i, f in enumerate(stream) if f.n == 1)
+    first_n3 = min(i for i, f in enumerate(stream) if f.n == 3)
+    assert first_n3 < last_n1
+    real = suites._naive_spectra
+
+    def corrupted(n, tables):
+        spectra = real(n, tables)
+        if n in (1, 3):
+            spectra[-1 if n == 1 else 0, 0] += 2
+        return spectra
+
+    monkeypatch.setattr(suites, "_naive_spectra", corrupted)
+    report = suite_parseval(samples=10, seed=1)
+    assert report["checks"] == len(stream) and report["failures"] == 2
+    assert report["counterexamples"] == [
+        {"f": format_bf(stream[i]), "problems": ["naive-disagrees"]} for i in (first_n3, last_n1)
+    ]
 
 
 def test_blocks_cut_the_stream_at_the_point_bound(monkeypatch):

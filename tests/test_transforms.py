@@ -86,8 +86,10 @@ def test_spectra_are_lists_of_python_ints(n):
 
 
 def test_naive_call_at_the_largest_arity_peaks_under_a_megabyte():
-    # no warm-up call: the oracle keeps nothing between calls, and holds only
-    # its 2^12 values and n coordinate tables; a 4096 x 4096 matrix of the
+    # no warm-up call: between calls the oracle keeps only its packed character
+    # tables, transforms._characters(n) (172 KB at n=12), which this call
+    # builds; besides them it holds its 2^12 values and one slice of 256
+    # characters against the table (128 KB), where a 4096 x 4096 matrix of the
     # characters would take 16 MB even in int8
     f = random_function(12, random.Random(12))
     tracemalloc.start()
@@ -418,11 +420,59 @@ def test_convolve_pm_gathers_match_the_double_sum_at_chunk_edges(monkeypatch, n)
     assert convolve_pm(f, g) == _convolve_literal(f, g)
 
 
-def _walsh_literal(f):
+def _walsh_literal(f, ys=None):
     return [
         sum((-1) ** (f.bit(x) + (x & y).bit_count()) for x in range(f.size))
-        for y in range(f.size)
+        for y in (range(f.size) if ys is None else ys)
     ]
+
+
+@pytest.fixture
+def slice_log2(monkeypatch):
+    """Sets transforms._SLICE_LOG2, emptying the character cache built for it."""
+
+    def set_slice(log2):
+        monkeypatch.setattr(transforms, "_SLICE_LOG2", log2)
+        transforms._characters.cache_clear()
+
+    yield set_slice
+    transforms._characters.cache_clear()
+
+
+@pytest.mark.parametrize("slice_bits", [8, 6], ids=["slice-256", "slice-64"])
+@pytest.mark.parametrize("n", range(1, 13))
+def test_naive_block_is_the_defining_sum_at_every_arity(n, slice_bits, slice_log2):
+    # 2^6 characters a slice run the high-part XOR from n = 7 on, not only from n = 9
+    slice_log2(slice_bits)
+    rng = random.Random(n)
+    functions = [random_function(n, rng) for _ in range(3)]
+    block = transforms._naive_spectra(n, [f.table for f in functions])
+    assert block.shape == (3, 1 << n) and block.dtype == np.int64
+    assert block.tolist() == [walsh_fast(f) for f in functions]
+    # the literal double sum at every y up to n = 7; above, at both edges of
+    # the first slice, at the last y and at eight random ones
+    if n <= 7:
+        ys = list(range(1 << n))
+    else:
+        edges = {0, (1 << slice_bits) - 1, 1 << slice_bits, (1 << n) - 1}
+        ys = sorted({y for y in edges if y < 1 << n} | set(rng.sample(range(1 << n), 8)))
+    for f, row in zip(functions, block.tolist()):
+        assert [row[y] for y in ys] == _walsh_literal(f, ys)
+
+
+def test_naive_block_never_reaches_the_butterfly(monkeypatch, slice_log2):
+    rng = random.Random(9)
+    blocks = {n: [random_function(n, rng) for _ in range(4)] for n in (1, 3, 6, 7, 9, 12)}
+    expected = {n: [walsh_fast(f) for f in functions] for n, functions in blocks.items()}
+
+    def refuse(*args):
+        raise AssertionError("the naive oracle ran the butterfly")
+
+    for name in ("walsh_rows", "walsh_truth_rows"):
+        monkeypatch.setattr(transforms, name, refuse)
+    slice_log2(transforms._SLICE_LOG2)  # the character tables are built under the patch too
+    for n, functions in blocks.items():
+        assert transforms._naive_spectra(n, [f.table for f in functions]).tolist() == expected[n]
 
 
 @pytest.mark.parametrize("oracle", ["convolve_pm", "walsh_naive"])
