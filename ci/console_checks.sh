@@ -37,15 +37,17 @@
 # hadamard_transform of the masked spectra); involution --samples 2048 is
 # the most samples its stream cap admits at its fixed range of n, 1..16;
 # lemma1 --n 4 is the randomized route; lemma2 at --n 8 and --n 12 --samples
-# 64 rebuilds its random candidates a block at a time. bent affine --count
-# 40000 at n=4 is pinned the same way: 20 chunks of up to 2,048 maps, each
-# chunk's maps one random_invertible block. These many-row blocks check
-# walsh_rows' points-major (2^n, rows) layout, and convolution's array paths
-# and involution's packed row codec run, on every numpy the jobs install,
-# the numpy floor job's included. The parseval --samples 3000 pin also
-# covers the naive oracle's block path, np.bitwise_count on packed uint64
-# words (new in numpy 2.0), on each of those numpy versions, the 2.0.* floor
-# job's included.
+# 64 rebuilds its random candidates a block at a time, and at --n 20
+# --samples 8 one candidate a block (2^15 >> 20 rows, rounded up to 1) over
+# a ball of 616,666 points, each candidate one 616,666-bit coefficient word.
+# bent affine --count 40000 at n=4 is pinned the same way: 20 chunks of up to
+# 2,048 maps, each chunk's maps one random_invertible block. These many-row
+# blocks check walsh_rows' points-major (2^n, rows) layout, and convolution's
+# array paths and involution's packed row codec run, on every numpy the jobs
+# install, the numpy floor job's included. The parseval --samples 3000 pin
+# also covers the naive oracle's block path, np.bitwise_count on packed
+# uint64 words (new in numpy 2.0), on each of those numpy versions, the 2.0.*
+# floor job's included.
 #
 # Refusals, each checked by refuses: the exit code, empty stdout, and one
 # stderr line naming the cost, so no traceback. Exit 4 with one resource-cap
@@ -95,6 +97,7 @@ python -c 'import hashlib, sys; sys.exit(hashlib.sha256(open(sys.argv[1], "rb").
 for pinned in "lemma1 --n 4:1000:b64c8901087dbfd99150a28d39b6e64975900b61cde283b155ba6794b18d49bf" \
     "lemma2 --n 8:256:eb62978b7611a7a7b23b4b0e35fd9d824d8723e7853d6e36ef3a1bc1e9833f9f" \
     "lemma2 --n 12 --samples 64:64:7d9a732d8ac7e9745ddd3ca8fd92cd9e06e2fa351ccfa9d13506a0c09f8d41e3" \
+    "lemma2 --n 20 --samples 8:8:bc02ca37f28e061e3e822b15a5e53c5245eda968b0901284cc37cdb465fea337" \
     "prop1 --maps 100:89600:6fbb1c171fafd2b4d397b5d40d6131df8616ad33f9a11ae9035111511c789be0" \
     "parseval --samples 3000:3276:6cbc68c7e3c185e33eb5ab78acf693816bdce10062f8a631ee450a753b18713f" \
     "convolution --samples 3000:3064:2b005c2131d4000cb3440469e867837c947b4eac0afa2285f8b5f416b50aa731" \

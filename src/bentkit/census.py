@@ -6,7 +6,8 @@ degree <= n/2 for n >= 4, and all 8 at n=2 have degree 2.  Each runs in this
 process as one scan of one (rows, 2^n) bit block and returns its bent
 truth tables as ascending ints, ``CensusResult.tables``; ``.functions``
 wraps them in ``BooleanFunction`` objects on each read.  The degree method
-turns its normal forms into truth tables with the packed Moebius kernel, and
+turns its normal forms into truth tables with ``truth_rows_from_anf``, which
+owns the ball's coefficient layout and runs the packed Moebius kernel, and
 both filter the block with one call of ``bent.bent_rows``, the one bent test.
 Both refuse a space of more than 2^24 candidates, the one work budget
 ``core.MAX_WORK_LOG2``: the brute-force space is 2^(2^n), 2^64 at n=6, and
@@ -23,7 +24,7 @@ import numpy as np
 
 from .bent import bent_rows
 from .core import BooleanFunction, _check_arity, _check_even, _check_work, pack_rows, unpack_rows
-from .geometry import ball_points, ball_size
+from .geometry import ball_size
 from .transforms import truth_rows_from_anf
 
 
@@ -54,14 +55,9 @@ def _bent_tables(n: int, total: int) -> list[int]:
 
 def _bent_tables_from_anf(n: int, total: int) -> list[int]:
     """Truth-table ints of the bent functions among the ``total`` normal
-    forms on the ball B_d, d = ``_degree_bound(n)`` (unsorted).
-
-    Candidate k sets the normal-form coefficient at point j of the ball
-    wherever bit j of k is set.
-    """
-    points = ball_points(n, _degree_bound(n))
-    candidates = np.arange(total, dtype=np.uint64)
-    truth = truth_rows_from_anf(n, points, unpack_rows(candidates, len(points)))
+    forms on the ball B_d, d = ``_degree_bound(n)`` (unsorted): candidate k
+    is the coefficient word k of ``truth_rows_from_anf``."""
+    truth = truth_rows_from_anf(n, _degree_bound(n), np.arange(total, dtype=np.uint64))
     return pack_rows(truth[bent_rows(truth, n)])
 
 

@@ -12,7 +12,8 @@ The dual face, orthogonal to all of Gamma(mask), is ``mask ^ ((1 << n) - 1)``.
 Coset sums popcount the whole table once per coset, so ``coset_spectrum``
 shares the work budget: at most 2^MAX_WORK_LOG2 truth-table points.
 A Hamming ball is the plain tuple of its points that ``ball_points`` returns,
-cached like the masks.
+cached like the masks, and ``_ball_index`` is its one array form, the
+read-only int32 index array every scatter into or gather from the ball reads.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+
+import numpy as np
 
 from . import core
 from .core import MAX_ARITY, BooleanFunction, _check_arity, _check_int, _check_mask
@@ -95,14 +98,9 @@ def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
 def ball_points(n: int, r: int) -> tuple[int, ...]:
     """Hamming ball B_r: all points of weight <= r, sorted by (weight, index).
 
-    Cached: ``verify --suite lemma2`` lists it once per radius and run, and
-    ``reconstruct_from_ball``, called once per block of 2^15 / 2^n
-    candidates, scatters through ``reconstruct._ball_index``, the ball as an
-    int32 index array built from this tuple once per (n, r).  ``typed``
-    keeps a bool radius from hitting an int's entry and passing the check.
-    The largest ball a run can list, 2^24 points (``verify --suite lemma2
-    --n 25``), stays cached for the life of the process, with its 64 MB
-    index array.
+    Cached, and listed only by ``_ball_index``, the ball's array form, on a
+    cache miss.  ``typed`` keeps a bool radius from hitting an int's entry
+    and passing the check.
     """
     _check_arity(n)
     _check_radius(n, r)
@@ -110,6 +108,18 @@ def ball_points(n: int, r: int) -> tuple[int, ...]:
     bits = [1 << i for i in reversed(range(n))]
     members = [x for w in range(r, -1, -1) for x in map(sum, combinations(bits, w))]
     return tuple(reversed(members))
+
+
+@lru_cache(maxsize=16, typed=True)
+def _ball_index(n: int, r: int) -> np.ndarray:
+    """``ball_points(n, r)`` as a read-only int32 index array, built once per
+    (n, r) for every scatter into or gather from the ball; ``typed`` as for
+    ``ball_points``.  The largest ball a run can list, 2^24 points (``verify
+    --suite lemma2 --n 25``), stays cached with its 64 MB index array."""
+    points = ball_points(n, r)
+    index = np.fromiter(points, dtype=np.int32, count=len(points))
+    index.flags.writeable = False
+    return index
 
 
 def ball_size(n: int, r: int) -> int:

@@ -3,30 +3,18 @@ implication checker relating spectra on a face to coset sums on its dual.
 
 A function of degree <= r is determined by its values on the ball B_r: its
 normal form is supported on the ball, and on a down-set the normal form only
-reads values inside the set.
+reads values inside the set.  Ball values are scattered through
+``geometry._ball_index``, the ball's one cached array form.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
 from .core import BooleanFunction, _check_arity, _check_mask, _check_radius, _check_same_arity
 from .core import pack_bits, unpack_bits
-from .geometry import _subcube_points, ball_points, ball_size, coset_spectrum, weight_masks
+from .geometry import _ball_index, _subcube_points, ball_size, coset_spectrum, weight_masks
 from .transforms import _moebius_table, _walsh_by_arity
-
-
-@lru_cache(maxsize=16)
-def _ball_index(n: int, r: int) -> np.ndarray:
-    """``ball_points(n, r)`` as a read-only int32 index array, converted once
-    per (n, r) and not on every scatter into the ball: at n=20 the list
-    conversion took 23.6 ms of a 33-43 ms ``lemma2`` sample."""
-    points = ball_points(n, r)
-    index = np.fromiter(points, dtype=np.int32, count=len(points))
-    index.flags.writeable = False
-    return index
 
 
 def reconstruct_from_ball(n: int, r: int, values: np.ndarray) -> np.ndarray:

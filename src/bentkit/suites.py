@@ -30,7 +30,7 @@ from .bent import _bent_images, two_flat_sum_distribution, two_flats
 from .census import enumerate_bent_by_degree, enumerate_bent_naive
 from .core import BooleanFunction, _check_arity, _check_work, format_bf, pack_bits, random_function
 from .core import pack_rows, unpack_bits, unpack_rows
-from .geometry import ball_points, ball_size, coset_value_class_sizes, subcube_points
+from .geometry import _ball_index, ball_size, coset_value_class_sizes, subcube_points
 from .reconstruct import check_lemma1, reconstruct_from_ball
 from .transforms import _moebius_table, _naive_spectra, _peak, moebius, walsh_truth_rows
 from .transforms import check_restriction_identity, truth_rows_from_anf
@@ -243,11 +243,10 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
 
     def exhaustive() -> Iterator[Check]:
         for radius in range(n + 1):
-            ball = np.array(ball_points(n, radius))
+            ball = _ball_index(n, radius)
             total = 1 << len(ball)
             per_radius[str(radius)] = total
-            coeffs = unpack_rows(np.arange(total, dtype=np.uint64), len(ball))
-            truth = truth_rows_from_anf(n, ball, coeffs)
+            truth = truth_rows_from_anf(n, radius, np.arange(total, dtype=np.uint64))
             # one key per row: its restriction to the ball, |B_r| <= 16 bits at n <= 4
             keys = pack_rows(truth[:, ball])
             # first[inverse[k]] is the first candidate sharing k's restriction
@@ -262,12 +261,11 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
             yield from round_trips(truth[list(picks)], radius, ball)
 
     def randomized() -> Iterator[Check]:
-        radius, ball = n // 2, np.array(ball_points(n, n // 2))
+        radius, ball = n // 2, _ball_index(n, n // 2)
         per_radius[str(radius)] = samples
         for start in range(0, samples, step):
             draws = [rng.getrandbits(len(ball)) for _ in range(min(step, samples - start))]
-            coeffs = unpack_rows(draws, len(ball))
-            yield from round_trips(truth_rows_from_anf(n, ball, coeffs), radius, ball)
+            yield from round_trips(truth_rows_from_anf(n, radius, draws), radius, ball)
 
     return _report(
         "lemma2",

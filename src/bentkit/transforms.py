@@ -55,7 +55,7 @@ import numpy as np
 from . import core
 from .core import BooleanFunction, _check_mask, _check_same_arity, _check_work, pack_bits
 from .core import unpack_bits, unpack_rows
-from .geometry import _face_indicator, coordinate_masks, weight_masks
+from .geometry import _ball_index, _face_indicator, coordinate_masks, weight_masks
 
 IntegerVector = list[int]
 
@@ -64,8 +64,9 @@ IntegerVector = list[int]
 #   n      1     2     3     4     5     6     7     8     9    10
 #   naive  3.1   3.1   3.0   3.1   3.3   3.8  13.3  17.2  33.5  77.7
 #   fast   7.4  10.2  15.5  19.7  25.5  29.4  35.6  44.6  56.4  81.3
-# The oracle is faster up to n=9; the cutover stays at 7, which
-# tests/test_transforms.py pins
+# The oracle is faster warm up to n=9, but each process first builds its
+# _characters(n) once per arity, 0.12-0.49 ms at n=8: more than the 3 calls
+# at n=8 of a small-n benchmark session save, so the cutover stays at 7
 _NAIVE_SPECTRUM_MAX_N = 7
 # _naive_spectra XORs a block of tables against 2^_SLICE_LOG2 characters at
 # once; at least 6, so that the 64 points of a word share x >> _SLICE_LOG2
@@ -225,11 +226,14 @@ def _moebius_table(table: int, n: int, rows: int = 1) -> int:
     return table
 
 
-def truth_rows_from_anf(n: int, points: Sequence[int], coeffs: np.ndarray) -> np.ndarray:
+def truth_rows_from_anf(n: int, r: int, coeffs: Union[np.ndarray, Sequence[int]]) -> np.ndarray:
     """Truth tables, as (R, 2^n) bit rows, of the R functions whose normal
-    form has coefficient coeffs[k, j] at points[j] and 0 everywhere else."""
+    form has, at point j of ``ball_points(n, r)``, bit j of the coefficient
+    word coeffs[k], and 0 off the ball: words of a uint64 array, or ints of
+    any width, unpacked by ``core.unpack_rows``."""
+    ball = _ball_index(n, r)
     anf = np.zeros((len(coeffs), 1 << n), dtype=np.uint8)
-    anf[:, np.asarray(points)] = coeffs  # an index array passes through unconverted
+    anf[:, ball] = unpack_rows(coeffs, len(ball))
     packed = _moebius_table(pack_bits(anf), n, len(anf))
     return unpack_bits(packed, anf.size).reshape(anf.shape)
 
@@ -300,5 +304,5 @@ def check_restriction_identity(pairs: Sequence[tuple[BooleanFunction, int]]) -> 
     faces = unpack_rows([_face_indicator(n, m) for _, m in pairs], size)
     doubled = hadamard_transform(walsh_truth_rows(truth) * faces)
     # lhs * 2^dim == doubled: doubled is divisible by 2^dim with quotient lhs
-    checks = zip(pairs, lhs, doubled)
-    return [[v << m.bit_count() for v in left] == right for (_, m), left, right in checks]
+    checks = zip([m.bit_count() for _, m in pairs], lhs, doubled)
+    return [[v << dim for v in left] == right for dim, left, right in checks]

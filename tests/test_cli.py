@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bentkit.cli as cli
-from bentkit import bent, bounds, suites
+from bentkit import bent, bounds, geometry, suites
 from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_sum_distribution
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree
@@ -307,7 +307,7 @@ def test_verify_lemma2_refuses_the_n26_ball_before_listing_it(capsys, monkeypatc
     def refuse(n, r):
         raise AssertionError(f"ball_points({n}, {r}) listed the ball")
 
-    monkeypatch.setattr(suites, "ball_points", refuse)
+    monkeypatch.setattr(geometry, "ball_points", refuse)
     code, out, err = run(capsys, "verify", "--suite", "lemma2", "--n", "26")
     assert code == 4
     assert out == ""

@@ -3,6 +3,7 @@
 import time
 from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -187,6 +188,17 @@ def test_ball_points_are_cached_and_still_checked():
         ball_points(4, True)
     with pytest.raises(ValueError, match="arity must be an int"):
         ball_points(4.0, 1)
+
+
+def test_ball_index_is_the_cached_read_only_ball_and_still_checked():
+    index = geometry._ball_index(4, 2)
+    assert index is geometry._ball_index(4, 2)
+    assert index.dtype == np.int32 and not index.flags.writeable
+    assert index.tolist() == list(ball_points(4, 2))
+    # typed: a cached int radius must not admit the bool that equals it
+    geometry._ball_index(4, 1)
+    with pytest.raises(ValueError, match="radius must be an int"):
+        geometry._ball_index(4, True)
 
 
 def test_ball_points_cost_follows_the_ball():

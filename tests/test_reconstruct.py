@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bentkit import reconstruct, transforms
+from bentkit import geometry, reconstruct, transforms
 from bentkit.core import BooleanFunction, ResourceCapError, pack_bits, parse_bf, random_function
 from bentkit.core import unpack_bits
 from bentkit.geometry import ball_points, coset_spectrum, subcube_points
@@ -70,7 +70,7 @@ def test_ball_assignment_counts_the_ball_without_listing_it(monkeypatch):
     def refuse(n, r):
         raise AssertionError(f"ball_points({n}, {r}) listed the ball")
 
-    monkeypatch.setattr(reconstruct, "ball_points", refuse)
+    monkeypatch.setattr(geometry, "ball_points", refuse)
     with pytest.raises(ValueError, match="has 38754732 points, got 1 values"):
         reconstruct_from_ball(26, 13, np.zeros((1, 1), dtype=np.uint8))
 

@@ -38,6 +38,20 @@ def test_all_names_exactly_the_imports():
     assert sorted(bentkit.__all__) == sorted(imported)
 
 
+def test_only_the_ball_index_lists_a_ball():
+    # the ball's array form is built in one place and every reader shares it
+    callers = {
+        (path.name, func.name)
+        for path in SOURCES
+        for func in ast.walk(ast.parse(path.read_text()))
+        if isinstance(func, ast.FunctionDef)
+        for node in ast.walk(func)
+        if isinstance(node, ast.Call)
+        and "ball_points" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {("geometry.py", "_ball_index")}
+
+
 def test_console_checks_pin_no_output_that_golden_pins():
     # an output is pinned in one place, so an intended change is re-pinned once
     def digests(path):

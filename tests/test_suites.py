@@ -8,11 +8,11 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from bentkit import bent, core, suites, transforms
+from bentkit import bent, core, geometry, reconstruct, suites, transforms
 from bentkit.bent import apply_affine, is_bent, random_invertible
 from bentkit.census import enumerate_bent_by_degree
 from bentkit.core import BooleanFunction, ResourceCapError, format_bf, pack_bits, parse_bf
-from bentkit.reconstruct import check_lemma1
+from bentkit.reconstruct import check_lemma1, reconstruct_from_ball
 from bentkit.suites import (
     SUITES,
     suite_census_agreement,
@@ -106,10 +106,10 @@ def test_lemma2_randomized():
 def test_lemma2_collisions_name_the_first_occurrence(monkeypatch):
     real = suites.truth_rows_from_anf
 
-    def repeating(n, points, coeffs):
+    def repeating(n, r, coeffs):
         # row k repeats row k % 3 on the ball; from row 3 on, it differs off the ball
-        rows = real(n, points, coeffs)[np.arange(len(coeffs)) % 3]
-        rows[3:, sorted(set(range(1 << n)) - set(points))] ^= 1
+        rows = real(n, r, coeffs)[np.arange(len(coeffs)) % 3]
+        rows[3:, np.setdiff1d(np.arange(1 << n), geometry._ball_index(n, r))] ^= 1
         return rows
 
     monkeypatch.setattr(suites, "truth_rows_from_anf", repeating)
@@ -124,6 +124,34 @@ def test_lemma2_collisions_name_the_first_occurrence(monkeypatch):
         {"r": 1, "first": a, "second": b, "reason": "restrictions collide"} for a, b in pairs[:5]
     ] + [{"r": 1, "function": b, "rebuilt": a} for a, b in pairs[:5]]
     assert report["passed"] is False
+
+
+def test_ball_readers_share_one_cached_index(monkeypatch):
+    # reconstruct_from_ball, lemma2 and the degree census (through
+    # truth_rows_from_anf) read geometry's one read-only int32 array per (n, r)
+    real, reads = geometry._ball_index, {}
+
+    def spy(reader):
+        def index(n, r):
+            reads.setdefault(reader, []).append((n, r, real(n, r)))
+            return reads[reader][-1][2]
+
+        return index
+
+    for module in (reconstruct, suites, transforms):
+        monkeypatch.setattr(module, "_ball_index", spy(module.__name__))
+    readers = {"bentkit.reconstruct", "bentkit.suites", "bentkit.transforms"}
+    suite_lemma2(n=4)
+    assert set(reads) == readers
+    reads.clear()
+    enumerate_bent_by_degree(4)
+    assert [(n, r) for n, r, _ in reads.pop("bentkit.transforms")] == [(4, 2)] and not reads
+    suite_lemma2(n=6, samples=20, seed=2)
+    reconstruct_from_ball(6, 3, np.zeros((1, 42), dtype=np.uint8))
+    assert set(reads) == readers and len(reads["bentkit.reconstruct"]) == 2
+    for n, r, index in (read for calls in reads.values() for read in calls):
+        assert index is real(n, r)
+        assert index.dtype == np.int32 and not index.flags.writeable
 
 
 def _reconstruct_spy(monkeypatch, wrong_rows=()):
@@ -570,7 +598,7 @@ def test_lemma2_refuses_a_ball_over_the_budget_before_listing_it(monkeypatch):
     def refuse(n, r):
         raise AssertionError(f"ball_points({n}, {r}) listed the ball")
 
-    monkeypatch.setattr(suites, "ball_points", refuse)
+    monkeypatch.setattr(geometry, "ball_points", refuse)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceCapError, match=r"2\^26 points in the ball B_13 at n=26 \(38"):
@@ -589,7 +617,7 @@ def test_lemma2_refuses_round_trips_over_the_budget_before_listing_the_ball(monk
     def refuse(n, r):
         raise AssertionError(f"ball_points({n}, {r}) listed the ball")
 
-    monkeypatch.setattr(suites, "ball_points", refuse)
+    monkeypatch.setattr(geometry, "ball_points", refuse)
     # 256 round trips over |B_9| = 155,382 points at n=18
     refused = r"2\^26 ball points over 256 round trips in B_9 at n=18 \(39777792\)"
     with pytest.raises(ResourceCapError, match=refused):

@@ -303,9 +303,21 @@ def test_packed_batch_moebius_matches_per_function(n, r):
     points = ball_points(n, r)
     rng = random.Random(n)
     candidates = [rng.getrandbits(len(points)) for _ in range(50)]
-    truth = truth_rows_from_anf(n, points, unpack_rows(np.array(candidates, dtype=np.uint64), len(points)))
+    truth = truth_rows_from_anf(n, r, np.array(candidates, dtype=np.uint64))
     for candidate, row in zip(candidates, truth):
         anf = sum(((candidate >> j) & 1) << p for j, p in enumerate(points))
+        assert pack_bits(row) == moebius(BooleanFunction(n, anf)).table
+
+
+def test_truth_rows_from_anf_takes_words_wider_than_64_bits():
+    # |B_4| = 163 at n=8: randomized lemma2 draws words that no uint64 holds
+    n, r = 8, 4
+    points = ball_points(n, r)
+    rng = random.Random(8)
+    words = [rng.getrandbits(len(points)) for _ in range(20)]
+    assert len(points) == 163 and all(word >> 64 for word in words)
+    for word, row in zip(words, truth_rows_from_anf(n, r, words)):
+        anf = sum(((word >> j) & 1) << p for j, p in enumerate(points))
         assert pack_bits(row) == moebius(BooleanFunction(n, anf)).table
 
 
