@@ -47,7 +47,10 @@
 # install, the numpy floor job's included. The parseval --samples 3000 pin
 # also covers the naive oracle's block path, np.bitwise_count on packed
 # uint64 words (new in numpy 2.0), on each of those numpy versions, the 2.0.*
-# floor job's included.
+# floor job's included. The convolution --samples 3000 pin (3,064 checks,
+# sha256 2b005c21...aa731) likewise covers convolve_pm's block kernel, the
+# int8 run gather through a multi-byte word view, on every numpy the jobs
+# install, the 2.0.* floor included.
 #
 # Refusals, each checked by refuses: the exit code, empty stdout, and one
 # stderr line naming the cost, so no traceback. Exit 4 with one resource-cap

@@ -11,9 +11,10 @@ runs here (``transforms._spectrum`` is the one single-function butterfly).
 The dual face, orthogonal to all of Gamma(mask), is ``mask ^ ((1 << n) - 1)``.
 Coset sums popcount the whole table once per coset, so ``coset_spectrum``
 shares the work budget: at most 2^MAX_WORK_LOG2 truth-table points.
-A Hamming ball is the plain tuple of its points that ``ball_points`` returns,
-cached like the masks, and ``_ball_index`` is its one array form, the
-read-only int32 index array every scatter into or gather from the ball reads.
+A Hamming ball is the plain tuple of its points that ``ball_points`` lists on
+each call, and ``_ball_index`` is its one array form, cached like the masks:
+the read-only int32 index array every scatter into or gather from the ball
+reads.
 """
 
 from __future__ import annotations
@@ -94,13 +95,12 @@ def coset_spectrum(f: BooleanFunction, mask: int) -> dict[int, int]:
     return {rep: size - 2 * ((f.table >> rep) & indicator).bit_count() for rep in reps}
 
 
-@lru_cache(maxsize=16, typed=True)
 def ball_points(n: int, r: int) -> tuple[int, ...]:
     """Hamming ball B_r: all points of weight <= r, sorted by (weight, index).
 
-    Cached, and listed only by ``_ball_index``, the ball's array form, on a
-    cache miss.  ``typed`` keeps a bool radius from hitting an int's entry
-    and passing the check.
+    Listed, and checked, on every call; the library lists a ball only in
+    ``_ball_index``, the ball's cached array form, on a cache miss, so no
+    second copy of the tuple stays in memory.
     """
     _check_arity(n)
     _check_radius(n, r)
@@ -113,9 +113,10 @@ def ball_points(n: int, r: int) -> tuple[int, ...]:
 @lru_cache(maxsize=16, typed=True)
 def _ball_index(n: int, r: int) -> np.ndarray:
     """``ball_points(n, r)`` as a read-only int32 index array, built once per
-    (n, r) for every scatter into or gather from the ball; ``typed`` as for
-    ``ball_points``.  The largest ball a run can list, 2^24 points (``verify
-    --suite lemma2 --n 25``), stays cached with its 64 MB index array."""
+    (n, r) for every scatter into or gather from the ball; ``typed`` keeps a
+    bool radius from hitting an int's entry and passing the check.  The
+    largest ball a run can list, 2^24 points (``verify --suite lemma2 --n
+    25``), stays cached with its 64 MB index array; its tuple does not."""
     points = ball_points(n, r)
     index = np.fromiter(points, dtype=np.int32, count=len(points))
     index.flags.writeable = False

@@ -300,8 +300,9 @@ def suite_convolution(samples: int = 1000, seed: int = 1) -> dict:
     """Both routes of the face-restriction identity agree exactly.
 
     Exhaustive at n=2 over every function and mask, then random pairs, each
-    block of same-arity pairs checked by one ``check_restriction_identity``.
-    The up-front stream check counts points; ``convolve_pm`` caps its terms.
+    block of same-arity pairs checked by one ``check_restriction_identity``,
+    so one ``convolve_pm`` block too.  The up-front stream check counts
+    points; ``convolve_pm`` caps the terms of each row.
     """
     max_n = 10
     _check_stream(samples, max_n)

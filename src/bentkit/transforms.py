@@ -23,8 +23,9 @@ back; ``degree`` reads the normal form against its weight-class masks.
 Inside the library spectra and vectors stay numpy integer arrays: ``_spectrum``
 is one function's spectrum as an int32 row, and ``hadamard_transform`` and
 ``convolve_pm`` take an integer array as it is, with no per-entry pass, as
-well as any sequence of ints.  Lists appear only at the public boundary: every
-public function returns plain lists of Python ints.
+well as any sequence of ints (a 2-D block only as an array).  Lists appear
+only at the public boundary: every public function returns plain lists of
+Python ints.
 ``walsh_fast`` (the spectrum of a function) and ``hadamard_transform`` (of an
 integer vector) each run one butterfly, O(n 2^n).  The independent oracle
 has one kernel too, ``_naive_spectra``: it reads each W(y) = 2^n - 2 wt(f +
@@ -35,10 +36,12 @@ one-row call, the faster route at small n, where ``_walsh_by_arity`` (for
 ``check_lemma1`` and the 2-flat closed form) takes it; the ``parseval`` suite
 compares whole blocks of butterfly spectra with it.
 ``convolve_pm`` is likewise the direct sum over the support of its vector,
-gathered a slice of the support at a time, in int64 or else on exact ints in
-an object array, and never reaches a butterfly, so
-``check_restriction_identity``, which takes a sequence of (function, mask)
-pairs of one arity and whose right side runs two butterflies
+for one function or for a (rows, 2^n) block of same-arity rows, with one
+kernel, ``_convolve_rows``: int8 runs of low-permuted sign copies gathered a
+slice of the support at a time, summed in int64 or else on exact ints in an
+object array, and never a butterfly.  So ``check_restriction_identity``,
+which takes a sequence of (function, mask) pairs of one arity and makes one
+``convolve_pm`` call for its left side and two butterflies for its right
 (``walsh_truth_rows`` of the functions, ``hadamard_transform`` of their
 masked spectra), each once per call, really compares two different
 computations.
@@ -253,31 +256,83 @@ def degree(f: BooleanFunction) -> int:
     return next((w for w in range(f.n, 0, -1) if anf & masks[w]), 0)
 
 
-def convolve_pm(f: BooleanFunction, g: Sequence[int]) -> IntegerVector:
+def _convolve_rows(n: int, tables: Sequence[int], arr: np.ndarray) -> np.ndarray:
+    """The direct sum out[z] = sum_w g[w] (-1)^f(z^w), for the truth tables
+    ``tables`` and the rows of g in ``arr`` ((rows, 2^n), int64 or object),
+    over each row's support, as a (rows, 2^n) array.  Write z ^ w as high
+    bits and the low k = min(n, 3): XOR by w's low bits permutes the points
+    inside each run of 2^k, XOR by its high bits permutes the runs.  So the
+    2^k low-permuted int8 copies of each row's signs are built once (8 bytes
+    a point), and a term is gathered as 2^(n-k) runs, each one word of 2^k
+    bytes, with one ``take`` per slice of ``core.CHUNK_POINTS >> n`` terms.
+    Weights multiply in the narrowest of int8, int16 and int64 that holds
+    max|g|, and each row's adjacent terms are summed in int64, or on exact
+    ints in an object array.  A row of more than 2^MAX_WORK_LOG2 truth-table
+    points (support x 2^n) is refused before any gather."""
+    rows, size = arr.shape
+    k = min(n, 3)
+    row_of, w = np.nonzero(arr)  # row-major: each row's terms are adjacent
+    counts = np.bincount(row_of, minlength=rows)
+    widest = int(counts.max())
+    what = f"truth-table points for {widest} nonzero entries of g at n={n}"
+    _check_work(((widest << n) - 1).bit_length(), what)
+    weights = arr[row_of, w]
+    if arr.dtype != object and len(weights):
+        peak = _peak(weights)  # a weight of -128 times a sign of -1 leaves int8
+        narrow = np.int8 if peak < 1 << 7 else np.int16 if peak < 1 << 15 else np.int64
+        weights = weights.astype(narrow)
+    signs = 1 - 2 * unpack_rows(tables, size).view(np.int8)
+    low = np.arange(1 << k)
+    # copies[r, j, v, x] = signs[r, j * 2^k + (x ^ v)]; word (r, j, v), one
+    # run of 2^k bytes, is word (r << n) | (j << k) | v of the flat view, so
+    # term (r, w) reads word (z_high << k) ^ ((r << n) | w) at output run z_high
+    copies = signs.reshape(rows, -1, 1 << k).take(low ^ low[:, None], axis=2)
+    words = copies.reshape(-1, 1 << k).view(f"i{1 << k}").ravel()
+    runs = np.arange(0, size, 1 << k)
+    keys = (row_of << n) | w
+    first = [0, *np.cumsum(counts).tolist()]  # row r's terms are first[r]:first[r + 1]
+    out = np.zeros((rows, size), dtype=arr.dtype)
+    step = max(1, core.CHUNK_POINTS >> n)
+    for start in range(0, len(w), step):
+        stop = min(start + step, len(w))
+        terms = words.take(runs ^ keys[start:stop, None]).view(np.int8) * weights[start:stop, None]
+        for row in range(row_of[start], row_of[stop - 1] + 1):
+            a, b = max(first[row], start) - start, min(first[row + 1], stop) - start
+            if a < b:
+                out[row] += terms[a:b].sum(axis=0, dtype=out.dtype)
+    return out
+
+
+def convolve_pm(
+    f: Union[BooleanFunction, Sequence[BooleanFunction]], g: Union[Sequence[int], np.ndarray]
+) -> Union[IntegerVector, list[IntegerVector]]:
     """Convolution of the sign vector of f with g: out[z] = sum_x (-1)^f(x) g[z^x].
 
-    Computed as the direct sum out[z] = sum_w g[w] (-1)^f(z^w) over the
-    support of g (a term with g[w] = 0 adds nothing), gathered as one
-    (slice, 2^n) block of shifted sign vectors per slice of at most
-    ``core.CHUNK_POINTS >> n`` support points; never through the transform.
-    More than 2^MAX_WORK_LOG2 truth-table points (support size x 2^n) are
-    refused.
+    f is one function and g a vector of length 2^n, or f is a sequence of
+    functions of one arity and g a (len(f), 2^n) integer array, row i
+    convolved with f[i], returned as a list of rows.  Both are one kernel,
+    ``_convolve_rows``: the direct sum out[z] = sum_w g[w] (-1)^f(z^w) over
+    the support of each row (a term with g[w] = 0 adds nothing), gathered a
+    slice of at most ``core.CHUNK_POINTS >> n`` support points at a time;
+    never through the transform.  A row of more than 2^MAX_WORK_LOG2
+    truth-table points (support size x 2^n) is refused.
     """
-    size = f.size
-    if len(g) != size:
-        raise ValueError(f"arity mismatch: function size {size}, vector length {len(g)}")
-    arr = _integer_array(g)
-    support = np.flatnonzero(arr)
-    what = f"truth-table points for {len(support)} nonzero entries of g at n={f.n}"
-    _check_work(((len(support) << f.n) - 1).bit_length(), what)
-    signs = 1 - 2 * unpack_bits(f.table, size).astype(arr.dtype)
-    idx = np.arange(size)
-    out = np.zeros(size, dtype=arr.dtype)
-    step = max(1, core.CHUNK_POINTS >> f.n)
-    for start in range(0, len(support), step):
-        w = support[start : start + step]
-        out += (arr[w, None] * signs[idx ^ w[:, None]]).sum(axis=0)
-    return out.tolist()
+    if isinstance(f, BooleanFunction):
+        if len(g) != f.size:
+            raise ValueError(f"arity mismatch: function size {f.size}, vector length {len(g)}")
+        return _convolve_rows(f.n, [f.table], _integer_array(g)[None])[0].tolist()
+    if not (isinstance(g, np.ndarray) and g.ndim == 2):
+        raise ValueError("a sequence of functions needs a 2-D (rows, 2^n) array g")
+    if len(f) != len(g):
+        raise ValueError(f"{len(f)} functions need {len(f)} rows of g, got {len(g)}")
+    if not f:
+        return []
+    n = f[0].n
+    for other in f:
+        _check_same_arity(n, other.n, "other function")
+    if g.shape[1] != 1 << n:
+        raise ValueError(f"arity mismatch: function size {1 << n}, vector length {g.shape[1]}")
+    return _convolve_rows(n, [h.table for h in f], _integer_array(g, 2).T).tolist()
 
 
 def check_restriction_identity(pairs: Sequence[tuple[BooleanFunction, int]]) -> list[bool]:
@@ -286,11 +341,12 @@ def check_restriction_identity(pairs: Sequence[tuple[BooleanFunction, int]]) -> 
     doubly-transformed, face-masked spectrum divided by 2^dim; one bool per
     pair, every function of one arity.
 
-    The left side is one convolve_pm per pair, whose work cap refuses before
-    any butterfly runs.  The right side is one block: one
+    The left side is one ``convolve_pm`` block, of the functions with their
+    dual-face indicators scaled by 2^dim, whose per-row work cap refuses
+    before any butterfly runs.  The right side is one block too: one
     ``walsh_truth_rows`` of all the functions, masked row by row by the face
     indicators, and one ``hadamard_transform`` of it.  Both are exact
-    integers.
+    integers, and the rows compare as lists: lhs * 2^dim == doubled.
     """
     if not pairs:
         return []
@@ -299,10 +355,11 @@ def check_restriction_identity(pairs: Sequence[tuple[BooleanFunction, int]]) -> 
         _check_same_arity(n, g.n, "other function")
         _check_mask(n, m)
     size, full = 1 << n, (1 << n) - 1
-    lhs = [convolve_pm(g, unpack_bits(_face_indicator(n, m ^ full), size)) for g, m in pairs]
-    truth = unpack_rows([g.table for g, _ in pairs], size)
+    functions = [g for g, _ in pairs]
+    scales = np.array([1 << m.bit_count() for _, m in pairs], dtype=np.int64)
+    duals = unpack_rows([_face_indicator(n, m ^ full) for _, m in pairs], size)
+    lhs = convolve_pm(functions, duals * scales[:, None])
+    truth = unpack_rows([g.table for g in functions], size)
     faces = unpack_rows([_face_indicator(n, m) for _, m in pairs], size)
     doubled = hadamard_transform(walsh_truth_rows(truth) * faces)
-    # lhs * 2^dim == doubled: doubled is divisible by 2^dim with quotient lhs
-    checks = zip([m.bit_count() for _, m in pairs], lhs, doubled)
-    return [[v << dim for v in left] == right for dim, left, right in checks]
+    return [left == right for left, right in zip(lhs, doubled)]

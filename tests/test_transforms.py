@@ -386,9 +386,12 @@ def test_convolve_pm_big_values_match_scaled_small():
     assert big == [scale * v for v in small]
 
 
-def _convolve_literal(f, g):
+def _convolve_literal(f, g, zs=None):
     size = 1 << f.n
-    return [sum((-1) ** f.bit(x) * g[z ^ x] for x in range(size)) for z in range(size)]
+    return [
+        sum((-1) ** f.bit(x) * g[z ^ x] for x in range(size))
+        for z in (range(size) if zs is None else zs)
+    ]
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
@@ -430,6 +433,95 @@ def test_convolve_pm_gathers_match_the_double_sum_at_chunk_edges(monkeypatch, n)
     monkeypatch.setattr(core, "CHUNK_POINTS", 1)
     g = [rng.randrange(-9, 10) for _ in range(size)]
     assert convolve_pm(f, g) == _convolve_literal(f, g)
+    # one block of rows with supports 1..7: slices of three points start and
+    # end inside rows, and a row's terms span two or three slices
+    monkeypatch.setattr(core, "CHUNK_POINTS", 3 << n)
+    functions, rows = [], []
+    for support in range(1, min(7, size) + 1):
+        g = [0] * size
+        for w in rng.sample(range(size), support):
+            g[w] = rng.choice([-7, -2, 3, 5])
+        functions.append(random_function(n, rng))
+        rows.append(g)
+    expected = [_convolve_literal(f, g) for f, g in zip(functions, rows)]
+    assert convolve_pm(functions, np.array(rows)) == expected
+    big = np.array([[v << 70 for v in g] for g in rows])
+    assert convolve_pm(functions, big) == [[v << 70 for v in row] for row in expected]
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_convolve_pm_block_matches_per_row_calls_and_the_double_sum(n):
+    # up to n = 3 a run of 2^min(n, 3) points is the whole row; n = 4 is the
+    # first arity that gathers a row as several runs
+    rng = random.Random(n)
+    size = 1 << n
+    sparse = [0] * size
+    for w in rng.sample(range(size), min(3, size)):
+        sparse[w] = rng.choice([-7, -2, 3, 5])
+    rows = [
+        [rng.randrange(-9, 10) for _ in range(size)],
+        [0] * size,
+        sparse,
+        unpack_bits(_face_indicator(n, rng.randrange(size)), size).tolist(),
+    ]
+    functions = [random_function(n, rng) for _ in rows]
+    block = convolve_pm(functions, np.array(rows))
+    assert block == [convolve_pm(f, g) for f, g in zip(functions, rows)]
+    assert all(type(v) is int for row in block for v in row)
+    # the literal double sum at every z up to n = 7; above, at both ends, at
+    # the edges of the first run and at eight random points
+    if n <= 7:
+        zs = list(range(size))
+    else:
+        zs = sorted({0, 7, 8, size - 1} | set(rng.sample(range(size), 8)))
+    for f, g, out in zip(functions, rows, block):
+        assert [out[z] for z in zs] == _convolve_literal(f, g, zs)
+
+
+@pytest.mark.parametrize("peak", [127, 128, (1 << 15) - 1, 1 << 15])
+def test_convolve_pm_weights_at_each_dtype_edge(peak):
+    # a weight of -128 fits int8, but its product with a sign of -1 does not
+    rng = random.Random(peak)
+    n, size = 5, 32
+    functions = [random_function(n, rng) for _ in range(3)]
+    rows = [[rng.choice([-peak, peak, rng.randrange(-peak, peak + 1)]) for _ in range(size)]]
+    rows += [[-peak] + [0] * (size - 1), [0] * (size - 1) + [peak]]
+    expected = [_convolve_literal(f, g) for f, g in zip(functions, rows)]
+    assert convolve_pm(functions, np.array(rows)) == expected
+    assert [convolve_pm(f, g) for f, g in zip(functions, rows)] == expected
+    big = np.array([[v << 70 for v in g] for g in rows])  # exact ints, the object route
+    assert big.dtype == object
+    assert convolve_pm(functions, big) == [[v << 70 for v in row] for row in expected]
+
+
+def test_convolve_pm_caps_each_row_of_a_block():
+    zero = BooleanFunction(16, 0)
+    g = np.zeros((2, 1 << 16), dtype=np.int64)
+    g[0, :256] = 1
+    g[1, -256:] = 1
+    # 256 support points a row at n=16 are exactly 2^24 points each, admitted
+    assert convolve_pm([zero, zero], g) == [[256] * (1 << 16)] * 2
+    g[1, 0] = 1
+    needs = r"needs 2\^25 truth-table points for 257 nonzero entries of g at n=16"
+    with pytest.raises(ResourceCapError, match=needs):
+        convolve_pm([zero, zero], g)
+
+
+def test_convolve_pm_block_rejects_mismatched_shapes():
+    other = random_function(3, 1)
+    with pytest.raises(ValueError, match="arity mismatch: function n=2, other function n=3"):
+        convolve_pm([AND, other], np.zeros((2, 4), dtype=np.int64))
+    with pytest.raises(ValueError, match="2 functions need 2 rows of g, got 3"):
+        convolve_pm([AND, XOR], np.zeros((3, 4), dtype=np.int64))
+    with pytest.raises(ValueError, match="2 functions need 2 rows of g, got 1"):
+        convolve_pm([AND, XOR], np.zeros((1, 4), dtype=np.int64))
+    with pytest.raises(ValueError, match="function size 4, vector length 8"):
+        convolve_pm([AND, XOR], np.zeros((2, 8), dtype=np.int64))
+    with pytest.raises(ValueError, match="2-D"):
+        convolve_pm([AND], [1, 0, 0, 0])
+    with pytest.raises(ValueError, match="integers"):
+        convolve_pm([AND], np.full((1, 4), 0.5))
+    assert convolve_pm([], np.zeros((0, 4), dtype=np.int64)) == []
 
 
 def _walsh_literal(f, ys=None):
@@ -504,14 +596,18 @@ def test_naive_oracles_never_reach_the_butterfly(monkeypatch, oracle):
         assert convolve_pm(f, g) == _convolve_literal(f, g)
         big = convolve_pm(f, [v << 70 for v in g])
         assert big == [v << 70 for v in _convolve_literal(f, g)]
+        other = random_function(n, rng)
+        block = convolve_pm([f, other], np.array([g, g[::-1]]))
+        assert block == [_convolve_literal(f, g), _convolve_literal(other, g[::-1])]
 
 
 def test_restriction_identity_fails_when_the_direct_sum_is_off(monkeypatch):
     real = transforms.convolve_pm
 
-    def off_by_one(f, g):
-        out = real(f, g)
-        out[len(out) // 2] += 1
+    def off_by_one(functions, g):
+        out = real(functions, g)
+        for row in out:
+            row[len(row) // 2] += 1
         return out
 
     monkeypatch.setattr(transforms, "convolve_pm", off_by_one)
@@ -543,20 +639,22 @@ def test_restriction_identity_runs_one_fast_and_one_hadamard_transform(monkeypat
     def counting(name):
         real = getattr(transforms, name)
 
-        def wrapper(arg):
+        def wrapper(*args):
             calls.append(name)
-            return real(arg)
+            return real(*args)
 
         return wrapper
 
-    for name in ("walsh_truth_rows", "hadamard_transform"):
+    # the direct sum is one convolve_pm call too, the public name that a
+    # tracer of the library counts, not its private kernel
+    for name in ("walsh_truth_rows", "hadamard_transform", "convolve_pm"):
         monkeypatch.setattr(transforms, name, counting(name))
     rng = random.Random(8)
     block = [(random_function(8, rng), rng.randrange(256)) for _ in range(5)]
     for pairs in ([(AND, 0b01)], [(random_function(8, 3), 0x5A)], block):
         calls.clear()
         assert check_restriction_identity(pairs) == [True] * len(pairs)
-        assert sorted(calls) == ["hadamard_transform", "walsh_truth_rows"]
+        assert sorted(calls) == ["convolve_pm", "hadamard_transform", "walsh_truth_rows"]
 
 
 @pytest.mark.parametrize("n", range(1, 11))
@@ -570,9 +668,10 @@ def test_block_restriction_identity_matches_per_pair_calls(monkeypatch, n):
     # a direct sum off for one function fails its pair alone, in its place
     real = transforms.convolve_pm
 
-    def off_for_the_third(f, g):
-        out = real(f, g)
-        out[0] += f is functions[2]
+    def off_for_the_third(block, g):
+        out = real(block, g)
+        for f, row in zip(block, out):
+            row[0] += f is functions[2]
         return out
 
     monkeypatch.setattr(transforms, "convolve_pm", off_for_the_third)
