@@ -32,9 +32,10 @@
 # Flag variants, each pinned by sha256 with its check count so the rng
 # streams stay byte-identical, reach the paths the defaults miss: prop1
 # --maps 100 streams the census images in 44 chunks; parseval and
-# convolution at --samples 3000 span many chunks of at most 2^15 truth-table
-# points, one butterfly block per arity in a chunk (and convolution's 2-D
-# hadamard_transform of the masked spectra); involution --samples 2048 is
+# convolution at --samples 3000 group their streams by arity into 71 and 26
+# butterfly blocks of at most 2^15 truth-table points, several per arity at
+# large n (and convolution's 2-D hadamard_transform of the masked spectra),
+# the results read back in stream order; involution --samples 2048 is
 # the most samples its stream cap admits at its fixed range of n, 1..16;
 # lemma1 --n 4 is the randomized route; lemma2 at --n 8 and --n 12 --samples
 # 64 rebuilds its random candidates a block at a time, and at --n 20

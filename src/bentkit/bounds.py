@@ -5,8 +5,8 @@ only logarithms of the affine group size and of 6 are floating point
 (relative error < 1e-12).  Upper-bound formulas that come from asymptotic
 arguments can dip below actual counts at small n; the report flags those
 instead of suppressing them, and never ships literature counts of its own.
-Each report row is its own formula of n, listed once in ``_ROWS``; the
-theorem row evaluates a_n, T_n and Q itself.
+Each report row is its own formula of n, listed once in ``_ROWS``; a report
+sums the theorem row from its a_n, T_n and Q rows, each evaluated once.
 """
 
 from __future__ import annotations
@@ -73,12 +73,16 @@ def a_n_log2(n: int) -> float:
     return math.log2(odd << (n * (n - 1) // 2 + 2 * n + 1))
 
 
+def _theorem_log2(rows: dict) -> float:
+    q = rows["q_n"]
+    # 3q/8 before the float factor: 3q * log2(6) overflows a float at n=1024
+    return rows["a_n_log2"] + rows["t_n_log2"] + q + 3 * q / 8 * _LOG2_6
+
+
 def theorem_upper_log2(n: int) -> float:
     """a_n + T_n + 4^(Q/2) + 6^(3Q/8) combined in log2."""
     _check_even(n, 4)
-    q = q_n(n)
-    # 3q/8 before the float factor: 3q * log2(6) overflows a float at n=1024
-    return a_n_log2(n) + t_n_log2(n) + q + 3 * q / 8 * _LOG2_6
+    return _theorem_log2({"a_n_log2": a_n_log2(n), "t_n_log2": t_n_log2(n), "q_n": q_n(n)})
 
 
 def headline_log2(n: int) -> float:
@@ -154,8 +158,8 @@ def bound_report(n: int, known: Optional[Sequence[dict]] = None) -> dict:
         raise ValueError(f"log2 values overflow a float past n={_FLOAT_ARITY_LIMIT}, got {n}")
     report: dict = {"n": n}
     for name, formula, least, _ in _ROWS:
-        if n >= least:
-            report[name] = formula(n)
+        if n >= least:  # the theorem sums the rows above it, each evaluated once
+            report[name] = _theorem_log2(report) if formula is theorem_upper_log2 else formula(n)
 
     entry = next((e for e in known or () if e.get("n") == n), None)
     if entry is not None:

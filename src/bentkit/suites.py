@@ -9,8 +9,8 @@ stream, counts checks and failures, keeps the first ten counterexamples and
 builds the report {"suite", "mode", "params", "checks", "failures",
 "counterexamples", "passed", "details"}.  Randomized suites are deterministic
 for a fixed seed.  ``parseval`` and ``convolution`` run their butterflies
-through ``_in_blocks``: one call per arity in each chunk of at most
-``core.CHUNK_POINTS`` truth-table points of their stream, the results read
+through ``_in_blocks``: their whole stream grouped by arity, each arity in
+blocks of at most ``core.CHUNK_POINTS`` truth-table points, the results read
 back in stream order.  They and ``involution`` draw n uniform on 1..max_n,
 a constant of each suite that its report names as ``params["max_n"]``, and
 refuse up front a stream of over 2^MAX_WORK_LOG2 expected truth-table points.
@@ -108,31 +108,23 @@ def _in_blocks(
     items: Iterable[Item], arity: Callable[[Item], int], run: Callable[[list[Item]], Sequence]
 ) -> Iterator[tuple[Item, object]]:
     """(item, result) in stream order, where ``run`` maps a list of items of
-    one arity to one result each.  The stream is cut into chunks of at most
-    ``core.CHUNK_POINTS`` truth-table points (an item larger than that is a
-    chunk by itself), and ``run`` is called once per arity in each chunk."""
-
-    def flush(chunk: list) -> Iterator[tuple[Item, object]]:
-        groups: dict[int, list[int]] = {}
-        for i, item in enumerate(chunk):
-            groups.setdefault(arity(item), []).append(i)
-        results: list = [None] * len(chunk)
-        for where in groups.values():
-            for i, result in zip(where, run([chunk[i] for i in where])):
+    one arity to one result each.  The whole stream is grouped by arity, in
+    order of first appearance, and each arity n runs in blocks of at most
+    ``core.CHUNK_POINTS >> n`` items (an item larger than that is a block by
+    itself), so a block holds at most ``core.CHUNK_POINTS`` truth-table
+    points.  The stream is held whole: the sampled suites cap it up front."""
+    stream = list(items)
+    groups: dict[int, list[int]] = {}
+    for i, item in enumerate(stream):
+        groups.setdefault(arity(item), []).append(i)
+    results: list = [None] * len(stream)
+    for n, where in groups.items():
+        step = max(1, core.CHUNK_POINTS >> n)
+        for start in range(0, len(where), step):
+            block = where[start : start + step]
+            for i, result in zip(block, run([stream[i] for i in block])):
                 results[i] = result
-        return zip(chunk, results)
-
-    chunk: list = []
-    points = 0
-    for item in items:
-        size = 1 << arity(item)
-        if chunk and points + size > core.CHUNK_POINTS:
-            yield from flush(chunk)
-            chunk, points = [], 0
-        chunk.append(item)
-        points += size
-    if chunk:
-        yield from flush(chunk)
+    yield from zip(stream, results)
 
 
 def suite_lemma1(n: int = 3, samples: int = 1000, seed: int = 1) -> dict:
@@ -300,9 +292,9 @@ def suite_convolution(samples: int = 1000, seed: int = 1) -> dict:
     """Both routes of the face-restriction identity agree exactly.
 
     Exhaustive at n=2 over every function and mask, then random pairs, each
-    block of same-arity pairs checked by one ``check_restriction_identity``,
-    so one ``convolve_pm`` block too.  The up-front stream check counts
-    points; ``convolve_pm`` caps the terms of each row.
+    ``_in_blocks`` block of same-arity pairs checked by one
+    ``check_restriction_identity``, so one ``convolve_pm`` block too.  The
+    up-front stream check counts points; ``convolve_pm`` caps each row's terms.
     """
     max_n = 10
     _check_stream(samples, max_n)
@@ -366,8 +358,9 @@ def _spectrum_block(functions: list[BooleanFunction]) -> list[Check]:
 def suite_parseval(samples: int = 1000, seed: int = 1) -> dict:
     """Spectrum invariants: Parseval, parity, W(0), and agreement with the
     popcount oracle ``_naive_spectra`` up to n = ``_NAIVE_CHECK_MAX_N``.
-    Each chunk's spectra come as one ``walsh_truth_rows`` block per arity,
-    and every invariant, the oracle included, is checked on the whole block."""
+    Each ``_in_blocks`` block's spectra come as one ``walsh_truth_rows``
+    call, and every invariant, the oracle included, is checked on the whole
+    block."""
     max_n = 12
     _check_stream(samples, max_n)
     functions = _functions(3, samples, seed, max_n)

@@ -301,6 +301,25 @@ def test_bound_report_holds_each_row_exactly_where_its_formula_is_defined(n):
     assert list(report)[: len(present) + 1] == ["n", *present]
 
 
+@pytest.mark.parametrize("n", [4, 26, 1024])
+def test_bound_report_evaluates_a_n_once(monkeypatch, n):
+    calls = []
+    real = bounds.a_n_log2
+
+    def counted(m):
+        calls.append(m)
+        return real(m)
+
+    # the row table holds the function itself, and the theorem reads the module name
+    rows = tuple((name, counted if f is real else f, *rest) for name, f, *rest in bounds._ROWS)
+    monkeypatch.setattr(bounds, "_ROWS", rows)
+    monkeypatch.setattr(bounds, "a_n_log2", counted)
+    for _ in range(2):
+        report = bound_report(n)
+        assert report["a_n_log2"] == real(n)
+    assert calls == [n, n]  # one call a report, the theorem row included
+
+
 def test_bound_report_rejects_odd():
     with pytest.raises(ValueError):
         bound_report(5)

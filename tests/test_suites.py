@@ -715,14 +715,58 @@ def test_blocks_cut_the_stream_at_the_point_bound(monkeypatch):
     monkeypatch.setattr(core, "CHUNK_POINTS", 16)
     calls = []
 
-    def run(arities):
-        calls.append(arities)
-        return [-n for n in arities]
+    def run(block):
+        calls.append([n for _, n in block])
+        return [-i for i, _ in block]
 
     arities = [1, 3, 2, 3, 5, 1, 1, 4, 4]  # 2, 8, 4, 8, 32, 2, 2, 16, 16 points
-    assert list(suites._in_blocks(arities, lambda n: n, run)) == [(n, -n) for n in arities]
-    # chunks [1, 3, 2] (14 points), [3], [5] (32, alone), [1, 1], [4], [4]
-    assert calls == [[1], [3], [2], [3], [5], [1, 1], [4], [4]]
+    items = list(enumerate(arities))
+    assert list(suites._in_blocks(items, lambda item: item[1], run)) == [
+        (item, -item[0]) for item in items
+    ]
+    # one group per arity in order of first appearance, 16 >> n items a block:
+    # eight of n=1, two of n=3, four of n=2, then n=5 and each n=4 alone
+    assert calls == [[1, 1, 1], [3, 3], [2], [5], [4], [4]]
+
+
+def _blocks_per_arity(arities):
+    # sum over n of ceil(k_n / max(1, CHUNK_POINTS >> n)) for k_n items of arity n
+    counts = {n: arities.count(n) for n in set(arities)}
+    return sum(-(-k // max(1, core.CHUNK_POINTS >> n)) for n, k in counts.items())
+
+
+def test_default_sampled_suites_run_one_block_stream_per_arity(monkeypatch):
+    calls = {"rows": 0, "naive": 0, "convolve": 0, "hadamard": 0}
+    pair_arities = []
+
+    def counted(module, name, key):
+        real = getattr(module, name)
+
+        def wrapper(*args):
+            calls[key] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(suites, "walsh_truth_rows", "rows")
+    counted(suites, "_naive_spectra", "naive")
+    counted(transforms, "convolve_pm", "convolve")
+    counted(transforms, "hadamard_transform", "hadamard")
+    real_identity = suites.check_restriction_identity
+
+    def identity(pairs):
+        pair_arities.extend(f.n for f, _ in pairs)
+        return real_identity(pairs)
+
+    monkeypatch.setattr(suites, "check_restriction_identity", identity)
+    assert suite_parseval()["passed"]
+    arities = [f.n for f in suites._functions(3, 1000, 1, 12)]
+    assert calls["rows"] == _blocks_per_arity(arities) == 29  # 250 in chunks of 2^15 points
+    small = [n for n in arities if n <= suites._NAIVE_CHECK_MAX_N]
+    assert calls["naive"] == _blocks_per_arity(small)
+    assert suite_convolution()["passed"]
+    assert len(pair_arities) == 64 + 1000
+    assert calls["convolve"] == calls["hadamard"] == _blocks_per_arity(pair_arities) == 14
 
 
 @pytest.mark.parametrize("points", [1, 4, 48, 1 << 15])
