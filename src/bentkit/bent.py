@@ -18,8 +18,9 @@ x -> Mx + translation and its affine term over the input bits in numpy,
 refusing a singular matrix there, then gathers every image from the
 unpacked tables as (maps, 2^n) bit rows.  ``_bent_images`` takes a sequence
 of functions of one arity, draws their maps function by function, and per
-chunk of maps draws one block, builds it with one ``apply_affine`` and tests
-it with one ``bent_rows``; it yields (function, row, bent) triples.
+``core.blocks`` chunk of maps draws one block, builds it with one
+``apply_affine`` and tests it with one ``bent_rows``; it yields (function,
+row, bent) triples.
 ``prop1`` passes the whole census, so its images are tested across members,
 and packs only failing rows, holding one chunk at most; ``bent affine``
 passes its one function and prints every image, so its output grows with
@@ -212,21 +213,19 @@ def _bent_images(
 ) -> Iterator[tuple]:
     """(f, bit row, bent) for ``count`` random affine images of each f, all of
     one arity, maps drawn from rng function by function.  Maps are drawn,
-    built and bent-tested one chunk of at most ``core.CHUNK_POINTS >> n``
-    maps at a time (2,048 at n=4): one ``random_invertible`` block, one
-    ``apply_affine`` gather from the chunk's functions, one per map, and one
-    ``bent_rows``; a chunk may split one
-    function's maps, and a caller keeping no row holds one chunk.  Refuses,
-    before drawing a map, more than 2^MAX_WORK_LOG2 points (functions x
-    count x 2^n)."""
+    built and bent-tested one ``core.blocks`` chunk at a time (2,048 maps at
+    n=4): one ``random_invertible`` block, one ``apply_affine`` gather from
+    the chunk's functions, one per map, and one ``bent_rows``; a chunk may
+    split one function's maps, and a caller keeping no row holds one chunk.
+    Refuses, before drawing a map, more than 2^MAX_WORK_LOG2 points
+    (functions x count x 2^n)."""
     if not functions:
         return
     n = functions[0].n
     total = len(functions) * count
     _check_work(((total << n) - 1).bit_length(), f"truth-table points for {total} images at n={n}")
-    step = max(1, core.CHUNK_POINTS >> n)
-    for first in range(0, total, step):
-        owners = [functions[i // count] for i in range(first, min(first + step, total))]
+    for block in core.blocks(total, n):
+        owners = [functions[i // count] for i in range(block.start, block.stop)]
         maps = random_invertible(n, rng, len(owners))
         rows = apply_affine(owners, maps)
         yield from zip(owners, rows, bent_rows(rows, n).tolist())

@@ -5,10 +5,12 @@ normal forms supported on the ball B_d, d = max(2, n/2): a bent function has
 degree <= n/2 for n >= 4, and all 8 at n=2 have degree 2.  Each runs in this
 process as one scan of one (rows, 2^n) bit block and returns its bent
 truth tables as ascending ints, ``CensusResult.tables``; ``.functions``
-wraps them in ``BooleanFunction`` objects on each read.  The degree method
-turns its normal forms into truth tables with ``truth_rows_from_anf``, which
-owns the ball's coefficient layout and runs the packed Moebius kernel, and
-both filter the block with one call of ``bent.bent_rows``, the one bent test.
+wraps them in ``BooleanFunction`` objects on each read.  Both methods share
+one filter, ``_census``: candidate k is the truth-table row of word k, its
+own bits (``unpack_rows``) or its normal form (``truth_rows_from_anf``, which
+owns the ball's coefficient layout and runs the packed Moebius kernel); one
+call of ``bent.bent_rows``, the one bent test, keeps the bent rows, and
+``pack_rows`` reads them back, sorted.
 Both refuse a space of more than 2^24 candidates, the one work budget
 ``core.MAX_WORK_LOG2``: the brute-force space is 2^(2^n), 2^64 at n=6, and
 the degree-restricted space is 2^42 at n=6.  So the largest census the
@@ -19,6 +21,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -47,23 +50,12 @@ class CensusResult:
         return tuple(BooleanFunction(self.n, t) for t in self.tables)
 
 
-def _bent_tables(n: int, total: int) -> list[int]:
-    """Truth-table ints of the bent functions among all ``total`` = 2^(2^n)."""
-    tables = np.arange(total, dtype=np.uint64)
-    return tables[bent_rows(unpack_rows(tables, 1 << n), n)].tolist()
-
-
-def _bent_tables_from_anf(n: int, total: int) -> list[int]:
-    """Truth-table ints of the bent functions among the ``total`` normal
-    forms on the ball B_d, d = ``_degree_bound(n)`` (unsorted): candidate k
-    is the coefficient word k of ``truth_rows_from_anf``."""
-    truth = truth_rows_from_anf(n, _degree_bound(n), np.arange(total, dtype=np.uint64))
-    return pack_rows(truth[bent_rows(truth, n)])
-
-
-def _census(method: str, scan, n: int, total: int) -> CensusResult:
+def _census(method: str, n: int, total: int, truth_rows) -> CensusResult:
+    """Candidate k is row k of ``truth_rows`` of the words 0..total-1; the
+    rows one ``bent_rows`` call finds bent come back as ascending ints."""
     started = time.perf_counter()
-    tables = tuple(sorted(scan(n, total)))
+    truth = truth_rows(np.arange(total, dtype=np.uint64))
+    tables = tuple(sorted(pack_rows(truth[bent_rows(truth, n)])))
     elapsed = time.perf_counter() - started
     return CensusResult(n, method, len(tables), elapsed, tables)
 
@@ -73,7 +65,7 @@ def enumerate_bent_naive(n: int) -> CensusResult:
     _check_even(n)
     _check_arity(n)  # before 1 << n
     _check_work(1 << n, f"truth tables for the brute-force census at n={n}")
-    return _census("naive", _bent_tables, n, 1 << (1 << n))
+    return _census("naive", n, 1 << (1 << n), partial(unpack_rows, width=1 << n))
 
 
 def enumerate_bent_by_degree(n: int) -> CensusResult:
@@ -82,4 +74,4 @@ def enumerate_bent_by_degree(n: int) -> CensusResult:
     _check_arity(n)  # before the exponent, a sum of n/2 big binomials
     exponent = ball_size(n, _degree_bound(n))  # log2 of the normal forms of that degree
     _check_work(exponent, f"normal forms for the degree-restricted census at n={n}")
-    return _census("degree", _bent_tables_from_anf, n, 1 << exponent)
+    return _census("degree", n, 1 << exponent, partial(truth_rows_from_anf, n, _degree_bound(n)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import random
 import re
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Iterator, Sequence, Union
 
 import numpy as np
 
@@ -22,7 +22,7 @@ MAX_ARITY = 26
 MAX_WORK_LOG2 = 24
 # the one block size: a batched step holds at most this many truth-table points
 # at once (the images bent-tested together, the spectra of a suite block, the
-# terms of one convolve_pm gather); read at call time, as core.CHUNK_POINTS.
+# terms of one convolve_pm gather); ``blocks`` alone reads it, at call time.
 # At 2^15, prop1's n=4 chunk (2,048 maps) peaks no higher than one member's
 # images did when each member was tested alone
 CHUNK_POINTS = 1 << 15
@@ -137,15 +137,26 @@ def pack_bits(bits: np.ndarray) -> int:
     return int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
 
 
-def unpack_rows(values: Union[np.ndarray, Sequence[int]], width: int) -> np.ndarray:
-    """Bits 0..width-1 of each entry, as rows: of an unsigned int array for
-    width <= 64, or of a sequence of non-negative ints of any width."""
+def blocks(count: int, n: int) -> Iterator[slice]:
+    """The in-order slices of 0..count-1, each of at most max(1, CHUNK_POINTS
+    >> n) items of arity n: CHUNK_POINTS truth-table points, or one item."""
+    step = max(1, CHUNK_POINTS >> n)
+    return (slice(i, min(i + step, count)) for i in range(0, count, step))
+
+
+def table_words(values: Union[np.ndarray, Sequence[int]], words: int) -> np.ndarray:
+    """Table ints, of an unsigned int array (one word each, higher words 0) or
+    of any width, as read-only (rows, words) little-endian uint64 words."""
     if isinstance(values, np.ndarray):
-        raw = np.ascontiguousarray(values, dtype="<u8").view(np.uint8).reshape(-1, 8)
-    else:
-        nbytes = (width + 7) // 8
-        data = b"".join(v.to_bytes(nbytes, "little") for v in values)
-        raw = np.frombuffer(data, dtype=np.uint8).reshape(-1, nbytes)
+        column = np.ascontiguousarray(values, dtype="<u8").reshape(-1, 1)
+        return np.pad(column, ((0, 0), (0, words - 1))) if words > 1 else column
+    data = b"".join(v.to_bytes(8 * words, "little") for v in values)
+    return np.frombuffer(data, dtype="<u8").reshape(-1, words)
+
+
+def unpack_rows(values: Union[np.ndarray, Sequence[int]], width: int) -> np.ndarray:
+    """Bits 0..width-1 of each entry, as rows, read through ``table_words``."""
+    raw = table_words(values, (width + 63) >> 6).view(np.uint8)
     return np.unpackbits(raw, axis=1, count=width, bitorder="little")
 
 

@@ -10,10 +10,10 @@ builds the report {"suite", "mode", "params", "checks", "failures",
 "counterexamples", "passed", "details"}.  Randomized suites are deterministic
 for a fixed seed.  ``parseval`` and ``convolution`` run their butterflies
 through ``_in_blocks``: their whole stream grouped by arity, each arity in
-blocks of at most ``core.CHUNK_POINTS`` truth-table points, the results read
-back in stream order.  They and ``involution`` draw n uniform on 1..max_n,
-a constant of each suite that its report names as ``params["max_n"]``, and
-refuse up front a stream of over 2^MAX_WORK_LOG2 expected truth-table points.
+``core.blocks`` slices, the results read back in stream order.  They and
+``involution`` draw n uniform on 1..max_n, a constant of each suite that its
+report names as ``params["max_n"]``, and refuse up front a stream of over
+2^MAX_WORK_LOG2 expected truth-table points.
 """
 
 from __future__ import annotations
@@ -109,19 +109,17 @@ def _in_blocks(
 ) -> Iterator[tuple[Item, object]]:
     """(item, result) in stream order, where ``run`` maps a list of items of
     one arity to one result each.  The whole stream is grouped by arity, in
-    order of first appearance, and each arity n runs in blocks of at most
-    ``core.CHUNK_POINTS >> n`` items (an item larger than that is a block by
-    itself), so a block holds at most ``core.CHUNK_POINTS`` truth-table
-    points.  The stream is held whole: the sampled suites cap it up front."""
+    order of first appearance, and each arity n runs in the ``core.blocks``
+    slices of its items.  The stream is held whole: the sampled suites cap
+    it up front."""
     stream = list(items)
     groups: dict[int, list[int]] = {}
     for i, item in enumerate(stream):
         groups.setdefault(arity(item), []).append(i)
     results: list = [None] * len(stream)
     for n, where in groups.items():
-        step = max(1, core.CHUNK_POINTS >> n)
-        for start in range(0, len(where), step):
-            block = where[start : start + step]
+        for cut in core.blocks(len(where), n):
+            block = where[cut]
             for i, result in zip(block, run([stream[i] for i in block])):
                 results[i] = result
     yield from zip(stream, results)
@@ -209,7 +207,7 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     otherwise).  For larger n: sampled round-trips at radius n/2, so both
     the ball and samples x |B_{n/2}| must be at most 2^MAX_WORK_LOG2 points
     (the default 256 samples run up to n=17).  ``reconstruct_from_ball``
-    rebuilds the candidates ``core.CHUNK_POINTS >> n`` at a time from their
+    rebuilds the candidates one ``core.blocks`` slice at a time from their
     ``truth_rows_from_anf`` tables' ball values, checked against those tables.
     """
     _check_arity(n)
@@ -221,12 +219,11 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
         _check_work((work - 1).bit_length(), what)
     rng = random.Random(seed)
     per_radius: dict[str, int] = {}
-    step = max(1, core.CHUNK_POINTS >> n)
 
     def round_trips(truth: np.ndarray, radius: int, ball: np.ndarray) -> Iterator[Check]:
-        # each row rebuilt from its restriction to the ball, step rows a call
-        for start in range(0, len(truth), step):
-            want = truth[start : start + step]
+        # each row rebuilt from its restriction to the ball, one block a call
+        for block in core.blocks(len(truth), n):
+            want = truth[block]
             back = reconstruct_from_ball(n, radius, want[:, ball])
             bad = np.flatnonzero((back != want).any(axis=1)).tolist()
             for i in bad:
@@ -255,8 +252,8 @@ def suite_lemma2(n: int = 4, samples: int = 256, seed: int = 1) -> dict:
     def randomized() -> Iterator[Check]:
         radius, ball = n // 2, _ball_index(n, n // 2)
         per_radius[str(radius)] = samples
-        for start in range(0, samples, step):
-            draws = [rng.getrandbits(len(ball)) for _ in range(min(step, samples - start))]
+        for block in core.blocks(samples, n):
+            draws = [rng.getrandbits(len(ball)) for _ in range(block.stop - block.start)]
             yield from round_trips(truth_rows_from_anf(n, radius, draws), radius, ball)
 
     return _report(

@@ -38,13 +38,13 @@ compares whole blocks of butterfly spectra with it.
 ``convolve_pm`` is likewise the direct sum over the support of its vector,
 for one function or for a (rows, 2^n) block of same-arity rows, with one
 kernel, ``_convolve_rows``: int8 runs of low-permuted sign copies gathered a
-slice of the support at a time, summed in int64 or else on exact ints in an
-object array, and never a butterfly.  So ``check_restriction_identity``,
-which takes a sequence of (function, mask) pairs of one arity and makes one
-``convolve_pm`` call for its left side and two butterflies for its right
-(``walsh_truth_rows`` of the functions, ``hadamard_transform`` of their
-masked spectra), each once per call, really compares two different
-computations.
+``core.blocks`` slice of the support at a time, summed in int64 or else on
+exact ints in an object array, and never a butterfly.  So
+``check_restriction_identity``, which takes a sequence of (function, mask)
+pairs of one arity and makes one ``convolve_pm`` call for its left side and
+two butterflies for its right (``walsh_truth_rows`` of the functions,
+``hadamard_transform`` of their masked spectra), each once per call, really
+compares two different computations.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ import numpy as np
 
 from . import core
 from .core import BooleanFunction, _check_mask, _check_same_arity, _check_work, pack_bits
-from .core import unpack_bits, unpack_rows
+from .core import table_words, unpack_bits, unpack_rows
 from .geometry import _ball_index, _face_indicator, coordinate_masks, weight_masks
 
 IntegerVector = list[int]
@@ -161,11 +161,12 @@ def walsh_fast(f: BooleanFunction) -> IntegerVector:
 def _characters(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """What ``_naive_spectra`` reads at arity n, (low, high, values).  With
     s = min(n, ``_SLICE_LOG2``) (at least 6), the character table l_y of
-    <x, y>, packed in uint64 words of 64 points, is low[y mod 2^s] XOR
-    high[y >> s]: ``low`` (2^s, words) holds the first characters, XORs of
-    the coordinate lines of ``geometry`` tiled across the words, and ``high``
-    (2^(n - s), words), one zero row when s = n, is all ones in the words
-    whose points have <x >> s, y >> s> odd (a word's 64 points share x >> s).
+    <x, y>, packed in uint64 words of 64 points by ``core.table_words``, is
+    low[y mod 2^s] XOR high[y >> s]: ``low`` (2^s, words) holds the first
+    characters, XORs of the coordinate lines of ``geometry`` tiled across
+    the words, and ``high`` (2^(n - s), words), one zero row when s = n, is
+    all ones in the words whose points have <x >> s, y >> s> odd (a word's
+    64 points share x >> s).
     values[k] = 2^n - 2k is W(y) where wt(f + l_y) = k.  Cached per arity: at
     n=12 the three take 172 KB, for all of n = 1..12 334 KB, all read-only."""
     lo, words = min(n, _SLICE_LOG2), max(1, (1 << n) >> 6)
@@ -173,8 +174,7 @@ def _characters(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     chars = [0]
     for mask in coordinate_masks(lo):
         chars += [c ^ full ^ mask for c in chars]  # y with bit i set: XOR in the line x_i = 1
-    data = b"".join(c.to_bytes(max(8, (1 << lo) >> 3), "little") for c in chars)
-    low = np.frombuffer(data, dtype="<u8").reshape(len(chars), -1)
+    low = table_words(chars, max(1, (1 << lo) >> 6))
     low = np.tile(low, (1, words // low.shape[1]))
     high_x = (np.arange(words) << 6) >> lo
     parity = np.bitwise_count(np.arange(1 << (n - lo))[:, None] & high_x) & 1
@@ -188,10 +188,11 @@ def _characters(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def _naive_spectra(n: int, tables: Sequence[int]) -> np.ndarray:
     """Walsh spectra of the n-ary truth tables ``tables`` by the defining sum,
     W(y) = 2^n - 2 wt(t XOR l_y), as a (rows, 2^n) int64 block: the tables,
-    packed in uint64 words, are XORed against the character tables of
-    ``_characters`` 2^min(n, _SLICE_LOG2) at a time, each slice's high part
-    XORed into the tables first, and popcounted with ``np.bitwise_count``;
-    a one-word table (n <= 6) takes one XOR against all its characters.
+    packed in uint64 words by ``core.table_words``, are XORed against the
+    character tables of ``_characters`` 2^min(n, _SLICE_LOG2) at a time, each
+    slice's high part XORed into the tables first, and popcounted with
+    ``np.bitwise_count``; a one-word table (n <= 6) takes one XOR against all
+    its characters, as a plain uint64 array.
     O(4^n / 64) word operations a row and no butterfly: the independent
     oracle.  The caller checks the work."""
     low, high, values = _characters(n)
@@ -199,8 +200,7 @@ def _naive_spectra(n: int, tables: Sequence[int]) -> np.ndarray:
     if words == 1:
         ones = np.bitwise_count(np.array(tables, dtype=np.uint64)[:, None] ^ low[:, 0])
     else:
-        data = b"".join(t.to_bytes(8 * words, "little") for t in tables)
-        packed = np.frombuffer(data, dtype="<u8").reshape(-1, words)
+        packed = table_words(tables, words)
         slices = [np.bitwise_count((packed ^ h)[:, None] ^ low).sum(axis=2) for h in high]
         ones = np.concatenate(slices, axis=1)
     return values.take(ones)
@@ -264,7 +264,7 @@ def _convolve_rows(n: int, tables: Sequence[int], arr: np.ndarray) -> np.ndarray
     inside each run of 2^k, XOR by its high bits permutes the runs.  So the
     2^k low-permuted int8 copies of each row's signs are built once (8 bytes
     a point), and a term is gathered as 2^(n-k) runs, each one word of 2^k
-    bytes, with one ``take`` per slice of ``core.CHUNK_POINTS >> n`` terms.
+    bytes, with one ``take`` per ``core.blocks`` slice of terms.
     Weights multiply in the narrowest of int8, int16 and int64 that holds
     max|g|, and each row's adjacent terms are summed in int64, or on exact
     ints in an object array.  A row of more than 2^MAX_WORK_LOG2 truth-table
@@ -292,10 +292,9 @@ def _convolve_rows(n: int, tables: Sequence[int], arr: np.ndarray) -> np.ndarray
     keys = (row_of << n) | w
     first = [0, *np.cumsum(counts).tolist()]  # row r's terms are first[r]:first[r + 1]
     out = np.zeros((rows, size), dtype=arr.dtype)
-    step = max(1, core.CHUNK_POINTS >> n)
-    for start in range(0, len(w), step):
-        stop = min(start + step, len(w))
-        terms = words.take(runs ^ keys[start:stop, None]).view(np.int8) * weights[start:stop, None]
+    for block in core.blocks(len(w), n):
+        start, stop = block.start, block.stop
+        terms = words.take(runs ^ keys[block, None]).view(np.int8) * weights[block, None]
         for row in range(row_of[start], row_of[stop - 1] + 1):
             a, b = max(first[row], start) - start, min(first[row + 1], stop) - start
             if a < b:
@@ -312,10 +311,10 @@ def convolve_pm(
     functions of one arity and g a (len(f), 2^n) integer array, row i
     convolved with f[i], returned as a list of rows.  Both are one kernel,
     ``_convolve_rows``: the direct sum out[z] = sum_w g[w] (-1)^f(z^w) over
-    the support of each row (a term with g[w] = 0 adds nothing), gathered a
-    slice of at most ``core.CHUNK_POINTS >> n`` support points at a time;
-    never through the transform.  A row of more than 2^MAX_WORK_LOG2
-    truth-table points (support size x 2^n) is refused.
+    the support of each row (a term with g[w] = 0 adds nothing), gathered one
+    ``core.blocks`` slice of support points at a time; never through the
+    transform.  A row of more than 2^MAX_WORK_LOG2 truth-table points
+    (support size x 2^n) is refused.
     """
     if isinstance(f, BooleanFunction):
         if len(g) != f.size:

@@ -11,7 +11,7 @@ import time
 import bentkit.cli as cli
 from bentkit.bent import dual_bent, is_bent
 from bentkit.census import enumerate_bent_by_degree, enumerate_bent_naive
-from bentkit.core import BooleanFunction, random_function, weight
+from bentkit.core import random_function
 from bentkit.geometry import coset_value_class_sizes
 from bentkit.suites import (
     suite_convolution,

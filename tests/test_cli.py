@@ -18,7 +18,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import bentkit.cli as cli
-from bentkit import bent, bounds, geometry, suites
+from bentkit import bent, bounds, geometry
 from bentkit.bent import apply_affine, dual_bent, random_invertible, two_flat_sum_distribution
 from bentkit.bounds import bound_report
 from bentkit.census import enumerate_bent_by_degree

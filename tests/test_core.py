@@ -195,7 +195,7 @@ def test_pack_rows_matches_shift_and_sum(width):
     assert pack_rows(rows[:0]) == []
 
 
-@pytest.mark.parametrize("width", [1, 2, 8, 9, 64, 100, 1024])
+@pytest.mark.parametrize("width", [1, 2, 8, 9, 64, 100, 163, 1024])
 def test_unpack_rows_reads_int_sequences_of_any_width(width):
     rng = random.Random(width)
     tables = [0, (1 << width) - 1] + [rng.getrandbits(width) for _ in range(5)]
@@ -204,7 +204,29 @@ def test_unpack_rows_reads_int_sequences_of_any_width(width):
     assert rows.tolist() == [unpack_bits(t, width).tolist() for t in tables]
     if width <= 64:
         assert rows.tolist() == unpack_rows(np.array(tables, dtype=np.uint64), width).tolist()
+    # a uint64 array is one word an entry at any width, its higher bits zero
+    assert unpack_rows(np.array([5], np.uint64), width).tolist() == unpack_rows([5], width).tolist()
     assert unpack_rows([], width).shape == (0, width)
+
+
+@pytest.mark.parametrize("n", [1, 4, 11, 15, 16, 26])
+@pytest.mark.parametrize("count", [0, 1, 3, 2048, 2049, 5000])
+def test_blocks_cut_every_item_once_in_order_within_the_point_bound(count, n):
+    cuts = list(core.blocks(count, n))
+    step = max(1, core.CHUNK_POINTS >> n)
+    assert [i for cut in cuts for i in range(count)[cut]] == list(range(count))
+    assert all(cut.stop - cut.start == step for cut in cuts[:-1])
+    assert all(0 < cut.stop - cut.start <= step for cut in cuts)
+    if count == 0:
+        assert cuts == []
+    if n >= 16:
+        assert len(cuts) == count
+
+
+def test_blocks_read_the_block_size_at_call_time(monkeypatch):
+    monkeypatch.setattr(core, "CHUNK_POINTS", 16)
+    assert list(core.blocks(10, 2)) == [slice(0, 4), slice(4, 8), slice(8, 10)]
+    assert list(core.blocks(3, 5)) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
 
 @given(functions(10))

@@ -319,6 +319,9 @@ def test_truth_rows_from_anf_takes_words_wider_than_64_bits():
     for word, row in zip(words, truth_rows_from_anf(n, r, words)):
         anf = sum(((word >> j) & 1) << p for j, p in enumerate(points))
         assert pack_bits(row) == moebius(BooleanFunction(n, anf)).table
+    # a uint64 array is one word an entry at any width, its higher bits zero
+    small = truth_rows_from_anf(n, r, np.array([5], np.uint64))
+    assert small.tolist() == truth_rows_from_anf(n, r, [5]).tolist()
 
 
 def test_degree_oracles():
